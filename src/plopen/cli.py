@@ -7,7 +7,7 @@ diagnostics go to stderr. Exit codes are a total function of the verdict:
     1  exact conditions fail (map not open; whyburn rejected; homotopy
        non-constant or hypothesis violated)
     2  instance validation violations
-    3  malformed input file
+    3  malformed input file or query point (`--at`, `--gamma`)
     4  exact openness conditions disagree among themselves (implementation
        bug sentinel: the conditions are provably equivalent, so this cannot
        happen for a correct build)
@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,8 +67,15 @@ def _point_strings(point) -> list[str]:
     return [format_rational(c) for c in point]
 
 
-def _parse_point(text: str) -> tuple:
-    return tuple(parse_rational(part) for part in text.split(","))
+def _parse_point(text: str, dim: int) -> tuple:
+    """An exact point from "p/q,p/q,..." with exactly dim coordinates."""
+    try:
+        point = tuple(parse_rational(part) for part in text.split(","))
+    except ValueError as exc:
+        raise ParseError(f"point {text!r}: {exc}") from exc
+    if len(point) != dim:
+        raise ParseError(f"point {text!r} has {len(point)} coordinates, expected {dim}")
+    return point
 
 
 def _emit(report: dict, exit_status: int, approx: bool = False) -> int:
@@ -86,6 +92,16 @@ def _approx_value(value):
     if isinstance(value, list):
         return [_approx_value(v) for v in value]
     return value
+
+
+_INPUT_ERRORS = (ParseError, InvalidComplexError, DiscontinuityError)
+
+
+def _input_failure(exc: Exception) -> tuple[dict, int]:
+    """Report fields and exit status for one of the _INPUT_ERRORS."""
+    if isinstance(exc, ParseError):
+        return {"error": str(exc)}, EXIT_PARSE
+    return {"valid": False, "violations": [str(v) for v in exc.violations]}, EXIT_INVALID
 
 
 def _load(path: str) -> tuple:
@@ -179,18 +195,17 @@ def _cmd_check_open(args) -> int:
         report = _report_skeleton("check-open")
         report["batch"] = True
         results = {}
-
-        def run_one(path: Path):
-            plmap, _, digest = _load(str(path))
-            payload, status = _openness_payload(plmap, config)
-            return path.name, digest, payload, status
-
-        with ThreadPoolExecutor() as pool:
-            outcomes = list(pool.map(run_one, files))
         worst = EXIT_OK
-        for name, digest, payload, status in outcomes:
-            payload["instance_digest"] = digest
-            results[name] = payload
+        for path in files:
+            try:
+                plmap, _, digest = _load(str(path))
+            except _INPUT_ERRORS as exc:
+                entry, status = _input_failure(exc)
+                entry["exit_status"] = status
+            else:
+                entry, status = _openness_payload(plmap, config)
+                entry["instance_digest"] = digest
+            results[path.name] = entry
             if status == EXIT_DISAGREEMENT or worst == EXIT_DISAGREEMENT:
                 worst = EXIT_DISAGREEMENT
             else:
@@ -208,7 +223,7 @@ def _cmd_check_open(args) -> int:
 def _cmd_degree(args) -> int:
     plmap, _, digest = _load(args.path)
     report = _report_skeleton("degree", digest)
-    point = _parse_point(args.at)
+    point = _parse_point(args.at, plmap.ambient_dim)
     try:
         certificate = degree(plmap, point)
     except BoundaryImageError as exc:
@@ -242,7 +257,7 @@ def _cmd_degree(args) -> int:
 def _cmd_fibers(args) -> int:
     plmap, _, digest = _load(args.path)
     report = _report_skeleton("fibers", digest)
-    result = fiber(plmap, _parse_point(args.at))
+    result = fiber(plmap, _parse_point(args.at, plmap.ambient_dim))
     if isinstance(result, InfiniteFiber):
         report["finite"] = False
         report["witness_segment"] = [
@@ -328,8 +343,10 @@ def _cmd_homotopy(args) -> int:
     report = _report_skeleton("homotopy")
     report["instance_digest"] = digest_f
     report["instance_digest_g"] = digest_g
-    start_text, end_text = args.gamma.split(";")
-    gamma = (_parse_point(start_text), _parse_point(end_text))
+    ends = args.gamma.split(";")
+    if len(ends) != 2:
+        raise ParseError(f"gamma {args.gamma!r}: expected two points separated by ';'")
+    gamma = tuple(_parse_point(text, map_f.ambient_dim) for text in ends)
     count = args.samples
     times = [Fraction(k, count - 1) for k in range(count)] if count > 1 else [Fraction(0)]
     try:
@@ -468,18 +485,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(json.dumps({"command": args.command, "error": str(exc), "exit_status": EXIT_PARSE}, sort_keys=True, indent=2))
-        return EXIT_PARSE
-    except (InvalidComplexError, DiscontinuityError) as exc:
-        report = {
-            "command": args.command,
-            "valid": False,
-            "violations": [str(v) for v in exc.violations],
-            "exit_status": EXIT_INVALID,
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return EXIT_INVALID
+    except _INPUT_ERRORS as exc:
+        report, status = _input_failure(exc)
+        report["command"] = args.command
+        return _emit(report, status)
     except FileNotFoundError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PARSE

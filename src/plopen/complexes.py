@@ -207,6 +207,8 @@ def collect_violations(
     verts = tuple(vector(v) for v in vertices)
     if not verts:
         return [Violation("empty", "complex has no vertices")], None
+    if not cells:
+        return [Violation("empty", "complex has no cells")], None
     n = ambient_dim if ambient_dim is not None else len(verts[0])
     for i, v in enumerate(verts):
         if len(v) != n:
@@ -259,7 +261,8 @@ def collect_violations(
     # Pairwise properness: two cells must meet exactly in the simplex spanned
     # by their shared vertices. For simplices, conv(P) ∩ aff(shared) equals
     # the shared face, so the intersection is proper iff it stays inside that
-    # affine hull (iff it is empty when no vertices are shared).
+    # affine hull (iff it is empty when no vertices are shared): one strict
+    # probe per pair.
     boxes = [feasible.bounding_box([verts[i] for i in s.vertex_ids]) for s in simplices]
     for a in range(len(simplices)):
         pa = [verts[i] for i in simplices[a].vertex_ids]
@@ -268,25 +271,12 @@ def collect_violations(
                 continue
             pb = [verts[i] for i in simplices[b].vertex_ids]
             shared = tuple(sorted(set(simplices[a].vertex_ids) & set(simplices[b].vertex_ids)))
-            if not shared:
-                if feasible.hulls_intersect(pa, pb):
-                    violations.append(
-                        Violation(
-                            "improper_intersection",
-                            f"cells {a} and {b} intersect but share no face",
-                            (a, b),
-                        )
-                    )
-            else:
-                span = [verts[i] for i in shared]
-                if feasible.hull_leaves_affine_span(pa, pb, span):
-                    violations.append(
-                        Violation(
-                            "improper_intersection",
-                            f"cells {a} and {b} overlap beyond their common face {shared}",
-                            (a, b),
-                        )
-                    )
+            if feasible.hull_leaves_affine_span(pa, pb, [verts[i] for i in shared]):
+                if shared:
+                    message = f"cells {a} and {b} overlap beyond their common face {shared}"
+                else:
+                    message = f"cells {a} and {b} intersect but share no face"
+                violations.append(Violation("improper_intersection", message, (a, b)))
 
     # Face lattice and manifold condition on (n-1)-faces.
     face_cells: dict[Face, set[int]] = {}

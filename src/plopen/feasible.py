@@ -14,8 +14,20 @@ loops; witnesses are reconstructed as exact rationals at the end and checked
 by substitution.
 
 Polytopes enter in vertex form (a tuple of points whose convex hull is the
-polytope). The dimension of an intersection is computed by growing its affine
-hull: starting from one witness point, functionals vanishing on the directions
+polytope). Every predicate on two polytopes P and Q asks one question, how
+conv(P) and conv(Q) meet, and is one call to a single row builder: convex
+weights λ on P and μ on Q with Σλp = Σμq, each side either closed (λ ≥ 0) or
+strict (λ > 0, the relative interior), plus optional rows on λ. Each
+coordinate row is scaled to integers once, on its own.
+
+Properness of two simplices is one strict probe on that system. For a face F
+of a simplex P, conv(P) ∩ aff(F) = F, so the intersection with Q leaves
+aff(F) exactly when some common point puts positive total weight on the
+vertices of P outside F. This needs P affinely independent and F given by
+vertices of P.
+
+The dimension of an intersection is computed by growing its affine hull:
+starting from one witness point, functionals vanishing on the directions
 found so far are probed in both strict senses; every feasible probe yields a
 new independent direction, and exhaustion proves the dimension exactly.
 """
@@ -25,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .linalg import Matrix, Vector, null_space, rank, vec_dot, vec_sub
 
@@ -96,8 +108,12 @@ def _norm_int_row(coeffs: list[int], rel: str, rhs: int) -> Optional[_IntRow]:
 
 
 def _from_fractions(coeffs: Sequence[Fraction], rel: str, rhs: Fraction) -> Optional[_IntRow]:
-    mult = lcm(rhs.denominator, *(c.denominator for c in coeffs)) if coeffs else rhs.denominator
-    return _norm_int_row([int(c * mult) for c in coeffs], rel, int(rhs * mult))
+    mult = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+    return _norm_int_row(
+        [c.numerator * (mult // c.denominator) for c in coeffs],
+        rel,
+        rhs.numerator * (mult // rhs.denominator),
+    )
 
 
 def _dedup(rows: list[_IntRow]) -> list[_IntRow]:
@@ -303,66 +319,63 @@ def lp_feasible(system: LinearSystem) -> Optional[Vector]:
 
 Hull = Sequence[Vector]
 
-
-def _common_scale(*hulls: Hull) -> tuple[list[list[tuple[int, ...]]], int]:
-    scale = 1
-    for hull in hulls:
-        for point in hull:
-            for c in point:
-                scale = lcm(scale, c.denominator)
-    scaled = [[tuple(int(c * scale) for c in point) for point in hull] for hull in hulls]
-    return scaled, scale
+# A row over the weights on P's vertices: (coeffs, rel, rhs).
+_WeightRow = tuple[Sequence[Fraction], str, Fraction]
 
 
-def _simplex_rows(count: int, offset: int, total: int, strict: bool) -> list[_IntRow]:
-    """Integer rows: the variable block is a (strict) convex combination."""
-    rows: list[_IntRow] = [
-        (
-            tuple(1 if offset <= i < offset + count else 0 for i in range(total)),
-            REL_EQ,
-            1,
-        )
-    ]
-    rel = REL_LT if strict else REL_LE
-    for j in range(count):
-        coeffs = [0] * total
-        coeffs[offset + j] = -1
-        rows.append((tuple(coeffs), rel, 0))
-    return rows
+def _meet_system(
+    p_verts: Hull,
+    p_rel: str,
+    q_verts: Hull,
+    q_rel: str,
+    p_rows: Sequence[_WeightRow],
+) -> Optional[tuple[int, list[_IntRow]]]:
+    """Integer system for "convex weights λ on P, μ on Q, Σλp = Σμq".
 
-
-def _match_rows(
-    left: list[tuple[int, ...]],
-    right: list[tuple[int, ...]],
-    left_offset: int,
-    right_offset: int,
-    total: int,
-    rhs: Optional[tuple[int, ...]] = None,
-) -> list[_IntRow]:
-    n = len(left[0]) if left else len(right[0])
+    p_rel and q_rel give each side's sign rows (-w REL 0): REL_LE for the
+    closed hull, REL_LT for its relative interior. A single-point Q is moved
+    to the right-hand side and gets no weight; an empty Q drops the match, so
+    the system is the weights on P alone. p_rows are extra rows over the
+    weights on P. Returns (number of unknowns, rows), or None when some row is
+    a constant contradiction.
+    """
+    kp = len(p_verts)
+    kq = len(q_verts) if len(q_verts) > 1 else 0
+    total = kp + kq
     rows: list[_IntRow] = []
-    for c in range(n):
-        coeffs = [0] * total
-        for i, p in enumerate(left):
-            coeffs[left_offset + i] += p[c]
-        for j, q in enumerate(right):
-            coeffs[right_offset + j] -= q[c]
-        norm = _norm_int_row(coeffs, REL_EQ, rhs[c] if rhs else 0)
-        if norm is not None:
-            rows.append(norm)
-    return rows
+    for offset, count, rel in ((0, kp, p_rel), (kp, kq, q_rel)):
+        if count:
+            block = range(offset, offset + count)
+            rows.append((tuple(int(i in block) for i in range(total)), REL_EQ, 1))
+            rows += [(tuple(-int(i == j) for i in range(total)), rel, 0) for j in block]
+    rational_rows = []
+    if q_verts:
+        # One row per coordinate, each scaled to integers on its own.
+        for column in zip(*p_verts, *q_verts, strict=True):
+            on_p, on_q = column[:kp], column[kp:]
+            if kq:
+                rational_rows.append(([*on_p, *(-c for c in on_q)], REL_EQ, Fraction(0)))
+            else:
+                rational_rows.append((on_p, REL_EQ, on_q[0]))
+    rational_rows += [([*coeffs, *[Fraction(0)] * kq], rel, rhs) for coeffs, rel, rhs in p_rows]
+    try:
+        scaled = [_from_fractions(*row) for row in rational_rows]
+    except _Infeasible:
+        return None
+    return total, rows + [row for row in scaled if row is not None]
+
+
+def _meet(
+    p_verts: Hull, p_rel: str, q_verts: Hull, q_rel: str, p_rows: Sequence[_WeightRow]
+) -> Optional[tuple[Fraction, ...]]:
+    """A feasible weight vector of the _meet_system, or None."""
+    system = _meet_system(p_verts, p_rel, q_verts, q_rel, p_rows)
+    return None if system is None else _feasible_int(*system)
 
 
 def hull_contains(verts: Hull, point: Vector) -> bool:
     """Exact membership of a point in conv(verts)."""
-    (sv, sp), _ = _common_scale(verts, [point])
-    total = len(verts)
-    try:
-        rows = _simplex_rows(total, 0, total, strict=False)
-        rows += _match_rows(sv, [], 0, 0, total, rhs=sp[0])
-    except _Infeasible:
-        return False
-    return _feasible_int(total, rows) is not None
+    return _meet(verts, REL_LE, [point], REL_LE, ()) is not None
 
 
 def hull_dim(verts: Hull) -> Optional[int]:
@@ -377,74 +390,53 @@ def hull_dim(verts: Hull) -> Optional[int]:
 
 def relative_interiors_intersect(p_verts: Hull, q_verts: Hull) -> bool:
     """Whether relint(conv P) meets relint(conv Q) (strict combination probe)."""
-    (sp, sq), _ = _common_scale(p_verts, q_verts)
-    kp, kq = len(sp), len(sq)
-    total = kp + kq
-    try:
-        rows = _simplex_rows(kp, 0, total, strict=True)
-        rows += _simplex_rows(kq, kp, total, strict=True)
-        rows += _match_rows(sp, sq, 0, kp, total)
-    except _Infeasible:
-        return False
-    return _feasible_int(total, rows) is not None
+    return _meet(p_verts, REL_LT, q_verts, REL_LT, ()) is not None
 
 
 def hulls_intersect(p_verts: Hull, q_verts: Hull) -> bool:
     """Whether conv(P) meets conv(Q) at all."""
-    (sp, sq), _ = _common_scale(p_verts, q_verts)
-    kp, kq = len(sp), len(sq)
-    total = kp + kq
-    try:
-        rows = _simplex_rows(kp, 0, total, strict=False)
-        rows += _simplex_rows(kq, kp, total, strict=False)
-        rows += _match_rows(sp, sq, 0, kp, total)
-    except _Infeasible:
-        return False
-    return _feasible_int(total, rows) is not None
+    return _meet(p_verts, REL_LE, q_verts, REL_LE, ()) is not None
 
 
-def _point_from_weights(verts: Hull, weights: Sequence[Fraction], n: int) -> Vector:
+def _point_from_weights(verts: Hull, weights: Sequence[Fraction]) -> Vector:
     return tuple(
-        sum((w * v[c] for w, v in zip(weights, verts)), Fraction(0)) for c in range(n)
+        sum((w * v[c] for w, v in zip(weights, verts)), Fraction(0)) for c in range(len(verts[0]))
     )
 
 
 def _affine_dim_loop(
-    num_vars: int,
-    base_rows: list[_IntRow],
-    point_of: Callable[[Sequence[Fraction]], Vector],
-    probe_coeffs: Callable[[Vector], tuple[list[Fraction], Fraction]],
-    ambient_dim: int,
+    p_verts: Hull, num_vars: int, base_rows: list[_IntRow]
 ) -> tuple[Optional[int], list[Vector]]:
-    """Exact dimension of {point_of(w) : w feasible}, with spanning points.
+    """Exact dimension of {Σλp : (λ, ...) feasible}, with spanning points.
 
-    probe_coeffs(functional) returns (coeffs, const) with
-    functional . point_of(w) = coeffs . w + const for every variable vector w.
+    The weights on P are the first len(p_verts) unknowns of base_rows.
     """
     witness = _feasible_int(num_vars, list(base_rows))
     if witness is None:
         return None, []
-    x0 = point_of(witness)
+    kp = len(p_verts)
+    n = len(p_verts[0])
+    pad = [Fraction(0)] * (num_vars - kp)
+    x0 = _point_from_weights(p_verts, witness[:kp])
     points = [x0]
     dirs: list[Vector] = []
-    while len(dirs) < ambient_dim:
+    while len(dirs) < n:
         if dirs:
             functionals = null_space(Matrix(tuple(dirs)))
         else:
             functionals = [
-                tuple(Fraction(1 if i == j else 0) for j in range(ambient_dim))
-                for i in range(ambient_dim)
+                tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
             ]
         grown = False
         for functional in functionals:
-            coeffs, const = probe_coeffs(functional)
-            target = vec_dot(functional, x0) - const
+            coeffs = [vec_dot(functional, p) for p in p_verts] + pad
+            target = vec_dot(functional, x0)
             for flip in (1, -1):
                 probe = _probe_feasible(
                     num_vars, base_rows, [flip * c for c in coeffs], REL_LT, flip * target
                 )
                 if probe is not None:
-                    x1 = point_of(probe)
+                    x1 = _point_from_weights(p_verts, probe[:kp])
                     dirs.append(vec_sub(x1, x0))
                     points.append(x1)
                     grown = True
@@ -460,27 +452,10 @@ def intersection_dim(p_verts: Hull, q_verts: Hull) -> Optional[int]:
     """Exact dimension of conv(P) ∩ conv(Q); None when the intersection is empty."""
     if not p_verts or not q_verts:
         return None
-    n = len(p_verts[0])
-    (sp, sq), _ = _common_scale(p_verts, q_verts)
-    kp, kq = len(sp), len(sq)
-    total = kp + kq
-    try:
-        rows = _simplex_rows(kp, 0, total, strict=False)
-        rows += _simplex_rows(kq, kp, total, strict=False)
-        rows += _match_rows(sp, sq, 0, kp, total)
-    except _Infeasible:
+    system = _meet_system(p_verts, REL_LE, q_verts, REL_LE, ())
+    if system is None:
         return None
-
-    def point_of(w: Sequence[Fraction]) -> Vector:
-        return _point_from_weights(p_verts, w[:kp], n)
-
-    def probe_coeffs(functional: Vector) -> tuple[list[Fraction], Fraction]:
-        coeffs = [Fraction(0)] * total
-        for i, p in enumerate(p_verts):
-            coeffs[i] = vec_dot(functional, p)
-        return coeffs, Fraction(0)
-
-    dim, _ = _affine_dim_loop(total, rows, point_of, probe_coeffs, n)
+    dim, _ = _affine_dim_loop(p_verts, *system)
     return dim
 
 
@@ -492,25 +467,14 @@ def constrained_hull_dim(
     """Dimension and spanning points of {x in conv(verts) : M x = rhs}."""
     if not verts:
         return None, []
-    n = len(verts[0])
-    k = len(verts)
-    rows = _simplex_rows(k, 0, k, strict=False)
-    try:
-        for r in range(equation_matrix.rows):
-            coeffs = [vec_dot(equation_matrix.row(r), v) for v in verts]
-            row = _from_fractions(coeffs, REL_EQ, equation_rhs[r])
-            if row is not None:
-                rows.append(row)
-    except _Infeasible:
+    equations = [
+        ([vec_dot(equation_matrix.row(r), v) for v in verts], REL_EQ, equation_rhs[r])
+        for r in range(equation_matrix.rows)
+    ]
+    system = _meet_system(verts, REL_LE, (), REL_LE, equations)
+    if system is None:
         return None, []
-
-    def point_of(w: Sequence[Fraction]) -> Vector:
-        return _point_from_weights(verts, w, n)
-
-    def probe_coeffs(functional: Vector) -> tuple[list[Fraction], Fraction]:
-        return [vec_dot(functional, v) for v in verts], Fraction(0)
-
-    return _affine_dim_loop(k, rows, point_of, probe_coeffs, n)
+    return _affine_dim_loop(verts, *system)
 
 
 def relint_preimage_witness(
@@ -524,19 +488,10 @@ def relint_preimage_witness(
     image of each source vertex), so the image of a combination is the same
     combination of the images.
     """
-    (simg, st), _ = _common_scale(source_images, target_verts)
-    ks, kt = len(source_verts), len(target_verts)
-    total = ks + kt
-    try:
-        rows = _simplex_rows(ks, 0, total, strict=True)
-        rows += _simplex_rows(kt, ks, total, strict=False)
-        rows += _match_rows(simg, st, 0, ks, total)
-    except _Infeasible:
-        return None
-    witness = _feasible_int(total, rows)
+    witness = _meet(source_images, REL_LT, target_verts, REL_LE, ())
     if witness is None:
         return None
-    return _point_from_weights(source_verts, witness[:ks], len(source_verts[0]))
+    return _point_from_weights(source_verts, witness[: len(source_verts)])
 
 
 def hull_leaves_affine_span(
@@ -546,68 +501,26 @@ def hull_leaves_affine_span(
 ) -> bool:
     """Whether conv(P) ∩ conv(Q) has a point outside the affine hull of span_points.
 
-    span_points must be non-empty. Used as a one-level properness test: for a
-    simplex face F of P, conv(P) ∩ aff(F) = F, so the intersection equals the
-    common face exactly when it stays inside aff(F).
+    P must be affinely independent (a simplex) and span_points must be
+    vertices of P, matched by exact equality; any other span raises
+    ValueError. They span a face F of P, and since conv(P) ∩ aff(F) = F, a
+    point of conv(P) leaves aff(F) exactly when its (unique) barycentric
+    weights on the vertices of P outside F sum to more than zero. So one
+    strict probe decides the question: the meet system plus that one row.
+    An empty span asks whether the hulls meet at all. With F the common face
+    of two cells, this is the properness test: the intersection is proper
+    exactly when it stays inside aff(F).
     """
-    n = len(span_points[0])
-    base = span_points[0]
-    dirs = [vec_sub(s, base) for s in span_points[1:]]
-    if dirs:
-        functionals = null_space(Matrix(tuple(dirs)))
-    else:
-        functionals = [
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        ]
-    (sp, sq), _ = _common_scale(p_verts, q_verts)
-    kp, kq = len(sp), len(sq)
-    total = kp + kq
-    try:
-        rows = _simplex_rows(kp, 0, total, strict=False)
-        rows += _simplex_rows(kq, kp, total, strict=False)
-        rows += _match_rows(sp, sq, 0, kp, total)
-    except _Infeasible:
-        return False
-    for functional in functionals:
-        coeffs = [Fraction(0)] * total
-        for i, p in enumerate(p_verts):
-            coeffs[i] = vec_dot(functional, p)
-        target = vec_dot(functional, base)
-        for flip in (1, -1):
-            probe = _probe_feasible(
-                total, rows, [flip * c for c in coeffs], REL_LT, flip * target
-            )
-            if probe is not None:
-                return True
-    return False
+    inside = set(span_points)
+    if not inside <= set(p_verts):
+        raise ValueError("span_points must be vertices of p_verts")
+    outside = [Fraction(0 if p in inside else -1) for p in p_verts]
+    return _meet(p_verts, REL_LE, q_verts, REL_LE, [(outside, REL_LT, Fraction(0))]) is not None
 
 
 def segment_hits_hull(start: Vector, end: Vector, verts: Hull) -> bool:
     """Whether the closed segment [start, end] meets conv(verts)."""
-    (sv, endpoints), _ = _common_scale(verts, [start, end])
-    s_start, s_end = endpoints
-    k = len(verts)
-    total = k + 1  # combination weights plus the segment parameter t
-    try:
-        rows = _simplex_rows(k, 0, total, strict=False)
-        t_up = [0] * total
-        t_up[k] = 1
-        rows.append((tuple(t_up), REL_LE, 1))
-        t_down = [0] * total
-        t_down[k] = -1
-        rows.append((tuple(t_down), REL_LE, 0))
-        n = len(start)
-        for c in range(n):
-            coeffs = [0] * total
-            for i, v in enumerate(sv):
-                coeffs[i] = v[c]
-            coeffs[k] = s_start[c] - s_end[c]
-            norm = _norm_int_row(coeffs, REL_EQ, s_start[c])
-            if norm is not None:
-                rows.append(norm)
-    except _Infeasible:
-        return False
-    return _feasible_int(total, rows) is not None
+    return _meet(verts, REL_LE, [start, end], REL_LE, ()) is not None
 
 
 def segment_avoids_sets(start: Vector, end: Vector, obstacles: Sequence[Hull]) -> bool:

@@ -29,9 +29,12 @@ def _point_to_strings(point) -> list[str]:
     return [format_rational(c) for c in point]
 
 
-def _parse_point(raw, context: str) -> list:
+def _parse_point(raw, context: str, dim: Optional[int]) -> list:
+    """Rationals from a list of strings; unless dim is None, exactly dim of them."""
     if not isinstance(raw, list):
         raise ParseError(f"{context}: expected a list of rational strings")
+    if dim is not None and len(raw) != dim:
+        raise ParseError(f"{context}: expected {dim} entries, got {len(raw)}")
     try:
         return [parse_rational(c) for c in raw]
     except (ValueError, TypeError) as exc:
@@ -61,7 +64,8 @@ def document_to_plmap(doc: dict) -> tuple[PLMap, dict]:
     n = doc["ambient_dim"]
     if not isinstance(n, int) or n < 1:
         raise ParseError("ambient_dim: expected a positive integer")
-    vertices = [_parse_point(v, f"vertices[{i}]") for i, v in enumerate(doc["vertices"])]
+    # a vertex of the wrong dimension is a validation violation, not a parse error
+    vertices = [_parse_point(v, f"vertices[{i}]", None) for i, v in enumerate(doc["vertices"])]
     cells = doc["cells"]
     if not isinstance(cells, list) or not all(
         isinstance(c, list) and all(isinstance(i, int) for i in c) for c in cells
@@ -70,21 +74,26 @@ def document_to_plmap(doc: dict) -> tuple[PLMap, dict]:
     metadata = doc.get("metadata") or {}
 
     if "vertex_images" in doc:
-        images = [
-            _parse_point(v, f"vertex_images[{i}]") for i, v in enumerate(doc["vertex_images"])
-        ]
+        raw_images = doc["vertex_images"]
+        if not isinstance(raw_images, list) or len(raw_images) != len(vertices):
+            raise ParseError("vertex_images: need exactly one image per vertex")
+        images = [_parse_point(v, f"vertex_images[{i}]", n) for i, v in enumerate(raw_images)]
         complex_ = validate_complex(vertices, cells, n)
         return build_plmap(complex_, images), metadata
     if "pieces" in doc:
         raw_pieces = doc["pieces"]
-        if len(raw_pieces) != len(cells):
+        if not isinstance(raw_pieces, list) or len(raw_pieces) != len(cells):
             raise ParseError("pieces: need exactly one piece per cell")
         triples = []
         for ci, piece in enumerate(raw_pieces):
+            if not isinstance(piece, dict) or not {"matrix", "offset"} <= piece.keys():
+                raise ParseError(f"pieces[{ci}]: expected an object with matrix and offset")
+            if not isinstance(piece["matrix"], list) or len(piece["matrix"]) != n:
+                raise ParseError(f"pieces[{ci}].matrix: expected {n} rows")
             matrix_rows = [
-                _parse_point(row, f"pieces[{ci}].matrix") for row in piece["matrix"]
+                _parse_point(row, f"pieces[{ci}].matrix", n) for row in piece["matrix"]
             ]
-            offset = _parse_point(piece["offset"], f"pieces[{ci}].offset")
+            offset = _parse_point(piece["offset"], f"pieces[{ci}].offset", n)
             points = [vertices[i] for i in cells[ci]]
             triples.append((points, Matrix.from_rows(matrix_rows), offset))
         return ingest_pieces(triples), metadata

@@ -8,7 +8,8 @@ dimension) must be an exact decision, never an approximation.
 Determinant signs use Bareiss fraction-free elimination over row-scaled
 integers, which keeps intermediate bit growth polynomial. Plain Gaussian
 elimination over Fractions is used where fill-in is irrelevant (solving,
-inversion, null spaces on tiny systems).
+inversion, null spaces on tiny systems), all three through one Gauss–Jordan
+reduction.
 """
 
 from __future__ import annotations
@@ -238,55 +239,17 @@ def rank(m: Matrix) -> int:
     return rk
 
 
-def solve_square(a: Matrix, rhs: Vector) -> Optional[Vector]:
-    """Unique exact solution of a x = rhs, or None when a is singular."""
-    if not a.is_square:
-        raise DimensionError(f"solve_square needs a square matrix, got {a.rows}x{a.cols}")
-    n = a.rows
-    if len(rhs) != n:
-        raise DimensionError(f"matrix is {n}x{n}, right-hand side has length {len(rhs)}")
-    aug = [list(a.entries[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+def _gauss_jordan(rows: list[list[Fraction]], columns: range) -> list[int]:
+    """Reduce rows in place to reduced row-echelon form over the given columns.
 
-
-def inverse(a: Matrix) -> Optional[Matrix]:
-    """Exact inverse, or None when singular."""
-    if not a.is_square:
-        raise DimensionError("inverse of a non-square matrix")
-    n = a.rows
-    aug = [list(a.entries[i]) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return Matrix(tuple(tuple(aug[i][n:]) for i in range(n)))
-
-
-def null_space(m: Matrix) -> list[Vector]:
-    """Basis of the right null space {x : m x = 0}."""
-    rows = [list(r) for r in m.entries]
-    cols = m.cols
+    Returns the pivot columns in order: the k-th is 1 in row k and 0 in
+    every other row. Columns outside `columns` are carried along.
+    """
     pivots: list[int] = []
-    r = 0
-    for col in range(cols):
+    for col in columns:
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot_row is None:
             continue
@@ -298,12 +261,40 @@ def null_space(m: Matrix) -> list[Vector]:
                 factor = rows[i][col]
                 rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free_cols = [c for c in range(cols) if c not in pivots]
+    return pivots
+
+
+def solve_square(a: Matrix, rhs: Vector) -> Optional[Vector]:
+    """Unique exact solution of a x = rhs, or None when a is singular."""
+    if not a.is_square:
+        raise DimensionError(f"solve_square needs a square matrix, got {a.rows}x{a.cols}")
+    n = a.rows
+    if len(rhs) != n:
+        raise DimensionError(f"matrix is {n}x{n}, right-hand side has length {len(rhs)}")
+    aug = [[*a.entries[i], rhs[i]] for i in range(n)]
+    if len(_gauss_jordan(aug, range(n))) < n:
+        return None
+    return tuple(row[n] for row in aug)
+
+
+def inverse(a: Matrix) -> Optional[Matrix]:
+    """Exact inverse, or None when singular."""
+    if not a.is_square:
+        raise DimensionError("inverse of a non-square matrix")
+    n = a.rows
+    aug = [[*a.entries[i], *(Fraction(int(i == j)) for j in range(n))] for i in range(n)]
+    if len(_gauss_jordan(aug, range(n))) < n:
+        return None
+    return Matrix(tuple(tuple(row[n:]) for row in aug))
+
+
+def null_space(m: Matrix) -> list[Vector]:
+    """Basis of the right null space {x : m x = 0}."""
+    rows = [list(r) for r in m.entries]
+    cols = m.cols
+    pivots = _gauss_jordan(rows, range(cols))
     basis = []
-    for free in free_cols:
+    for free in (c for c in range(cols) if c not in pivots):
         vec = [Fraction(0)] * cols
         vec[free] = Fraction(1)
         for i, pc in enumerate(pivots):

@@ -165,13 +165,9 @@ def boundary_restriction_injective(
             if not feasible.boxes_overlap(boxes[face_a], boxes[face_b]):
                 continue
             shared = tuple(sorted(set(face_a) & set(face_b)))
-            if not shared:
-                if feasible.hulls_intersect(hulls[face_a], hulls[face_b]):
-                    return False, (face_a, face_b)
-            else:
-                span = f.image_of_face(shared)
-                if feasible.hull_leaves_affine_span(hulls[face_a], hulls[face_b], span):
-                    return False, (face_a, face_b)
+            span = f.image_of_face(shared)
+            if feasible.hull_leaves_affine_span(hulls[face_a], hulls[face_b], span):
+                return False, (face_a, face_b)
     return True, None
 
 
@@ -199,13 +195,8 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
             if len(shared) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
                 continue
             hull_b = f.cell_image_points(b)
-            if not shared:
-                if feasible.hulls_intersect(hull_a, hull_b):
-                    return a, b
-            else:
-                span = f.image_of_face(shared)
-                if feasible.hull_leaves_affine_span(hull_a, hull_b, span):
-                    return a, b
+            if feasible.hull_leaves_affine_span(hull_a, hull_b, f.image_of_face(shared)):
+                return a, b
     return None
 
 

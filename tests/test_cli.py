@@ -89,6 +89,51 @@ class TestValidate:
         assert code == 3
 
 
+def write_doc(tmp_path, name, **changes):
+    """The 1-D identity on [-1, 1] as a document; a key set to None is dropped."""
+    doc = {
+        "format_version": 1,
+        "ambient_dim": 1,
+        "vertices": [["-1"], ["0"], ["1"]],
+        "cells": [[0, 1], [1, 2]],
+        "vertex_images": [["-1"], ["0"], ["1"]],
+    }
+    for key, value in changes.items():
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+    path = tmp_path / f"{name}.json"
+    save_document(path, doc)
+    return str(path)
+
+
+class TestMalformedDocuments:
+    def test_short_vertex_images_exit_3(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "short", vertex_images=[["-1"], ["0"]])
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 3 and "vertex_images" in report["error"]
+
+    def test_piece_without_matrix_exit_3(self, capsys, tmp_path):
+        pieces = [{"offset": ["0"]}, {"matrix": [["1"]], "offset": ["0"]}]
+        path = write_doc(tmp_path, "nomatrix", vertex_images=None, pieces=pieces)
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 3 and "pieces[0]" in report["error"]
+
+    def test_piece_without_offset_exit_3(self, capsys, tmp_path):
+        pieces = [{"matrix": [["1"]], "offset": ["0"]}, {"matrix": [["1"]]}]
+        path = write_doc(tmp_path, "nooffset", vertex_images=None, pieces=pieces)
+        code, report = run_cli(capsys, "check-open", path)
+        assert code == 3 and "pieces[1]" in report["error"]
+
+    def test_empty_cells_exit_2(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "empty", cells=[])
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 2 and report["violations"] == ["empty: complex has no cells"]
+        code, report = run_cli(capsys, "check-open", path)
+        assert code == 2 and not report["valid"]
+
+
 class TestCheckOpen:
     def test_identity_exit_0(self, capsys, instance_path):
         code, report = run_cli(capsys, "check-open", instance_path("identity", 2, "id"))
@@ -120,6 +165,20 @@ class TestCheckOpen:
         assert code == 1  # worst of {0, 1}
         assert set(report["results"]) == {"a.json", "b.json"}
 
+    def test_batch_reports_each_bad_file(self, capsys, instance_path, tmp_path):
+        instance_path("identity", 1, "a")
+        write_doc(tmp_path, "empty", cells=[])
+        (tmp_path / "truncated.json").write_text('{"format_version": 1,')
+        code, report = run_cli(
+            capsys, "check-open", str(tmp_path), "--all", "--oracle-points", "4",
+            "--oracle-dirs", "8",
+        )
+        results = report["results"]
+        assert code == 3  # worst of {0, 2, 3}
+        assert results["a.json"]["coherently_oriented"] and "exit_status" not in results["a.json"]
+        assert results["empty.json"]["exit_status"] == 2 and results["empty.json"]["violations"]
+        assert results["truncated.json"]["exit_status"] == 3 and "line" in results["truncated.json"]["error"]
+
 
 class TestDegreeCommands:
     def test_degree_identity(self, capsys, instance_path):
@@ -145,6 +204,18 @@ class TestDegreeCommands:
         )
         assert code == 0 and report["approx_is_inexact"]
         assert report["approx"]["query_point"] == [0.5, pytest.approx(1 / 3)]
+
+    @pytest.mark.parametrize("command", ["degree", "fibers"])
+    @pytest.mark.parametrize("at", ["0.5,1/3", "1/2", "1/2,1/3,0", "1/2,,1"])
+    def test_bad_query_point_exit_3(self, capsys, instance_path, command, at):
+        code, report = run_cli(capsys, command, instance_path("identity", 2, "id"), "--at", at)
+        assert code == 3 and report["exit_status"] == 3 and "point" in report["error"]
+
+    @pytest.mark.parametrize("gamma", ["0.5,1/3;1,1", "1/2;3/2,5/3", "1/2,1/3", "0,0;1,1;2,2"])
+    def test_bad_homotopy_path_exit_3(self, capsys, instance_path, gamma):
+        path = instance_path("identity", 2, "id")
+        code, report = run_cli(capsys, "homotopy", path, path, "--gamma", gamma, "--samples", "2")
+        assert code == 3 and report["exit_status"] == 3 and report["error"]
 
     def test_fibers(self, capsys, instance_path):
         code, report = run_cli(

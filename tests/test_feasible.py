@@ -1,6 +1,7 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from plopen.feasible import (
     REL_EQ,
@@ -22,7 +23,7 @@ from plopen.feasible import (
     segment_avoids_sets,
     segment_hits_hull,
 )
-from plopen.linalg import Matrix
+from plopen.linalg import Matrix, null_space
 
 
 def F(*args):
@@ -184,9 +185,70 @@ class TestAffineSpanEscape:
 
     def test_overlapping_pair_escapes(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
-        b = [pt(1, 0), pt(3, 0), pt(1, 2)]
-        shared = [pt(1, 0)]
+        b = [pt(0, 0), pt(3, 1), pt(1, 3)]
+        shared = [pt(0, 0)]
         assert hull_leaves_affine_span(a, b, shared)
+
+    def test_span_point_off_the_vertices_rejected(self):
+        a = [pt(0, 0), pt(2, 0), pt(0, 2)]
+        b = [pt(1, 0), pt(3, 0), pt(1, 2)]
+        with pytest.raises(ValueError):
+            hull_leaves_affine_span(a, b, [pt(1, 0)])
+
+    def test_empty_span_asks_whether_hulls_meet(self):
+        a = [pt(0, 0), pt(1, 0), pt(0, 1)]
+        assert hull_leaves_affine_span(a, [pt(1, 1), pt(0, 0)], [])
+        assert not hull_leaves_affine_span(a, [pt(1, 1), pt(2, 2)], [])
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_single_probe_matches_probes_along_normals(self, data):
+        n = data.draw(st.integers(1, 3))
+        coord = st.fractions(-2, 2, max_denominator=2)
+        point = st.tuples(*[coord] * n)
+        p_verts = data.draw(st.lists(point, min_size=1, max_size=n + 1, unique=True))
+        assume(hull_dim(p_verts) == len(p_verts) - 1)
+        face = data.draw(st.lists(st.sampled_from(p_verts), max_size=len(p_verts), unique=True))
+        # points of conv(P) (small weights) make escapes common
+        weights = st.lists(st.integers(0, 2), min_size=len(p_verts), max_size=len(p_verts))
+        inside = weights.filter(any).map(
+            lambda w: tuple(sum(x * v[c] for x, v in zip(w, p_verts)) / sum(w) for c in range(n))
+        )
+        extra = data.draw(st.lists(point | inside, min_size=0 if face else 1, max_size=3))
+        q_verts = data.draw(st.permutations(face + extra))
+        assert hull_leaves_affine_span(p_verts, q_verts, face) == _leaves_span_by_normals(
+            p_verts, q_verts, face
+        )
+
+
+def _leaves_span_by_normals(p_verts, q_verts, face):
+    """Reference: strict probes on both sides of every normal of aff(face)."""
+    n = len(p_verts[0])
+    kp, kq = len(p_verts), len(q_verts)
+    total = kp + kq
+    rows = [
+        LinRow(tuple(F(int(i < kp)) for i in range(total)), REL_EQ, F(1)),
+        LinRow(tuple(F(int(i >= kp)) for i in range(total)), REL_EQ, F(1)),
+    ]
+    rows += [LinRow(tuple(F(-int(i == j)) for i in range(total)), REL_LE, F(0)) for j in range(total)]
+    rows += [
+        LinRow(tuple(p[c] for p in p_verts) + tuple(-q[c] for q in q_verts), REL_EQ, F(0))
+        for c in range(n)
+    ]
+    if not face:
+        return lp_feasible(LinearSystem(total, tuple(rows))) is not None
+    dirs = [tuple(x - y for x, y in zip(v, face[0])) for v in face[1:]]
+    normals = null_space(Matrix(tuple(dirs))) if dirs else [
+        tuple(F(int(i == j)) for j in range(n)) for i in range(n)
+    ]
+    for normal in normals:
+        coeffs = tuple(sum(a * x for a, x in zip(normal, p)) for p in p_verts) + (F(0),) * kq
+        level = sum(a * x for a, x in zip(normal, face[0]))
+        for flip in (1, -1):
+            probe = LinRow(tuple(flip * c for c in coeffs), REL_LT, flip * level)
+            if lp_feasible(LinearSystem(total, (*rows, probe))) is not None:
+                return True
+    return False
 
 
 class TestRelintPreimage:
