@@ -7,7 +7,8 @@ diagnostics go to stderr. Exit codes are a total function of the verdict:
     1  exact conditions fail (map not open; whyburn rejected; homotopy
        non-constant or hypothesis violated)
     2  instance validation violations
-    3  malformed input file or query point (`--at`, `--gamma`)
+    3  malformed input file, query point (`--at`, `--gamma`) or oracle count
+       (`--oracle-points`, `--oracle-dirs`)
     4  exact openness conditions disagree among themselves (implementation
        bug sentinel: the conditions are provably equivalent, so this cannot
        happen for a correct build)
@@ -76,6 +77,21 @@ def _parse_point(text: str, dim: int) -> tuple:
     if len(point) != dim:
         raise ParseError(f"point {text!r} has {len(point)} coordinates, expected {dim}")
     return point
+
+
+def _parse_count(text: str, flag: str) -> int:
+    """A non-negative decimal integer flag value."""
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{flag} {text!r}: expected a non-negative integer")
+    return int(text)
+
+
+def _oracle_config(args) -> OracleConfig:
+    return OracleConfig(
+        _parse_count(args.oracle_points, "--oracle-points"),
+        _parse_count(args.oracle_dirs, "--oracle-dirs"),
+        args.seed,
+    )
 
 
 def _emit(report: dict, exit_status: int, approx: bool = False) -> int:
@@ -188,7 +204,7 @@ def _openness_payload(plmap, config: OracleConfig) -> tuple[dict, int]:
 
 
 def _cmd_check_open(args) -> int:
-    config = OracleConfig(args.oracle_points, args.oracle_dirs, args.seed)
+    config = _oracle_config(args)
     if args.all:
         directory = Path(args.path)
         files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
@@ -393,9 +409,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle_open(args) -> int:
+    config = _oracle_config(args)
     plmap, _, digest = _load(args.path)
     report = _report_skeleton("oracle-open", digest)
-    result = openness_oracle(plmap, args.oracle_points, args.oracle_dirs, args.seed)
+    result = openness_oracle(plmap, config.num_points, config.num_directions, config.rng_seed)
     report["open_at_all_samples"] = result.open_at_all_samples
     report["samples"] = result.samples
     report["failures"] = [
@@ -426,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-open", help="evaluate the openness conditions")
     p.add_argument("path")
     p.add_argument("--all", action="store_true", help="treat PATH as a directory of instances")
-    p.add_argument("--oracle-points", type=int, default=20)
-    p.add_argument("--oracle-dirs", type=int, default=64)
+    p.add_argument("--oracle-points", default="20")
+    p.add_argument("--oracle-dirs", default="64")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=_cmd_check_open)
 
@@ -472,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-open", help="probabilistic openness oracle only")
     p.add_argument("path")
-    p.add_argument("--oracle-points", type=int, default=20)
-    p.add_argument("--oracle-dirs", type=int, default=64)
+    p.add_argument("--oracle-points", default="20")
+    p.add_argument("--oracle-dirs", default="64")
     p.add_argument("--seed", type=int, default=_default_seed())
     p.set_defaults(func=_cmd_oracle_open)
 

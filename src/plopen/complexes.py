@@ -210,11 +210,11 @@ def collect_violations(
     if not cells:
         return [Violation("empty", "complex has no cells")], None
     n = ambient_dim if ambient_dim is not None else len(verts[0])
-    for i, v in enumerate(verts):
-        if len(v) != n:
-            violations.append(
-                Violation("bad_vertex", f"vertex {i} has dimension {len(v)}, expected {n}", (i,))
-            )
+    bad_vertices = {i for i, v in enumerate(verts) if len(v) != n}
+    for i in sorted(bad_vertices):
+        violations.append(
+            Violation("bad_vertex", f"vertex {i} has dimension {len(verts[i])}, expected {n}", (i,))
+        )
     seen: dict[Vector, int] = {}
     for i, v in enumerate(verts):
         if v in seen:
@@ -239,6 +239,8 @@ def collect_violations(
         if any(v < 0 or v >= len(verts) for v in ids):
             violations.append(Violation("bad_cell", f"cell {idx} references unknown vertices", (idx,)))
             continue
+        if bad_vertices.intersection(ids):
+            continue  # already a bad_vertex violation; its shape admits no geometry
         pts = [verts[i] for i in ids]
         dirs = [vec_sub(p, pts[0]) for p in pts[1:]]
         if det_sign(Matrix(tuple(dirs))) == 0:

@@ -11,7 +11,7 @@ and segment avoidance needs no square roots.
 
 Local degree restricts the map to the closed star of the carrier face of a
 point, rescaled toward the point until its closure meets the fiber only
-there, andevaluates the degree of that restriction.
+there, and evaluates the degree of that restriction.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .complexes import validate_complex
+from .complexes import InvalidComplexError, collect_violations, validate_complex
 from .linalg import Matrix, format_rational, parse_rational
 from .plmap import PLMap, build_plmap, ingest_pieces
 
@@ -31,13 +31,13 @@ def _point_to_strings(point) -> list[str]:
 
 def _parse_point(raw, context: str, dim: Optional[int]) -> list:
     """Rationals from a list of strings; unless dim is None, exactly dim of them."""
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or not all(isinstance(c, str) for c in raw):
         raise ParseError(f"{context}: expected a list of rational strings")
     if dim is not None and len(raw) != dim:
         raise ParseError(f"{context}: expected {dim} entries, got {len(raw)}")
     try:
         return [parse_rational(c) for c in raw]
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{context}: {exc}") from exc
 
 
@@ -62,13 +62,15 @@ def document_to_plmap(doc: dict) -> tuple[PLMap, dict]:
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
     n = doc["ambient_dim"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParseError("ambient_dim: expected a positive integer")
+    if not isinstance(doc["vertices"], list):
+        raise ParseError("vertices: expected a list of points")
     # a vertex of the wrong dimension is a validation violation, not a parse error
     vertices = [_parse_point(v, f"vertices[{i}]", None) for i, v in enumerate(doc["vertices"])]
     cells = doc["cells"]
     if not isinstance(cells, list) or not all(
-        isinstance(c, list) and all(isinstance(i, int) for i in c) for c in cells
+        isinstance(c, list) and all(type(i) is int for i in c) for c in cells
     ):
         raise ParseError("cells: expected lists of vertex indices")
     metadata = doc.get("metadata") or {}
@@ -84,6 +86,11 @@ def document_to_plmap(doc: dict) -> tuple[PLMap, dict]:
         raw_pieces = doc["pieces"]
         if not isinstance(raw_pieces, list) or len(raw_pieces) != len(cells):
             raise ParseError("pieces: need exactly one piece per cell")
+        if any(len(v) != n for v in vertices) or any(
+            not 0 <= i < len(vertices) for c in cells for i in c
+        ):
+            # the violations the vertex_images form reports (bad_vertex, bad_cell)
+            raise InvalidComplexError(collect_violations(vertices, cells, n)[0])
         triples = []
         for ci, piece in enumerate(raw_pieces):
             if not isinstance(piece, dict) or not {"matrix", "offset"} <= piece.keys():

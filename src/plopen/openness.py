@@ -19,7 +19,14 @@ The openness oracle is an independent probabilistic check of openness itself:
 at face barycenters and seeded random interior points, it tests whether the
 image cones of the star cover every sampled direction. A failed direction is
 a certified witness of non-openness (one-sided: failures are proofs, passes
-are evidence).
+are evidence). The star images are shrunk by 1/2 about the sample's image;
+that leaves the sample's barycentric coordinates in each image simplex
+unchanged and doubles every slope along a ray, so the oracle works on the
+unshrunk images. Per cell and per call it builds the inverse of the
+homogeneous image-simplex matrix, that inverse's rows scaled to integers,
+and per row the bit mask of base directions of nonnegative slope; a sample
+then costs bitwise ANDs and ORs, and exact rationals only where a direction
+fails.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import Optional
 
 from . import feasible
@@ -219,6 +227,48 @@ def _face_normal_directions(f: PLMap, face: Face) -> list[tuple[int, ...]]:
     return normals
 
 
+@dataclass(frozen=True)
+class _ImageTable:
+    """A star cell's covering tables, built once per oracle call.
+
+    `inv` inverts the homogeneous matrix [1 ... 1; f(v_0) ... f(v_n)] of the
+    cell's image simplex, so `inv` applied to (1, y) gives y's barycentric
+    coordinates, one per cell vertex in `vertex_ids` order. `rows[k]` is row
+    k of `inv` without its first column, times the positive integer
+    `scales[k]`: the slope of coordinate k along a direction d is
+    rows[k] . d / scales[k]. Bit j of `masks[k]` is set iff that slope is
+    >= 0 for the j-th base direction.
+    """
+
+    vertex_ids: Face
+    inv: Matrix
+    rows: tuple[tuple[int, ...], ...]
+    scales: tuple[int, ...]
+    masks: tuple[int, ...]
+
+
+def _dot(row: tuple[int, ...], direction: tuple[int, ...]) -> int:
+    return sum(map(mul, row, direction))
+
+
+def _image_table(f: PLMap, cell_index: int, directions: list[tuple[int, ...]]) -> _ImageTable:
+    images = f.cell_image_points(cell_index)
+    homogeneous = [tuple(Fraction(1) for _ in images)]
+    homogeneous += [tuple(q[c] for q in images) for c in range(f.ambient_dim)]
+    inv = inverse(Matrix(tuple(homogeneous)))
+    assert inv is not None  # nonsingular pieces keep image simplices nondegenerate
+    rows, scales, masks = [], [], []
+    for entries in inv.entries:
+        scale = lcm(*(c.denominator for c in entries[1:]))
+        row = tuple(int(c * scale) for c in entries[1:])
+        rows.append(row)
+        scales.append(scale)
+        masks.append(sum(1 << j for j, d in enumerate(directions) if _dot(row, d) >= 0))
+    return _ImageTable(
+        f.domain.cells[cell_index].vertex_ids, inv, tuple(rows), tuple(scales), tuple(masks)
+    )
+
+
 def openness_oracle(
     f: PLMap, num_points: int = 20, num_directions: int = 64, rng_seed: int = 0
 ) -> OracleResult:
@@ -230,6 +280,19 @@ def openness_oracle(
     contains f(x) + t d for small positive t. The exact exit parameter of the
     ray in each image simplex decides this, and the recorded epsilon places a
     certified uncovered point strictly inside the first boundary crossing.
+
+    Shrinking an image simplex by 1/2 about f(x) leaves the barycentric
+    coordinates of f(x) unchanged and doubles every slope along a ray, so
+    each star cell is tested against its unshrunk image through an
+    `_ImageTable` built once per call: the inverse of its homogeneous image
+    matrix, the inverse's rows scaled to integers, and per row the mask of
+    base directions of nonnegative slope. A direction is covered by a cell
+    iff no row with a zero coordinate of f(x) has negative slope; those rows
+    are the cell's vertices off the carrier, because x lies in the relative
+    interior of the carrier and the piece is an affine bijection. The first
+    crossing of a ray in a shrunk image is then -b / (2 s) for each unshrunk
+    coordinate b and slope s, and only samples with an uncovered direction
+    evaluate f(x) and these crossings.
     """
     singular = [ci for ci, p in enumerate(f.pieces) if p.det_sign == 0]
     if singular:
@@ -249,79 +312,71 @@ def openness_oracle(
     base_directions = seeded_directions(n, num_directions, rng_seed)
     rng = _SplitMix64(rng_seed ^ 0xD1B54A32D192ED03)
 
-    samples: list[tuple[Vector, Face]] = [
-        (f.domain.barycenter(ids), ids) for ids in f.domain.interior_faces()
+    # (carrier, positive weights on the carrier's vertices): every sample lies
+    # in the relative interior of its carrier.
+    samples: list[tuple[Face, tuple[int, ...]]] = [
+        (ids, (1,) * len(ids)) for ids in f.domain.interior_faces()
     ]
     num_cells = len(f.domain.cells)
     for _ in range(num_points):
-        ci = rng.below(num_cells)
-        ids = f.domain.cells[ci].vertex_ids
-        weights = [Fraction(rng.int_range(1, 64)) for _ in ids]
+        ids = f.domain.cells[rng.below(num_cells)].vertex_ids
+        samples.append((ids, tuple(rng.int_range(1, 64) for _ in ids)))
+
+    tables: dict[int, _ImageTable] = {}
+    all_directions = (1 << len(base_directions)) - 1
+    failures: list[OracleFailure] = []
+    for carrier, weights in samples:
+        star = []
+        for ci in f.domain.faces[carrier].cells:
+            if ci not in tables:
+                tables[ci] = _image_table(f, ci, base_directions)
+            table = tables[ci]
+            off_carrier = [k for k, v in enumerate(table.vertex_ids) if v not in carrier]
+            star.append((table, off_carrier))
+
+        covered = 0
+        for table, off_carrier in star:
+            cell_covers = all_directions
+            for k in off_carrier:
+                cell_covers &= table.masks[k]
+            covered |= cell_covers
+        uncovered = [d for j, d in enumerate(base_directions) if not covered >> j & 1]
+        if len(carrier) == n:  # interior (n-1)-face: add the exact fold normals
+            uncovered += [
+                d
+                for d in _face_normal_directions(f, carrier)
+                if not any(
+                    all(_dot(table.rows[k], d) >= 0 for k in off_carrier)
+                    for table, off_carrier in star
+                )
+            ]
+        if not uncovered:
+            continue
+
         total = sum(weights)
-        pts = f.domain.cell_points(ci)
+        pts = f.domain.face_points(carrier)
         x = tuple(
             sum((w * p[c] for w, p in zip(weights, pts)), Fraction(0)) / total
             for c in range(n)
         )
-        samples.append((x, ids))
-
-    failures: list[OracleFailure] = []
-    for x, carrier in samples:
-        star = shrunk_star_images(f, x, carrier)
-        y0 = f.pieces[star[0][0]].apply(x)
-        # Per star cell: the homogeneous barycentric inverse, the zero pattern
-        # of the coordinates of f(x) (it lies in every star image simplex),
-        # and integer-scaled inverse rows. A ray direction is covered by a
-        # cell iff no facet with zero base coordinate has negative slope, and
-        # per-row positive scaling changes no signs, so the covering decision
-        # runs on plain integers.
-        cell_data = []
-        for _, _, images in star:
-            rows = [tuple(Fraction(1) for _ in images)]
-            rows += [tuple(q[c] for q in images) for c in range(n)]
-            inv = inverse(Matrix(tuple(rows)))
-            assert inv is not None  # nonsingular pieces keep image simplices nondegenerate
-            base = inv.mul_vec((Fraction(1), *y0))
-            zero_mask = tuple(b == 0 for b in base)
-            int_rows = []
-            for row in inv.entries:
-                scale = lcm(*(c.denominator for c in row))
-                int_rows.append(tuple(int(c * scale) for c in row[1:]))
-            cell_data.append((int_rows, zero_mask, inv, base))
-
-        directions = list(base_directions)
-        if len(carrier) == n:  # interior (n-1)-face: add the exact fold normals
-            directions += _face_normal_directions(f, carrier)
-
-        for direction in directions:
-            covered = False
-            for int_rows, zero_mask, _, _ in cell_data:
-                escapes = False
-                for row, on_facet in zip(int_rows, zero_mask):
-                    if on_facet and sum(r * d for r, d in zip(row, direction)) < 0:
-                        escapes = True
-                        break
-                if not escapes:
-                    covered = True
-                    break
-            if not covered:
-                # Exact epsilon: half the first positive facet crossing of the
-                # ray among all star image simplices (rare path, rational).
-                crossings: list[Fraction] = []
-                for _, _, inv, base in cell_data:
-                    slope = inv.mul_vec((Fraction(0), *(Fraction(d) for d in direction)))
-                    for b, s in zip(base, slope):
-                        if s != 0:
-                            crossing = -b / s
-                            if crossing > 0:
-                                crossings.append(crossing)
-                epsilon = min(crossings) / 2 if crossings else Fraction(1)
-                target = tuple(a + epsilon * d for a, d in zip(y0, direction))
-                failures.append(
-                    OracleFailure(
-                        x, carrier, tuple(Fraction(d) for d in direction), epsilon, target
-                    )
-                )
+        y0 = f.pieces[f.domain.faces[carrier].cells[0]].apply(x)
+        bases = [table.inv.mul_vec((Fraction(1), *y0)) for table, _ in star]
+        for direction in uncovered:
+            # Exact epsilon: half the first positive facet crossing of the ray
+            # among all shrunk star image simplices.
+            crossings: list[Fraction] = []
+            for (table, _), base in zip(star, bases):
+                for b, row, scale in zip(base, table.rows, table.scales):
+                    slope = _dot(row, direction)
+                    if slope != 0:
+                        crossing = -b * scale / (2 * slope)
+                        if crossing > 0:
+                            crossings.append(crossing)
+            epsilon = min(crossings) / 2 if crossings else Fraction(1)
+            target = tuple(a + epsilon * d for a, d in zip(y0, direction))
+            failures.append(
+                OracleFailure(x, carrier, tuple(Fraction(d) for d in direction), epsilon, target)
+            )
     return OracleResult(not failures, tuple(failures), len(samples))
 
 

@@ -1,8 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plopen.cli import main
 from plopen.generators import GenSpec, generate
@@ -126,6 +132,39 @@ class TestMalformedDocuments:
         code, report = run_cli(capsys, "check-open", path)
         assert code == 3 and "pieces[1]" in report["error"]
 
+    @pytest.mark.parametrize("cell", [[1, 9], [1, -1]])
+    def test_unknown_piece_vertex_exit_2(self, capsys, tmp_path, cell):
+        # the same violation as the vertex_images form, never the last vertex
+        pieces = [{"matrix": [["1"]], "offset": ["0"]}] * 2
+        path = write_doc(tmp_path, "pieces", vertex_images=None, pieces=pieces, cells=[[0, 1], cell])
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 2 and report["violations"] == ["bad_cell: cell 1 references unknown vertices"]
+        images_path = write_doc(tmp_path, "images", cells=[[0, 1], cell])
+        code, images_report = run_cli(capsys, "validate", images_path)
+        assert code == 2 and images_report["violations"] == report["violations"]
+
+    def test_vertex_of_wrong_dimension_exit_2(self, capsys, tmp_path):
+        vertices = [["-1"], [], ["1"]]
+        pieces = [{"matrix": [["1"]], "offset": ["0"]}] * 2
+        for path in (
+            write_doc(tmp_path, "images", vertices=vertices),
+            write_doc(tmp_path, "pieces", vertices=vertices, vertex_images=None, pieces=pieces),
+        ):
+            code, report = run_cli(capsys, "validate", path)
+            assert code == 2
+            assert report["violations"] == ["bad_vertex: vertex 1 has dimension 0, expected 1"]
+
+    @pytest.mark.parametrize("entry", [False, 1, None])
+    def test_rational_not_a_string_exit_3(self, capsys, tmp_path, entry):
+        path = write_doc(tmp_path, "typed", vertex_images=[["-1"], [entry], ["1"]])
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 3 and "vertex_images[1]" in report["error"]
+
+    def test_vertices_not_a_list_exit_3(self, capsys, tmp_path):
+        path = write_doc(tmp_path, "scalar", vertices=5)
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 3 and "vertices" in report["error"]
+
     def test_empty_cells_exit_2(self, capsys, tmp_path):
         path = write_doc(tmp_path, "empty", cells=[])
         code, report = run_cli(capsys, "validate", path)
@@ -216,6 +255,14 @@ class TestDegreeCommands:
         path = instance_path("identity", 2, "id")
         code, report = run_cli(capsys, "homotopy", path, path, "--gamma", gamma, "--samples", "2")
         assert code == 3 and report["exit_status"] == 3 and report["error"]
+
+    @pytest.mark.parametrize("command", ["check-open", "oracle-open"])
+    @pytest.mark.parametrize("flag", ["--oracle-points", "--oracle-dirs"])
+    @pytest.mark.parametrize("value", ["x", "-1", "1.5", ""])
+    def test_bad_oracle_count_exit_3(self, capsys, instance_path, command, flag, value):
+        path = instance_path("identity", 1, "id")
+        code, report = run_cli(capsys, command, path, f"{flag}={value}")
+        assert code == 3 and report["exit_status"] == 3 and flag in report["error"]
 
     def test_fibers(self, capsys, instance_path):
         code, report = run_cli(
@@ -335,3 +382,110 @@ class TestDeterminism:
             env={"PATH": "/usr/bin:/bin"},
         )
         assert env_run.stdout == flag_run.stdout
+
+
+def _containers(node, path=()):
+    """Every (path, container) pair in a JSON document, the document first."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child, (*path, key))
+
+
+_LINE = {
+    "format_version": 1,
+    "ambient_dim": 1,
+    "vertices": [["-1"], ["0"], ["1"]],
+    "cells": [[0, 1], [1, 2]],
+}
+_SQUARE = {
+    "format_version": 1,
+    "ambient_dim": 2,
+    "vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]],
+    "cells": [[0, 1, 2], [0, 2, 3]],
+}
+_IDENTITY_2D = {"matrix": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]}
+BASE_DOCUMENTS = [
+    {**_LINE, "vertex_images": [["1"], ["0"], ["1"]]},
+    {**_LINE, "pieces": [{"matrix": [["1"]], "offset": ["0"]}, {"matrix": [["-1"]], "offset": ["0"]}]},
+    {**_SQUARE, "vertex_images": [["0", "0"], ["2", "0"], ["1", "1"], ["0", "1"]], "metadata": {}},
+    {**_SQUARE, "pieces": [_IDENTITY_2D, _IDENTITY_2D]},
+]
+JUNK = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from(["", "x", "1/0", "0.5", "-1", "3/2", "1/2/3"]),
+    st.none(),
+    st.booleans(),
+    st.just(0.5),
+    st.lists(st.sampled_from(["0", "1", 0, 1]), max_size=3),
+    st.just({}),
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document after one to three random edits.
+
+    An edit drops a key or an entry, gives one a value of another type, sets
+    one to a small (possibly negative or out-of-range) integer, or appends an
+    entry (a copy of a sibling makes a list one too long).
+    """
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        _, node = draw(st.sampled_from(list(_containers(doc))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        edit = draw(st.sampled_from(["drop", "retype", "index", "append"])) if keys else "append"
+        # values are copied in: a later edit must not change a strategy's own value
+        if edit == "append" and isinstance(node, dict):
+            key = draw(st.sampled_from(["vertex_images", "pieces", "metadata"]))
+            node[key] = copy.deepcopy(draw(JUNK))
+        elif edit == "append":
+            node.append(copy.deepcopy(draw(st.sampled_from(node) if node else JUNK)))
+        else:
+            key = draw(st.sampled_from(keys))
+            if edit == "drop":
+                del node[key]
+            else:
+                node[key] = copy.deepcopy(draw(JUNK if edit == "retype" else st.integers(-4, 9)))
+    return doc
+
+
+POINT_VALUES = st.sampled_from(
+    ["1/2", "-1/3", "0", "1", "1/2,1/3", "1/3,-1/5", "", ",", "x", "1/0", "0.5", "1/2,1/3,1"]
+)
+COUNT_VALUES = st.sampled_from(["0", "1", "3", "-1", "x", "1.5", "", "1e2"])
+
+
+@st.composite
+def invocations(draw):
+    """An argv with the placeholders FILE and DIR; values are passed as --flag=value."""
+    command = draw(
+        st.sampled_from(
+            ["validate", "check-open", "oracle-open", "degree", "fibers", "branch-set", "graph", "whyburn"]
+        )
+    )
+    argv = [command, "FILE"]
+    if command == "check-open" and draw(st.booleans()):
+        argv = [command, "DIR", "--all"]
+    if command in ("check-open", "oracle-open"):
+        argv.append(f"--oracle-points={draw(COUNT_VALUES)}")
+        argv.append(f"--oracle-dirs={draw(COUNT_VALUES)}")
+    if command in ("degree", "fibers"):
+        argv.append(f"--at={draw(POINT_VALUES)}")
+    return argv
+
+
+class TestFuzzedInput:
+    @given(doc=mutated_documents(), argv=invocations())
+    @settings(max_examples=150, deadline=None)
+    def test_every_run_reports_json_with_a_documented_code(self, doc, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            path.write_text(json.dumps(doc))
+            argv = [{"FILE": str(path), "DIR": tmp}.get(a, a) for a in argv]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+        report = json.loads(out.getvalue())
+        assert code in range(6) and report["exit_status"] == code

@@ -5,16 +5,22 @@ import pytest
 from plopen.complexes import validate_complex
 from plopen.degree import local_degree
 from plopen.feasible import relative_interiors_intersect
-from plopen.generators import GenSpec, generate
+from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
+from plopen.linalg import Matrix, inverse
 from plopen.openness import (
     REASON_INJECTIVITY,
     REASON_SIGN_MISMATCH,
     REASON_SINGULAR,
     OracleConfig,
+    OracleFailure,
+    OracleResult,
+    _face_normal_directions,
+    _SplitMix64,
     branch_set,
     check_conditions,
     coherently_oriented,
     openness_oracle,
+    seeded_directions,
     shrunk_star_images,
 )
 from plopen.plmap import FiniteFiber, build_plmap, fiber, finite_fibers
@@ -212,3 +218,99 @@ class TestOpennessOracle:
         a = openness_oracle(doubling2d.plmap, 10, 16, 42)
         b = openness_oracle(doubling2d.plmap, 10, 16, 42)
         assert a == b
+
+
+def reference_oracle(f, num_points, num_directions, rng_seed):
+    """The oracle computed sample by sample on the shrunk star images.
+
+    One inverse per (sample, star cell) of the shrunk image simplex, a
+    rational covering test per direction, and the epsilon from the crossings
+    of the ray in the shrunk simplices.
+    """
+    singular = [ci for ci, p in enumerate(f.pieces) if p.det_sign == 0]
+    if singular:
+        return OracleResult(
+            False,
+            tuple(
+                OracleFailure(
+                    f.domain.barycenter(f.domain.cells[ci].vertex_ids),
+                    f.domain.cells[ci].vertex_ids,
+                    (),
+                    F(0),
+                    (),
+                )
+                for ci in singular
+            ),
+            0,
+        )
+    n = f.ambient_dim
+    base_directions = seeded_directions(n, num_directions, rng_seed)
+    rng = _SplitMix64(rng_seed ^ 0xD1B54A32D192ED03)
+    samples = [(f.domain.barycenter(ids), ids) for ids in f.domain.interior_faces()]
+    for _ in range(num_points):
+        ci = rng.below(len(f.domain.cells))
+        weights = [F(rng.int_range(1, 64)) for _ in f.domain.cells[ci].vertex_ids]
+        pts = f.domain.cell_points(ci)
+        x = tuple(
+            sum((w * p[c] for w, p in zip(weights, pts)), F(0)) / sum(weights)
+            for c in range(n)
+        )
+        samples.append((x, f.domain.cells[ci].vertex_ids))
+
+    failures = []
+    for x, carrier in samples:
+        star = shrunk_star_images(f, x, carrier)
+        y0 = f.pieces[star[0][0]].apply(x)
+        inverses = []
+        for _, _, images in star:
+            rows = [tuple(F(1) for _ in images)]
+            rows += [tuple(q[c] for q in images) for c in range(n)]
+            inverses.append(inverse(Matrix(tuple(rows))))
+        bases = [inv.mul_vec((F(1), *y0)) for inv in inverses]
+        directions = list(base_directions)
+        if len(carrier) == n:
+            directions += _face_normal_directions(f, carrier)
+        for direction in directions:
+            slopes = [inv.mul_vec((F(0), *map(F, direction))) for inv in inverses]
+            if any(
+                all(b != 0 or s >= 0 for b, s in zip(base, slope))
+                for base, slope in zip(bases, slopes)
+            ):
+                continue
+            crossings = [
+                -b / s
+                for base, slope in zip(bases, slopes)
+                for b, s in zip(base, slope)
+                if s != 0 and -b / s > 0
+            ]
+            epsilon = min(crossings) / 2 if crossings else F(1)
+            target = tuple(a + epsilon * d for a, d in zip(y0, direction))
+            failures.append(OracleFailure(x, carrier, tuple(map(F, direction)), epsilon, target))
+    return OracleResult(not failures, tuple(failures), len(samples))
+
+
+# (num_points, num_directions, rng_seed): the CLI defaults and two others; the
+# rational reference is slow in 3-D, so there it runs on one seed with few
+# directions.
+_ORACLE_SETTINGS = {1: [(20, 64, 0), (7, 19, 5)], 2: [(20, 64, 0), (7, 19, 5)], 3: [(4, 8, 11)]}
+ORACLE_CASES = [
+    (GenSpec(kind, dim, seed=seed), settings)
+    for kind in KINDS
+    for dim in (1, 2, 3)
+    if _FIXED_DIMS.get(kind, dim) == dim
+    for seed in ((0, 3) if dim < 3 else (3,))
+    for settings in _ORACLE_SETTINGS[dim]
+]
+
+
+class TestOracleMatchesPerSampleReference:
+    @pytest.mark.parametrize("spec, settings", ORACLE_CASES, ids=str)
+    def test_whole_result_equal(self, spec, settings):
+        f = generate(spec).plmap
+        assert openness_oracle(f, *settings) == reference_oracle(f, *settings)
+
+    def test_reference_sees_failures(self):
+        # the comparison above covers failure records, not only passes
+        f = generate(GenSpec("random_mixed_signs", 2, seed=3)).plmap
+        result = reference_oracle(f, 7, 19, 5)
+        assert result.failures and any(len(fl.carrier) == 2 for fl in result.failures)
