@@ -7,8 +7,10 @@ diagnostics go to stderr. Exit codes are a total function of the verdict:
     1  exact conditions fail (map not open; whyburn rejected; homotopy
        non-constant or hypothesis violated)
     2  instance validation violations
-    3  malformed input file, query point (`--at`, `--gamma`) or oracle count
-       (`--oracle-points`, `--oracle-dirs`)
+    3  malformed input file, query point (`--at`, `--gamma`), oracle count
+       (`--oracle-points`, `--oracle-dirs`), integer flag (`--seed`,
+       `--samples`, `--dim`, `--resolution`, `--den-bound`), `PLOPEN_SEED`
+       value or generator spec
     4  exact openness conditions disagree among themselves (implementation
        bug sentinel: the conditions are provably equivalent, so this cannot
        happen for a correct build)
@@ -59,9 +61,20 @@ EXIT_DEGREE_UNDEFINED = 5
 SEED_ENV_VAR = "PLOPEN_SEED"
 
 
-def _default_seed() -> int:
+def _parse_int(text: str, source: str) -> int:
+    """An integer flag or environment value, read as int() reads it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{source} {text!r}: expected an integer") from None
+
+
+def _seed(args) -> int:
+    """--seed when given, else PLOPEN_SEED when set and nonempty, else 0."""
+    if args.seed is not None:
+        return _parse_int(args.seed, "--seed")
     raw = os.environ.get(SEED_ENV_VAR)
-    return int(raw) if raw else 0
+    return _parse_int(raw, SEED_ENV_VAR) if raw else 0
 
 
 def _point_strings(point) -> list[str]:
@@ -90,7 +103,7 @@ def _oracle_config(args) -> OracleConfig:
     return OracleConfig(
         _parse_count(args.oracle_points, "--oracle-points"),
         _parse_count(args.oracle_dirs, "--oracle-dirs"),
-        args.seed,
+        _seed(args),
     )
 
 
@@ -363,7 +376,7 @@ def _cmd_homotopy(args) -> int:
     if len(ends) != 2:
         raise ParseError(f"gamma {args.gamma!r}: expected two points separated by ';'")
     gamma = tuple(_parse_point(text, map_f.ambient_dim) for text in ends)
-    count = args.samples
+    count = _parse_int(args.samples, "--samples")
     times = [Fraction(k, count - 1) for k in range(count)] if count > 1 else [Fraction(0)]
     try:
         verdict = homotopy_degree_constant(map_f, map_g, gamma, times)
@@ -382,13 +395,16 @@ def _cmd_homotopy(args) -> int:
 
 def _cmd_gen(args) -> int:
     report = _report_skeleton("gen")
-    spec = GenSpec(
-        kind=args.kind,
-        dim=args.dim,
-        resolution=args.resolution,
-        seed=args.seed,
-        denominator_bound=args.den_bound,
-    )
+    fields = {
+        "dim": _parse_int(args.dim, "--dim"),
+        "resolution": _parse_int(args.resolution, "--resolution"),
+        "seed": _seed(args),
+        "denominator_bound": _parse_int(args.den_bound, "--den-bound"),
+    }
+    try:
+        spec = GenSpec(kind=args.kind, **fields)
+    except ValueError as exc:
+        raise ParseError(f"generator spec: {exc}") from exc
     try:
         instance = generate(spec)
     except GenerationError as exc:
@@ -445,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all", action="store_true", help="treat PATH as a directory of instances")
     p.add_argument("--oracle-points", default="20")
     p.add_argument("--oracle-dirs", default="64")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed")
     p.set_defaults(func=_cmd_check_open)
 
     p = sub.add_parser("degree", help="degree certificate at a query point")
@@ -475,15 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path_f")
     p.add_argument("path_g")
     p.add_argument("--gamma", required=True, help="path endpoints, e.g. '0,0;1,1'")
-    p.add_argument("--samples", type=int, default=33)
+    p.add_argument("--samples", default="33")
     p.set_defaults(func=_cmd_homotopy)
 
     p = sub.add_parser("gen", help="generate a deterministic instance")
     p.add_argument("--kind", required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=0)
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--den-bound", type=int, default=64)
+    p.add_argument("--dim", required=True)
+    p.add_argument("--resolution", default="0")
+    p.add_argument("--seed")
+    p.add_argument("--den-bound", default="64")
     p.add_argument("--out", help="write the instance file here")
     p.set_defaults(func=_cmd_gen)
 
@@ -491,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--oracle-points", default="20")
     p.add_argument("--oracle-dirs", default="64")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed")
     p.set_defaults(func=_cmd_oracle_open)
 
     return parser

@@ -267,13 +267,15 @@ def collect_violations(
     # probe per pair.
     boxes = [feasible.bounding_box([verts[i] for i in s.vertex_ids]) for s in simplices]
     for a in range(len(simplices)):
-        pa = [verts[i] for i in simplices[a].vertex_ids]
+        frame = None  # cell a's frame, built at its first overlapping partner
         for b in range(a + 1, len(simplices)):
             if not feasible.boxes_overlap(boxes[a], boxes[b]):
                 continue
+            if frame is None:
+                frame = feasible.simplex_frame([verts[i] for i in simplices[a].vertex_ids])
             pb = [verts[i] for i in simplices[b].vertex_ids]
             shared = tuple(sorted(set(simplices[a].vertex_ids) & set(simplices[b].vertex_ids)))
-            if feasible.hull_leaves_affine_span(pa, pb, [verts[i] for i in shared]):
+            if feasible.hull_leaves_affine_span(frame, pb, [verts[i] for i in shared]):
                 if shared:
                     message = f"cells {a} and {b} overlap beyond their common face {shared}"
                 else:

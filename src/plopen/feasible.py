@@ -15,16 +15,22 @@ by substitution.
 
 Polytopes enter in vertex form (a tuple of points whose convex hull is the
 polytope). Every predicate on two polytopes P and Q asks one question, how
-conv(P) and conv(Q) meet, and is one call to a single row builder: convex
-weights λ on P and μ on Q with Σλp = Σμq, each side either closed (λ ≥ 0) or
-strict (λ > 0, the relative interior), plus optional rows on λ. Each
-coordinate row is scaled to integers once, on its own.
+conv(P) and conv(Q) meet, and all but properness are one call to a single
+row builder: convex weights λ on P and μ on Q with Σλp = Σμq, each side
+either closed (λ ≥ 0) or strict (λ > 0, the relative interior), plus optional
+rows on λ. Each coordinate row is scaled to integers once, on its own.
 
-Properness of two simplices is one strict probe on that system. For a face F
-of a simplex P, conv(P) ∩ aff(F) = F, so the intersection with Q leaves
-aff(F) exactly when some common point puts positive total weight on the
-vertices of P outside F. This needs P affinely independent and F given by
-vertices of P.
+Properness of two simplices is one strict probe, asked in P's own frame
+instead of in vertex form. For a face F of a simplex P, conv(P) ∩ aff(F) = F,
+so the intersection with Q leaves aff(F) exactly when some common point puts
+positive total weight on the vertices of P outside F. The frame
+(`simplex_frame`, built once per simplex by the caller) is the integer
+adjugate of P's homogeneous vertex columns, completed by coordinate axes when
+P is not full-dimensional: its rows read a point's barycentric weights on P
+(up to a positive factor each) and whether the point lies in aff(P). So the
+probe's only unknowns are Q's weights: a 3-D pair has 4 unknowns and one
+equality where vertex form has 8 and 5. This needs P affinely independent
+(else `simplex_frame` raises ValueError) and F given by vertices of P.
 
 The dimension of an intersection is computed by growing its affine hull:
 starting from one witness point, functionals vanishing on the directions
@@ -36,10 +42,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
-from .linalg import Matrix, Vector, null_space, rank, vec_dot, vec_sub
+from .linalg import Matrix, Vector, integer_adjugate, null_space, rank, vec_dot, vec_sub
 
 REL_EQ = "="
 REL_LE = "<="
@@ -365,17 +373,15 @@ def _meet_system(
     return total, rows + [row for row in scaled if row is not None]
 
 
-def _meet(
-    p_verts: Hull, p_rel: str, q_verts: Hull, q_rel: str, p_rows: Sequence[_WeightRow]
-) -> Optional[tuple[Fraction, ...]]:
-    """A feasible weight vector of the _meet_system, or None."""
-    system = _meet_system(p_verts, p_rel, q_verts, q_rel, p_rows)
+def _meet(p_verts: Hull, p_rel: str, q_verts: Hull, q_rel: str) -> Optional[tuple[Fraction, ...]]:
+    """A feasible weight vector of the _meet_system with no extra rows, or None."""
+    system = _meet_system(p_verts, p_rel, q_verts, q_rel, ())
     return None if system is None else _feasible_int(*system)
 
 
 def hull_contains(verts: Hull, point: Vector) -> bool:
     """Exact membership of a point in conv(verts)."""
-    return _meet(verts, REL_LE, [point], REL_LE, ()) is not None
+    return _meet(verts, REL_LE, [point], REL_LE) is not None
 
 
 def hull_dim(verts: Hull) -> Optional[int]:
@@ -390,12 +396,12 @@ def hull_dim(verts: Hull) -> Optional[int]:
 
 def relative_interiors_intersect(p_verts: Hull, q_verts: Hull) -> bool:
     """Whether relint(conv P) meets relint(conv Q) (strict combination probe)."""
-    return _meet(p_verts, REL_LT, q_verts, REL_LT, ()) is not None
+    return _meet(p_verts, REL_LT, q_verts, REL_LT) is not None
 
 
 def hulls_intersect(p_verts: Hull, q_verts: Hull) -> bool:
     """Whether conv(P) meets conv(Q) at all."""
-    return _meet(p_verts, REL_LE, q_verts, REL_LE, ()) is not None
+    return _meet(p_verts, REL_LE, q_verts, REL_LE) is not None
 
 
 def _point_from_weights(verts: Hull, weights: Sequence[Fraction]) -> Vector:
@@ -488,39 +494,106 @@ def relint_preimage_witness(
     image of each source vertex), so the image of a combination is the same
     combination of the images.
     """
-    witness = _meet(source_images, REL_LT, target_verts, REL_LE, ())
+    witness = _meet(source_images, REL_LT, target_verts, REL_LE)
     if witness is None:
         return None
     return _point_from_weights(source_verts, witness[: len(source_verts)])
 
 
-def hull_leaves_affine_span(
-    p_verts: Hull,
-    q_verts: Hull,
-    span_points: Hull,
-) -> bool:
+@dataclass(frozen=True)
+class SimplexFrame:
+    """A simplex P's own barycentric frame, as integer rows.
+
+    A rational point y enters as the integer homogeneous column ŷ = (m·y, m),
+    m > 0. Then bary[j]·ŷ is a positive multiple of y's barycentric weight on
+    verts[j] (the weights of the point of aff(P) that y projects to along the
+    frame's complement), and aff[r]·ŷ = 0 for every r exactly when y ∈ aff(P).
+    """
+
+    verts: tuple[Vector, ...]
+    bary: tuple[tuple[int, ...], ...]
+    aff: tuple[tuple[int, ...], ...]
+
+
+def _homogeneous(point: Vector) -> tuple[int, ...]:
+    """The integer column (m·point, m) for the least m > 0 that clears denominators."""
+    denominators = [x.denominator for x in point]
+    m = lcm(*denominators)
+    return (*(x.numerator * (m // d) for x, d in zip(point, denominators)), m)
+
+
+def simplex_frame(verts: Hull) -> SimplexFrame:
+    """The frame of the simplex conv(verts): one integer adjugate.
+
+    The square matrix has the homogeneous columns of P's k+1 vertices and,
+    when k < n, the columns (e_i, 0) of n − k coordinate axes that complete
+    P's direction space. Its adjugate's rows 0..k, times sign(det), give the
+    barycentric weights up to a positive factor per row; rows k+1..n vanish
+    exactly on aff(P). Affinely dependent vertices raise ValueError.
+    """
+    n = len(verts[0])
+    k = len(verts) - 1
+    if k > n:
+        raise ValueError("simplex vertices are affinely dependent")
+    columns = [_homogeneous(v) for v in verts]
+    for axes in combinations(range(n), n - k):
+        units = [(*(int(i == c) for c in range(n)), 0) for i in axes]
+        adjugate, det = integer_adjugate(list(zip(*columns, *units, strict=True)))
+        if det:
+            sign = 1 if det > 0 else -1
+            return SimplexFrame(
+                tuple(verts),
+                tuple(tuple(sign * x for x in row) for row in adjugate[: k + 1]),
+                tuple(tuple(row) for row in adjugate[k + 1 :]),
+            )
+    raise ValueError("simplex vertices are affinely dependent")
+
+
+def hull_leaves_affine_span(frame: SimplexFrame, q_verts: Hull, span_points: Hull) -> bool:
     """Whether conv(P) ∩ conv(Q) has a point outside the affine hull of span_points.
 
-    P must be affinely independent (a simplex) and span_points must be
-    vertices of P, matched by exact equality; any other span raises
-    ValueError. They span a face F of P, and since conv(P) ∩ aff(F) = F, a
-    point of conv(P) leaves aff(F) exactly when its (unique) barycentric
-    weights on the vertices of P outside F sum to more than zero. So one
-    strict probe decides the question: the meet system plus that one row.
-    An empty span asks whether the hulls meet at all. With F the common face
+    P is the frame's simplex, and span_points must be vertices of P, matched
+    by exact equality; any other span, or a point of Q in another dimension,
+    raises ValueError. They span a face F of P. Since conv(P) ∩ aff(F) = F, a
+    point of conv(P) leaves aff(F) exactly when its barycentric weights on
+    the vertices of P outside F sum to more than zero. In P's frame that is
+    one strict probe over Q's weights μ alone, with Q̂ Q's homogeneous
+    columns: μ ≥ 0, Σμ = 1, bary·Q̂μ ≥ 0, aff·Q̂μ = 0, and (the sum of the
+    bary rows of the vertices outside F)·Q̂μ > 0. An empty span asks whether
+    the hulls meet at all; an empty Q meets nothing. With F the common face
     of two cells, this is the properness test: the intersection is proper
     exactly when it stays inside aff(F).
     """
-    inside = set(span_points)
-    if not inside <= set(p_verts):
-        raise ValueError("span_points must be vertices of p_verts")
-    outside = [Fraction(0 if p in inside else -1) for p in p_verts]
-    return _meet(p_verts, REL_LE, q_verts, REL_LE, [(outside, REL_LT, Fraction(0))]) is not None
+    # Exact equality, not sets: hashing a Fraction costs a modular inverse, and
+    # callers pass P's own vertex tuples, so a match is found by identity.
+    if any(p not in frame.verts for p in span_points):
+        raise ValueError("span_points must be vertices of the frame's simplex")
+    if any(len(q) != len(frame.verts[0]) for q in q_verts):
+        raise ValueError("q_verts must lie in the frame's space")
+    q_cols = [_homogeneous(q) for q in q_verts]
+    kq = len(q_cols)
+
+    def on_q(row: Sequence[int]) -> list[int]:
+        return [sum(map(mul, row, col)) for col in q_cols]
+
+    outside = [row for row, v in zip(frame.bary, frame.verts) if v not in span_points]
+    escape = [sum(column) for column in zip(*outside)]  # none outside: the row is 0 < 0
+    rows: list[_IntRow] = [(tuple(-int(i == j) for i in range(kq)), REL_LE, 0) for j in range(kq)]
+    try:
+        extra = [_norm_int_row([1] * kq, REL_EQ, 1)]
+        # a bary row that reads no vertex of Q as negative is implied by μ ≥ 0
+        binding = [w for w in map(on_q, frame.bary) if min(w) < 0]
+        extra += [_norm_int_row([-x for x in w], REL_LE, 0) for w in binding]
+        extra += [_norm_int_row(on_q(row), REL_EQ, 0) for row in frame.aff]
+        extra.append(_norm_int_row([-x for x in on_q(escape)], REL_LT, 0))
+    except _Infeasible:
+        return False
+    return _feasible_int(kq, rows + [row for row in extra if row is not None]) is not None
 
 
 def segment_hits_hull(start: Vector, end: Vector, verts: Hull) -> bool:
     """Whether the closed segment [start, end] meets conv(verts)."""
-    return _meet(verts, REL_LE, [start, end], REL_LE, ()) is not None
+    return _meet(verts, REL_LE, [start, end], REL_LE) is not None
 
 
 def segment_avoids_sets(start: Vector, end: Vector, obstacles: Sequence[Hull]) -> bool:

@@ -6,7 +6,9 @@ module: each downstream geometric predicate (orientation sign, membership,
 dimension) must be an exact decision, never an approximation.
 
 Determinant signs use Bareiss fraction-free elimination over row-scaled
-integers, which keeps intermediate bit growth polynomial. Plain Gaussian
+integers, which keeps intermediate bit growth polynomial; the same
+elimination carried on to Gauss–Jordan form gives the adjugate of an integer
+matrix with no rational in it (`integer_adjugate`). Plain Gaussian
 elimination over Fractions is used where fill-in is irrelevant (solving,
 inversion, null spaces on tiny systems), all three through one Gauss–Jordan
 reduction.
@@ -187,6 +189,36 @@ def _bareiss_determinant(rows: list[list[int]]) -> int:
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[Optional[list[list[int]]], int]:
+    """Adjugate and determinant of a square integer matrix, fraction-free.
+
+    Bareiss-style Gauss–Jordan on [A | I]: after step k every entry is a
+    (k+1)-minor, so each division by the previous pivot is exact, and the end
+    state is [d·I | d·A⁻¹] with d = ±det(A) (the sign of the row swaps).
+    A singular matrix returns (None, 0).
+    """
+    n = len(rows)
+    a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pivot_row is None:
+            return None, 0
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        top = a[k]
+        pivot = top[k]
+        for i in range(n):
+            if i != k:
+                row = a[i]
+                factor = row[k]
+                a[i] = [(x * pivot - factor * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return [[sign * x for x in row[n:]] for row in a], sign * prev
 
 
 def det(m: Matrix) -> Fraction:

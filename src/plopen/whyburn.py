@@ -161,12 +161,15 @@ def boundary_restriction_injective(
         if feasible.hull_dim(hulls[face]) != n - 1:
             return False, (face, face)
     for i, face_a in enumerate(boundary):
+        frame = None
         for face_b in boundary[i + 1 :]:
             if not feasible.boxes_overlap(boxes[face_a], boxes[face_b]):
                 continue
+            if frame is None:
+                frame = feasible.simplex_frame(hulls[face_a])
             shared = tuple(sorted(set(face_a) & set(face_b)))
             span = f.image_of_face(shared)
-            if feasible.hull_leaves_affine_span(hulls[face_a], hulls[face_b], span):
+            if feasible.hull_leaves_affine_span(frame, hulls[face_b], span):
                 return False, (face_a, face_b)
     return True, None
 
@@ -185,7 +188,7 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
     n = f.ambient_dim
     count = len(f.domain.cells)
     for a in range(count):
-        hull_a = f.cell_image_points(a)
+        frame = None
         box_a = f.image_box(a)
         ids_a = set(f.domain.cells[a].vertex_ids)
         for b in range(a + 1, count):
@@ -194,8 +197,10 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
             shared = tuple(sorted(ids_a & set(f.domain.cells[b].vertex_ids)))
             if len(shared) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
                 continue
+            if frame is None:
+                frame = feasible.simplex_frame(f.cell_image_points(a))
             hull_b = f.cell_image_points(b)
-            if feasible.hull_leaves_affine_span(hull_a, hull_b, f.image_of_face(shared)):
+            if feasible.hull_leaves_affine_span(frame, hull_b, f.image_of_face(shared)):
                 return a, b
     return None
 

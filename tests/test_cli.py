@@ -264,6 +264,53 @@ class TestDegreeCommands:
         code, report = run_cli(capsys, command, path, f"{flag}={value}")
         assert code == 3 and report["exit_status"] == 3 and flag in report["error"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check-open", "FILE", "--seed={}"],
+            ["oracle-open", "FILE", "--seed={}"],
+            ["homotopy", "FILE", "FILE", "--gamma", "0;1/2", "--samples={}"],
+            ["gen", "--kind", "identity", "--dim={}"],
+            ["gen", "--kind", "identity", "--dim", "1", "--resolution={}"],
+            ["gen", "--kind", "identity", "--dim", "1", "--seed={}"],
+            ["gen", "--kind", "identity", "--dim", "1", "--den-bound={}"],
+        ],
+    )
+    @pytest.mark.parametrize("value", ["x", "1.5", "", "1e2"])
+    def test_bad_integer_flag_exit_3(self, capsys, instance_path, argv, value):
+        path = instance_path("identity", 1, "id")
+        argv = [path if a == "FILE" else a.format(value) for a in argv]
+        flag = next(a for a in argv if "=" in a).split("=")[0]
+        code, report = run_cli(capsys, *argv)
+        assert code == 3 and report["exit_status"] == 3 and flag in report["error"]
+
+    @pytest.mark.parametrize("value", ["7", "+7", " 7 ", "0007"])
+    def test_integer_flags_read_as_before(self, capsys, instance_path, value):
+        path = instance_path("random_mixed_signs", 1, "mixed", seed=2)
+        reference = run_cli(capsys, "oracle-open", path, "--seed", "7", "--oracle-points", "5")
+        got = run_cli(capsys, "oracle-open", path, f"--seed={value}", "--oracle-points", "5")
+        assert got == reference
+        dim = value.replace("7", "1")
+        code, report = run_cli(capsys, "gen", "--kind", "identity", f"--dim={dim}", "--seed=-3")
+        assert code == 0 and report["generator"]["dim"] == 1 and report["generator"]["seed"] == -3
+
+    @pytest.mark.parametrize(
+        "spec", [["--kind", "bogus", "--dim", "1"], ["--kind", "identity", "--dim", "4"]]
+    )
+    def test_rejected_generator_spec_exit_3(self, capsys, spec):
+        code, report = run_cli(capsys, "gen", *spec)
+        assert code == 3 and report["exit_status"] == 3 and "generator spec" in report["error"]
+
+    def test_seed_env_var_read_only_without_seed_flag(self, capsys, instance_path, monkeypatch):
+        path = instance_path("identity", 1, "id")
+        monkeypatch.setenv("PLOPEN_SEED", "x")
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 0 and report["valid"]
+        code, report = run_cli(capsys, "oracle-open", path)
+        assert code == 3 and report["exit_status"] == 3 and "PLOPEN_SEED" in report["error"]
+        code, report = run_cli(capsys, "check-open", path, "--seed", "3")
+        assert code == 0
+
     def test_fibers(self, capsys, instance_path):
         code, report = run_cli(
             capsys, "fibers", instance_path("fold1d", 1, "fold"), "--at", "1/2"
@@ -455,6 +502,7 @@ POINT_VALUES = st.sampled_from(
     ["1/2", "-1/3", "0", "1", "1/2,1/3", "1/3,-1/5", "", ",", "x", "1/0", "0.5", "1/2,1/3,1"]
 )
 COUNT_VALUES = st.sampled_from(["0", "1", "3", "-1", "x", "1.5", "", "1e2"])
+SEED_VALUES = st.sampled_from(["0", "7", "-3", "+2", " 5", "x", "1.5", "", "1e2"])
 
 
 @st.composite
@@ -471,6 +519,8 @@ def invocations(draw):
     if command in ("check-open", "oracle-open"):
         argv.append(f"--oracle-points={draw(COUNT_VALUES)}")
         argv.append(f"--oracle-dirs={draw(COUNT_VALUES)}")
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(SEED_VALUES)}")
     if command in ("degree", "fibers"):
         argv.append(f"--at={draw(POINT_VALUES)}")
     return argv

@@ -22,8 +22,9 @@ from plopen.feasible import (
     relint_preimage_witness,
     segment_avoids_sets,
     segment_hits_hull,
+    simplex_frame,
 )
-from plopen.linalg import Matrix, null_space
+from plopen.linalg import Matrix, det_sign, null_space
 
 
 def F(*args):
@@ -181,24 +182,86 @@ class TestAffineSpanEscape:
         a = [pt(0, 0), pt(1, 0), pt(0, 1)]
         b = [pt(1, 0), pt(0, 1), pt(1, 1)]
         shared = [pt(1, 0), pt(0, 1)]
-        assert not hull_leaves_affine_span(a, b, shared)
+        assert not hull_leaves_affine_span(simplex_frame(a), b, shared)
 
     def test_overlapping_pair_escapes(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
         b = [pt(0, 0), pt(3, 1), pt(1, 3)]
         shared = [pt(0, 0)]
-        assert hull_leaves_affine_span(a, b, shared)
+        assert hull_leaves_affine_span(simplex_frame(a), b, shared)
 
     def test_span_point_off_the_vertices_rejected(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
         b = [pt(1, 0), pt(3, 0), pt(1, 2)]
         with pytest.raises(ValueError):
-            hull_leaves_affine_span(a, b, [pt(1, 0)])
+            hull_leaves_affine_span(simplex_frame(a), b, [pt(1, 0)])
+
+    def test_q_in_another_dimension_rejected(self):
+        frame = simplex_frame([pt(0, 0), pt(2, 0), pt(0, 2)])
+        with pytest.raises(ValueError):
+            hull_leaves_affine_span(frame, [pt(1), pt(1, 1)], [])
 
     def test_empty_span_asks_whether_hulls_meet(self):
-        a = [pt(0, 0), pt(1, 0), pt(0, 1)]
+        a = simplex_frame([pt(0, 0), pt(1, 0), pt(0, 1)])
         assert hull_leaves_affine_span(a, [pt(1, 1), pt(0, 0)], [])
         assert not hull_leaves_affine_span(a, [pt(1, 1), pt(2, 2)], [])
+        assert not hull_leaves_affine_span(a, [], [])
+
+    @pytest.mark.parametrize(
+        "verts",
+        [
+            [pt(0, 0), pt(1, 1), pt(2, 2)],  # collinear
+            [pt(0, 0, 0), pt(1, 0, 0), pt(3, 0, 0)],  # a flat triangle in 3-D
+            [pt(0), pt(1), pt(2)],  # more than n + 1 points
+            [pt(1, 2), pt(1, 2)],  # a repeated point
+        ],
+    )
+    def test_affinely_dependent_frame_rejected(self, verts):
+        with pytest.raises(ValueError):
+            simplex_frame(verts)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_tetrahedron_in_either_orientation(self, swap):
+        p_verts = [pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)]
+        if swap:
+            p_verts[1], p_verts[2] = p_verts[2], p_verts[1]
+        # the frame's matrix of homogeneous columns: det -1 in this order, +1 swapped
+        square = Matrix.from_columns([(*v, F(1)) for v in p_verts])
+        assert det_sign(square) == (1 if swap else -1)
+        frame = simplex_frame(p_verts)
+        face = p_verts[1:]
+        assert not hull_leaves_affine_span(frame, [*face, pt(1, 1, 1)], face)
+        assert hull_leaves_affine_span(frame, [*face, pt(F(1, 8), F(1, 8), F(1, 8))], face)
+        inner = [pt(F(1, 4), F(1, 4), F(1, 4))]
+        assert hull_leaves_affine_span(frame, inner, [])
+        assert not hull_leaves_affine_span(frame, inner, p_verts)
+        assert hull_leaves_affine_span(frame, [pt(0, 0, 0)], []) and not hull_leaves_affine_span(
+            frame, [pt(0, 0, 0)], [pt(0, 0, 0)]
+        )
+
+    def test_one_dimensional_boundary_points(self):
+        # the boundary faces of a 1-D ball are points: k = 0 frames with one axis
+        left, right = simplex_frame([pt(-1)]), simplex_frame([pt(1)])
+        assert not hull_leaves_affine_span(left, [pt(1)], [])
+        assert hull_leaves_affine_span(right, [pt(1)], [])
+        assert not hull_leaves_affine_span(right, [pt(1)], [pt(1)])
+        assert hull_leaves_affine_span(left, [pt(-2), pt(0)], [])
+        assert not hull_leaves_affine_span(left, [pt(F(-1, 2)), pt(0)], [])
+
+    def test_point_frame_in_the_plane(self):
+        frame = simplex_frame([pt(F(1, 3), 0)])
+        assert hull_leaves_affine_span(frame, [pt(0, -1), pt(F(2, 3), 1)], [])
+        assert not hull_leaves_affine_span(frame, [pt(0, -1), pt(1, 1)], [])
+
+    def test_single_point_q(self):
+        p_verts = [pt(0, 0), pt(2, 0), pt(0, 2)]
+        frame = simplex_frame(p_verts)
+        on_edge = [pt(1, 0)]
+        assert not hull_leaves_affine_span(frame, on_edge, p_verts[:2])
+        assert hull_leaves_affine_span(frame, on_edge, p_verts[:1])
+        assert hull_leaves_affine_span(frame, [pt(F(1, 2), F(1, 2))], p_verts[1:])
+        assert not hull_leaves_affine_span(frame, [pt(2, 2)], [])
+        assert not hull_leaves_affine_span(frame, [pt(0, 2)], [pt(0, 2)])
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -216,7 +279,8 @@ class TestAffineSpanEscape:
         )
         extra = data.draw(st.lists(point | inside, min_size=0 if face else 1, max_size=3))
         q_verts = data.draw(st.permutations(face + extra))
-        assert hull_leaves_affine_span(p_verts, q_verts, face) == _leaves_span_by_normals(
+        frame = simplex_frame(p_verts)
+        assert hull_leaves_affine_span(frame, q_verts, face) == _leaves_span_by_normals(
             p_verts, q_verts, face
         )
 

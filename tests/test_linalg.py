@@ -9,6 +9,7 @@ from plopen.linalg import (
     det,
     det_sign,
     format_rational,
+    integer_adjugate,
     inverse,
     null_space,
     parse_rational,
@@ -126,6 +127,39 @@ class TestRank:
     @settings(max_examples=60, deadline=None)
     def test_full_rank_iff_nonzero_det(self, m):
         assert (rank(m) == m.rows) == (det_sign(m) != 0)
+
+
+integer_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+class TestIntegerAdjugate:
+    @given(integer_matrices)
+    @settings(max_examples=80, deadline=None)
+    def test_cofactors_by_permutation_expansion(self, rows):
+        n = len(rows)
+        adjugate, d = integer_adjugate(rows)
+        assert d == det_by_permutation_expansion(rows)
+        if d == 0:
+            assert adjugate is None
+            return
+        for i in range(n):
+            for j in range(n):
+                minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
+                assert adjugate[i][j] == (-1) ** (i + j) * det_by_permutation_expansion(minor)
+                assert type(adjugate[i][j]) is int
+
+    def test_row_swap_pivot(self):
+        # a zero leading entry forces a swap; adj(A)·A = det(A)·I still holds
+        rows = [[0, 2, 1], [3, 0, 1], [1, 1, 0]]
+        adjugate, d = integer_adjugate(rows)
+        product = [
+            [sum(adjugate[i][k] * rows[k][j] for k in range(3)) for j in range(3)] for i in range(3)
+        ]
+        assert d == 5 and product == [[d * int(i == j) for j in range(3)] for i in range(3)]
 
 
 class TestNullSpaceInverse:

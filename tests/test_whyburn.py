@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from plopen.complexes import validate_complex
-from plopen.feasible import hull_contains, hull_leaves_affine_span, hulls_intersect
+from plopen.feasible import hull_contains, hull_leaves_affine_span, hulls_intersect, simplex_frame
 from plopen.generators import GenSpec, generate
 from plopen.plmap import build_plmap
 from plopen.whyburn import (
@@ -119,7 +119,7 @@ class TestBoundaryInjectivity:
         shared = tuple(sorted(set(face_a) & set(face_b)))
         img_a, img_b = f.image_of_face(face_a), f.image_of_face(face_b)
         if shared:
-            assert hull_leaves_affine_span(img_a, img_b, f.image_of_face(shared))
+            assert hull_leaves_affine_span(simplex_frame(img_a), img_b, f.image_of_face(shared))
         else:
             assert hulls_intersect(img_a, img_b)
 
@@ -187,7 +187,7 @@ class TestCertify:
                 continue
             a, b = info.cells
             assert not hull_leaves_affine_span(
-                f.cell_image_points(a), f.cell_image_points(b), f.image_of_face(ids)
+                simplex_frame(f.cell_image_points(a)), f.cell_image_points(b), f.image_of_face(ids)
             )
             checked += 1
         assert checked
