@@ -7,10 +7,12 @@ diagnostics go to stderr. Exit codes are a total function of the verdict:
     1  exact conditions fail (map not open; whyburn rejected; homotopy
        non-constant or hypothesis violated)
     2  instance validation violations
-    3  malformed input file, query point (`--at`, `--gamma`), oracle count
-       (`--oracle-points`, `--oracle-dirs`), integer flag (`--seed`,
-       `--samples`, `--dim`, `--resolution`, `--den-bound`), `PLOPEN_SEED`
-       value or generator spec
+    3  missing, unreadable or malformed input file, query point (`--at`,
+       `--gamma`), oracle count (`--oracle-points`, `--oracle-dirs`),
+       integer flag (`--seed`, `--samples`, `--dim`, `--resolution`,
+       `--den-bound`), `PLOPEN_SEED` value, generator spec, `gen --out`
+       path that cannot be written, or command line (a missing or unknown
+       argument; `--help` exits 0)
     4  exact openness conditions disagree among themselves (implementation
        bug sentinel: the conditions are provably equivalent, so this cannot
        happen for a correct build)
@@ -220,7 +222,10 @@ def _cmd_check_open(args) -> int:
     config = _oracle_config(args)
     if args.all:
         directory = Path(args.path)
-        files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
+        try:
+            files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
+        except OSError as exc:
+            raise ParseError(f"{directory}: {exc.strerror}") from exc
         report = _report_skeleton("check-open")
         report["batch"] = True
         results = {}
@@ -417,7 +422,10 @@ def _cmd_gen(args) -> int:
     report["instance_digest"] = digest
     report["generator"] = spec.to_metadata()
     if args.out:
-        instancefile.save_document(args.out, doc)
+        try:
+            instancefile.save_document(args.out, doc)
+        except OSError as exc:
+            raise ParseError(f"--out {args.out}: {exc.strerror}") from exc
         report["written"] = args.out
     else:
         report["instance"] = doc
@@ -444,8 +452,20 @@ def _cmd_oracle_open(args) -> int:
     return _emit(report, EXIT_OK)
 
 
+class _UsageError(Exception):
+    """A command line argparse rejects: a missing or unknown argument or choice."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the code for validation violations;
+    # raising instead lets main report it as exit 3. Subparsers inherit this.
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="plopen",
         description="Exact openness, degree, branch-set and ball-map analysis "
         "of piecewise-affine maps",
@@ -515,16 +535,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        return _emit({"command": None, "error": f"usage: {exc}"}, EXIT_PARSE)
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:
         report, status = _input_failure(exc)
         report["command"] = args.command
         return _emit(report, status)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_PARSE
 
 
 def console_main() -> None:

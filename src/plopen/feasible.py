@@ -32,6 +32,15 @@ probe's only unknowns are Q's weights: a 3-D pair has 4 unknowns and one
 equality where vertex form has 8 and 5. This needs P affinely independent
 (else `simplex_frame` raises ValueError) and F given by vertices of P.
 
+The same frame decides whether the relative interior of a point set S meets
+conv(P) (`relint_meets_simplex`): one probe over S's strictly positive
+weights, without the escape row. S enters as integer homogeneous columns
+that the caller builds once per point set. This is the decision of
+`relint_preimage_witness`, which stays in vertex form because it returns the
+witness point: a caller decides every pair in the frame and rebuilds the
+witness only for the pair that hits. Both frame probes build their rows in
+one place, `_frame_probe`.
+
 The dimension of an intersection is computed by growing its affine hull:
 starting from one witness point, functionals vanishing on the directions
 found so far are probed in both strict senses; every feasible probe yields a
@@ -515,7 +524,7 @@ class SimplexFrame:
     aff: tuple[tuple[int, ...], ...]
 
 
-def _homogeneous(point: Vector) -> tuple[int, ...]:
+def homogeneous_column(point: Vector) -> tuple[int, ...]:
     """The integer column (m·point, m) for the least m > 0 that clears denominators."""
     denominators = [x.denominator for x in point]
     m = lcm(*denominators)
@@ -535,7 +544,7 @@ def simplex_frame(verts: Hull) -> SimplexFrame:
     k = len(verts) - 1
     if k > n:
         raise ValueError("simplex vertices are affinely dependent")
-    columns = [_homogeneous(v) for v in verts]
+    columns = [homogeneous_column(v) for v in verts]
     for axes in combinations(range(n), n - k):
         units = [(*(int(i == c) for c in range(n)), 0) for i in axes]
         adjugate, det = integer_adjugate(list(zip(*columns, *units, strict=True)))
@@ -547,6 +556,40 @@ def simplex_frame(verts: Hull) -> SimplexFrame:
                 tuple(tuple(row) for row in adjugate[k + 1 :]),
             )
     raise ValueError("simplex vertices are affinely dependent")
+
+
+def _frame_probe(
+    frame: SimplexFrame,
+    cols: Sequence[tuple[int, ...]],
+    weight_rel: str,
+    escape: Optional[Sequence[int]] = None,
+) -> bool:
+    """Whether some weights w on homogeneous columns Ĉ put Ĉw in conv(P).
+
+    One probe over w alone: w REL 0 (weight_rel: REL_LE, or REL_LT for the
+    relative interior of the columns' hull), Σw = 1, bary·Ĉw ≥ 0 and
+    aff·Ĉw = 0, plus escape·Ĉw > 0 when an escape row over P's frame is
+    given. A column's weight is its point's weight divided by the column's
+    positive last entry, so feasibility is the same as over the points' own
+    convex weights. A bary row that reads no column as negative is left out,
+    since w ≥ 0 implies it.
+    """
+    k = len(cols)
+
+    def on_cols(row: Sequence[int]) -> list[int]:
+        return [sum(map(mul, row, col)) for col in cols]
+
+    rows: list[_IntRow] = [(tuple(-int(i == j) for i in range(k)), weight_rel, 0) for j in range(k)]
+    try:
+        extra = [_norm_int_row([1] * k, REL_EQ, 1)]
+        binding = [w for w in map(on_cols, frame.bary) if min(w) < 0]
+        extra += [_norm_int_row([-x for x in w], REL_LE, 0) for w in binding]
+        extra += [_norm_int_row(on_cols(row), REL_EQ, 0) for row in frame.aff]
+        if escape is not None:
+            extra.append(_norm_int_row([-x for x in on_cols(escape)], REL_LT, 0))
+    except _Infeasible:
+        return False
+    return _feasible_int(k, rows + [row for row in extra if row is not None]) is not None
 
 
 def hull_leaves_affine_span(frame: SimplexFrame, q_verts: Hull, span_points: Hull) -> bool:
@@ -570,25 +613,21 @@ def hull_leaves_affine_span(frame: SimplexFrame, q_verts: Hull, span_points: Hul
         raise ValueError("span_points must be vertices of the frame's simplex")
     if any(len(q) != len(frame.verts[0]) for q in q_verts):
         raise ValueError("q_verts must lie in the frame's space")
-    q_cols = [_homogeneous(q) for q in q_verts]
-    kq = len(q_cols)
-
-    def on_q(row: Sequence[int]) -> list[int]:
-        return [sum(map(mul, row, col)) for col in q_cols]
-
     outside = [row for row, v in zip(frame.bary, frame.verts) if v not in span_points]
     escape = [sum(column) for column in zip(*outside)]  # none outside: the row is 0 < 0
-    rows: list[_IntRow] = [(tuple(-int(i == j) for i in range(kq)), REL_LE, 0) for j in range(kq)]
-    try:
-        extra = [_norm_int_row([1] * kq, REL_EQ, 1)]
-        # a bary row that reads no vertex of Q as negative is implied by μ ≥ 0
-        binding = [w for w in map(on_q, frame.bary) if min(w) < 0]
-        extra += [_norm_int_row([-x for x in w], REL_LE, 0) for w in binding]
-        extra += [_norm_int_row(on_q(row), REL_EQ, 0) for row in frame.aff]
-        extra.append(_norm_int_row([-x for x in on_q(escape)], REL_LT, 0))
-    except _Infeasible:
-        return False
-    return _feasible_int(kq, rows + [row for row in extra if row is not None]) is not None
+    return _frame_probe(frame, [homogeneous_column(q) for q in q_verts], REL_LE, escape)
+
+
+def relint_meets_simplex(frame: SimplexFrame, cols: Sequence[tuple[int, ...]]) -> bool:
+    """Whether the relative interior of conv(S) meets conv(P), P the frame's simplex.
+
+    S is given by its points' homogeneous columns (`homogeneous_column`),
+    which the caller builds once per point set. One strict probe over S's
+    weights λ: λ > 0, Σλ = 1, bary·Ŝλ ≥ 0 and aff·Ŝλ = 0. It decides whether
+    `relint_preimage_witness(X, S, P)` is not None, in P's frame and without
+    the witness.
+    """
+    return _frame_probe(frame, cols, REL_LT)
 
 
 def segment_hits_hull(start: Vector, end: Vector, verts: Hull) -> bool:

@@ -116,7 +116,12 @@ def instance_digest(doc: dict) -> str:
 
 
 def load_document(path: str | Path) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:  # missing, unreadable, or a directory
+        raise ParseError(f"{path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode the text: {exc.reason}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

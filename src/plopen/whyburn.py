@@ -1,12 +1,30 @@
 """Certification of boundary-homeomorphism implies global-homeomorphism.
 
 For a piecewise-affine map on a complex whose support is a combinatorial
-closed ball, the certifier checks, in order: (1) no interior point maps onto
-the boundary image, (2) the boundary restriction is injective, (3) the map is
+closed ball, the certifier checks: (1) no interior point maps onto the
+boundary image, (2) the boundary restriction is injective, (3) the map is
 open (coherent orientation), (4) exact global injectivity pairwise over all
-cells, (5) the degree at an interior value is plus or minus one. Stage 4 is
-the conclusion of the boundary-to-global statement checked exactly rather
-than trusted, so every certified instance doubles as a test of it.
+cells, (5) the degree at an interior value is plus or minus one. A map is
+rejected at the earliest failing stage, and certified when all five hold.
+
+Stages 1-3 run in that order. Stage 5 then runs before stage 4, because once
+stages 1-3 hold, the degree is ±1 exactly when stage 4 holds:
+- f(int B) is connected and, by stage 1, misses f(∂B), so the degree is
+  constant on f(int B);
+- every piece has the same determinant sign (stage 3), so at a regular value
+  |degree| counts preimages;
+- if f(x) = f(y) for interior x ≠ y, openness maps disjoint neighbourhoods of
+  x and y onto open sets whose intersection holds regular values with at
+  least two preimages, so |degree| ≥ 2; a pair of equal images with a point
+  on the boundary breaks stage 1 or 2;
+- conversely, if f is injective, the value used (the image of a cell's
+  barycenter) has one nonsingular preimage, so the degree is ±1.
+So a degree of ±1 certifies without the O(cells²) stage-4 sweep. The sweep
+runs only when the degree is not ±1, or when `degree` raises, and then the
+verdict follows the stage order: stage 4 if the sweep finds a pair, else
+stage 5 (or the same exception). Every premise of the argument is a stage
+already checked exactly; the tests still run the stage-4 sweep on every
+certified instance of the acceptance corpus.
 
 Stage 1 implements the witnessed inclusion: no interior face's relative
 interior may meet any boundary-face image. The reverse inclusion (the image
@@ -121,21 +139,35 @@ def boundary_preimage_ok(inst: BallMapInstance) -> tuple[bool, Optional[tuple]]:
 
     A failure returns an exact interior witness point whose image lies in the
     boundary image. Relative interiors of interior faces partition the open
-    support, so the sweep is exhaustive.
+    support, so the sweep is exhaustive. Each pair is decided by one probe in
+    the boundary-face image's frame (vertex form when that image is
+    degenerate); only the first pair that hits rebuilds its witness point.
     """
     f = inst.map
     targets = []
     for face in inst.boundary:
         hull = f.image_of_face(face)
-        targets.append((face, hull, feasible.bounding_box(hull)))
+        try:
+            frame = feasible.simplex_frame(hull)
+        except ValueError:
+            frame = None  # a degenerate image is decided in vertex form
+        targets.append((hull, frame, feasible.bounding_box(hull)))
     for ids in f.domain.interior_faces():
-        source_pts = f.domain.face_points(ids)
         source_imgs = f.image_of_face(ids)
         source_box = feasible.bounding_box(source_imgs)
-        for _, hull, box in targets:
+        columns = None
+        for hull, frame, box in targets:
             if not feasible.boxes_overlap(source_box, box):
                 continue
-            witness = feasible.relint_preimage_witness(source_pts, source_imgs, hull)
+            if frame is not None:
+                if columns is None:
+                    columns = [feasible.homogeneous_column(y) for y in source_imgs]
+                if not feasible.relint_meets_simplex(frame, columns):
+                    continue
+            # the first hit rebuilds its witness in vertex form
+            witness = feasible.relint_preimage_witness(
+                f.domain.face_points(ids), source_imgs, hull
+            )
             if witness is not None:
                 return False, witness
     return True, None
@@ -206,7 +238,10 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
 
 
 def certify_ball_map(inst: BallMapInstance) -> Union[Certified, Rejected]:
-    """Run the five-stage pipeline; reject at the earliest failing stage."""
+    """Run the five-stage pipeline; reject at the earliest failing stage.
+
+    Stage 4 runs only when the stage-5 degree is not ±1 (module docstring).
+    """
     f = inst.map
 
     ok, witness = boundary_preimage_ok(inst)
@@ -225,17 +260,24 @@ def certify_ball_map(inst: BallMapInstance) -> Union[Certified, Rejected]:
             (profile.num_pos, profile.num_neg, profile.num_zero),
         )
 
-    collision = _global_collision(f)
-    if collision is not None:
-        return Rejected(4, "global injectivity failure between cell images", collision)
-
+    # Given stages 1-3, stage 5 passes exactly when stage 4 does (module
+    # docstring), so the O(cells²) sweep runs only when the degree is not ±1.
     center = f.domain.barycenter(f.domain.cells[0].vertex_ids)
     value = f.pieces[0].apply(center)
-    certificate = degree(f, value)
-    if certificate.degree not in (1, -1):
-        return Rejected(
-            5,
-            f"interior degree is {certificate.degree}, expected plus or minus 1",
-            certificate,
-        )
+    try:
+        certificate = degree(f, value)
+    except (ValueError, RuntimeError):  # the bases of the degree module's errors
+        certificate = None
+    if certificate is None or certificate.degree not in (1, -1):
+        collision = _global_collision(f)
+        if collision is not None:
+            return Rejected(4, "global injectivity failure between cell images", collision)
+        if certificate is None:
+            certificate = degree(f, value)  # raises the same error again, after stage 4
+        if certificate.degree not in (1, -1):
+            return Rejected(
+                5,
+                f"interior degree is {certificate.degree}, expected plus or minus 1",
+                certificate,
+            )
     return Certified(degree=certificate.degree, certificate=certificate)

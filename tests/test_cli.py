@@ -320,6 +320,70 @@ class TestDegreeCommands:
         assert [p["signs"] for p in report["points"]] == [[-1], [1]]
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["validate"],
+            ["bogus"],
+            ["whyburn", "FILE", "--bogus"],
+            ["whyburn", "FILE", "extra"],
+            ["degree", "FILE"],
+            ["homotopy", "FILE", "FILE"],
+            ["gen", "--kind", "identity"],
+            ["check-open", "FILE", "--seed"],
+        ],
+    )
+    def test_usage_error_exit_3(self, capsys, instance_path, argv):
+        path = instance_path("identity", 1, "id")
+        code = main([path if a == "FILE" else a for a in argv])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 3 and report["exit_status"] == 3
+        assert report["error"].startswith("usage: plopen")
+        assert captured.err.startswith("usage: plopen")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["whyburn", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: plopen")
+
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("command", ["validate", "whyburn", "check-open"])
+    def test_missing_file_exit_3(self, capsys, tmp_path, command):
+        code, report = run_cli(capsys, command, str(tmp_path / "absent.json"))
+        assert code == 3 and report["exit_status"] == 3 and "absent.json" in report["error"]
+
+    def test_undecodable_file_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00{")
+        code, report = run_cli(capsys, "validate", str(path))
+        assert code == 3 and report["exit_status"] == 3 and "decode" in report["error"]
+
+    def test_directory_for_a_file_exit_3(self, capsys, instance_path, tmp_path):
+        instance_path("identity", 1, "id")
+        code, report = run_cli(capsys, "validate", str(tmp_path))
+        assert code == 3 and report["exit_status"] == 3
+        code, report = run_cli(capsys, "check-open", str(tmp_path / "id.json"), "--all")
+        assert code == 3 and report["exit_status"] == 3
+
+    def test_batch_reports_a_directory_among_its_files(self, capsys, instance_path, tmp_path):
+        instance_path("identity", 1, "id")
+        (tmp_path / "sub.json").mkdir()
+        code, report = run_cli(capsys, "check-open", str(tmp_path), "--all")
+        assert code == 3 and report["results"]["id.json"]["coherently_oriented"]
+        assert report["results"]["sub.json"]["exit_status"] == 3
+
+    def test_unwritable_gen_out_exit_3(self, capsys, tmp_path):
+        out = str(tmp_path / "absent" / "x.json")
+        code, report = run_cli(capsys, "gen", "--kind", "identity", "--dim", "1", "--out", out)
+        assert code == 3 and report["exit_status"] == 3 and "--out" in report["error"]
+
+
 class TestOtherCommands:
     def test_graph_fold(self, capsys, instance_path):
         code, report = run_cli(capsys, "graph", instance_path("fold1d", 1, "fold"))
@@ -507,7 +571,10 @@ SEED_VALUES = st.sampled_from(["0", "7", "-3", "+2", " 5", "x", "1.5", "", "1e2"
 
 @st.composite
 def invocations(draw):
-    """An argv with the placeholders FILE and DIR; values are passed as --flag=value."""
+    """An argv with the placeholders FILE and DIR; values are passed as --flag=value.
+
+    Some have one argument dropped, or an unknown flag or argument added.
+    """
     command = draw(
         st.sampled_from(
             ["validate", "check-open", "oracle-open", "degree", "fibers", "branch-set", "graph", "whyburn"]
@@ -523,6 +590,13 @@ def invocations(draw):
             argv.append(f"--seed={draw(SEED_VALUES)}")
     if command in ("degree", "fibers"):
         argv.append(f"--at={draw(POINT_VALUES)}")
+    edit = draw(st.sampled_from(["none", "drop", "unknown flag", "extra argument"]))
+    if edit == "drop":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    elif edit == "unknown flag":
+        argv.append("--bogus")
+    elif edit == "extra argument":
+        argv.append("extra")
     return argv
 
 

@@ -12,6 +12,7 @@ from plopen.feasible import (
     bounding_box,
     boxes_overlap,
     constrained_hull_dim,
+    homogeneous_column,
     hull_contains,
     hull_dim,
     hull_leaves_affine_span,
@@ -19,6 +20,7 @@ from plopen.feasible import (
     intersection_dim,
     lp_feasible,
     relative_interiors_intersect,
+    relint_meets_simplex,
     relint_preimage_witness,
     segment_avoids_sets,
     segment_hits_hull,
@@ -325,6 +327,40 @@ class TestRelintPreimage:
     def test_only_endpoint_maps_there(self):
         witness = relint_preimage_witness([pt(0), pt(1)], [pt(0), pt(2)], [pt(2)])
         assert witness is None
+
+
+class TestRelintMeetsSimplex:
+    """The frame probe of whyburn stage 1 against the vertex-form witness."""
+
+    def test_segment_images(self):
+        frame = simplex_frame([pt(1)])
+        assert relint_meets_simplex(frame, [homogeneous_column(pt(0)), homogeneous_column(pt(2))])
+        assert not relint_meets_simplex(
+            frame, [homogeneous_column(pt(0)), homogeneous_column(pt(1))]
+        )
+        assert not relint_meets_simplex(frame, [])
+
+    @given(st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_relint_preimage_witness(self, data):
+        n = data.draw(st.integers(1, 3))
+        coord = st.fractions(-2, 2, max_denominator=3)
+        point = st.tuples(*[coord] * n)
+        target = data.draw(st.lists(point, min_size=n, max_size=n, unique=True))
+        assume(hull_dim(target) == n - 1)
+        # source images of a face of dimension 0..n, affinely dependent or
+        # not, often sharing vertices with the target or lying on its hull
+        weights = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+        on_target = weights.map(
+            lambda w: tuple(sum(x * v[c] for x, v in zip(w, target)) / sum(w) for c in range(n))
+        )
+        size = data.draw(st.integers(1, n + 1))
+        source = data.draw(
+            st.lists(point | st.sampled_from(target) | on_target, min_size=size, max_size=size)
+        )
+        columns = [homogeneous_column(y) for y in source]
+        expected = relint_preimage_witness(source, source, target) is not None
+        assert relint_meets_simplex(simplex_frame(target), columns) == expected
 
 
 class TestBoxes:

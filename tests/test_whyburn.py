@@ -1,9 +1,18 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from plopen import whyburn
 from plopen.complexes import validate_complex
-from plopen.feasible import hull_contains, hull_leaves_affine_span, hulls_intersect, simplex_frame
+from plopen.degree import PerturbationExhausted
+from plopen.feasible import (
+    hull_contains,
+    hull_leaves_affine_span,
+    hulls_intersect,
+    relint_preimage_witness,
+    simplex_frame,
+)
 from plopen.generators import GenSpec, generate
 from plopen.plmap import build_plmap
 from plopen.whyburn import (
@@ -95,6 +104,39 @@ class TestBoundaryPreimage:
         assert any(
             hull_contains(f.image_of_face(face), value) for face in inst.boundary
         )
+
+    def test_degenerate_boundary_image_decided_in_vertex_form(self):
+        # boundary edge (0, 1) collapses to the point (0, 0), which has no
+        # frame; the centre maps there, and the witness is the vertex form's
+        vertices = [[0, 0], [1, 0], [1, 1], [0, 1], [F(1, 2), F(1, 2)]]
+        cells = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+        images = [[0, 0], [0, 0], [1, 1], [0, 1], [0, 0]]
+        inst = make_ball_instance(build_plmap(validate_complex(vertices, cells), images))
+        assert inst.boundary[0] == (0, 1)
+        with pytest.raises(ValueError):
+            simplex_frame(inst.map.image_of_face((0, 1)))
+        assert boundary_preimage_ok(inst) == (False, (F(1, 2), F(1, 2)))
+        assert boundary_preimage_ok(inst) == _boundary_preimage_by_vertex_form(inst)
+
+    @pytest.mark.parametrize("kind", ["random_mixed_signs", "singular_cell"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_frame_probe_matches_vertex_form(self, kind, dim):
+        for seed in range(3):
+            inst = generate(GenSpec(kind, dim, seed=seed)).ball
+            assert boundary_preimage_ok(inst) == _boundary_preimage_by_vertex_form(inst)
+
+
+def _boundary_preimage_by_vertex_form(inst):
+    """Reference: every (interior face, boundary face) pair in vertex form."""
+    f = inst.map
+    for ids in f.domain.interior_faces():
+        for face in inst.boundary:
+            witness = relint_preimage_witness(
+                f.domain.face_points(ids), f.image_of_face(ids), f.image_of_face(face)
+            )
+            if witness is not None:
+                return False, witness
+    return True, None
 
 
 class TestBoundaryInjectivity:
@@ -199,3 +241,50 @@ class TestCertify:
         )
         outcome = certify_ball_map(make_ball_instance(mirrored))
         assert isinstance(outcome, Certified) and outcome.degree == -1
+
+
+class TestDegreeBeforeSweep:
+    """Stage 5 runs first; the stage-4 sweep runs only when it is not ±1."""
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = whyburn._global_collision
+
+        def counted(f):
+            calls.append(f)
+            return sweep(f)
+
+        monkeypatch.setattr(whyburn, "_global_collision", counted)
+        return calls
+
+    def test_degree_one_skips_the_sweep(self, sweeps):
+        outcome = certify_ball_map(generate(GenSpec("identity", 2)).ball)
+        assert isinstance(outcome, Certified) and outcome.degree == 1
+        assert sweeps == []
+
+    def test_degree_two_sweeps_then_rejects_at_stage_5(self, sweeps, monkeypatch):
+        inst = generate(GenSpec("identity", 2)).ball
+        real = whyburn.degree
+        seen = []
+
+        def doubled(f, value):
+            seen.append(dataclasses.replace(real(f, value), degree=2))
+            return seen[-1]
+
+        monkeypatch.setattr(whyburn, "degree", doubled)
+        outcome = certify_ball_map(inst)
+        assert sweeps == [inst.map]
+        assert isinstance(outcome, Rejected) and outcome.stage == 5
+        assert outcome.witness is seen[0] and len(seen) == 1
+
+    def test_degree_error_surfaces_after_the_sweep(self, sweeps, monkeypatch):
+        inst = generate(GenSpec("identity", 2)).ball
+
+        def exhausted(f, value):
+            raise PerturbationExhausted(tuple(value), [])
+
+        monkeypatch.setattr(whyburn, "degree", exhausted)
+        with pytest.raises(PerturbationExhausted):
+            certify_ball_map(inst)
+        assert sweeps == [inst.map]
