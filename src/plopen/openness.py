@@ -11,9 +11,11 @@ the branch set iff its two incident determinant signs differ or one vanishes
 (equal nonzero signs give local injectivity across the face by invariance of
 domain). A face of dimension <= n-2 lies in it iff an incident cell is
 singular or two star cells, shrunk toward the face, have images overlapping
-in full dimension; affine pieces make the overlap scale-free, so testing one
-shrink factor decides every scale. Singular cells additionally contribute
-their own interiors.
+in full dimension. Every star piece sends the face barycenter c to the same
+point f(c), so all star images shrink by one homothety about f(c) and the
+shrink cancels: each pair is one strict probe on the unshrunk images, in the
+integer frame of one of them (`feasible.relint_meets_simplex`). Singular
+cells additionally contribute their own interiors.
 
 The openness oracle is an independent probabilistic check of openness itself:
 at face barycenters and seeded random interior points, it tests whether the
@@ -22,11 +24,15 @@ a certified witness of non-openness (one-sided: failures are proofs, passes
 are evidence). The star images are shrunk by 1/2 about the sample's image;
 that leaves the sample's barycentric coordinates in each image simplex
 unchanged and doubles every slope along a ray, so the oracle works on the
-unshrunk images. Per cell and per call it builds the inverse of the
-homogeneous image-simplex matrix, that inverse's rows scaled to integers,
-and per row the bit mask of base directions of nonnegative slope; a sample
-then costs bitwise ANDs and ORs, and exact rationals only where a direction
-fails.
+unshrunk images. Per cell and per call it builds the image simplex's integer
+frame (`feasible.simplex_frame`, one fraction-free adjugate) and per frame
+row the bit mask of base directions of nonnegative slope; a sample then
+costs bitwise ANDs and ORs. Only a failing sample reads f(x) as an integer
+homogeneous column, compares its boundary crossings as integer pairs, and
+builds one rational epsilon per failure.
+
+Both the branch set and the oracle build their frames lazily inside each
+call and keep none of them afterwards.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Optional
 
 from . import feasible
 from .complexes import Face
-from .linalg import Matrix, Vector, inverse, null_space, vec_sub
+from .linalg import Matrix, Vector, null_space, vec_sub
 from .plmap import MIXED, PLMap, SignProfile, finite_fibers, sign_profile
 
 REASON_SIGN_MISMATCH = "SignMismatchAcrossFace"
@@ -75,19 +81,24 @@ def _adjacent_across_facet(f: PLMap, a: int, b: int) -> bool:
     return len(shared) == f.ambient_dim
 
 
-def _shrunk_image(f: PLMap, cell_index: int, center: Vector) -> tuple[Vector, ...]:
-    piece = f.pieces[cell_index]
-    half = Fraction(1, 2)
-    return tuple(
-        piece.apply(tuple(c + half * (v - c) for v, c in zip(p, center)))
-        for p in f.domain.cell_points(cell_index)
-    )
-
-
 def branch_set(f: PLMap) -> BranchReport:
-    """Faces whose relative interiors fail local homeomorphism, with reasons."""
+    """Faces whose relative interiors fail local homeomorphism, with reasons.
+
+    A face F of dimension <= n-2 with nonsingular star is decided pair by
+    pair on the star's unshrunk cell images. Every star piece sends F's
+    barycenter c to f(c), so shrinking each star cell toward c shrinks its
+    image by one homothety h about f(c), and relint(h f(a)) meets
+    relint(h f(b)) iff relint f(a) meets relint f(b). As f(a) is a full
+    n-simplex, that holds iff int f(b) meets f(a): one strict probe in the
+    integer frame of f(a) over the weights of f(b)'s vertices
+    (`feasible.relint_meets_simplex`). h maps boxes to boxes, so the image
+    boxes prune the same pairs as the shrunk ones. Frames and homogeneous
+    columns are built at first use and dropped when the call returns.
+    """
     n = f.ambient_dim
     out: list[BranchFace] = []
+    frames: dict[int, feasible.SimplexFrame] = {}
+    columns: dict[int, list[tuple[int, ...]]] = {}
 
     for ids in f.domain.interior_faces():
         info = f.domain.faces[ids]
@@ -107,9 +118,6 @@ def branch_set(f: PLMap) -> BranchReport:
         if singular:
             out.append(BranchFace(ids, info.dim, REASON_SINGULAR, singular))
             continue
-        center = f.domain.barycenter(ids)
-        shrunk: dict[int, tuple[Vector, ...]] = {}
-        boxes: dict[int, tuple[Vector, Vector]] = {}
         witness: Optional[tuple[int, int]] = None
         for i, a in enumerate(star):
             if witness:
@@ -125,13 +133,13 @@ def branch_set(f: PLMap) -> BranchReport:
                     # shrunk images overlap in full dimension.
                     witness = (a, b)
                     break
-                for c in (a, b):
-                    if c not in shrunk:
-                        shrunk[c] = _shrunk_image(f, c, center)
-                        boxes[c] = feasible.bounding_box(shrunk[c])
-                if not feasible.boxes_overlap(boxes[a], boxes[b]):
+                if not feasible.boxes_overlap(f.image_box(a), f.image_box(b)):
                     continue
-                if feasible.relative_interiors_intersect(shrunk[a], shrunk[b]):
+                if a not in frames:
+                    frames[a] = feasible.simplex_frame(f.cell_image_points(a))
+                if b not in columns:
+                    columns[b] = [feasible.homogeneous_column(q) for q in f.cell_image_points(b)]
+                if feasible.relint_meets_simplex(frames[a], columns[b]):
                     witness = (a, b)
                     break
         if witness:
@@ -231,42 +239,32 @@ def _face_normal_directions(f: PLMap, face: Face) -> list[tuple[int, ...]]:
 class _ImageTable:
     """A star cell's covering tables, built once per oracle call.
 
-    `inv` inverts the homogeneous matrix [1 ... 1; f(v_0) ... f(v_n)] of the
-    cell's image simplex, so `inv` applied to (1, y) gives y's barycentric
-    coordinates, one per cell vertex in `vertex_ids` order. `rows[k]` is row
-    k of `inv` without its first column, times the positive integer
-    `scales[k]`: the slope of coordinate k along a direction d is
-    rows[k] . d / scales[k]. Bit j of `masks[k]` is set iff that slope is
-    >= 0 for the j-th base direction.
+    `rows` are the barycentric rows of the cell's image-simplex frame
+    (`feasible.simplex_frame`, one integer adjugate), one per cell vertex in
+    `vertex_ids` order. For the integer homogeneous column ŷ = (m·y, m) of a
+    point y, rows[k]·ŷ is m·c_k times y's barycentric coordinate k, with
+    c_k > 0 fixed per row. A row's first n entries are its integer slope row
+    and its last entry is the constant term, so the slope of coordinate k
+    along a direction d is c_k⁻¹ times the dot product of d with the slope
+    row. Bit j of `masks[k]` is set iff that slope is >= 0 for the j-th base
+    direction.
     """
 
     vertex_ids: Face
-    inv: Matrix
     rows: tuple[tuple[int, ...], ...]
-    scales: tuple[int, ...]
     masks: tuple[int, ...]
 
 
-def _dot(row: tuple[int, ...], direction: tuple[int, ...]) -> int:
-    return sum(map(mul, row, direction))
+def _dot(row: tuple[int, ...], vector: tuple[int, ...]) -> int:
+    # A frame row dotted with a direction stops at the direction's n entries,
+    # so it reads the slope row; with a homogeneous column it reads the whole row.
+    return sum(map(mul, row, vector))
 
 
 def _image_table(f: PLMap, cell_index: int, directions: list[tuple[int, ...]]) -> _ImageTable:
-    images = f.cell_image_points(cell_index)
-    homogeneous = [tuple(Fraction(1) for _ in images)]
-    homogeneous += [tuple(q[c] for q in images) for c in range(f.ambient_dim)]
-    inv = inverse(Matrix(tuple(homogeneous)))
-    assert inv is not None  # nonsingular pieces keep image simplices nondegenerate
-    rows, scales, masks = [], [], []
-    for entries in inv.entries:
-        scale = lcm(*(c.denominator for c in entries[1:]))
-        row = tuple(int(c * scale) for c in entries[1:])
-        rows.append(row)
-        scales.append(scale)
-        masks.append(sum(1 << j for j, d in enumerate(directions) if _dot(row, d) >= 0))
-    return _ImageTable(
-        f.domain.cells[cell_index].vertex_ids, inv, tuple(rows), tuple(scales), tuple(masks)
-    )
+    rows = feasible.simplex_frame(f.cell_image_points(cell_index)).bary
+    masks = tuple(sum(1 << j for j, d in enumerate(directions) if _dot(row, d) >= 0) for row in rows)
+    return _ImageTable(f.domain.cells[cell_index].vertex_ids, rows, masks)
 
 
 def openness_oracle(
@@ -284,15 +282,15 @@ def openness_oracle(
     Shrinking an image simplex by 1/2 about f(x) leaves the barycentric
     coordinates of f(x) unchanged and doubles every slope along a ray, so
     each star cell is tested against its unshrunk image through an
-    `_ImageTable` built once per call: the inverse of its homogeneous image
-    matrix, the inverse's rows scaled to integers, and per row the mask of
-    base directions of nonnegative slope. A direction is covered by a cell
-    iff no row with a zero coordinate of f(x) has negative slope; those rows
-    are the cell's vertices off the carrier, because x lies in the relative
-    interior of the carrier and the piece is an affine bijection. The first
-    crossing of a ray in a shrunk image is then -b / (2 s) for each unshrunk
-    coordinate b and slope s, and only samples with an uncovered direction
-    evaluate f(x) and these crossings.
+    `_ImageTable` built once per call: the barycentric rows of its image
+    simplex's integer frame, and per row the mask of base directions of
+    nonnegative slope. A direction is covered by a cell iff no row with a
+    zero coordinate of f(x) has negative slope; those rows are the cell's
+    vertices off the carrier, because x lies in the relative interior of the
+    carrier and the piece is an affine bijection. The first crossing of a ray
+    in a shrunk image is then -b / (2 s) for each unshrunk coordinate b and
+    slope s, and only samples with an uncovered direction evaluate f(x) and
+    these crossings, in integers until the least one is found.
     """
     singular = [ci for ci, p in enumerate(f.pieces) if p.det_sign == 0]
     if singular:
@@ -360,19 +358,25 @@ def openness_oracle(
             for c in range(n)
         )
         y0 = f.pieces[f.domain.faces[carrier].cells[0]].apply(x)
-        bases = [table.inv.mul_vec((Fraction(1), *y0)) for table, _ in star]
+        y0_column = feasible.homogeneous_column(y0)
+        m = y0_column[-1]
+        bases = [[_dot(row, y0_column) for row in table.rows] for table, _ in star]
         for direction in uncovered:
             # Exact epsilon: half the first positive facet crossing of the ray
-            # among all shrunk star image simplices.
-            crossings: list[Fraction] = []
+            # among all shrunk star image simplices. Coordinate k of f(x) is
+            # b / (m c_k) and its slope in the shrunk image is 2 s / c_k, so the
+            # crossing is -b / (2 m s): the least positive ratio -b / s, kept
+            # as an integer pair (num, den > 0) and compared by cross-products.
+            least: Optional[tuple[int, int]] = None
             for (table, _), base in zip(star, bases):
-                for b, row, scale in zip(base, table.rows, table.scales):
+                for b, row in zip(base, table.rows):
                     slope = _dot(row, direction)
-                    if slope != 0:
-                        crossing = -b * scale / (2 * slope)
-                        if crossing > 0:
-                            crossings.append(crossing)
-            epsilon = min(crossings) / 2 if crossings else Fraction(1)
+                    if slope == 0:
+                        continue
+                    num, den = (-b, slope) if slope > 0 else (b, -slope)
+                    if num > 0 and (least is None or num * least[1] < least[0] * den):
+                        least = (num, den)
+            epsilon = Fraction(least[0], 4 * m * least[1]) if least else Fraction(1)
             target = tuple(a + epsilon * d for a, d in zip(y0, direction))
             failures.append(
                 OracleFailure(x, carrier, tuple(Fraction(d) for d in direction), epsilon, target)
@@ -443,15 +447,18 @@ def check_conditions(f: PLMap, oracle_config: Optional[OracleConfig] = None) -> 
     nonsingular locus coincide for piecewise-affine maps: the only extra
     differentiability points are faces whose incident pieces agree, and those
     carry an incident cell's determinant. Zeros occur exactly on singular
-    cells, which fiber finiteness already excludes.
+    cells, which fiber finiteness already excludes. So conditions (ii) and
+    (iii) are one predicate, computed once and reported under both keys.
+    The checks computed independently of it are condition (iv) through the
+    branch set, coherent orientation, and the oracle.
     """
     profile = sign_profile(f)
     finite = finite_fibers(f)
     branch = branch_set(f)
-    not_mixed = profile.classification != MIXED
-    verdict = OpennessVerdict(
-        cond_ii=ConditionPair(finite, not_mixed),
-        cond_iii=ConditionPair(finite, not_mixed),
+    sign_pair = ConditionPair(finite, profile.classification != MIXED)
+    return OpennessVerdict(
+        cond_ii=sign_pair,
+        cond_iii=sign_pair,
         cond_iv=ConditionBranch(finite, branch.dim_at_most(f.ambient_dim - 2)),
         coherent=coherently_oriented(f),
         oracle=openness_oracle(
@@ -465,4 +472,3 @@ def check_conditions(f: PLMap, oracle_config: Optional[OracleConfig] = None) -> 
         profile=profile,
         branch=branch,
     )
-    return verdict

@@ -1,7 +1,9 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
+from plopen import feasible
 from plopen.complexes import validate_complex
 from plopen.degree import local_degree
 from plopen.feasible import relative_interiors_intersect
@@ -11,6 +13,8 @@ from plopen.openness import (
     REASON_INJECTIVITY,
     REASON_SIGN_MISMATCH,
     REASON_SINGULAR,
+    BranchFace,
+    BranchReport,
     OracleConfig,
     OracleFailure,
     OracleResult,
@@ -30,6 +34,15 @@ from oracles import point_in_simplex
 
 def F(*args):
     return Fraction(*args)
+
+
+def shrunk_image(f, ci, center):
+    """The image of cell ci shrunk by 1/2 toward center, in vertex form."""
+    half = Fraction(1, 2)
+    return tuple(
+        f.pieces[ci].apply(tuple(c + half * (v - c) for v, c in zip(p, center)))
+        for p in f.domain.cell_points(ci)
+    )
 
 
 class TestCoherentlyOriented:
@@ -74,15 +87,7 @@ class TestBranchSet:
         # re-check the recorded pair with the raw cone probe it came from
         a, b = report.branch_faces[0].cells
         center = f.domain.barycenter((0,))
-        half = Fraction(1, 2)
-
-        def shrunk_image(ci):
-            return tuple(
-                f.pieces[ci].apply(tuple(c + half * (v - c) for v, c in zip(p, center)))
-                for p in f.domain.cell_points(ci)
-            )
-
-        assert relative_interiors_intersect(shrunk_image(a), shrunk_image(b))
+        assert relative_interiors_intersect(shrunk_image(f, a, center), shrunk_image(f, b, center))
 
     def test_singular_cell_reported_full_dimension(self):
         f = generate(GenSpec("singular_cell", 2, seed=1)).plmap
@@ -188,8 +193,6 @@ class TestOpennessOracle:
         # interiors overlap exactly when the determinant signs differ
         from itertools import combinations
 
-        from plopen.openness import _shrunk_image
-
         f = generate(GenSpec("random_mixed_signs", 2, seed=4)).plmap
         n = f.ambient_dim
         checked = 0
@@ -203,7 +206,7 @@ class TestOpennessOracle:
                     continue
                 sa, sb = f.pieces[a].det_sign, f.pieces[b].det_sign
                 probe = relative_interiors_intersect(
-                    _shrunk_image(f, a, center), _shrunk_image(f, b, center)
+                    shrunk_image(f, a, center), shrunk_image(f, b, center)
                 )
                 assert probe == (sa != sb)
                 checked += 1
@@ -314,3 +317,107 @@ class TestOracleMatchesPerSampleReference:
         f = generate(GenSpec("random_mixed_signs", 2, seed=3)).plmap
         result = reference_oracle(f, 7, 19, 5)
         assert result.failures and any(len(fl.carrier) == 2 for fl in result.failures)
+
+
+def reference_branch_set(f):
+    """The branch set from its definition, in vertex form.
+
+    A face of dimension <= n-2 with a nonsingular star is in the branch set
+    iff two star images, shrunk by 1/2 toward the face barycenter, have
+    overlapping relative interiors; every pair is asked in star order with
+    `relative_interiors_intersect`, and the first hit is the witness.
+    """
+    n = f.ambient_dim
+    out = []
+    for ids in f.domain.interior_faces():
+        info = f.domain.faces[ids]
+        if info.dim > n - 1:
+            continue
+        singular = tuple(c for c in info.cells if f.pieces[c].det_sign == 0)
+        if singular:
+            out.append(BranchFace(ids, info.dim, REASON_SINGULAR, singular))
+            continue
+        if info.dim == n - 1:
+            a, b = info.cells
+            if f.pieces[a].det_sign != f.pieces[b].det_sign:
+                out.append(BranchFace(ids, info.dim, REASON_SIGN_MISMATCH, (a, b)))
+            continue
+        center = f.domain.barycenter(ids)
+        images = {ci: image for ci, _, image in shrunk_star_images(f, center, ids)}
+        witness = next(
+            (
+                (a, b)
+                for i, a in enumerate(info.cells)
+                for b in info.cells[i + 1 :]
+                if relative_interiors_intersect(images[a], images[b])
+            ),
+            None,
+        )
+        if witness:
+            out.append(BranchFace(ids, info.dim, REASON_INJECTIVITY, witness))
+    for ci, piece in enumerate(f.pieces):
+        if piece.det_sign == 0:
+            out.append(BranchFace(f.domain.cells[ci].vertex_ids, n, REASON_SINGULAR, (ci,)))
+    out.sort(key=lambda bf: (len(bf.face), bf.face))
+    return BranchReport(tuple(out), max((bf.dim for bf in out), default=None))
+
+
+BRANCH_CASES = [
+    GenSpec(kind, dim, seed=seed)
+    for kind in KINDS
+    for dim in (2, 3)
+    if _FIXED_DIMS.get(kind, dim) == dim
+    for seed in range(4)
+]
+
+
+class TestBranchSetMatchesVertexFormReference:
+    @pytest.mark.parametrize("spec", BRANCH_CASES, ids=str)
+    def test_whole_report_equal(self, spec):
+        f = generate(spec).plmap
+        assert branch_set(f) == reference_branch_set(f)
+
+    @pytest.mark.parametrize(
+        "spec", [GenSpec("doubling2d", 2, seed=0), GenSpec("random_mixed_signs", 3, seed=1)], ids=str
+    )
+    def test_cases_include_pairs_without_a_shared_facet(self, spec):
+        # such a witness comes from the relint probe, not from the sign rule
+        f = generate(spec).plmap
+        cells = f.domain.cells
+        assert any(
+            bf.reason == REASON_INJECTIVITY
+            and len(set(cells[bf.cells[0]].vertex_ids) & set(cells[bf.cells[1]].vertex_ids))
+            < f.ambient_dim
+            for bf in reference_branch_set(f).branch_faces
+        )
+
+
+GUARD_CASES = [
+    GenSpec(kind, dim, seed=seed)
+    for kind in KINDS
+    for dim in (1, 2, 3)
+    if _FIXED_DIMS.get(kind, dim) == dim
+    for seed in (0, 1)
+]
+
+
+def forbid_rational_frames(monkeypatch):
+    """Make `linalg.inverse`, wherever plopen binds it, and `feasible._meet_system` raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rational frame or vertex-form probe on the check path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "plopen" and getattr(module, "inverse", None) is inverse:
+            monkeypatch.setattr(module, "inverse", forbidden)
+    monkeypatch.setattr(feasible, "_meet_system", forbidden)
+
+
+class TestCheckPathStaysInIntegerFrames:
+    @pytest.mark.parametrize("spec", GUARD_CASES, ids=str)
+    def test_same_results_without_rational_frames(self, spec, monkeypatch):
+        f = generate(spec).plmap
+        settings = [(20, 64, 0), (9, 23, 7)]
+        expected = (branch_set(f), [openness_oracle(f, *s) for s in settings])
+        forbid_rational_frames(monkeypatch)
+        assert (branch_set(f), [openness_oracle(f, *s) for s in settings]) == expected
