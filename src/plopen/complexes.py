@@ -7,9 +7,10 @@ cells meet in a common face or not at all, and no (n-1)-face is shared by
 three or more cells. The support's topological boundary is then precisely the
 set of (n-1)-faces incident to a single cell.
 
-Point location is by barycentric coordinates: each query is classified as
-interior to a unique cell, on the relative interior of a unique smallest
-face, or outside the support.
+Point location reads the signs of barycentric weights in each cell's integer
+frame (`cell_frame`, kept for the complex's lifetime and seeded by
+validation): each query is classified as interior to a unique cell, on the
+relative interior of a unique smallest face, or outside the support.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .linalg import (
     Matrix,
     Vector,
     det_sign,
-    inverse,
     vec_sub,
     vector,
 )
@@ -98,7 +98,7 @@ class SimplicialComplex:
     ambient_dim: int
     faces: dict[Face, FaceInfo] = field(repr=False)
     boundary: tuple[Face, ...]  # (n-1)-faces incident to exactly one cell
-    _homogeneous_inverse: dict[int, Matrix] = field(default_factory=dict, repr=False)
+    _cell_frames: dict[int, feasible.SimplexFrame] = field(default_factory=dict, repr=False)
     _cell_boxes: dict[int, tuple[Vector, Vector]] = field(default_factory=dict, repr=False)
 
     # -- basic geometry ----------------------------------------------------
@@ -144,23 +144,12 @@ class SimplicialComplex:
         out.sort()
         return out
 
-    # -- barycentric machinery ----------------------------------------------
-
-    def _cell_inverse(self, cell_index: int) -> Matrix:
-        inv = self._homogeneous_inverse.get(cell_index)
-        if inv is None:
-            pts = self.cell_points(cell_index)
-            rows = [tuple(Fraction(1) for _ in pts)]
-            rows += [tuple(p[c] for p in pts) for c in range(self.ambient_dim)]
-            inv = inverse(Matrix(tuple(rows)))
-            assert inv is not None  # cells are validated nondegenerate
-            self._homogeneous_inverse[cell_index] = inv
-        return inv
-
-    def barycentric(self, cell_index: int, point: Vector) -> Vector:
-        """Barycentric coordinates of a point w.r.t. a cell (may be negative)."""
-        inv = self._cell_inverse(cell_index)
-        return inv.mul_vec((Fraction(1), *point))
+    def cell_frame(self, cell_index: int) -> feasible.SimplexFrame:
+        frame = self._cell_frames.get(cell_index)
+        if frame is None:
+            frame = feasible.simplex_frame(self.cell_points(cell_index))
+            self._cell_frames[cell_index] = frame
+        return frame
 
     def locate(self, point: Vector) -> Located:
         """Exact classification of a point against the support.
@@ -172,14 +161,15 @@ class SimplicialComplex:
             raise DimensionError(
                 f"point has dimension {len(point)}, complex is in R^{self.ambient_dim}"
             )
+        column = feasible.homogeneous_column(point)
         for ci in range(len(self.cells)):
             low, high = self.cell_box(ci)
             if any(p < l or p > h for p, l, h in zip(point, low, high)):
                 continue
-            coords = self.barycentric(ci, point)
-            if all(c >= 0 for c in coords):
+            weights = self.cell_frame(ci).weights(column)
+            if min(weights) >= 0:
                 ids = self.cells[ci].vertex_ids
-                support = tuple(v for v, c in zip(ids, coords) if c > 0)
+                support = tuple(v for v, w in zip(ids, weights) if w > 0)
                 if len(support) == len(ids):
                     return Located("interior", cell=ci)
                 return Located("face", face=support)
@@ -189,12 +179,6 @@ class SimplicialComplex:
 def boundary_faces(complex_: SimplicialComplex) -> tuple[Face, ...]:
     """The (n-1)-faces on the topological boundary of the support."""
     return complex_.boundary
-
-
-def _facets(cell: Simplex) -> Iterable[Face]:
-    ids = cell.vertex_ids
-    for drop in range(len(ids)):
-        yield ids[:drop] + ids[drop + 1 :]
 
 
 def collect_violations(
@@ -264,18 +248,18 @@ def collect_violations(
     # by their shared vertices. For simplices, conv(P) ∩ aff(shared) equals
     # the shared face, so the intersection is proper iff it stays inside that
     # affine hull (iff it is empty when no vertices are shared): one strict
-    # probe per pair.
+    # probe per pair, in cell a's frame, which the complex then keeps.
     boxes = [feasible.bounding_box([verts[i] for i in s.vertex_ids]) for s in simplices]
+    frames: dict[int, feasible.SimplexFrame] = {}
     for a in range(len(simplices)):
-        frame = None  # cell a's frame, built at its first overlapping partner
         for b in range(a + 1, len(simplices)):
             if not feasible.boxes_overlap(boxes[a], boxes[b]):
                 continue
-            if frame is None:
-                frame = feasible.simplex_frame([verts[i] for i in simplices[a].vertex_ids])
+            if a not in frames:
+                frames[a] = feasible.simplex_frame([verts[i] for i in simplices[a].vertex_ids])
             pb = [verts[i] for i in simplices[b].vertex_ids]
             shared = tuple(sorted(set(simplices[a].vertex_ids) & set(simplices[b].vertex_ids)))
-            if feasible.hull_leaves_affine_span(frame, pb, [verts[i] for i in shared]):
+            if feasible.hull_leaves_affine_span(frames[a], pb, [verts[i] for i in shared]):
                 if shared:
                     message = f"cells {a} and {b} overlap beyond their common face {shared}"
                 else:
@@ -318,6 +302,7 @@ def collect_violations(
         ambient_dim=n,
         faces=faces,
         boundary=boundary,
+        _cell_frames=frames,
     )
     return [], complex_
 
@@ -337,26 +322,31 @@ def validate_complex(
     return complex_
 
 
-def cells_connected(complex_: SimplicialComplex) -> bool:
-    """Whether the cells are chained through shared interior (n-1)-faces."""
-    n = complex_.ambient_dim
-    if len(complex_.cells) <= 1:
+def graph_connected(count: int, edges: Iterable[Sequence[int]]) -> bool:
+    """Whether the graph on nodes 0..count-1 with these (a, b) edges is connected."""
+    if count <= 1:
         return True
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(complex_.cells))}
-    for ids, info in complex_.faces.items():
-        if len(ids) == n and len(info.cells) == 2:
-            a, b = info.cells
-            adjacency[a].add(b)
-            adjacency[b].add(a)
+    adjacency: dict[int, set[int]] = {i: set() for i in range(count)}
+    for a, b in edges:
+        adjacency[a].add(b)
+        adjacency[b].add(a)
     seen = {0}
     frontier = [0]
     while frontier:
-        current = frontier.pop()
-        for nxt in adjacency[current]:
+        for nxt in adjacency[frontier.pop()]:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return len(seen) == len(complex_.cells)
+    return len(seen) == count
+
+
+def cells_connected(complex_: SimplicialComplex) -> bool:
+    """Whether the cells are chained through shared interior (n-1)-faces."""
+    n = complex_.ambient_dim
+    edges = [
+        info.cells for ids, info in complex_.faces.items() if len(ids) == n and len(info.cells) == 2
+    ]
+    return graph_connected(len(complex_.cells), edges)
 
 
 def scaled_star(

@@ -24,18 +24,20 @@ Properness of two simplices is one strict probe, asked in P's own frame
 instead of in vertex form. For a face F of a simplex P, conv(P) ∩ aff(F) = F,
 so the intersection with Q leaves aff(F) exactly when some common point puts
 positive total weight on the vertices of P outside F. The frame
-(`simplex_frame`, built once per simplex by the caller) is the integer
-adjugate of P's homogeneous vertex columns, completed by coordinate axes when
-P is not full-dimensional: its rows read a point's barycentric weights on P
-(up to a positive factor each) and whether the point lies in aff(P). So the
-probe's only unknowns are Q's weights: a 3-D pair has 4 unknowns and one
-equality where vertex form has 8 and 5. This needs P affinely independent
-(else `simplex_frame` raises ValueError) and F given by vertices of P.
+(`simplex_frame`, built once per simplex by its owner:
+`SimplicialComplex.cell_frame` for cells, `PLMap.image_frame` for image
+simplices) is the integer adjugate of P's homogeneous vertex columns,
+completed by coordinate axes when P is not full-dimensional: its rows read a
+point's barycentric weights on P (up to a positive factor each) and whether
+the point lies in aff(P). So the probe's only unknowns are Q's weights: a 3-D
+pair has 4 unknowns and one equality where vertex form has 8 and 5. This
+needs P affinely independent (else `simplex_frame` raises ValueError) and F
+given by vertices of P.
 
 The same frame decides whether the relative interior of a point set S meets
 conv(P) (`relint_meets_simplex`): one probe over S's strictly positive
 weights, without the escape row. S enters as integer homogeneous columns
-that the caller builds once per point set. This is the decision of
+(`PLMap.image_columns` for image simplices). This is the decision of
 `relint_preimage_witness`, which stays in vertex form because it returns the
 witness point: a caller decides every pair in the frame and rebuilds the
 witness only for the pair that hits. Both frame probes build their rows in
@@ -523,6 +525,11 @@ class SimplexFrame:
     bary: tuple[tuple[int, ...], ...]
     aff: tuple[tuple[int, ...], ...]
 
+    def weights(self, column: Sequence[int]) -> list[int]:
+        """bary·ŷ for each vertex: the signs of ŷ's barycentric weights, and
+        the weights themselves up to one positive factor per vertex."""
+        return [sum(map(mul, row, column)) for row in self.bary]
+
 
 def homogeneous_column(point: Vector) -> tuple[int, ...]:
     """The integer column (m·point, m) for the least m > 0 that clears denominators."""
@@ -621,9 +628,9 @@ def hull_leaves_affine_span(frame: SimplexFrame, q_verts: Hull, span_points: Hul
 def relint_meets_simplex(frame: SimplexFrame, cols: Sequence[tuple[int, ...]]) -> bool:
     """Whether the relative interior of conv(S) meets conv(P), P the frame's simplex.
 
-    S is given by its points' homogeneous columns (`homogeneous_column`),
-    which the caller builds once per point set. One strict probe over S's
-    weights λ: λ > 0, Σλ = 1, bary·Ŝλ ≥ 0 and aff·Ŝλ = 0. It decides whether
+    S is given by its points' homogeneous columns (`homogeneous_column`;
+    `PLMap.image_columns` keeps them for image simplices). One strict probe
+    over S's weights λ: λ > 0, Σλ = 1, bary·Ŝλ ≥ 0 and aff·Ŝλ = 0. It decides whether
     `relint_preimage_witness(X, S, P)` is not None, in P's frame and without
     the witness.
     """

@@ -76,14 +76,6 @@ def vec_dot(a: Vector, b: Vector) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def vec_zero(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
-def is_zero_vector(a: Vector) -> bool:
-    return all(x == 0 for x in a)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense rational matrix (row-major tuple of row tuples)."""

@@ -24,15 +24,15 @@ a certified witness of non-openness (one-sided: failures are proofs, passes
 are evidence). The star images are shrunk by 1/2 about the sample's image;
 that leaves the sample's barycentric coordinates in each image simplex
 unchanged and doubles every slope along a ray, so the oracle works on the
-unshrunk images. Per cell and per call it builds the image simplex's integer
-frame (`feasible.simplex_frame`, one fraction-free adjugate) and per frame
+unshrunk images. Per cell and per call it reads the image simplex's integer
+frame (`PLMap.image_frame`, one fraction-free adjugate) and builds per frame
 row the bit mask of base directions of nonnegative slope; a sample then
 costs bitwise ANDs and ORs. Only a failing sample reads f(x) as an integer
 homogeneous column, compares its boundary crossings as integer pairs, and
 builds one rational epsilon per failure.
 
-Both the branch set and the oracle build their frames lazily inside each
-call and keep none of them afterwards.
+Both the branch set and the oracle read their frames and columns from the
+map, which builds each at first use and keeps it for the map's lifetime.
 """
 
 from __future__ import annotations
@@ -93,12 +93,10 @@ def branch_set(f: PLMap) -> BranchReport:
     integer frame of f(a) over the weights of f(b)'s vertices
     (`feasible.relint_meets_simplex`). h maps boxes to boxes, so the image
     boxes prune the same pairs as the shrunk ones. Frames and homogeneous
-    columns are built at first use and dropped when the call returns.
+    columns are the map's own (`PLMap.image_frame`, `PLMap.image_columns`).
     """
     n = f.ambient_dim
     out: list[BranchFace] = []
-    frames: dict[int, feasible.SimplexFrame] = {}
-    columns: dict[int, list[tuple[int, ...]]] = {}
 
     for ids in f.domain.interior_faces():
         info = f.domain.faces[ids]
@@ -135,11 +133,9 @@ def branch_set(f: PLMap) -> BranchReport:
                     break
                 if not feasible.boxes_overlap(f.image_box(a), f.image_box(b)):
                     continue
-                if a not in frames:
-                    frames[a] = feasible.simplex_frame(f.cell_image_points(a))
-                if b not in columns:
-                    columns[b] = [feasible.homogeneous_column(q) for q in f.cell_image_points(b)]
-                if feasible.relint_meets_simplex(frames[a], columns[b]):
+                frame = f.image_frame(f.domain.cells[a].vertex_ids)
+                columns = f.image_columns(f.domain.cells[b].vertex_ids)
+                if feasible.relint_meets_simplex(frame, columns):
                     witness = (a, b)
                     break
         if witness:
@@ -240,7 +236,7 @@ class _ImageTable:
     """A star cell's covering tables, built once per oracle call.
 
     `rows` are the barycentric rows of the cell's image-simplex frame
-    (`feasible.simplex_frame`, one integer adjugate), one per cell vertex in
+    (`PLMap.image_frame`, one integer adjugate), one per cell vertex in
     `vertex_ids` order. For the integer homogeneous column ŷ = (m·y, m) of a
     point y, rows[k]·ŷ is m·c_k times y's barycentric coordinate k, with
     c_k > 0 fixed per row. A row's first n entries are its integer slope row
@@ -262,9 +258,10 @@ def _dot(row: tuple[int, ...], vector: tuple[int, ...]) -> int:
 
 
 def _image_table(f: PLMap, cell_index: int, directions: list[tuple[int, ...]]) -> _ImageTable:
-    rows = feasible.simplex_frame(f.cell_image_points(cell_index)).bary
+    ids = f.domain.cells[cell_index].vertex_ids
+    rows = f.image_frame(ids).bary
     masks = tuple(sum(1 << j for j, d in enumerate(directions) if _dot(row, d) >= 0) for row in rows)
-    return _ImageTable(f.domain.cells[cell_index].vertex_ids, rows, masks)
+    return _ImageTable(ids, rows, masks)
 
 
 def openness_oracle(

@@ -4,7 +4,10 @@ A map is a validated simplicial complex plus one image point per vertex; the
 affine piece of each cell is the unique affine map interpolating the images of
 its n+1 vertices, so continuity across shared faces holds by construction.
 The triple form (cell, matrix, offset) is a derived view: `ingest_pieces`
-converts it back to vertex images after checking continuity exactly.
+keeps the given pieces and reads the vertex images off them after checking
+continuity exactly. The map owns the integer frame of each image simplex and
+the vertex images' homogeneous columns, built at first use and kept for its
+lifetime; fibers, the branch set, the oracle and the certifier read them.
 
 The ingredients of every openness verdict live here: determinant-sign
 profiles, fibers (with exact witness segments through collapsed cells), the
@@ -23,9 +26,11 @@ from .complexes import (
     Face,
     SimplicialComplex,
     Violation,
+    graph_connected,
     validate_complex,
 )
 from .linalg import (
+    DimensionError,
     Matrix,
     Vector,
     inverse,
@@ -69,8 +74,9 @@ class PLMap:
     pieces: tuple[AffinePiece, ...]
 
     def __post_init__(self) -> None:
-        self._piece_inverse: dict[int, Optional[Matrix]] = {}
         self._image_boxes: dict[int, tuple[Vector, Vector]] = {}
+        self._image_frames: dict[Face, Optional[feasible.SimplexFrame]] = {}
+        self._columns: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def ambient_dim(self) -> int:
@@ -89,10 +95,20 @@ class PLMap:
             self._image_boxes[cell_index] = box
         return box
 
-    def piece_inverse(self, cell_index: int) -> Optional[Matrix]:
-        if cell_index not in self._piece_inverse:
-            self._piece_inverse[cell_index] = inverse(self.pieces[cell_index].matrix)
-        return self._piece_inverse[cell_index]
+    def image_frame(self, face: Face) -> Optional[feasible.SimplexFrame]:
+        """The integer frame of the face's image simplex; None when it is affinely dependent."""
+        if face not in self._image_frames:
+            try:
+                self._image_frames[face] = feasible.simplex_frame(self.image_of_face(face))
+            except ValueError:
+                self._image_frames[face] = None
+        return self._image_frames[face]
+
+    def image_columns(self, face: Face) -> tuple[tuple[int, ...], ...]:
+        """The integer homogeneous columns of the face's vertex images."""
+        if self._columns is None:
+            self._columns = tuple(feasible.homogeneous_column(q) for q in self.vertex_images)
+        return tuple(self._columns[i] for i in face)
 
     def evaluate(self, x: Vector) -> Vector:
         located = self.domain.locate(x)
@@ -212,10 +228,12 @@ def ingest_pieces(
         cells.append(ids)
     complex_ = validate_complex(vertices, cells)
 
+    pieces: list[AffinePiece] = []
     assigned: dict[int, tuple[Vector, int]] = {}
     violations: list[Violation] = []
     for ci, (points, matrix, offset) in enumerate(triples):
         piece = AffinePiece(matrix, vector(offset), matrix_det_sign(matrix))
+        pieces.append(piece)
         for p in points:
             vid = vertex_index[vector(p)]
             image = piece.apply(vertices[vid])
@@ -240,7 +258,10 @@ def ingest_pieces(
                 assigned[vid] = (image, ci)
     if violations:
         raise DiscontinuityError(violations)
-    return build_plmap(complex_, [assigned[i][0] for i in range(len(vertices))])
+    # On a valid complex each piece is the unique affine map through its
+    # vertices' images, so the given pieces are kept as they are.
+    images = tuple(assigned[i][0] for i in range(len(vertices)))
+    return PLMap(complex_, images, tuple(pieces))
 
 
 def sign_profile(f: PLMap) -> SignProfile:
@@ -269,22 +290,41 @@ def finite_fibers(f: PLMap) -> bool:
 
 
 def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:
-    """Exact preimage of a point, or a witness segment through a collapsed cell."""
+    """Exact preimage of a point, or a witness segment through a collapsed cell.
+
+    In a nonsingular cell's image frame, w_j = (bary_j·ŷ)·m_j (ŷ the query's
+    homogeneous column, m_j the last entry of image column j) is the query's
+    weight on image vertex j times one positive factor per cell: the cell
+    counts iff min w ≥ 0, at the point Σ w_j v_j / Σ w_j.
+    """
+    if len(query) != f.ambient_dim:
+        raise DimensionError(f"query has dimension {len(query)}, map is on R^{f.ambient_dim}")
     found: dict[Vector, tuple[list[int], list[int]]] = {}
+    column = feasible.homogeneous_column(query)
     for ci, piece in enumerate(f.pieces):
-        shifted = vec_sub(query, piece.offset)
         if piece.det_sign != 0:
             low, high = f.image_box(ci)
             if any(q < l or q > h for q, l, h in zip(query, low, high)):
                 continue
-            candidate = f.piece_inverse(ci).mul_vec(shifted)
-            if all(c >= 0 for c in f.domain.barycentric(ci, candidate)):
-                cells, signs = found.setdefault(candidate, ([], []))
-                cells.append(ci)
-                signs.append(piece.det_sign)
+            ids = f.domain.cells[ci].vertex_ids
+            weights = [
+                w * image[-1]
+                for w, image in zip(f.image_frame(ids).weights(column), f.image_columns(ids))
+            ]
+            if min(weights) < 0:
+                continue
+            total = sum(weights)
+            points = f.domain.cell_points(ci)
+            candidate = tuple(
+                sum(w * p[c] for w, p in zip(weights, points) if w) / total
+                for c in range(f.ambient_dim)
+            )
+            cells, signs = found.setdefault(candidate, ([], []))
+            cells.append(ci)
+            signs.append(piece.det_sign)
         else:
             dim, points = feasible.constrained_hull_dim(
-                f.domain.cell_points(ci), piece.matrix, shifted
+                f.domain.cell_points(ci), piece.matrix, vec_sub(query, piece.offset)
             )
             if dim is None:
                 continue
@@ -341,23 +381,7 @@ def component_graph(f: PLMap) -> ComponentGraph:
         if na != nb:
             edges.add((min(na, nb), max(na, nb)))
     edge_tuple = tuple(sorted(edges))
-
-    if len(nodes) <= 1:
-        connected = True
-    else:
-        adjacency: dict[int, set[int]] = {i: set() for i in range(len(nodes))}
-        for a, b in edge_tuple:
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            for nxt in adjacency[frontier.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        connected = len(seen) == len(nodes)
-    return ComponentGraph(nodes, edge_tuple, connected)
+    return ComponentGraph(nodes, edge_tuple, graph_connected(len(nodes), edge_tuple))
 
 
 def image_dimension(f: PLMap, subcomplex_faces: Sequence[Face]) -> int:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import feasible
-from .complexes import Face, cells_connected
+from .complexes import Face, cells_connected, graph_connected
 from .degree import DegreeCertificate, degree
 from .openness import coherently_oriented
 from .plmap import PLMap, sign_profile
@@ -103,21 +103,8 @@ def make_ball_instance(f: PLMap) -> BallMapInstance:
             reasons.append(
                 f"boundary (n-2)-face {sample} bounds {len(bad[sample])} boundary faces, expected 2"
             )
-        else:
-            adjacency: dict[int, set[int]] = {i: set() for i in range(len(boundary))}
-            for inc in ridge_count.values():
-                a, b = inc
-                adjacency[a].add(b)
-                adjacency[b].add(a)
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                for nxt in adjacency[frontier.pop()]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
-            if len(seen) != len(boundary):
-                reasons.append("boundary faces are not a single connected cycle")
+        elif not graph_connected(len(boundary), ridge_count.values()):
+            reasons.append("boundary faces are not a single connected cycle")
         boundary_subfaces = set()
         for face in boundary:
             ids = face
@@ -142,28 +129,24 @@ def boundary_preimage_ok(inst: BallMapInstance) -> tuple[bool, Optional[tuple]]:
     support, so the sweep is exhaustive. Each pair is decided by one probe in
     the boundary-face image's frame (vertex form when that image is
     degenerate); only the first pair that hits rebuilds its witness point.
+    The frames stay with the map, so stage 2 reuses them.
     """
     f = inst.map
     targets = []
     for face in inst.boundary:
         hull = f.image_of_face(face)
-        try:
-            frame = feasible.simplex_frame(hull)
-        except ValueError:
-            frame = None  # a degenerate image is decided in vertex form
-        targets.append((hull, frame, feasible.bounding_box(hull)))
+        targets.append((hull, f.image_frame(face), feasible.bounding_box(hull)))
     for ids in f.domain.interior_faces():
         source_imgs = f.image_of_face(ids)
         source_box = feasible.bounding_box(source_imgs)
-        columns = None
         for hull, frame, box in targets:
             if not feasible.boxes_overlap(source_box, box):
                 continue
-            if frame is not None:
-                if columns is None:
-                    columns = [feasible.homogeneous_column(y) for y in source_imgs]
-                if not feasible.relint_meets_simplex(frame, columns):
-                    continue
+            # a degenerate image (no frame) is decided in vertex form
+            if frame is not None and not feasible.relint_meets_simplex(
+                frame, f.image_columns(ids)
+            ):
+                continue
             # the first hit rebuilds its witness in vertex form
             witness = feasible.relint_preimage_witness(
                 f.domain.face_points(ids), source_imgs, hull
@@ -185,23 +168,19 @@ def boundary_restriction_injective(
     the shared subface's image.
     """
     f = inst.map
-    n = f.ambient_dim
     boundary = inst.boundary
     hulls = {face: f.image_of_face(face) for face in boundary}
     boxes = {face: feasible.bounding_box(hulls[face]) for face in boundary}
     for face in boundary:
-        if feasible.hull_dim(hulls[face]) != n - 1:
+        if f.image_frame(face) is None:
             return False, (face, face)
     for i, face_a in enumerate(boundary):
-        frame = None
         for face_b in boundary[i + 1 :]:
             if not feasible.boxes_overlap(boxes[face_a], boxes[face_b]):
                 continue
-            if frame is None:
-                frame = feasible.simplex_frame(hulls[face_a])
             shared = tuple(sorted(set(face_a) & set(face_b)))
             span = f.image_of_face(shared)
-            if feasible.hull_leaves_affine_span(frame, hulls[face_b], span):
+            if feasible.hull_leaves_affine_span(f.image_frame(face_a), hulls[face_b], span):
                 return False, (face_a, face_b)
     return True, None
 
@@ -220,7 +199,6 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
     n = f.ambient_dim
     count = len(f.domain.cells)
     for a in range(count):
-        frame = None
         box_a = f.image_box(a)
         ids_a = set(f.domain.cells[a].vertex_ids)
         for b in range(a + 1, count):
@@ -229,8 +207,7 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
             shared = tuple(sorted(ids_a & set(f.domain.cells[b].vertex_ids)))
             if len(shared) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
                 continue
-            if frame is None:
-                frame = feasible.simplex_frame(f.cell_image_points(a))
+            frame = f.image_frame(f.domain.cells[a].vertex_ids)
             hull_b = f.cell_image_points(b)
             if feasible.hull_leaves_affine_span(frame, hull_b, f.image_of_face(shared)):
                 return a, b

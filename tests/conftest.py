@@ -9,6 +9,22 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from plopen import validate_complex, build_plmap
 from plopen.generators import GenSpec, generate
+from plopen.linalg import inverse
+
+
+@pytest.fixture
+def forbid_inverse(monkeypatch):
+    """A call that makes `linalg.inverse` raise in every plopen module that binds it."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rational inverse called")
+
+    def install():
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "plopen" and getattr(module, "inverse", None) is inverse:
+                monkeypatch.setattr(module, "inverse", forbidden)
+
+    return install
 
 
 @pytest.fixture(scope="session")

@@ -119,8 +119,9 @@ def affine_piece_of(cell_points, image_points):
 
 
 def brute_force_fiber(f, query):
-    """Per-cell solve with no shortcuts; exact dedup. Nonsingular cells only."""
-    points = set()
+    """Sorted (point, cells) pairs by per-cell solves with no shortcuts; exact
+    dedup. Nonsingular cells only."""
+    cells_at: dict = {}
     for ci in range(len(f.domain.cells)):
         cell_points = f.domain.cell_points(ci)
         images = f.cell_image_points(ci)
@@ -130,8 +131,8 @@ def brute_force_fiber(f, query):
         if candidate is None:
             continue
         if point_in_simplex(candidate, cell_points):
-            points.add(candidate)
-    return sorted(points)
+            cells_at.setdefault(candidate, []).append(ci)
+    return [(point, tuple(cells)) for point, cells in sorted(cells_at.items())]
 
 
 def brute_force_sign_sum(f, query) -> int:

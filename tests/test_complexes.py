@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import lru_cache
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +14,9 @@ from plopen.complexes import (
     scaled_star,
     validate_complex,
 )
+from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
 
-from oracles import point_in_simplex
+from oracles import barycentric_of, point_in_simplex
 
 
 def F(*args):
@@ -21,6 +24,16 @@ def F(*args):
 
 
 TWO_TRIANGLES = ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]])
+
+# TWO_TRIANGLES and the domain of every generator kind in dims 1-3.
+COMPLEXES = [None] + [
+    GenSpec(kind, dim) for kind in KINDS for dim in (1, 2, 3) if _FIXED_DIMS.get(kind, dim) == dim
+]
+
+
+@lru_cache(maxsize=None)
+def sample_complex(spec):
+    return validate_complex(*TWO_TRIANGLES) if spec is None else generate(spec).plmap.domain
 
 
 class TestValidation:
@@ -89,23 +102,47 @@ class TestLocate:
         assert located.kind == "face" and located.face == (0,)
 
     @given(st.data())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_partition_against_membership_oracle(self, data):
-        complex_ = validate_complex(*TWO_TRIANGLES)
-        point = (
-            Fraction(data.draw(st.integers(-4, 8)), 4),
-            Fraction(data.draw(st.integers(-4, 8)), 4),
-        )
+        complex_ = sample_complex(data.draw(st.sampled_from(COMPLEXES)))
+        n = complex_.ambient_dim
+        if data.draw(st.booleans()):
+            # a quarter-grid point of the vertices' box grown by 1/2
+            point = tuple(
+                Fraction(
+                    data.draw(
+                        st.integers(
+                            floor(4 * min(v[c] for v in complex_.vertices)) - 2,
+                            ceil(4 * max(v[c] for v in complex_.vertices)) + 2,
+                        )
+                    ),
+                    4,
+                )
+                for c in range(n)
+            )
+        else:
+            # a cell point with some weights 0, so often on a lower face
+            cell = complex_.cell_points(data.draw(st.integers(0, len(complex_.cells) - 1)))
+            weights = data.draw(
+                st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1).filter(any)
+            )
+            point = tuple(
+                sum(w * p[c] for w, p in zip(weights, cell)) / sum(weights) for c in range(n)
+            )
         located = complex_.locate(point)
         inside_any = any(
             point_in_simplex(point, complex_.cell_points(ci))
             for ci in range(len(complex_.cells))
         )
         assert (located.kind != "outside") == inside_any
-        if located.kind == "face":
-            # the face is the unique carrier: the point is in its hull but in
-            # no proper subface's hull
-            assert point_in_simplex(point, complex_.face_points(located.face))
+        if located.kind != "outside":
+            # the carrier is unique: the point is in the relative interior of
+            # the located face, so in no proper subface's hull
+            if located.kind == "interior":
+                ids = complex_.cells[located.cell].vertex_ids
+            else:
+                ids = located.face
+            assert all(c > 0 for c in barycentric_of(point, complex_.face_points(ids)))
 
 
 class TestBoundary:

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from plopen.complexes import validate_complex
-from plopen.generators import GenSpec, generate
-from plopen.linalg import Matrix
+from plopen.degree import degree
+from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
+from plopen.instancefile import document_to_plmap, plmap_to_document
+from plopen.linalg import Matrix, format_rational
 from plopen.plmap import (
     ALL_POSITIVE,
     MIXED,
@@ -33,6 +36,49 @@ def F(*args):
 
 
 TWO_TRIANGLES = ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1, 2], [0, 2, 3]])
+
+SPECS = [
+    GenSpec(kind, dim, seed=seed)
+    for kind in KINDS
+    for dim in (1, 2, 3)
+    if _FIXED_DIMS.get(kind, dim) == dim
+    for seed in (0, 1)
+]
+NONSINGULAR_SPECS = [spec for spec in SPECS if spec.kind != "singular_cell"]
+
+
+def sample_points(f, count=6):
+    """(x, f(x)) pairs, at most `count` of each: vertices, barycenters of
+    interior faces below cell dimension (shared by several cells), and seeded
+    generic points of cells. The same map gives the same pairs."""
+    rng = random.Random(7)
+    domain, n = f.domain, f.ambient_dim
+    vertices = rng.sample(range(len(domain.vertices)), min(count, len(domain.vertices)))
+    out = [(domain.vertices[v], f.vertex_images[v]) for v in vertices]
+    shared = domain.interior_faces(max_dim=n - 1)
+    for ids in rng.sample(shared, min(count, len(shared))):
+        x = domain.barycenter(ids)
+        out.append((x, f.pieces[domain.star(ids)[0]].apply(x)))
+    for _ in range(count):
+        ci = rng.randrange(len(domain.cells))
+        weights = [rng.randint(1, 97) for _ in range(n + 1)]
+        points = domain.cell_points(ci)
+        x = tuple(sum(w * p[c] for w, p in zip(weights, points)) / sum(weights) for c in range(n))
+        out.append((x, f.pieces[ci].apply(x)))
+    return out
+
+
+def pieces_document(f):
+    """f's document in pieces form: one matrix and offset per cell."""
+    doc = {key: value for key, value in plmap_to_document(f).items() if key != "vertex_images"}
+    doc["pieces"] = [
+        {
+            "matrix": [[format_rational(x) for x in row] for row in piece.matrix.entries],
+            "offset": [format_rational(x) for x in piece.offset],
+        }
+        for piece in f.pieces
+    ]
+    return doc
 
 
 class TestBuild:
@@ -114,6 +160,18 @@ class TestIngest:
         f = ingest_pieces(triples)
         assert [p.det_sign for p in f.pieces] == [-1, 1]
 
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_pieces_form_keeps_the_documents_pieces(self, spec, forbid_inverse):
+        expected, _ = document_to_plmap(plmap_to_document(generate(spec).plmap))
+        doc = pieces_document(expected)
+        forbid_inverse()
+        f, _ = document_to_plmap(doc)
+        assert f.pieces == expected.pieces
+        # the pieces form numbers vertices by first appearance in the cells
+        assert dict(zip(f.domain.vertices, f.vertex_images)) == dict(
+            zip(expected.domain.vertices, expected.vertex_images)
+        )
+
     def test_round_trip_reproduces_pieces(self, doubling2d):
         f = doubling2d.plmap
         rebuilt = ingest_pieces(export_pieces(f))
@@ -166,13 +224,14 @@ class TestFibers:
         assert len(result.points) == 1
         assert result.points[0].cells == (0, 1)
 
-    def test_doubling_generic_fiber_matches_brute_force(self, doubling2d):
-        f = doubling2d.plmap
-        query = (F(1, 2), F(1, 4))
-        expected = brute_force_fiber(f, query)
-        assert len(expected) == 2
-        result = fiber(f, query)
-        assert [fp.point for fp in result.points] == expected
+    @pytest.mark.parametrize("spec", NONSINGULAR_SPECS, ids=str)
+    def test_fiber_matches_brute_force(self, spec):
+        f = generate(spec).plmap
+        assert finite_fibers(f)
+        for _, query in sample_points(f):
+            result = fiber(f, query)
+            expected = brute_force_fiber(f, query)
+            assert [(fp.point, fp.cells) for fp in result.points] == expected
 
     def test_singular_cell_gives_witness_segment(self):
         instance = generate(GenSpec("singular_cell", 2, seed=1))
@@ -233,3 +292,30 @@ class TestImageDimension:
 
     def test_union_takes_max(self, identity_square):
         assert image_dimension(identity_square, [(0,), (0, 1), (0, 1, 2)]) == 2
+
+
+def degree_outcome(f, point):
+    """The degree certificate at a point, or the type and text of its error."""
+    try:
+        return degree(f, point)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestQueryPathStaysInIntegerFrames:
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_same_results_without_rational_inverse(self, spec, forbid_inverse):
+        def answers(f):
+            points = sample_points(f, count=3)
+            far = 1 + max(c for v in f.domain.vertices for c in v)
+            outside = (far,) * f.ambient_dim
+            return (
+                [f.domain.locate(x) for x, _ in points] + [f.domain.locate(outside)],
+                [fiber(f, y) for _, y in points],
+                [degree_outcome(f, y) for _, y in points],
+            )
+
+        expected = answers(generate(spec).plmap)
+        f = generate(spec).plmap  # a fresh map, so no cache from the run above helps
+        forbid_inverse()
+        assert answers(f) == expected
