@@ -100,6 +100,7 @@ class SimplicialComplex:
     boundary: tuple[Face, ...]  # (n-1)-faces incident to exactly one cell
     _cell_frames: dict[int, feasible.SimplexFrame] = field(default_factory=dict, repr=False)
     _cell_boxes: dict[int, tuple[Vector, Vector]] = field(default_factory=dict, repr=False)
+    _proper_faces: Optional[tuple[Face, ...]] = field(default=None, repr=False)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -138,6 +139,17 @@ class SimplicialComplex:
         ]
         out.sort(key=lambda ids: (len(ids), ids))
         return out
+
+    def proper_faces(self) -> tuple[Face, ...]:
+        """The faces of dimension <= n-1, by size and then by ids; sorted once."""
+        if self._proper_faces is None:
+            self._proper_faces = tuple(
+                sorted(
+                    (ids for ids, info in self.faces.items() if info.dim < self.ambient_dim),
+                    key=lambda ids: (len(ids), ids),
+                )
+            )
+        return self._proper_faces
 
     def faces_of_dim(self, dim: int) -> list[Face]:
         out = [ids for ids, info in self.faces.items() if info.dim == dim]

@@ -5,9 +5,16 @@ fiber. An arbitrary admissible value (one outside the boundary image) is
 reduced to a regular one by perturbing along a fixed schedule of rational
 directions with halving magnitudes; a candidate is accepted only if it is
 exactly regular and the straight segment from the query point provably avoids
-every boundary-face image (one feasibility probe per obstacle). The segment
-test replaces a metric closeness bound: both are licensed by local constancy,
-and segment avoidance needs no square roots.
+every boundary-face image (one feasibility probe per obstacle whose image box
+meets the segment's box; a box miss is a miss). The segment test replaces a
+metric closeness bound: both are licensed by local constancy, and segment
+avoidance needs no square roots.
+
+Whether a point lies in a face's image (the boundary and regularity scans)
+is read from what the map keeps per face: the image box first, then, only
+for a face whose box holds the point, the sign test of the image's integer
+frame on the point's homogeneous column. Only an affinely dependent image,
+such as a singular cell's, is decided by a Fourier–Motzkin probe.
 
 Local degree restricts the map to the closed star of the carrier face of a
 point, rescaled toward the point until its closure meets the fiber only
@@ -23,6 +30,7 @@ from typing import Optional, Sequence
 
 from . import feasible
 from .complexes import Face, SimplicialComplex, scaled_star, validate_complex
+from .linalg import DimensionError
 from .plmap import FiniteFiber, InfiniteFiber, PLMap, build_plmap, fiber, finite_fibers
 
 
@@ -80,16 +88,33 @@ class HomotopyVerdict:
     note: str
 
 
-def boundary_image_hulls(f: PLMap) -> list[tuple[Face, tuple]]:
-    return [(face, f.image_of_face(face)) for face in f.domain.boundary]
+def _query_column(f: PLMap, point) -> tuple[int, ...]:
+    if len(point) != f.ambient_dim:
+        raise DimensionError(f"point has dimension {len(point)}, map is on R^{f.ambient_dim}")
+    return feasible.homogeneous_column(point)
+
+
+def _in_face_image(f: PLMap, face: Face, point, column: tuple[int, ...]) -> bool:
+    """Whether the point (with its homogeneous column) lies in the face's image.
+
+    The box test comes first, so a frame is built only for a face whose box
+    holds the point; an affinely dependent image has no frame and is probed.
+    """
+    low, high = f.image_box(face)
+    if any(p < l or p > h for p, l, h in zip(point, low, high)):
+        return False
+    frame = f.image_frame(face)
+    if frame is None:
+        return feasible.hull_contains(f.image_of_face(face), point)
+    return frame.contains(column)
 
 
 def point_on_boundary_image(f: PLMap, point) -> Optional[Face]:
-    for face, hull in boundary_image_hulls(f):
-        box = feasible.bounding_box(hull)
-        if all(l <= p <= h for p, l, h in zip(point, box[0], box[1])):
-            if feasible.hull_contains(hull, point):
-                return face
+    """The first boundary face whose image holds the point, or None."""
+    column = _query_column(f, point)
+    for face in f.domain.boundary:
+        if _in_face_image(f, face, point, column):
+            return face
     return None
 
 
@@ -97,53 +122,65 @@ def is_regular_value(f: PLMap, point) -> tuple[bool, Optional[str]]:
     """Whether every preimage of the point has a nonsingular derivative.
 
     Exactly: the point avoids the image of every face of dimension <= n-1 and
-    the image of every singular cell. The diagnosis names the first offender.
+    the image of every singular cell. Each image is tested by its box and
+    then by the sign test in its frame; a singular cell's image has no frame
+    and takes a Fourier–Motzkin probe. The diagnosis names the first
+    offender, faces taken by size and then by vertex ids.
     """
-    n = f.ambient_dim
-    for ids, info in sorted(f.domain.faces.items(), key=lambda kv: (len(kv[0]), kv[0])):
-        if info.dim > n - 1:
-            continue
-        hull = f.image_of_face(ids)
-        box = feasible.bounding_box(hull)
-        if all(l <= p <= h for p, l, h in zip(point, box[0], box[1])):
-            if feasible.hull_contains(hull, point):
-                return False, f"point lies in the image of face {ids} (dim {info.dim})"
+    column = _query_column(f, point)
+    for ids in f.domain.proper_faces():
+        if _in_face_image(f, ids, point, column):
+            return False, f"point lies in the image of face {ids} (dim {len(ids) - 1})"
     for ci, piece in enumerate(f.pieces):
-        if piece.det_sign == 0:
-            hull = f.cell_image_points(ci)
-            if feasible.hull_contains(hull, point):
-                return False, f"point lies in the image of singular cell {ci}"
+        if piece.det_sign == 0 and _in_face_image(
+            f, f.domain.cells[ci].vertex_ids, point, column
+        ):
+            return False, f"point lies in the image of singular cell {ci}"
     return True, None
 
 
-def degree_at_regular(f: PLMap, point) -> DegreeCertificate:
-    """Sign-sum degree at an exactly regular value outside the boundary image."""
+def _refuse_boundary_image(f: PLMap, point) -> None:
     offending = point_on_boundary_image(f, point)
     if offending is not None:
         raise BoundaryImageError(
             f"degree undefined: point lies in the image of boundary face {offending}"
         )
-    regular, diagnosis = is_regular_value(f, point)
-    if not regular:
-        raise IrregularValueError(f"{diagnosis}; call degree() to perturb exactly")
-    fib = fiber(f, point)
+
+
+def _sign_sum(
+    f: PLMap, query: tuple, regular: tuple, evidence: PathEvidence
+) -> DegreeCertificate:
+    """The certificate at a regular point already checked to be off the boundary image."""
+    fib = fiber(f, regular)
     assert isinstance(fib, FiniteFiber)
     entries = []
     for fp in fib.points:
         assert len(fp.cells) == 1 and fp.signs[0] != 0  # regularity
         entries.append((fp.point, fp.signs[0]))
-    checks = tuple((face, False) for face, _ in boundary_image_hulls(f))
-    evidence = PathEvidence(
-        "query point is regular; membership in every boundary-face image was refuted",
-        checks,
-    )
     return DegreeCertificate(
         degree=sum(s for _, s in entries),
-        query_point=tuple(point),
-        regular_point_used=tuple(point),
+        query_point=query,
+        regular_point_used=regular,
         fiber=tuple(entries),
         path_evidence=evidence,
     )
+
+
+def _regular_evidence(f: PLMap) -> PathEvidence:
+    return PathEvidence(
+        "query point is regular; membership in every boundary-face image was refuted",
+        tuple((face, False) for face in f.domain.boundary),
+    )
+
+
+def degree_at_regular(f: PLMap, point) -> DegreeCertificate:
+    """Sign-sum degree at an exactly regular value outside the boundary image."""
+    point = tuple(point)
+    _refuse_boundary_image(f, point)
+    regular, diagnosis = is_regular_value(f, point)
+    if not regular:
+        raise IrregularValueError(f"{diagnosis}; call degree() to perturb exactly")
+    return _sign_sum(f, point, point, _regular_evidence(f))
 
 
 def _perturbation_directions(n: int) -> list[tuple[Fraction, ...]]:
@@ -166,15 +203,10 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
     perturbation schedule raises PerturbationExhausted with every attempt.
     """
     point = tuple(point)
-    offending = point_on_boundary_image(f, point)
-    if offending is not None:
-        raise BoundaryImageError(
-            f"degree undefined: point lies in the image of boundary face {offending}"
-        )
+    _refuse_boundary_image(f, point)
     if is_regular_value(f, point)[0]:
-        return degree_at_regular(f, point)
+        return _sign_sum(f, point, point, _regular_evidence(f))
 
-    obstacles = boundary_image_hulls(f)
     spread = Fraction(0)
     for c in range(f.ambient_dim):
         values = [img[c] for img in f.vertex_images]
@@ -192,25 +224,24 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
                 continue
             if not is_regular_value(f, candidate)[0]:
                 continue
+            # a face whose image box misses the segment's box is a miss, unprobed
+            segment_box = (tuple(map(min, point, candidate)), tuple(map(max, point, candidate)))
             checks = tuple(
-                (face, feasible.segment_hits_hull(point, candidate, hull))
-                for face, hull in obstacles
+                (
+                    face,
+                    feasible.boxes_overlap(segment_box, f.image_box(face))
+                    and feasible.segment_hits_hull(point, candidate, f.image_of_face(face)),
+                )
+                for face in f.domain.boundary
             )
             if any(hit for _, hit in checks):
                 continue
-            base = degree_at_regular(f, candidate)
             evidence = PathEvidence(
                 "query point was irregular; the segment to the regular point below "
                 "avoids every boundary-face image (per-obstacle outcomes listed)",
                 checks,
             )
-            return DegreeCertificate(
-                degree=base.degree,
-                query_point=point,
-                regular_point_used=candidate,
-                fiber=base.fiber,
-                path_evidence=evidence,
-            )
+            return _sign_sum(f, point, candidate, evidence)
         epsilon = epsilon / 2
     raise PerturbationExhausted(point, attempts)
 

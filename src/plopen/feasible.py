@@ -32,7 +32,9 @@ point's barycentric weights on P (up to a positive factor each) and whether
 the point lies in aff(P). So the probe's only unknowns are Q's weights: a 3-D
 pair has 4 unknowns and one equality where vertex form has 8 and 5. This
 needs P affinely independent (else `simplex_frame` raises ValueError) and F
-given by vertices of P.
+given by vertices of P. Whether a single point lies in conv(P) needs no
+probe at all: it is the sign test `SimplexFrame.contains` on the point's
+column, and `hull_contains` stays for affinely dependent point sets.
 
 The same frame decides whether the relative interior of a point set S meets
 conv(P) (`relint_meets_simplex`): one probe over S's strictly positive
@@ -519,6 +521,7 @@ class SimplexFrame:
     m > 0. Then bary[j]·ŷ is a positive multiple of y's barycentric weight on
     verts[j] (the weights of the point of aff(P) that y projects to along the
     frame's complement), and aff[r]·ŷ = 0 for every r exactly when y ∈ aff(P).
+    So membership of y in conv(P) is a sign test (`contains`), with no probe.
     """
 
     verts: tuple[Vector, ...]
@@ -529,6 +532,12 @@ class SimplexFrame:
         """bary·ŷ for each vertex: the signs of ŷ's barycentric weights, and
         the weights themselves up to one positive factor per vertex."""
         return [sum(map(mul, row, column)) for row in self.bary]
+
+    def contains(self, column: Sequence[int]) -> bool:
+        """Whether ŷ's point lies in conv(P): aff·ŷ = 0 and bary·ŷ ≥ 0."""
+        return all(sum(map(mul, row, column)) == 0 for row in self.aff) and all(
+            sum(map(mul, row, column)) >= 0 for row in self.bary
+        )
 
 
 def homogeneous_column(point: Vector) -> tuple[int, ...]:

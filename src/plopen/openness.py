@@ -131,10 +131,11 @@ def branch_set(f: PLMap) -> BranchReport:
                     # shrunk images overlap in full dimension.
                     witness = (a, b)
                     break
-                if not feasible.boxes_overlap(f.image_box(a), f.image_box(b)):
+                ids_a, ids_b = f.domain.cells[a].vertex_ids, f.domain.cells[b].vertex_ids
+                if not feasible.boxes_overlap(f.image_box(ids_a), f.image_box(ids_b)):
                     continue
-                frame = f.image_frame(f.domain.cells[a].vertex_ids)
-                columns = f.image_columns(f.domain.cells[b].vertex_ids)
+                frame = f.image_frame(ids_a)
+                columns = f.image_columns(ids_b)
                 if feasible.relint_meets_simplex(frame, columns):
                     witness = (a, b)
                     break

@@ -5,9 +5,10 @@ affine piece of each cell is the unique affine map interpolating the images of
 its n+1 vertices, so continuity across shared faces holds by construction.
 The triple form (cell, matrix, offset) is a derived view: `ingest_pieces`
 keeps the given pieces and reads the vertex images off them after checking
-continuity exactly. The map owns the integer frame of each image simplex and
-the vertex images' homogeneous columns, built at first use and kept for its
-lifetime; fibers, the branch set, the oracle and the certifier read them.
+continuity exactly. The map owns, per face, the bounding box and the integer
+frame of the face's image simplex, and the vertex images' homogeneous
+columns, each built at first use and kept for its lifetime; fibers, degree
+queries, the branch set, the oracle and the certifier read them.
 
 The ingredients of every openness verdict live here: determinant-sign
 profiles, fibers (with exact witness segments through collapsed cells), the
@@ -74,7 +75,7 @@ class PLMap:
     pieces: tuple[AffinePiece, ...]
 
     def __post_init__(self) -> None:
-        self._image_boxes: dict[int, tuple[Vector, Vector]] = {}
+        self._image_boxes: dict[Face, tuple[Vector, Vector]] = {}
         self._image_frames: dict[Face, Optional[feasible.SimplexFrame]] = {}
         self._columns: Optional[tuple[tuple[int, ...], ...]] = None
 
@@ -88,11 +89,12 @@ class PLMap:
     def cell_image_points(self, cell_index: int) -> tuple[Vector, ...]:
         return self.image_of_face(self.domain.cells[cell_index].vertex_ids)
 
-    def image_box(self, cell_index: int) -> tuple[Vector, Vector]:
-        box = self._image_boxes.get(cell_index)
+    def image_box(self, face: Face) -> tuple[Vector, Vector]:
+        """The bounding box of the face's image simplex."""
+        box = self._image_boxes.get(face)
         if box is None:
-            box = feasible.bounding_box(self.cell_image_points(cell_index))
-            self._image_boxes[cell_index] = box
+            box = feasible.bounding_box(self.image_of_face(face))
+            self._image_boxes[face] = box
         return box
 
     def image_frame(self, face: Face) -> Optional[feasible.SimplexFrame]:
@@ -303,10 +305,10 @@ def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:
     column = feasible.homogeneous_column(query)
     for ci, piece in enumerate(f.pieces):
         if piece.det_sign != 0:
-            low, high = f.image_box(ci)
+            ids = f.domain.cells[ci].vertex_ids
+            low, high = f.image_box(ids)
             if any(q < l or q > h for q, l, h in zip(query, low, high)):
                 continue
-            ids = f.domain.cells[ci].vertex_ids
             weights = [
                 w * image[-1]
                 for w, image in zip(f.image_frame(ids).weights(column), f.image_columns(ids))

@@ -132,13 +132,12 @@ def boundary_preimage_ok(inst: BallMapInstance) -> tuple[bool, Optional[tuple]]:
     The frames stay with the map, so stage 2 reuses them.
     """
     f = inst.map
-    targets = []
-    for face in inst.boundary:
-        hull = f.image_of_face(face)
-        targets.append((hull, f.image_frame(face), feasible.bounding_box(hull)))
+    targets = [
+        (f.image_of_face(face), f.image_frame(face), f.image_box(face)) for face in inst.boundary
+    ]
     for ids in f.domain.interior_faces():
         source_imgs = f.image_of_face(ids)
-        source_box = feasible.bounding_box(source_imgs)
+        source_box = f.image_box(ids)
         for hull, frame, box in targets:
             if not feasible.boxes_overlap(source_box, box):
                 continue
@@ -170,13 +169,12 @@ def boundary_restriction_injective(
     f = inst.map
     boundary = inst.boundary
     hulls = {face: f.image_of_face(face) for face in boundary}
-    boxes = {face: feasible.bounding_box(hulls[face]) for face in boundary}
     for face in boundary:
         if f.image_frame(face) is None:
             return False, (face, face)
     for i, face_a in enumerate(boundary):
         for face_b in boundary[i + 1 :]:
-            if not feasible.boxes_overlap(boxes[face_a], boxes[face_b]):
+            if not feasible.boxes_overlap(f.image_box(face_a), f.image_box(face_b)):
                 continue
             shared = tuple(sorted(set(face_a) & set(face_b)))
             span = f.image_of_face(shared)
@@ -199,10 +197,10 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
     n = f.ambient_dim
     count = len(f.domain.cells)
     for a in range(count):
-        box_a = f.image_box(a)
+        box_a = f.image_box(f.domain.cells[a].vertex_ids)
         ids_a = set(f.domain.cells[a].vertex_ids)
         for b in range(a + 1, count):
-            if not feasible.boxes_overlap(box_a, f.image_box(b)):
+            if not feasible.boxes_overlap(box_a, f.image_box(f.domain.cells[b].vertex_ids)):
                 continue
             shared = tuple(sorted(ids_a & set(f.domain.cells[b].vertex_ids)))
             if len(shared) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:

@@ -22,9 +22,9 @@ def F(*args):
 
 def seeded_queries(f, count, seed):
     rng = _SplitMix64(seed)
-    lows, highs = f.image_box(0)
-    for ci in range(1, len(f.domain.cells)):
-        lo, hi = f.image_box(ci)
+    lows, highs = f.image_box(f.domain.cells[0].vertex_ids)
+    for cell in f.domain.cells[1:]:
+        lo, hi = f.image_box(cell.vertex_ids)
         lows = tuple(min(a, b) for a, b in zip(lows, lo))
         highs = tuple(max(a, b) for a, b in zip(highs, hi))
     for _ in range(count):

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from plopen import feasible
 from plopen.complexes import validate_complex
-from plopen.degree import degree
+from plopen.degree import degree, is_regular_value, point_on_boundary_image
 from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
 from plopen.instancefile import document_to_plmap, plmap_to_document
 from plopen.linalg import Matrix, format_rational
@@ -45,6 +48,11 @@ SPECS = [
     for seed in (0, 1)
 ]
 NONSINGULAR_SPECS = [spec for spec in SPECS if spec.kind != "singular_cell"]
+
+
+@lru_cache(maxsize=None)
+def sample_map(spec):
+    return generate(spec).plmap
 
 
 def sample_points(f, count=6):
@@ -319,3 +327,100 @@ class TestQueryPathStaysInIntegerFrames:
         f = generate(spec).plmap  # a fresh map, so no cache from the run above helps
         forbid_inverse()
         assert answers(f) == expected
+
+
+class TestFaceImageMembership:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_frame_sign_test_matches_probe(self, data):
+        """The image frame's sign test is the vertex-form membership probe."""
+        f = sample_map(data.draw(st.sampled_from(SPECS)))
+        n = f.ambient_dim
+        face = data.draw(st.sampled_from(sorted(f.domain.faces)))
+        images = f.image_of_face(face)
+        frame = f.image_frame(face)
+        # only an affinely dependent image has no frame
+        assert (frame is None) == (feasible.hull_dim(images) < len(face) - 1)
+        if frame is None:
+            return
+        mode = data.draw(st.sampled_from(("face", "vertex image", "off axis", "off vertex")))
+        if mode == "vertex image":
+            # any vertex's image, often shared with or lying on the face's
+            point = data.draw(st.sampled_from(f.vertex_images))
+        else:
+            # a face point with some weights 0, so often on a lower face
+            weights = data.draw(
+                st.lists(st.integers(0, 3), min_size=len(face), max_size=len(face)).filter(any)
+            )
+            point = tuple(
+                sum(w * q[c] for w, q in zip(weights, images)) / sum(weights) for c in range(n)
+            )
+            step = F(data.draw(st.sampled_from((1, -1))), data.draw(st.sampled_from((64, 2**20))))
+            if mode == "off axis":
+                axis = data.draw(st.integers(0, n - 1))
+                point = tuple(x + step * (c == axis) for c, x in enumerate(point))
+            elif mode == "off vertex":
+                # along the line through a vertex image: off the face when
+                # that vertex's weight was 0 and the step is positive
+                q = images[data.draw(st.integers(0, len(face) - 1))]
+                point = tuple(x + step * (x - qc) for x, qc in zip(point, q))
+        column = feasible.homogeneous_column(point)
+        assert frame.contains(column) == feasible.hull_contains(images, point)
+
+    @pytest.mark.parametrize("spec", NONSINGULAR_SPECS, ids=str)
+    def test_nonsingular_maps_need_no_membership_probe(self, spec, monkeypatch):
+        """Every face image of a nonsingular map is a nondegenerate simplex, so
+        the scans and the degree never fall back to `hull_contains`."""
+
+        def answers(f):
+            far = 1 + max(c for q in f.vertex_images for c in q)
+            points = [y for _, y in sample_points(f, count=3)] + [(far,) * f.ambient_dim]
+            return (
+                [point_on_boundary_image(f, y) for y in points],
+                [is_regular_value(f, y) for y in points],
+                [degree_outcome(f, y) for y in points],
+            )
+
+        expected = answers(generate(spec).plmap)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("membership probe called")
+
+        f = generate(spec).plmap  # a fresh map, so no cache from the run above helps
+        monkeypatch.setattr(feasible, "hull_contains", forbidden)
+        assert answers(f) == expected
+
+    def test_first_degree_call_builds_frames_only_for_box_hits(self, monkeypatch):
+        """On a fresh map, one frame per face whose image box holds the point.
+
+        At a regular point both scans and the fiber visit every face, so the
+        frames built are exactly the box hits; building a frame for every
+        face visited would multiply the cost of a map's first query.
+        """
+        spec = GenSpec("random_orientation_preserving", 3)
+        reference = sample_map(spec)
+        y = next(
+            y
+            for _, y in sample_points(reference)
+            if point_on_boundary_image(reference, y) is None and is_regular_value(reference, y)[0]
+        )
+        f = generate(spec).plmap
+        built = []
+        simplex_frame = feasible.simplex_frame
+
+        def counting(verts):
+            built.append(tuple(verts))
+            return simplex_frame(verts)
+
+        monkeypatch.setattr(feasible, "simplex_frame", counting)
+        assert degree(f, y).regular_point_used == y
+        hits = [
+            face
+            for face in f.domain.faces
+            if all(
+                low <= c <= high
+                for c, low, high in zip(y, *feasible.bounding_box(f.image_of_face(face)))
+            )
+        ]
+        assert sorted(built) == sorted(f.image_of_face(face) for face in hits)
+        assert len(hits) < len(f.domain.faces)
