@@ -25,6 +25,7 @@ and is labeled inexact.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -533,10 +534,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: the tree holds only static defaults (PLOPEN_SEED
+    # is read when a command runs), and parse_args returns a fresh namespace.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         return _emit({"command": None, "error": f"usage: {exc}"}, EXIT_PARSE)
     try:

@@ -43,7 +43,9 @@ weights, without the escape row. S enters as integer homogeneous columns
 `relint_preimage_witness`, which stays in vertex form because it returns the
 witness point: a caller decides every pair in the frame and rebuilds the
 witness only for the pair that hits. Both frame probes build their rows in
-one place, `_frame_probe`.
+one place, `_frame_rows`, and `_frame_probe` first tries each row alone: a
+row whose signs on the columns already rule out every weight vector answers
+no without an elimination, which decides nearly every "no" these callers ask.
 
 The dimension of an intersection is computed by growing its affine hull:
 starting from one witness point, functionals vanishing on the directions
@@ -574,6 +576,40 @@ def simplex_frame(verts: Hull) -> SimplexFrame:
     raise ValueError("simplex vertices are affinely dependent")
 
 
+def _on_columns(row: Sequence[int], cols: Sequence[tuple[int, ...]]) -> list[int]:
+    """row·ĉ for each homogeneous column ĉ."""
+    return [sum(map(mul, row, col)) for col in cols]
+
+
+def _frame_rows(
+    frame: SimplexFrame,
+    cols: Sequence[tuple[int, ...]],
+    weight_rel: str,
+    escape: Optional[Sequence[int]] = None,
+) -> Optional[list[_IntRow]]:
+    """The integer system of `_frame_probe` over the column weights w.
+
+    w REL 0 (weight_rel: REL_LE, or REL_LT for the relative interior of the
+    columns' hull), Σw = 1, bary·Ĉw ≥ 0 and aff·Ĉw = 0, plus escape·Ĉw > 0
+    when an escape row over P's frame is given. A bary row that reads no
+    column as negative is left out, since w ≥ 0 implies it. None when some
+    row is a constant contradiction (no columns, or an escape row that reads
+    every column as 0).
+    """
+    k = len(cols)
+    rows: list[_IntRow] = [(tuple(-int(i == j) for i in range(k)), weight_rel, 0) for j in range(k)]
+    try:
+        extra = [_norm_int_row([1] * k, REL_EQ, 1)]
+        binding = [w for w in (_on_columns(row, cols) for row in frame.bary) if min(w) < 0]
+        extra += [_norm_int_row([-x for x in w], REL_LE, 0) for w in binding]
+        extra += [_norm_int_row(_on_columns(row, cols), REL_EQ, 0) for row in frame.aff]
+        if escape is not None:
+            extra.append(_norm_int_row([-x for x in _on_columns(escape, cols)], REL_LT, 0))
+    except _Infeasible:
+        return None
+    return rows + [row for row in extra if row is not None]
+
+
 def _frame_probe(
     frame: SimplexFrame,
     cols: Sequence[tuple[int, ...]],
@@ -582,30 +618,36 @@ def _frame_probe(
 ) -> bool:
     """Whether some weights w on homogeneous columns Ĉ put Ĉw in conv(P).
 
-    One probe over w alone: w REL 0 (weight_rel: REL_LE, or REL_LT for the
-    relative interior of the columns' hull), Σw = 1, bary·Ĉw ≥ 0 and
-    aff·Ĉw = 0, plus escape·Ĉw > 0 when an escape row over P's frame is
-    given. A column's weight is its point's weight divided by the column's
-    positive last entry, so feasibility is the same as over the points' own
-    convex weights. A bary row that reads no column as negative is left out,
-    since w ≥ 0 implies it.
+    One probe over w alone (`_frame_rows`). A column's weight is its point's
+    weight divided by the column's positive last entry, so feasibility is the
+    same as over the points' own convex weights.
+
+    Most probes answer no, and most of those are decided by one row r read
+    on the columns, with no elimination. Since w ≥ 0 and w ≠ 0, r·w < 0 is
+    forced when every entry of r is negative, and r·w ≤ 0 when none is
+    positive; under w > 0, r·w < 0 is forced already when none is positive
+    and one is negative. A bary row (r·w ≥ 0) fails when r·w < 0 is forced,
+    an aff row (r·w = 0) when that holds for r or for −r, and the escape row
+    (r·w > 0) when r·w ≤ 0 is forced. Such a row is a Motzkin certificate
+    with a single multiplier. Only when no row decides is the system handed
+    to Fourier–Motzkin, so every yes still comes with a witness checked by
+    substitution.
     """
-    k = len(cols)
-
-    def on_cols(row: Sequence[int]) -> list[int]:
-        return [sum(map(mul, row, col)) for col in cols]
-
-    rows: list[_IntRow] = [(tuple(-int(i == j) for i in range(k)), weight_rel, 0) for j in range(k)]
-    try:
-        extra = [_norm_int_row([1] * k, REL_EQ, 1)]
-        binding = [w for w in map(on_cols, frame.bary) if min(w) < 0]
-        extra += [_norm_int_row([-x for x in w], REL_LE, 0) for w in binding]
-        extra += [_norm_int_row(on_cols(row), REL_EQ, 0) for row in frame.aff]
-        if escape is not None:
-            extra.append(_norm_int_row([-x for x in on_cols(escape)], REL_LT, 0))
-    except _Infeasible:
+    if not cols:  # no weights sum to 1
         return False
-    return _feasible_int(k, rows + [row for row in extra if row is not None]) is not None
+    strict = weight_rel == REL_LT
+    for values in (_on_columns(row, cols) for row in frame.bary):  # needs r·w ≥ 0
+        top = max(values)
+        if top < 0 or (strict and top == 0 and min(values) < 0):
+            return False
+    for values in (_on_columns(row, cols) for row in frame.aff):  # needs r·w = 0
+        low, top = min(values), max(values)
+        if low > 0 or top < 0 or (strict and (low >= 0 or top <= 0) and (low or top)):
+            return False
+    if escape is not None and max(_on_columns(escape, cols)) <= 0:  # needs r·w > 0
+        return False
+    rows = _frame_rows(frame, cols, weight_rel, escape)
+    return rows is not None and _feasible_int(len(cols), rows) is not None
 
 
 def hull_leaves_affine_span(frame: SimplexFrame, q_verts: Hull, span_points: Hull) -> bool:
@@ -618,10 +660,12 @@ def hull_leaves_affine_span(frame: SimplexFrame, q_verts: Hull, span_points: Hul
     the vertices of P outside F sum to more than zero. In P's frame that is
     one strict probe over Q's weights μ alone, with Q̂ Q's homogeneous
     columns: μ ≥ 0, Σμ = 1, bary·Q̂μ ≥ 0, aff·Q̂μ = 0, and (the sum of the
-    bary rows of the vertices outside F)·Q̂μ > 0. An empty span asks whether
-    the hulls meet at all; an empty Q meets nothing. With F the common face
-    of two cells, this is the properness test: the intersection is proper
-    exactly when it stays inside aff(F).
+    bary rows of the vertices outside F)·Q̂μ > 0. A "no" is usually read off
+    one of these rows' signs on Q̂ alone (`_frame_probe`); the rest go to
+    Fourier–Motzkin. An empty span asks whether the hulls meet at all; an
+    empty Q meets nothing. With F the common face of two cells, this is the
+    properness test: the intersection is proper exactly when it stays inside
+    aff(F).
     """
     # Exact equality, not sets: hashing a Fraction costs a modular inverse, and
     # callers pass P's own vertex tuples, so a match is found by identity.
@@ -639,9 +683,10 @@ def relint_meets_simplex(frame: SimplexFrame, cols: Sequence[tuple[int, ...]]) -
 
     S is given by its points' homogeneous columns (`homogeneous_column`;
     `PLMap.image_columns` keeps them for image simplices). One strict probe
-    over S's weights λ: λ > 0, Σλ = 1, bary·Ŝλ ≥ 0 and aff·Ŝλ = 0. It decides whether
-    `relint_preimage_witness(X, S, P)` is not None, in P's frame and without
-    the witness.
+    over S's weights λ: λ > 0, Σλ = 1, bary·Ŝλ ≥ 0 and aff·Ŝλ = 0, usually
+    answered "no" by one row's signs on Ŝ alone (`_frame_probe`). It decides
+    whether `relint_preimage_witness(X, S, P)` is not None, in P's frame and
+    without the witness.
     """
     return _frame_probe(frame, cols, REL_LT)
 

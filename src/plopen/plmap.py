@@ -3,6 +3,7 @@
 A map is a validated simplicial complex plus one image point per vertex; the
 affine piece of each cell is the unique affine map interpolating the images of
 its n+1 vertices, so continuity across shared faces holds by construction.
+`build_plmap` reads each piece off the cell's integer frame.
 The triple form (cell, matrix, offset) is a derived view: `ingest_pieces`
 keeps the given pieces and reads the vertex images off them after checking
 continuity exactly. The map owns, per face, the bounding box and the integer
@@ -20,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import feasible
@@ -34,7 +37,6 @@ from .linalg import (
     DimensionError,
     Matrix,
     Vector,
-    inverse,
     rank,
     vec_add,
     vec_sub,
@@ -166,16 +168,38 @@ class ComponentGraph:
     is_connected: bool
 
 
-def derive_piece(cell_points: Sequence[Vector], image_points: Sequence[Vector]) -> AffinePiece:
-    """The unique affine map sending each cell vertex to its image."""
-    base, image_base = cell_points[0], image_points[0]
-    domain_dirs = Matrix.from_columns([vec_sub(p, base) for p in cell_points[1:]])
-    image_dirs = Matrix.from_columns([vec_sub(q, image_base) for q in image_points[1:]])
-    domain_inverse = inverse(domain_dirs)
-    assert domain_inverse is not None  # cell nondegeneracy is validated
-    matrix = image_dirs.mul_mat(domain_inverse)
-    offset = vec_sub(image_base, matrix.mul_vec(base))
-    return AffinePiece(matrix, offset, matrix_det_sign(matrix))
+def _frame_piece(
+    bary: Sequence[Sequence[int]],
+    vertex_columns: Sequence[tuple[int, ...]],
+    image_columns: Sequence[tuple[int, ...]],
+) -> AffinePiece:
+    """The unique affine map sending each vertex of a cell to its image.
+
+    bary is the cell's frame (`SimplicialComplex.cell_frame`), and the
+    vertices and their images enter as integer homogeneous columns
+    v̂_j = (m_j·v_j, m_j) and (a_j, s_j). For x̂ = (x, 1),
+    bary_j·x̂ = D·λ_j(x)/m_j for x's barycentric weights λ, where
+    D = bary_0·v̂_0 > 0. So f(x) = Σ_j f(v_j)·m_j·(bary_j·x̂)/D: entry (r, c)
+    of the matrix is Σ_j f(v_j)[r]·m_j·bary_j[c]/D, and the offset is the
+    same sum over the last column. Over the images' common denominator each
+    entry is one integer sum and one Fraction, with no inverse matrix.
+    """
+    n = len(image_columns) - 1
+    common = lcm(*(col[-1] for col in image_columns))
+    factors = [v[-1] * (common // col[-1]) for v, col in zip(vertex_columns, image_columns)]
+    denominator = sum(map(mul, bary[0], vertex_columns[0])) * common
+    entries = [
+        [
+            Fraction(
+                sum(col[r] * g * row[c] for col, g, row in zip(image_columns, factors, bary)),
+                denominator,
+            )
+            for c in range(n + 1)
+        ]
+        for r in range(n)
+    ]
+    matrix = Matrix(tuple(tuple(row[:n]) for row in entries))
+    return AffinePiece(matrix, tuple(row[n] for row in entries), matrix_det_sign(matrix))
 
 
 def build_plmap(
@@ -190,11 +214,15 @@ def build_plmap(
     for i, img in enumerate(images):
         if len(img) != n:
             raise ValueError(f"image of vertex {i} has dimension {len(img)}, expected {n}")
+    vertex_columns = [feasible.homogeneous_column(v) for v in complex_.vertices]
+    image_columns = [feasible.homogeneous_column(y) for y in images]
     pieces = tuple(
-        derive_piece(
-            complex_.cell_points(ci), tuple(images[i] for i in complex_.cells[ci].vertex_ids)
+        _frame_piece(
+            complex_.cell_frame(ci).bary,
+            [vertex_columns[i] for i in cell.vertex_ids],
+            [image_columns[i] for i in cell.vertex_ids],
         )
-        for ci in range(len(complex_.cells))
+        for ci, cell in enumerate(complex_.cells)
     )
     return PLMap(complex_, images, pieces)
 

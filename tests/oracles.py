@@ -118,6 +118,24 @@ def affine_piece_of(cell_points, image_points):
     return matrix, offset
 
 
+def piece_by_inverse(cell_points, image_points):
+    """(matrix rows, offset, det sign) of the interpolating affine map: the
+    image directions times the inverse of the cell directions, the inverse
+    column by column with plain Gaussian elimination."""
+    n = len(cell_points[0])
+    base, image_base = cell_points[0], image_points[0]
+    domain_dirs = [[p[r] - base[r] for p in cell_points[1:]] for r in range(n)]
+    image_dirs = [[q[r] - image_base[r] for q in image_points[1:]] for r in range(n)]
+    inverse_cols = [solve_gauss(domain_dirs, [int(r == c) for r in range(n)]) for c in range(n)]
+    matrix = [
+        tuple(sum(image_dirs[r][k] * inverse_cols[c][k] for k in range(n)) for c in range(n))
+        for r in range(n)
+    ]
+    offset = tuple(image_base[r] - sum(matrix[r][c] * base[c] for c in range(n)) for r in range(n))
+    d = det_by_permutation_expansion(matrix)
+    return matrix, offset, (d > 0) - (d < 0)
+
+
 def brute_force_fiber(f, query):
     """Sorted (point, cells) pairs by per-cell solves with no shortcuts; exact
     dedup. Nonsingular cells only."""

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import plopen
+from plopen import cli
 from plopen.cli import main
 from plopen.generators import GenSpec, generate
 from plopen.instancefile import (
@@ -18,6 +20,21 @@ from plopen.instancefile import (
     plmap_to_document,
     save_document,
 )
+
+
+# The directory that holds the plopen package, for fresh interpreters.
+SRC = str(Path(plopen.__file__).resolve().parent.parent)
+
+
+def fresh_process(argv, env=()):
+    """`python -m plopen.cli argv` in a new interpreter with only PATH, the
+    package's path and the given environment."""
+    return subprocess.run(
+        [sys.executable, "-m", "plopen.cli", *argv],
+        capture_output=True,
+        check=False,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": SRC, **dict(env)},
+    )
 
 
 def run_cli(capsys, *argv):
@@ -480,19 +497,39 @@ class TestDeterminism:
 
     def test_seed_env_var_default(self, instance_path, monkeypatch, tmp_path):
         path = instance_path("identity", 1, "id")
-        env_run = subprocess.run(
-            [sys.executable, "-m", "plopen.cli", "oracle-open", path],
-            capture_output=True,
-            check=False,
-            env={"PLOPEN_SEED": "11", "PATH": "/usr/bin:/bin"},
-        )
-        flag_run = subprocess.run(
-            [sys.executable, "-m", "plopen.cli", "oracle-open", path, "--seed", "11"],
-            capture_output=True,
-            check=False,
-            env={"PATH": "/usr/bin:/bin"},
-        )
+        env_run = fresh_process(["oracle-open", path], {"PLOPEN_SEED": "11"})
+        flag_run = fresh_process(["oracle-open", path, "--seed", "11"])
+        assert env_run.returncode == flag_run.returncode == 0
         assert env_run.stdout == flag_run.stdout
+
+
+class TestParserBuiltOnce:
+    def test_reused_parser_answers_as_fresh_processes(self, capsys, instance_path, monkeypatch):
+        path = instance_path("random_mixed_signs", 2, "mixed", seed=5)
+        oracle = ["oracle-open", path, "--oracle-points", "5"]
+        calls = [
+            ({}, ["whyburn", path, "--bogus"]),
+            ({}, ["validate", path]),
+            ({"PLOPEN_SEED": "3"}, oracle),
+            ({"PLOPEN_SEED": "11"}, oracle),
+        ]
+        outputs = []
+        for env, argv in calls:
+            monkeypatch.delenv("PLOPEN_SEED", raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            code = main(argv)
+            captured = capsys.readouterr()
+            fresh = fresh_process(argv, env)
+            assert (code, captured.out, captured.err) == (
+                fresh.returncode,
+                fresh.stdout.decode(),
+                fresh.stderr.decode(),
+            )
+            outputs.append(captured.out)
+        assert cli._parser() is cli._parser()
+        assert json.loads(outputs[0])["exit_status"] == 3
+        assert outputs[2] != outputs[3]  # each call read its own PLOPEN_SEED
 
 
 def _containers(node, path=()):

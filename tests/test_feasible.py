@@ -1,14 +1,19 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from plopen import cli, feasible
 from plopen.feasible import (
     REL_EQ,
     REL_LE,
     REL_LT,
     LinRow,
     LinearSystem,
+    _feasible_int,
+    _frame_probe,
+    _frame_rows,
     bounding_box,
     boxes_overlap,
     constrained_hull_dim,
@@ -26,6 +31,8 @@ from plopen.feasible import (
     segment_hits_hull,
     simplex_frame,
 )
+from plopen.generators import GenSpec, generate
+from plopen.instancefile import plmap_to_document, save_document
 from plopen.linalg import Matrix, det_sign, null_space
 
 
@@ -361,6 +368,83 @@ class TestRelintMeetsSimplex:
         columns = [homogeneous_column(y) for y in source]
         expected = relint_preimage_witness(source, source, target) is not None
         assert relint_meets_simplex(simplex_frame(target), columns) == expected
+
+
+class TestFrameProbeOneRow:
+    """The one-row "no" of `_frame_probe` against Fourier–Motzkin alone."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fourier_motzkin_alone(self, data):
+        n = data.draw(st.integers(1, 3))
+        coord = st.fractions(-2, 2, max_denominator=3)
+        point = st.tuples(*[coord] * n)
+        # full-dimensional frames and lower ones (then with aff rows)
+        p_verts = data.draw(st.lists(point, min_size=1, max_size=n + 1, unique=True))
+        assume(hull_dim(p_verts) == len(p_verts) - 1)
+        frame = simplex_frame(p_verts)
+        # P's vertices, points of its faces (zero weights) and points just off them
+        weights = st.lists(st.integers(0, 2), min_size=len(p_verts), max_size=len(p_verts))
+        on_face = weights.filter(any).map(
+            lambda w: tuple(sum(x * v[c] for x, v in zip(w, p_verts)) / sum(w) for c in range(n))
+        )
+        nudge = st.tuples(*[st.sampled_from([F(0), F(1, 97), F(-1, 97)])] * n)
+        off_face = st.tuples(on_face, nudge).map(lambda t: tuple(a + b for a, b in zip(*t)))
+        far = st.tuples(*[st.fractions(-4, 4, max_denominator=3)] * n)
+        size = data.draw(st.sampled_from(range(n + 3)))
+        source = data.draw(
+            st.lists(
+                far | st.sampled_from(p_verts) | on_face | off_face, min_size=size, max_size=size
+            )
+        )
+        cols = [homogeneous_column(y) for y in source]
+        weight_rel = data.draw(st.sampled_from([REL_LE, REL_LT]))
+        # no escape row, or the escape row of a face (all of P's vertices: the zero row)
+        face = data.draw(st.none() | st.sets(st.integers(0, len(p_verts) - 1)))
+        escape = None
+        if face is not None:
+            outside = [row for j, row in enumerate(frame.bary) if j not in face]
+            escape = [sum(column) for column in zip(*outside)]
+        rows = _frame_rows(frame, cols, weight_rel, escape)
+        expected = rows is not None and _feasible_int(len(cols), rows) is not None
+        assert _frame_probe(frame, cols, weight_rel, escape) == expected
+
+    def test_no_that_needs_two_rows_goes_to_fourier_motzkin(self, monkeypatch):
+        # the segment x = 2, -1 <= y <= 2 misses the triangle, but each bary
+        # row reads some endpoint as >= 0: only y >= 0 with x + y <= 1 excludes it
+        frame = simplex_frame([pt(0, 0), pt(1, 0), pt(0, 1)])
+        cols = [homogeneous_column(pt(2, -1)), homogeneous_column(pt(2, 2))]
+        solves = []
+        monkeypatch.setattr(feasible, "_feasible_int", lambda *a: solves.append(a) or None)
+        assert not _frame_probe(frame, cols, REL_LE)
+        assert len(solves) == 1
+        assert _feasible_int(*solves[0]) is None
+
+    def test_few_whyburn_probes_reach_fourier_motzkin(self, monkeypatch, tmp_path, capsys):
+        instance = generate(GenSpec("random_orientation_preserving", 3, resolution=2, seed=1))
+        path = tmp_path / "ball.json"
+        save_document(path, plmap_to_document(instance.plmap))
+        probe, solve = feasible._frame_probe, feasible._feasible_int
+        counts = {"probes": 0, "solves": 0}
+        inside = []
+
+        def counted_probe(*args):
+            counts["probes"] += 1
+            inside.append(True)
+            try:
+                return probe(*args)
+            finally:
+                inside.pop()
+
+        def counted_solve(*args):
+            counts["solves"] += bool(inside)
+            return solve(*args)
+
+        monkeypatch.setattr(feasible, "_frame_probe", counted_probe)
+        monkeypatch.setattr(feasible, "_feasible_int", counted_solve)
+        assert cli.main(["whyburn", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["certified"]
+        assert counts["probes"] > 100 and counts["solves"] * 10 <= counts["probes"], counts
 
 
 class TestBoxes:

@@ -31,6 +31,7 @@ from oracles import (
     affine_piece_of,
     brute_force_fiber,
     det_by_permutation_expansion,
+    piece_by_inverse,
 )
 
 
@@ -141,6 +142,16 @@ class TestBuild:
                 for vid in ids:
                     vertex = f.domain.vertices[vid]
                     assert f.pieces[a].apply(vertex) == f.pieces[b].apply(vertex)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_pieces_read_from_cell_frames_match_the_inverse_formula(self, spec, forbid_inverse):
+        forbid_inverse()
+        f = generate(spec).plmap
+        for ci, piece in enumerate(f.pieces):
+            points, images = f.domain.cell_points(ci), f.cell_image_points(ci)
+            matrix, offset, sign = piece_by_inverse(points, images)
+            assert piece.matrix.entries == tuple(matrix)
+            assert piece.offset == offset and piece.det_sign == sign
 
 
 class TestIngest:
