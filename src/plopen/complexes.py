@@ -7,10 +7,15 @@ cells meet in a common face or not at all, and no (n-1)-face is shared by
 three or more cells. The support's topological boundary is then precisely the
 set of (n-1)-faces incident to a single cell.
 
-Point location reads the signs of barycentric weights in each cell's integer
-frame (`cell_frame`, kept for the complex's lifetime and seeded by
-validation): each query is classified as interior to a unique cell, on the
-relative interior of a unique smallest face, or outside the support.
+The complex keeps its coordinates as integers over one common denominator,
+and each cell's bounding box in them (`cell_boxes`); validation finds the
+cell pairs to probe with one grid broad phase over those boxes
+(`feasible.overlapping_pairs`). Point location tests a point's integer
+homogeneous column against each box, then reads the signs of barycentric
+weights in the cell's integer frame (`cell_frame`, kept for the complex's
+lifetime and seeded by validation): each query is classified as interior to
+a unique cell, on the relative interior of a unique smallest face, or
+outside the support.
 """
 
 from __future__ import annotations
@@ -98,8 +103,10 @@ class SimplicialComplex:
     ambient_dim: int
     faces: dict[Face, FaceInfo] = field(repr=False)
     boundary: tuple[Face, ...]  # (n-1)-faces incident to exactly one cell
+    columns: tuple[tuple[int, ...], ...] = field(repr=False)  # homogeneous column per vertex
+    denominator: int = field(repr=False)  # clears every vertex coordinate
+    cell_boxes: tuple[feasible.IntBox, ...] = field(repr=False)  # over `denominator`
     _cell_frames: dict[int, feasible.SimplexFrame] = field(default_factory=dict, repr=False)
-    _cell_boxes: dict[int, tuple[Vector, Vector]] = field(default_factory=dict, repr=False)
     _proper_faces: Optional[tuple[Face, ...]] = field(default=None, repr=False)
 
     # -- basic geometry ----------------------------------------------------
@@ -118,13 +125,6 @@ class SimplicialComplex:
             for c in range(self.ambient_dim):
                 acc[c] += p[c] * k
         return tuple(acc)
-
-    def cell_box(self, cell_index: int) -> tuple[Vector, Vector]:
-        box = self._cell_boxes.get(cell_index)
-        if box is None:
-            box = feasible.bounding_box(self.cell_points(cell_index))
-            self._cell_boxes[cell_index] = box
-        return box
 
     def star(self, face: Face) -> tuple[int, ...]:
         """Indices of the cells containing the face."""
@@ -174,9 +174,8 @@ class SimplicialComplex:
                 f"point has dimension {len(point)}, complex is in R^{self.ambient_dim}"
             )
         column = feasible.homogeneous_column(point)
-        for ci in range(len(self.cells)):
-            low, high = self.cell_box(ci)
-            if any(p < l or p > h for p, l, h in zip(point, low, high)):
+        for ci, box in enumerate(self.cell_boxes):
+            if not feasible.box_holds(box, self.denominator, column):
                 continue
             weights = self.cell_frame(ci).weights(column)
             if min(weights) >= 0:
@@ -260,23 +259,23 @@ def collect_violations(
     # by their shared vertices. For simplices, conv(P) ∩ aff(shared) equals
     # the shared face, so the intersection is proper iff it stays inside that
     # affine hull (iff it is empty when no vertices are shared): one strict
-    # probe per pair, in cell a's frame, which the complex then keeps.
-    boxes = [feasible.bounding_box([verts[i] for i in s.vertex_ids]) for s in simplices]
+    # probe per pair whose integer boxes overlap, in cell a's frame, which
+    # the complex then keeps.
+    denominator, scaled = feasible.over_common_denominator(verts)
+    columns = tuple(feasible.homogeneous_column(v) for v in verts)
+    boxes = tuple(feasible.integer_box([scaled[i] for i in s.vertex_ids]) for s in simplices)
     frames: dict[int, feasible.SimplexFrame] = {}
-    for a in range(len(simplices)):
-        for b in range(a + 1, len(simplices)):
-            if not feasible.boxes_overlap(boxes[a], boxes[b]):
-                continue
-            if a not in frames:
-                frames[a] = feasible.simplex_frame([verts[i] for i in simplices[a].vertex_ids])
-            pb = [verts[i] for i in simplices[b].vertex_ids]
-            shared = tuple(sorted(set(simplices[a].vertex_ids) & set(simplices[b].vertex_ids)))
-            if feasible.hull_leaves_affine_span(frames[a], pb, [verts[i] for i in shared]):
-                if shared:
-                    message = f"cells {a} and {b} overlap beyond their common face {shared}"
-                else:
-                    message = f"cells {a} and {b} intersect but share no face"
-                violations.append(Violation("improper_intersection", message, (a, b)))
+    for a, b in feasible.overlapping_pairs(boxes):
+        if a not in frames:
+            frames[a] = feasible.simplex_frame([verts[i] for i in simplices[a].vertex_ids])
+        qb = [columns[i] for i in simplices[b].vertex_ids]
+        shared = tuple(sorted(set(simplices[a].vertex_ids) & set(simplices[b].vertex_ids)))
+        if feasible.hull_leaves_affine_span(frames[a], qb, [verts[i] for i in shared]):
+            if shared:
+                message = f"cells {a} and {b} overlap beyond their common face {shared}"
+            else:
+                message = f"cells {a} and {b} intersect but share no face"
+            violations.append(Violation("improper_intersection", message, (a, b)))
 
     # Face lattice and manifold condition on (n-1)-faces.
     face_cells: dict[Face, set[int]] = {}
@@ -298,14 +297,9 @@ def collect_violations(
     boundary = tuple(
         sorted(ids for ids, inc in face_cells.items() if len(ids) == n and len(inc) == 1)
     )
-    boundary_sets = [set(b) for b in boundary]
+    on_boundary = {sub for ids in boundary for sub in _subsets(ids)}
     faces = {
-        ids: FaceInfo(
-            ids,
-            len(ids) - 1,
-            tuple(sorted(inc)),
-            any(set(ids) <= bs for bs in boundary_sets),
-        )
+        ids: FaceInfo(ids, len(ids) - 1, tuple(sorted(inc)), ids in on_boundary)
         for ids, inc in face_cells.items()
     }
     complex_ = SimplicialComplex(
@@ -314,6 +308,9 @@ def collect_violations(
         ambient_dim=n,
         faces=faces,
         boundary=boundary,
+        columns=columns,
+        denominator=denominator,
+        cell_boxes=boxes,
         _cell_frames=frames,
     )
     return [], complex_

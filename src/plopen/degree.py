@@ -11,10 +11,11 @@ metric closeness bound: both are licensed by local constancy, and segment
 avoidance needs no square roots.
 
 Whether a point lies in a face's image (the boundary and regularity scans)
-is read from what the map keeps per face: the image box first, then, only
-for a face whose box holds the point, the sign test of the image's integer
-frame on the point's homogeneous column. Only an affinely dependent image,
-such as a singular cell's, is decided by a Fourier–Motzkin probe.
+is read from what the map keeps per face: the integer image box first
+(`feasible.box_holds` on the point's homogeneous column), then, only for a
+face whose box holds the point, the sign test of the image's integer frame
+on the same column. Only an affinely dependent image, such as a singular
+cell's, is decided by a Fourier–Motzkin probe.
 
 Local degree restricts the map to the closed star of the carrier face of a
 point, rescaled toward the point until its closure meets the fiber only
@@ -100,8 +101,7 @@ def _in_face_image(f: PLMap, face: Face, point, column: tuple[int, ...]) -> bool
     The box test comes first, so a frame is built only for a face whose box
     holds the point; an affinely dependent image has no frame and is probed.
     """
-    low, high = f.image_box(face)
-    if any(p < l or p > h for p, l, h in zip(point, low, high)):
+    if not feasible.box_holds(f.image_int_box(face), f.image_denominator, column):
         return False
     frame = f.image_frame(face)
     if frame is None:
@@ -206,6 +206,7 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
     _refuse_boundary_image(f, point)
     if is_regular_value(f, point)[0]:
         return _sign_sum(f, point, point, _regular_evidence(f))
+    start = feasible.homogeneous_column(point)
 
     spread = Fraction(0)
     for c in range(f.ambient_dim):
@@ -225,11 +226,11 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
             if not is_regular_value(f, candidate)[0]:
                 continue
             # a face whose image box misses the segment's box is a miss, unprobed
-            segment_box = (tuple(map(min, point, candidate)), tuple(map(max, point, candidate)))
+            end = feasible.homogeneous_column(candidate)
             checks = tuple(
                 (
                     face,
-                    feasible.boxes_overlap(segment_box, f.image_box(face))
+                    feasible.segment_meets_box(f.image_int_box(face), f.image_denominator, start, end)
                     and feasible.segment_hits_hull(point, candidate, f.image_of_face(face)),
                 )
                 for face in f.domain.boundary

@@ -51,13 +51,19 @@ The dimension of an intersection is computed by growing its affine hull:
 starting from one witness point, functionals vanishing on the directions
 found so far are probed in both strict senses; every feasible probe yields a
 new independent direction, and exhaustion proves the dimension exactly.
+
+Bounding boxes are integer tuples over a denominator their owner keeps
+(`IntBox`). `overlapping_pairs`, a uniform grid over such boxes, is the one
+broad phase of every all-pairs scan, and `box_holds` tests a point's
+homogeneous column against a box by cross-multiplying, so no box test
+compares a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -650,32 +656,36 @@ def _frame_probe(
     return rows is not None and _feasible_int(len(cols), rows) is not None
 
 
-def hull_leaves_affine_span(frame: SimplexFrame, q_verts: Hull, span_points: Hull) -> bool:
+def hull_leaves_affine_span(
+    frame: SimplexFrame, q_cols: Sequence[tuple[int, ...]], span_points: Hull
+) -> bool:
     """Whether conv(P) ∩ conv(Q) has a point outside the affine hull of span_points.
 
-    P is the frame's simplex, and span_points must be vertices of P, matched
-    by exact equality; any other span, or a point of Q in another dimension,
-    raises ValueError. They span a face F of P. Since conv(P) ∩ aff(F) = F, a
-    point of conv(P) leaves aff(F) exactly when its barycentric weights on
-    the vertices of P outside F sum to more than zero. In P's frame that is
-    one strict probe over Q's weights μ alone, with Q̂ Q's homogeneous
-    columns: μ ≥ 0, Σμ = 1, bary·Q̂μ ≥ 0, aff·Q̂μ = 0, and (the sum of the
-    bary rows of the vertices outside F)·Q̂μ > 0. A "no" is usually read off
-    one of these rows' signs on Q̂ alone (`_frame_probe`); the rest go to
-    Fourier–Motzkin. An empty span asks whether the hulls meet at all; an
-    empty Q meets nothing. With F the common face of two cells, this is the
-    properness test: the intersection is proper exactly when it stays inside
-    aff(F).
+    P is the frame's simplex and Q is given by its points' integer
+    homogeneous columns Q̂ (`homogeneous_column`; the owner keeps them:
+    `SimplicialComplex.columns` for cells, `PLMap.image_columns` for image
+    simplices). span_points must be vertices of P, matched by exact
+    equality; any other span, or a column of another dimension, raises
+    ValueError. They span a face F of P. Since conv(P) ∩ aff(F) = F, a point
+    of conv(P) leaves aff(F) exactly when its barycentric weights on the
+    vertices of P outside F sum to more than zero. In P's frame that is one
+    strict probe over Q's column weights μ alone: μ ≥ 0, Σμ = 1,
+    bary·Q̂μ ≥ 0, aff·Q̂μ = 0, and (the sum of the bary rows of the vertices
+    outside F)·Q̂μ > 0. A "no" is usually read off one of these rows' signs
+    on Q̂ alone (`_frame_probe`); the rest go to Fourier–Motzkin. An empty
+    span asks whether the hulls meet at all; an empty Q meets nothing. With
+    F the common face of two cells, this is the properness test: the
+    intersection is proper exactly when it stays inside aff(F).
     """
     # Exact equality, not sets: hashing a Fraction costs a modular inverse, and
     # callers pass P's own vertex tuples, so a match is found by identity.
     if any(p not in frame.verts for p in span_points):
         raise ValueError("span_points must be vertices of the frame's simplex")
-    if any(len(q) != len(frame.verts[0]) for q in q_verts):
-        raise ValueError("q_verts must lie in the frame's space")
+    if any(len(q) != len(frame.verts[0]) + 1 for q in q_cols):
+        raise ValueError("q_cols must be homogeneous columns in the frame's space")
     outside = [row for row, v in zip(frame.bary, frame.verts) if v not in span_points]
     escape = [sum(column) for column in zip(*outside)]  # none outside: the row is 0 < 0
-    return _frame_probe(frame, [homogeneous_column(q) for q in q_verts], REL_LE, escape)
+    return _frame_probe(frame, q_cols, REL_LE, escape)
 
 
 def relint_meets_simplex(frame: SimplexFrame, cols: Sequence[tuple[int, ...]]) -> bool:
@@ -701,11 +711,113 @@ def segment_avoids_sets(start: Vector, end: Vector, obstacles: Sequence[Hull]) -
     return not any(segment_hits_hull(start, end, obs) for obs in obstacles)
 
 
-def bounding_box(verts: Hull) -> tuple[Vector, Vector]:
-    lows = tuple(min(v[c] for v in verts) for c in range(len(verts[0])))
-    highs = tuple(max(v[c] for v in verts) for c in range(len(verts[0])))
-    return lows, highs
+# ---------------------------------------------------------------------------
+# Integer boxes and the grid broad phase
+# ---------------------------------------------------------------------------
+
+# An axis-aligned box (lows, highs) of integer coordinates over a denominator
+# its owner keeps: `SimplicialComplex.denominator` for cells,
+# `PLMap.image_denominator` for face images.
+IntBox = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def boxes_overlap(a: tuple[Vector, Vector], b: tuple[Vector, Vector]) -> bool:
+def over_common_denominator(points: Hull) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The least D > 0 that clears every coordinate's denominator, and each point times D."""
+    denominator = lcm(*(x.denominator for p in points for x in p))
+    return denominator, tuple(
+        tuple(x.numerator * (denominator // x.denominator) for x in p) for p in points
+    )
+
+
+def integer_box(points: Sequence[Sequence[int]]) -> IntBox:
+    """The bounding box of integer points."""
+    axes = list(zip(*points))
+    return tuple(map(min, axes)), tuple(map(max, axes))
+
+
+def boxes_overlap(a: IntBox, b: IntBox) -> bool:
+    """Whether two boxes over the same denominator meet (touching counts)."""
     return all(al <= bh and bl <= ah for al, ah, bl, bh in zip(a[0], a[1], b[0], b[1]))
+
+
+def box_holds(box: IntBox, denominator: int, column: Sequence[int]) -> bool:
+    """Whether the point of the homogeneous column ŷ = (m·y, m) lies in the box.
+
+    With the box over denominator D, lo/D ≤ y ≤ hi/D on an axis is
+    lo·m ≤ (m·y)·D ≤ hi·m: two integer products, no Fraction.
+    """
+    m = column[-1]
+    return all(lo * m <= c * denominator <= hi * m for lo, hi, c in zip(box[0], box[1], column))
+
+
+def segment_meets_box(
+    box: IntBox, denominator: int, start: Sequence[int], end: Sequence[int]
+) -> bool:
+    """Whether the box meets the bounding box of the segment between two columns.
+
+    On each axis the segment's interval misses [lo/D, hi/D] only when both
+    ends lie above hi/D or both below lo/D, each compared as in `box_holds`.
+    """
+    ms, me = start[-1], end[-1]
+    for lo, hi, s, e in zip(box[0], box[1], start, end):
+        s, e = s * denominator, e * denominator
+        if (s > hi * ms and e > hi * me) or (s < lo * ms and e < lo * me):
+            return False
+    return True
+
+
+def _grid_cells(box: IntBox, steps: Sequence[int], limit: int) -> Optional[list[tuple[int, ...]]]:
+    """The grid cells a box covers, or None when it covers more than limit."""
+    spans = [range(lo // s, hi // s + 1) for lo, hi, s in zip(box[0], box[1], steps)]
+    count = 1
+    for span in spans:
+        count *= len(span)
+    return None if count > limit else list(product(*spans))
+
+
+def overlapping_pairs(
+    boxes_a: Sequence[IntBox], boxes_b: Optional[Sequence[IntBox]] = None
+) -> list[tuple[int, int]]:
+    """The index pairs (i, j) of overlapping boxes, sorted.
+
+    With one list, the pairs i < j of boxes_a that overlap; with two, the
+    pairs of a box of boxes_a and a box of boxes_b. All boxes share one
+    denominator. A uniform grid is the broad phase: its step on each axis is
+    the median box extent there (at least 1), each box of boxes_b is filed
+    under every grid cell it covers, and a box of boxes_a meets only the
+    boxes filed under its own cells. A box that covers more cells than there
+    are boxes is cheaper to test against every box, so it is. Each candidate
+    pair is then decided by `boxes_overlap`, in sorted order, so a caller
+    walking the pairs meets them in the order of the nested all-pairs loop.
+    """
+    same = boxes_b is None
+    boxes_b = boxes_a if boxes_b is None else boxes_b
+    if not boxes_a or not boxes_b:
+        return []
+    every = boxes_a if same else [*boxes_a, *boxes_b]
+    steps = [
+        max(1, sorted(box[1][c] - box[0][c] for box in every)[len(every) // 2])
+        for c in range(len(every[0][0]))
+    ]
+    cells_b = [_grid_cells(box, steps, len(boxes_b)) for box in boxes_b]
+    cells_a = cells_b if same else [_grid_cells(box, steps, len(boxes_b)) for box in boxes_a]
+    grid: dict[tuple[int, ...], list[int]] = {}
+    large: list[int] = []  # boxes of boxes_b filed under no cell
+    for j, cells in enumerate(cells_b):
+        if cells is None:
+            large.append(j)
+            continue
+        for cell in cells:
+            grid.setdefault(cell, []).append(j)
+    pairs = []
+    for i, (box, cells) in enumerate(zip(boxes_a, cells_a)):
+        if cells is None:
+            candidates = set(range(i + 1 if same else 0, len(boxes_b)))
+        else:
+            candidates = set(large)
+            for cell in cells:
+                candidates.update(grid.get(cell, ()))
+        for j in sorted(candidates):
+            if (not same or j > i) and boxes_overlap(box, boxes_b[j]):
+                pairs.append((i, j))
+    return pairs

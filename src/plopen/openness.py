@@ -132,7 +132,7 @@ def branch_set(f: PLMap) -> BranchReport:
                     witness = (a, b)
                     break
                 ids_a, ids_b = f.domain.cells[a].vertex_ids, f.domain.cells[b].vertex_ids
-                if not feasible.boxes_overlap(f.image_box(ids_a), f.image_box(ids_b)):
+                if not feasible.boxes_overlap(f.image_int_box(ids_a), f.image_int_box(ids_b)):
                     continue
                 frame = f.image_frame(ids_a)
                 columns = f.image_columns(ids_b)

@@ -6,10 +6,12 @@ its n+1 vertices, so continuity across shared faces holds by construction.
 `build_plmap` reads each piece off the cell's integer frame.
 The triple form (cell, matrix, offset) is a derived view: `ingest_pieces`
 keeps the given pieces and reads the vertex images off them after checking
-continuity exactly. The map owns, per face, the bounding box and the integer
-frame of the face's image simplex, and the vertex images' homogeneous
-columns, each built at first use and kept for its lifetime; fibers, degree
-queries, the branch set, the oracle and the certifier read them.
+continuity exactly. The map keeps its vertex images as integers over one
+common denominator (`image_denominator`) and owns, per face, the integer
+bounding box and the integer frame of the face's image simplex, and the
+vertex images' homogeneous columns, each built at first use and kept for its
+lifetime; fibers, degree queries, the branch set, the oracle and the
+certifier read them.
 
 The ingredients of every openness verdict live here: determinant-sign
 profiles, fibers (with exact witness segments through collapsed cells), the
@@ -77,7 +79,10 @@ class PLMap:
     pieces: tuple[AffinePiece, ...]
 
     def __post_init__(self) -> None:
-        self._image_boxes: dict[Face, tuple[Vector, Vector]] = {}
+        self.image_denominator, self._scaled_images = feasible.over_common_denominator(
+            self.vertex_images
+        )
+        self._image_boxes: dict[Face, feasible.IntBox] = {}
         self._image_frames: dict[Face, Optional[feasible.SimplexFrame]] = {}
         self._columns: Optional[tuple[tuple[int, ...], ...]] = None
 
@@ -91,11 +96,11 @@ class PLMap:
     def cell_image_points(self, cell_index: int) -> tuple[Vector, ...]:
         return self.image_of_face(self.domain.cells[cell_index].vertex_ids)
 
-    def image_box(self, face: Face) -> tuple[Vector, Vector]:
-        """The bounding box of the face's image simplex."""
+    def image_int_box(self, face: Face) -> feasible.IntBox:
+        """The bounding box of the face's image simplex, as integers over `image_denominator`."""
         box = self._image_boxes.get(face)
         if box is None:
-            box = feasible.bounding_box(self.image_of_face(face))
+            box = feasible.integer_box([self._scaled_images[i] for i in face])
             self._image_boxes[face] = box
         return box
 
@@ -214,7 +219,7 @@ def build_plmap(
     for i, img in enumerate(images):
         if len(img) != n:
             raise ValueError(f"image of vertex {i} has dimension {len(img)}, expected {n}")
-    vertex_columns = [feasible.homogeneous_column(v) for v in complex_.vertices]
+    vertex_columns = complex_.columns
     image_columns = [feasible.homogeneous_column(y) for y in images]
     pieces = tuple(
         _frame_piece(
@@ -334,8 +339,7 @@ def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:
     for ci, piece in enumerate(f.pieces):
         if piece.det_sign != 0:
             ids = f.domain.cells[ci].vertex_ids
-            low, high = f.image_box(ids)
-            if any(q < l or q > h for q, l, h in zip(query, low, high)):
+            if not feasible.box_holds(f.image_int_box(ids), f.image_denominator, column):
                 continue
             weights = [
                 w * image[-1]

@@ -126,32 +126,30 @@ def boundary_preimage_ok(inst: BallMapInstance) -> tuple[bool, Optional[tuple]]:
 
     A failure returns an exact interior witness point whose image lies in the
     boundary image. Relative interiors of interior faces partition the open
-    support, so the sweep is exhaustive. Each pair is decided by one probe in
-    the boundary-face image's frame (vertex form when that image is
-    degenerate); only the first pair that hits rebuilds its witness point.
+    support, so the sweep is exhaustive. The pairs whose integer image boxes
+    overlap come from one grid broad phase, in the order of the nested loop
+    (interior faces by size and ids, then boundary faces). Each is decided by
+    one probe in the boundary-face image's frame (vertex form when that image
+    is degenerate); only the first pair that hits rebuilds its witness point.
     The frames stay with the map, so stage 2 reuses them.
     """
     f = inst.map
-    targets = [
-        (f.image_of_face(face), f.image_frame(face), f.image_box(face)) for face in inst.boundary
-    ]
-    for ids in f.domain.interior_faces():
-        source_imgs = f.image_of_face(ids)
-        source_box = f.image_box(ids)
-        for hull, frame, box in targets:
-            if not feasible.boxes_overlap(source_box, box):
-                continue
-            # a degenerate image (no frame) is decided in vertex form
-            if frame is not None and not feasible.relint_meets_simplex(
-                frame, f.image_columns(ids)
-            ):
-                continue
-            # the first hit rebuilds its witness in vertex form
-            witness = feasible.relint_preimage_witness(
-                f.domain.face_points(ids), source_imgs, hull
-            )
-            if witness is not None:
-                return False, witness
+    interior = f.domain.interior_faces()
+    pairs = feasible.overlapping_pairs(
+        [f.image_int_box(ids) for ids in interior], [f.image_int_box(face) for face in inst.boundary]
+    )
+    for i, j in pairs:
+        ids, face = interior[i], inst.boundary[j]
+        frame = f.image_frame(face)
+        # a degenerate image (no frame) is decided in vertex form
+        if frame is not None and not feasible.relint_meets_simplex(frame, f.image_columns(ids)):
+            continue
+        # the first hit rebuilds its witness in vertex form
+        witness = feasible.relint_preimage_witness(
+            f.domain.face_points(ids), f.image_of_face(ids), f.image_of_face(face)
+        )
+        if witness is not None:
+            return False, witness
     return True, None
 
 
@@ -168,18 +166,15 @@ def boundary_restriction_injective(
     """
     f = inst.map
     boundary = inst.boundary
-    hulls = {face: f.image_of_face(face) for face in boundary}
     for face in boundary:
         if f.image_frame(face) is None:
             return False, (face, face)
-    for i, face_a in enumerate(boundary):
-        for face_b in boundary[i + 1 :]:
-            if not feasible.boxes_overlap(f.image_box(face_a), f.image_box(face_b)):
-                continue
-            shared = tuple(sorted(set(face_a) & set(face_b)))
-            span = f.image_of_face(shared)
-            if feasible.hull_leaves_affine_span(f.image_frame(face_a), hulls[face_b], span):
-                return False, (face_a, face_b)
+    for i, j in feasible.overlapping_pairs([f.image_int_box(face) for face in boundary]):
+        face_a, face_b = boundary[i], boundary[j]
+        shared = tuple(sorted(set(face_a) & set(face_b)))
+        span = f.image_of_face(shared)
+        if feasible.hull_leaves_affine_span(f.image_frame(face_a), f.image_columns(face_b), span):
+            return False, (face_a, face_b)
     return True, None
 
 
@@ -195,20 +190,14 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
     that affine hull (or any overlap at all for disjoint cells).
     """
     n = f.ambient_dim
-    count = len(f.domain.cells)
-    for a in range(count):
-        box_a = f.image_box(f.domain.cells[a].vertex_ids)
-        ids_a = set(f.domain.cells[a].vertex_ids)
-        for b in range(a + 1, count):
-            if not feasible.boxes_overlap(box_a, f.image_box(f.domain.cells[b].vertex_ids)):
-                continue
-            shared = tuple(sorted(ids_a & set(f.domain.cells[b].vertex_ids)))
-            if len(shared) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
-                continue
-            frame = f.image_frame(f.domain.cells[a].vertex_ids)
-            hull_b = f.cell_image_points(b)
-            if feasible.hull_leaves_affine_span(frame, hull_b, f.image_of_face(shared)):
-                return a, b
+    cells = [cell.vertex_ids for cell in f.domain.cells]
+    for a, b in feasible.overlapping_pairs([f.image_int_box(ids) for ids in cells]):
+        shared = tuple(sorted(set(cells[a]) & set(cells[b])))
+        if len(shared) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
+            continue
+        frame = f.image_frame(cells[a])
+        if feasible.hull_leaves_affine_span(frame, f.image_columns(cells[b]), f.image_of_face(shared)):
+            return a, b
     return None
 
 

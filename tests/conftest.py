@@ -4,8 +4,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# CI selects this profile (`--hypothesis-profile=ci`): every property test draws
+# the same examples on every run, so a failure there reproduces locally with
+# the same flag.
+settings.register_profile("ci", derandomize=True, max_examples=100, database=None)
 
 from plopen import validate_complex, build_plmap
 from plopen.generators import GenSpec, generate

@@ -5,6 +5,7 @@ from math import ceil, floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plopen import feasible
 from plopen.complexes import (
     InvalidComplexError,
     NonManifoldError,
@@ -14,7 +15,7 @@ from plopen.complexes import (
     scaled_star,
     validate_complex,
 )
-from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
+from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, box_complex, generate
 
 from oracles import barycentric_of, point_in_simplex
 
@@ -78,6 +79,24 @@ class TestValidation:
         with pytest.raises(InvalidComplexError) as err:
             validate_complex([[0, 0], [1, 1], [2, 2]], [[0, 1, 2]])
         assert err.value.violations
+
+    def test_grid_broad_phase_tests_few_boxes(self, monkeypatch):
+        # 64 unit cubes of six tetrahedra each. A cell's box is its cube, so
+        # the boxes of two cells overlap exactly when their cubes touch; the
+        # grid offers no other pair, where the nested loop tests all of them.
+        grid = box_complex(3, 4)
+        tests = []
+        boxes_overlap = feasible.boxes_overlap
+
+        def counted(a, b):
+            tests.append(a)
+            return boxes_overlap(a, b)
+
+        monkeypatch.setattr(feasible, "boxes_overlap", counted)
+        complex_ = validate_complex(grid.vertices, [cell.vertex_ids for cell in grid.cells], 3)
+        count = len(complex_.cells)
+        assert count == 384
+        assert len(tests) * 4 < count * (count - 1) // 2
 
 
 class TestLocate:
@@ -169,6 +188,13 @@ class TestBoundary:
         assert (0, 2) in interior  # the diagonal
         assert (0,) not in interior  # corner vertex lies on the boundary
         assert (0, 1, 2) in interior  # cells always count as interior
+
+    @pytest.mark.parametrize("spec", COMPLEXES)
+    def test_on_boundary_is_a_subset_of_a_boundary_face(self, spec):
+        complex_ = sample_complex(spec)
+        facets = [set(face) for face in boundary_faces(complex_)]
+        for ids, info in complex_.faces.items():
+            assert info.on_boundary == any(set(ids) <= facet for facet in facets), ids
 
 
 class TestConnectivityAndStars:

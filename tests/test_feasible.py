@@ -14,7 +14,7 @@ from plopen.feasible import (
     _feasible_int,
     _frame_probe,
     _frame_rows,
-    bounding_box,
+    box_holds,
     boxes_overlap,
     constrained_hull_dim,
     homogeneous_column,
@@ -22,13 +22,17 @@ from plopen.feasible import (
     hull_dim,
     hull_leaves_affine_span,
     hulls_intersect,
+    integer_box,
     intersection_dim,
     lp_feasible,
+    over_common_denominator,
+    overlapping_pairs,
     relative_interiors_intersect,
     relint_meets_simplex,
     relint_preimage_witness,
     segment_avoids_sets,
     segment_hits_hull,
+    segment_meets_box,
     simplex_frame,
 )
 from plopen.generators import GenSpec, generate
@@ -42,6 +46,10 @@ def F(*args):
 
 def pt(*coords):
     return tuple(F(c) for c in coords)
+
+
+def cols(points):
+    return [homogeneous_column(p) for p in points]
 
 
 def system(num_vars, rows):
@@ -191,30 +199,30 @@ class TestAffineSpanEscape:
         a = [pt(0, 0), pt(1, 0), pt(0, 1)]
         b = [pt(1, 0), pt(0, 1), pt(1, 1)]
         shared = [pt(1, 0), pt(0, 1)]
-        assert not hull_leaves_affine_span(simplex_frame(a), b, shared)
+        assert not hull_leaves_affine_span(simplex_frame(a), cols(b), shared)
 
     def test_overlapping_pair_escapes(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
         b = [pt(0, 0), pt(3, 1), pt(1, 3)]
         shared = [pt(0, 0)]
-        assert hull_leaves_affine_span(simplex_frame(a), b, shared)
+        assert hull_leaves_affine_span(simplex_frame(a), cols(b), shared)
 
     def test_span_point_off_the_vertices_rejected(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
         b = [pt(1, 0), pt(3, 0), pt(1, 2)]
         with pytest.raises(ValueError):
-            hull_leaves_affine_span(simplex_frame(a), b, [pt(1, 0)])
+            hull_leaves_affine_span(simplex_frame(a), cols(b), [pt(1, 0)])
 
     def test_q_in_another_dimension_rejected(self):
         frame = simplex_frame([pt(0, 0), pt(2, 0), pt(0, 2)])
         with pytest.raises(ValueError):
-            hull_leaves_affine_span(frame, [pt(1), pt(1, 1)], [])
+            hull_leaves_affine_span(frame, cols([pt(1), pt(1, 1)]), [])
 
     def test_empty_span_asks_whether_hulls_meet(self):
         a = simplex_frame([pt(0, 0), pt(1, 0), pt(0, 1)])
-        assert hull_leaves_affine_span(a, [pt(1, 1), pt(0, 0)], [])
-        assert not hull_leaves_affine_span(a, [pt(1, 1), pt(2, 2)], [])
-        assert not hull_leaves_affine_span(a, [], [])
+        assert hull_leaves_affine_span(a, cols([pt(1, 1), pt(0, 0)]), [])
+        assert not hull_leaves_affine_span(a, cols([pt(1, 1), pt(2, 2)]), [])
+        assert not hull_leaves_affine_span(a, cols([]), [])
 
     @pytest.mark.parametrize(
         "verts",
@@ -239,38 +247,38 @@ class TestAffineSpanEscape:
         assert det_sign(square) == (1 if swap else -1)
         frame = simplex_frame(p_verts)
         face = p_verts[1:]
-        assert not hull_leaves_affine_span(frame, [*face, pt(1, 1, 1)], face)
-        assert hull_leaves_affine_span(frame, [*face, pt(F(1, 8), F(1, 8), F(1, 8))], face)
+        assert not hull_leaves_affine_span(frame, cols([*face, pt(1, 1, 1)]), face)
+        assert hull_leaves_affine_span(frame, cols([*face, pt(F(1, 8), F(1, 8), F(1, 8))]), face)
         inner = [pt(F(1, 4), F(1, 4), F(1, 4))]
-        assert hull_leaves_affine_span(frame, inner, [])
-        assert not hull_leaves_affine_span(frame, inner, p_verts)
-        assert hull_leaves_affine_span(frame, [pt(0, 0, 0)], []) and not hull_leaves_affine_span(
-            frame, [pt(0, 0, 0)], [pt(0, 0, 0)]
+        assert hull_leaves_affine_span(frame, cols(inner), [])
+        assert not hull_leaves_affine_span(frame, cols(inner), p_verts)
+        assert hull_leaves_affine_span(frame, cols([pt(0, 0, 0)]), []) and not hull_leaves_affine_span(
+            frame, cols([pt(0, 0, 0)]), [pt(0, 0, 0)]
         )
 
     def test_one_dimensional_boundary_points(self):
         # the boundary faces of a 1-D ball are points: k = 0 frames with one axis
         left, right = simplex_frame([pt(-1)]), simplex_frame([pt(1)])
-        assert not hull_leaves_affine_span(left, [pt(1)], [])
-        assert hull_leaves_affine_span(right, [pt(1)], [])
-        assert not hull_leaves_affine_span(right, [pt(1)], [pt(1)])
-        assert hull_leaves_affine_span(left, [pt(-2), pt(0)], [])
-        assert not hull_leaves_affine_span(left, [pt(F(-1, 2)), pt(0)], [])
+        assert not hull_leaves_affine_span(left, cols([pt(1)]), [])
+        assert hull_leaves_affine_span(right, cols([pt(1)]), [])
+        assert not hull_leaves_affine_span(right, cols([pt(1)]), [pt(1)])
+        assert hull_leaves_affine_span(left, cols([pt(-2), pt(0)]), [])
+        assert not hull_leaves_affine_span(left, cols([pt(F(-1, 2)), pt(0)]), [])
 
     def test_point_frame_in_the_plane(self):
         frame = simplex_frame([pt(F(1, 3), 0)])
-        assert hull_leaves_affine_span(frame, [pt(0, -1), pt(F(2, 3), 1)], [])
-        assert not hull_leaves_affine_span(frame, [pt(0, -1), pt(1, 1)], [])
+        assert hull_leaves_affine_span(frame, cols([pt(0, -1), pt(F(2, 3), 1)]), [])
+        assert not hull_leaves_affine_span(frame, cols([pt(0, -1), pt(1, 1)]), [])
 
     def test_single_point_q(self):
         p_verts = [pt(0, 0), pt(2, 0), pt(0, 2)]
         frame = simplex_frame(p_verts)
         on_edge = [pt(1, 0)]
-        assert not hull_leaves_affine_span(frame, on_edge, p_verts[:2])
-        assert hull_leaves_affine_span(frame, on_edge, p_verts[:1])
-        assert hull_leaves_affine_span(frame, [pt(F(1, 2), F(1, 2))], p_verts[1:])
-        assert not hull_leaves_affine_span(frame, [pt(2, 2)], [])
-        assert not hull_leaves_affine_span(frame, [pt(0, 2)], [pt(0, 2)])
+        assert not hull_leaves_affine_span(frame, cols(on_edge), p_verts[:2])
+        assert hull_leaves_affine_span(frame, cols(on_edge), p_verts[:1])
+        assert hull_leaves_affine_span(frame, cols([pt(F(1, 2), F(1, 2))]), p_verts[1:])
+        assert not hull_leaves_affine_span(frame, cols([pt(2, 2)]), [])
+        assert not hull_leaves_affine_span(frame, cols([pt(0, 2)]), [pt(0, 2)])
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -289,7 +297,7 @@ class TestAffineSpanEscape:
         extra = data.draw(st.lists(point | inside, min_size=0 if face else 1, max_size=3))
         q_verts = data.draw(st.permutations(face + extra))
         frame = simplex_frame(p_verts)
-        assert hull_leaves_affine_span(frame, q_verts, face) == _leaves_span_by_normals(
+        assert hull_leaves_affine_span(frame, cols(q_verts), face) == _leaves_span_by_normals(
             p_verts, q_verts, face
         )
 
@@ -447,10 +455,82 @@ class TestFrameProbeOneRow:
         assert counts["probes"] > 100 and counts["solves"] * 10 <= counts["probes"], counts
 
 
+def _meets(a, b):
+    return all(al <= bh and bl <= ah for al, ah, bl, bh in zip(*a, *b))
+
+
+@st.composite
+def _int_boxes(draw, n, max_size=24):
+    """Boxes over a few small coordinates, so touching and zero extents are common."""
+    extent = st.integers(0, 0) | st.integers(0, 3) | st.integers(0, 40)
+    boxes = []
+    for _ in range(draw(st.integers(0, max_size))):
+        lows = draw(st.tuples(*[st.integers(-12, 12)] * n))
+        boxes.append((lows, tuple(lo + draw(extent) for lo in lows)))
+    return boxes
+
+
 class TestBoxes:
     def test_bounding_and_overlap(self):
-        a = bounding_box([pt(0, 0), pt(2, 1)])
-        b = bounding_box([pt(2, 1), pt(3, 3)])
-        c = bounding_box([pt(5, 5), pt(6, 6)])
+        a = integer_box([(0, 0), (2, 1)])
+        b = integer_box([(2, 1), (3, 3)])
+        c = integer_box([(5, 5), (6, 6)])
+        assert a == ((0, 0), (2, 1))
         assert boxes_overlap(a, b)
         assert not boxes_overlap(a, c)
+
+    def test_touching_and_zero_extent_pairs(self):
+        boxes = [((0,), (1,)), ((1,), (1,)), ((2,), (3,)), ((-3,), (-1,)), ((-1,), (2,))]
+        assert overlapping_pairs(boxes) == [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)]
+        assert overlapping_pairs(boxes, [((3,), (3,))]) == [(2, 0)]
+        assert overlapping_pairs([]) == [] and overlapping_pairs(boxes, []) == []
+        assert overlapping_pairs([], boxes) == []
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_pairs_match_all_pairs(self, data):
+        n = data.draw(st.integers(1, 3))
+        boxes_a = data.draw(_int_boxes(n))
+        boxes_b = data.draw(_int_boxes(n))
+        one = overlapping_pairs(boxes_a)
+        assert one == sorted(one)
+        assert one == [
+            (i, j)
+            for i in range(len(boxes_a))
+            for j in range(i + 1, len(boxes_a))
+            if _meets(boxes_a[i], boxes_a[j])
+        ]
+        two = overlapping_pairs(boxes_a, boxes_b)
+        assert two == sorted(two)
+        assert two == [
+            (i, j)
+            for i in range(len(boxes_a))
+            for j in range(len(boxes_b))
+            if _meets(boxes_a[i], boxes_b[j])
+        ]
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_point_and_segment_tests_match_fractions(self, data):
+        n = data.draw(st.integers(1, 3))
+        coord = st.fractions(-3, 3, max_denominator=6)
+        corners = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4))
+        lows = tuple(map(min, zip(*corners)))
+        highs = tuple(map(max, zip(*corners)))
+        denominator, scaled = over_common_denominator(corners)
+        box = integer_box(scaled)
+        assert all(F(lo, denominator) == x for lo, x in zip(box[0], lows))
+        assert all(F(hi, denominator) == x for hi, x in zip(box[1], highs))
+        # coordinates on the box's faces are drawn as often as free ones
+        axis_value = [st.sampled_from([lo, hi]) | coord for lo, hi in zip(lows, highs)]
+        start = data.draw(st.tuples(*axis_value))
+        end = data.draw(st.tuples(*axis_value))
+        inside = all(lo <= y <= hi for y, lo, hi in zip(start, lows, highs))
+        assert box_holds(box, denominator, homogeneous_column(start)) == inside
+        meets = all(
+            min(s, e) <= hi and lo <= max(s, e) for s, e, lo, hi in zip(start, end, lows, highs)
+        )
+        assert (
+            segment_meets_box(box, denominator, homogeneous_column(start), homogeneous_column(end))
+            == meets
+        )

@@ -22,11 +22,8 @@ def F(*args):
 
 def seeded_queries(f, count, seed):
     rng = _SplitMix64(seed)
-    lows, highs = f.image_box(f.domain.cells[0].vertex_ids)
-    for cell in f.domain.cells[1:]:
-        lo, hi = f.image_box(cell.vertex_ids)
-        lows = tuple(min(a, b) for a, b in zip(lows, lo))
-        highs = tuple(max(a, b) for a, b in zip(highs, hi))
+    images = [y for cell in f.domain.cells for y in f.image_of_face(cell.vertex_ids)]
+    lows, highs = tuple(map(min, zip(*images))), tuple(map(max, zip(*images)))
     for _ in range(count):
         yield tuple(
             lo + Fraction(rng.int_range(0, 64), 64) * (hi - lo)

@@ -161,7 +161,9 @@ class TestBoundaryInjectivity:
         shared = tuple(sorted(set(face_a) & set(face_b)))
         img_a, img_b = f.image_of_face(face_a), f.image_of_face(face_b)
         if shared:
-            assert hull_leaves_affine_span(simplex_frame(img_a), img_b, f.image_of_face(shared))
+            assert hull_leaves_affine_span(
+                simplex_frame(img_a), f.image_columns(face_b), f.image_of_face(shared)
+            )
         else:
             assert hulls_intersect(img_a, img_b)
 
@@ -229,7 +231,9 @@ class TestCertify:
                 continue
             a, b = info.cells
             assert not hull_leaves_affine_span(
-                simplex_frame(f.cell_image_points(a)), f.cell_image_points(b), f.image_of_face(ids)
+                simplex_frame(f.cell_image_points(a)),
+                f.image_columns(f.domain.cells[b].vertex_ids),
+                f.image_of_face(ids),
             )
             checked += 1
         assert checked
