@@ -37,7 +37,6 @@ from .feasible import (
     REL_LT,
     intersection_dim,
     lp_feasible,
-    segment_avoids_sets,
 )
 from .generators import GeneratedInstance, GenerationError, GenSpec, generate, oracle_fiber_count
 from .linalg import Matrix, Rational, det, det_sign, rank, solve_square

@@ -7,15 +7,15 @@ cells meet in a common face or not at all, and no (n-1)-face is shared by
 three or more cells. The support's topological boundary is then precisely the
 set of (n-1)-faces incident to a single cell.
 
-The complex keeps its coordinates as integers over one common denominator,
-and each cell's bounding box in them (`cell_boxes`); validation finds the
-cell pairs to probe with one grid broad phase over those boxes
-(`feasible.overlapping_pairs`). Point location tests a point's integer
-homogeneous column against each box, then reads the signs of barycentric
-weights in the cell's integer frame (`cell_frame`, kept for the complex's
-lifetime and seeded by validation): each query is classified as interior to
-a unique cell, on the relative interior of a unique smallest face, or
-outside the support.
+The complex keeps the integer form of its vertices in one
+`feasible.IntegerPoints` (`points`), which builds each cell's integer box
+and frame at first use and keeps them for the complex's lifetime.
+Validation finds the cell pairs to probe with one grid broad phase over the
+cell boxes (`feasible.overlapping_pairs`). Point location tests a point's
+integer homogeneous column against each cell box, then reads the signs of
+barycentric weights in the cell's frame: each query is classified as
+interior to a unique cell, on the relative interior of a unique smallest
+face, or outside the support.
 """
 
 from __future__ import annotations
@@ -98,18 +98,18 @@ def _subsets(ids: Face) -> Iterable[Face]:
 class SimplicialComplex:
     """A validated pure n-dimensional simplicial complex in R^n."""
 
-    vertices: tuple[Vector, ...]
+    points: feasible.IntegerPoints  # the vertices and their integer form
     cells: tuple[Simplex, ...]
     ambient_dim: int
     faces: dict[Face, FaceInfo] = field(repr=False)
     boundary: tuple[Face, ...]  # (n-1)-faces incident to exactly one cell
-    columns: tuple[tuple[int, ...], ...] = field(repr=False)  # homogeneous column per vertex
-    denominator: int = field(repr=False)  # clears every vertex coordinate
-    cell_boxes: tuple[feasible.IntBox, ...] = field(repr=False)  # over `denominator`
-    _cell_frames: dict[int, feasible.SimplexFrame] = field(default_factory=dict, repr=False)
     _proper_faces: Optional[tuple[Face, ...]] = field(default=None, repr=False)
 
     # -- basic geometry ----------------------------------------------------
+
+    @property
+    def vertices(self) -> tuple[Vector, ...]:
+        return self.points.points
 
     def cell_points(self, cell_index: int) -> tuple[Vector, ...]:
         return tuple(self.vertices[i] for i in self.cells[cell_index].vertex_ids)
@@ -156,13 +156,6 @@ class SimplicialComplex:
         out.sort()
         return out
 
-    def cell_frame(self, cell_index: int) -> feasible.SimplexFrame:
-        frame = self._cell_frames.get(cell_index)
-        if frame is None:
-            frame = feasible.simplex_frame(self.cell_points(cell_index))
-            self._cell_frames[cell_index] = frame
-        return frame
-
     def locate(self, point: Vector) -> Located:
         """Exact classification of a point against the support.
 
@@ -174,12 +167,13 @@ class SimplicialComplex:
                 f"point has dimension {len(point)}, complex is in R^{self.ambient_dim}"
             )
         column = feasible.homogeneous_column(point)
-        for ci, box in enumerate(self.cell_boxes):
-            if not feasible.box_holds(box, self.denominator, column):
+        points = self.points
+        for ci, cell in enumerate(self.cells):
+            ids = cell.vertex_ids
+            if not feasible.box_holds(points.box(ids), points.denominator, column):
                 continue
-            weights = self.cell_frame(ci).weights(column)
+            weights = points.frame(ids).weights(column)
             if min(weights) >= 0:
-                ids = self.cells[ci].vertex_ids
                 support = tuple(v for v, w in zip(ids, weights) if w > 0)
                 if len(support) == len(ids):
                     return Located("interior", cell=ci)
@@ -259,18 +253,14 @@ def collect_violations(
     # by their shared vertices. For simplices, conv(P) ∩ aff(shared) equals
     # the shared face, so the intersection is proper iff it stays inside that
     # affine hull (iff it is empty when no vertices are shared): one strict
-    # probe per pair whose integer boxes overlap, in cell a's frame, which
-    # the complex then keeps.
-    denominator, scaled = feasible.over_common_denominator(verts)
-    columns = tuple(feasible.homogeneous_column(v) for v in verts)
-    boxes = tuple(feasible.integer_box([scaled[i] for i in s.vertex_ids]) for s in simplices)
-    frames: dict[int, feasible.SimplexFrame] = {}
-    for a, b in feasible.overlapping_pairs(boxes):
-        if a not in frames:
-            frames[a] = feasible.simplex_frame([verts[i] for i in simplices[a].vertex_ids])
-        qb = [columns[i] for i in simplices[b].vertex_ids]
-        shared = tuple(sorted(set(simplices[a].vertex_ids) & set(simplices[b].vertex_ids)))
-        if feasible.hull_leaves_affine_span(frames[a], qb, [verts[i] for i in shared]):
+    # probe per pair whose integer boxes overlap, in cell a's frame; the
+    # complex then keeps the boxes and frames.
+    points = feasible.IntegerPoints(verts)
+    for a, b in feasible.overlapping_pairs([points.box(s.vertex_ids) for s in simplices]):
+        ids_a, ids_b = simplices[a].vertex_ids, simplices[b].vertex_ids
+        span = [j for j, v in enumerate(ids_a) if v in ids_b]
+        if feasible.hull_leaves_affine_span(points.frame(ids_a), points.cols(ids_b), span):
+            shared = tuple(ids_a[j] for j in span)
             if shared:
                 message = f"cells {a} and {b} overlap beyond their common face {shared}"
             else:
@@ -303,15 +293,11 @@ def collect_violations(
         for ids, inc in face_cells.items()
     }
     complex_ = SimplicialComplex(
-        vertices=verts,
+        points=points,
         cells=tuple(simplices),
         ambient_dim=n,
         faces=faces,
         boundary=boundary,
-        columns=columns,
-        denominator=denominator,
-        cell_boxes=boxes,
-        _cell_frames=frames,
     )
     return [], complex_
 

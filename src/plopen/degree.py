@@ -11,11 +11,11 @@ metric closeness bound: both are licensed by local constancy, and segment
 avoidance needs no square roots.
 
 Whether a point lies in a face's image (the boundary and regularity scans)
-is read from what the map keeps per face: the integer image box first
-(`feasible.box_holds` on the point's homogeneous column), then, only for a
-face whose box holds the point, the sign test of the image's integer frame
-on the same column. Only an affinely dependent image, such as a singular
-cell's, is decided by a Fourier–Motzkin probe.
+is read from what the map's `IntegerPoints` keeps per face: the integer
+image box first (`feasible.box_holds` on the point's homogeneous column),
+then, only for a face whose box holds the point, the sign test of the
+image's integer frame on the same column. Only an affinely dependent
+image, such as a singular cell's, is decided by a Fourier–Motzkin probe.
 
 Local degree restricts the map to the closed star of the carrier face of a
 point, rescaled toward the point until its closure meets the fiber only
@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 from . import feasible
 from .complexes import Face, SimplicialComplex, scaled_star, validate_complex
 from .linalg import DimensionError
-from .plmap import FiniteFiber, InfiniteFiber, PLMap, build_plmap, fiber, finite_fibers
+from .plmap import FiniteFiber, PLMap, build_plmap, fiber, finite_fibers
 
 
 class BoundaryImageError(ValueError):
@@ -101,9 +101,9 @@ def _in_face_image(f: PLMap, face: Face, point, column: tuple[int, ...]) -> bool
     The box test comes first, so a frame is built only for a face whose box
     holds the point; an affinely dependent image has no frame and is probed.
     """
-    if not feasible.box_holds(f.image_int_box(face), f.image_denominator, column):
+    if not feasible.box_holds(f.images.box(face), f.images.denominator, column):
         return False
-    frame = f.image_frame(face)
+    frame = f.images.frame(face)
     if frame is None:
         return feasible.hull_contains(f.image_of_face(face), point)
     return frame.contains(column)
@@ -230,7 +230,7 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
             checks = tuple(
                 (
                     face,
-                    feasible.segment_meets_box(f.image_int_box(face), f.image_denominator, start, end)
+                    feasible.segment_meets_box(f.images.box(face), f.images.denominator, start, end)
                     and feasible.segment_hits_hull(point, candidate, f.image_of_face(face)),
                 )
                 for face in f.domain.boundary

@@ -24,39 +24,40 @@ Properness of two simplices is one strict probe, asked in P's own frame
 instead of in vertex form. For a face F of a simplex P, conv(P) ∩ aff(F) = F,
 so the intersection with Q leaves aff(F) exactly when some common point puts
 positive total weight on the vertices of P outside F. The frame
-(`simplex_frame`, built once per simplex by its owner:
-`SimplicialComplex.cell_frame` for cells, `PLMap.image_frame` for image
-simplices) is the integer adjugate of P's homogeneous vertex columns,
+(`simplex_frame`) is the integer adjugate of P's homogeneous vertex columns,
 completed by coordinate axes when P is not full-dimensional: its rows read a
 point's barycentric weights on P (up to a positive factor each) and whether
 the point lies in aff(P). So the probe's only unknowns are Q's weights: a 3-D
 pair has 4 unknowns and one equality where vertex form has 8 and 5. This
 needs P affinely independent (else `simplex_frame` raises ValueError) and F
-given by vertices of P. Whether a single point lies in conv(P) needs no
-probe at all: it is the sign test `SimplexFrame.contains` on the point's
-column, and `hull_contains` stays for affinely dependent point sets.
+given by positions of P's vertices. Whether a single point lies in conv(P)
+needs no probe at all: it is the sign test `SimplexFrame.contains` on the
+point's column, and `hull_contains` stays for affinely dependent point sets.
 
 The same frame decides whether the relative interior of a point set S meets
 conv(P) (`relint_meets_simplex`): one probe over S's strictly positive
-weights, without the escape row. S enters as integer homogeneous columns
-(`PLMap.image_columns` for image simplices). This is the decision of
-`relint_preimage_witness`, which stays in vertex form because it returns the
-witness point: a caller decides every pair in the frame and rebuilds the
-witness only for the pair that hits. Both frame probes build their rows in
-one place, `_frame_rows`, and `_frame_probe` first tries each row alone: a
-row whose signs on the columns already rule out every weight vector answers
-no without an elimination, which decides nearly every "no" these callers ask.
+weights, without the escape row. S enters as integer homogeneous columns.
+This is the decision of `relint_preimage_witness`, which stays in vertex
+form because it returns the witness point: a caller decides every pair in
+the frame and rebuilds the witness only for the pair that hits. Both frame
+probes build their rows in one place, `_frame_rows`, and `_frame_probe`
+first tries each row alone: a row whose signs on the columns already rule
+out every weight vector answers no without an elimination, which decides
+nearly every "no" these callers ask.
 
 The dimension of an intersection is computed by growing its affine hull:
 starting from one witness point, functionals vanishing on the directions
 found so far are probed in both strict senses; every feasible probe yields a
 new independent direction, and exhaustion proves the dimension exactly.
 
-Bounding boxes are integer tuples over a denominator their owner keeps
-(`IntBox`). `overlapping_pairs`, a uniform grid over such boxes, is the one
-broad phase of every all-pairs scan, and `box_holds` tests a point's
-homogeneous column against a box by cross-multiplying, so no box test
-compares a Fraction.
+How a point set becomes integers is decided in one place, `IntegerPoints`:
+one common denominator that scales every point to integers for boxes, and
+one homogeneous column per point for frames. The complex keeps one for its
+vertices and the map one for its vertex images, and each builds a face's
+box, columns and frame at first use and keeps them. `overlapping_pairs`, a
+uniform grid over such boxes, is the one broad phase of every all-pairs
+scan, and `box_holds` tests a point's homogeneous column against a box by
+cross-multiplying, so no box test compares a Fraction.
 """
 
 from __future__ import annotations
@@ -527,12 +528,12 @@ class SimplexFrame:
 
     A rational point y enters as the integer homogeneous column ŷ = (m·y, m),
     m > 0. Then bary[j]·ŷ is a positive multiple of y's barycentric weight on
-    verts[j] (the weights of the point of aff(P) that y projects to along the
-    frame's complement), and aff[r]·ŷ = 0 for every r exactly when y ∈ aff(P).
-    So membership of y in conv(P) is a sign test (`contains`), with no probe.
+    P's j-th vertex (the weights of the point of aff(P) that y projects to
+    along the frame's complement), and aff[r]·ŷ = 0 for every r exactly when
+    y ∈ aff(P). So membership of y in conv(P) is a sign test (`contains`),
+    with no probe.
     """
 
-    verts: tuple[Vector, ...]
     bary: tuple[tuple[int, ...], ...]
     aff: tuple[tuple[int, ...], ...]
 
@@ -555,27 +556,25 @@ def homogeneous_column(point: Vector) -> tuple[int, ...]:
     return (*(x.numerator * (m // d) for x, d in zip(point, denominators)), m)
 
 
-def simplex_frame(verts: Hull) -> SimplexFrame:
-    """The frame of the simplex conv(verts): one integer adjugate.
+def simplex_frame(columns: Sequence[tuple[int, ...]]) -> SimplexFrame:
+    """The frame of the simplex P whose vertices have these homogeneous columns.
 
-    The square matrix has the homogeneous columns of P's k+1 vertices and,
-    when k < n, the columns (e_i, 0) of n − k coordinate axes that complete
-    P's direction space. Its adjugate's rows 0..k, times sign(det), give the
+    The square matrix has the columns of P's k+1 vertices and, when k < n,
+    the columns (e_i, 0) of n − k coordinate axes that complete P's
+    direction space. Its adjugate's rows 0..k, times sign(det), give the
     barycentric weights up to a positive factor per row; rows k+1..n vanish
     exactly on aff(P). Affinely dependent vertices raise ValueError.
     """
-    n = len(verts[0])
-    k = len(verts) - 1
+    n = len(columns[0]) - 1
+    k = len(columns) - 1
     if k > n:
         raise ValueError("simplex vertices are affinely dependent")
-    columns = [homogeneous_column(v) for v in verts]
     for axes in combinations(range(n), n - k):
         units = [(*(int(i == c) for c in range(n)), 0) for i in axes]
         adjugate, det = integer_adjugate(list(zip(*columns, *units, strict=True)))
         if det:
             sign = 1 if det > 0 else -1
             return SimplexFrame(
-                tuple(verts),
                 tuple(tuple(sign * x for x in row) for row in adjugate[: k + 1]),
                 tuple(tuple(row) for row in adjugate[k + 1 :]),
             )
@@ -657,33 +656,31 @@ def _frame_probe(
 
 
 def hull_leaves_affine_span(
-    frame: SimplexFrame, q_cols: Sequence[tuple[int, ...]], span_points: Hull
+    frame: SimplexFrame, q_cols: Sequence[tuple[int, ...]], span: Sequence[int]
 ) -> bool:
-    """Whether conv(P) ∩ conv(Q) has a point outside the affine hull of span_points.
+    """Whether conv(P) ∩ conv(Q) has a point outside the affine hull of P's span vertices.
 
     P is the frame's simplex and Q is given by its points' integer
-    homogeneous columns Q̂ (`homogeneous_column`; the owner keeps them:
-    `SimplicialComplex.columns` for cells, `PLMap.image_columns` for image
-    simplices). span_points must be vertices of P, matched by exact
-    equality; any other span, or a column of another dimension, raises
-    ValueError. They span a face F of P. Since conv(P) ∩ aff(F) = F, a point
-    of conv(P) leaves aff(F) exactly when its barycentric weights on the
-    vertices of P outside F sum to more than zero. In P's frame that is one
-    strict probe over Q's column weights μ alone: μ ≥ 0, Σμ = 1,
-    bary·Q̂μ ≥ 0, aff·Q̂μ = 0, and (the sum of the bary rows of the vertices
-    outside F)·Q̂μ > 0. A "no" is usually read off one of these rows' signs
-    on Q̂ alone (`_frame_probe`); the rest go to Fourier–Motzkin. An empty
-    span asks whether the hulls meet at all; an empty Q meets nothing. With
-    F the common face of two cells, this is the properness test: the
-    intersection is proper exactly when it stays inside aff(F).
+    homogeneous columns Q̂ (`IntegerPoints.cols`). span lists positions of
+    P's vertices, in the order P's columns entered the frame; a position
+    past P's last vertex, or a column of another dimension, raises
+    ValueError. The span vertices span a face F of P. Since
+    conv(P) ∩ aff(F) = F, a point of conv(P) leaves aff(F) exactly when its
+    barycentric weights on the vertices of P outside F sum to more than
+    zero. In P's frame that is one strict probe over Q's column weights μ
+    alone: μ ≥ 0, Σμ = 1, bary·Q̂μ ≥ 0, aff·Q̂μ = 0, and (the sum of the bary
+    rows of the vertices outside F)·Q̂μ > 0. A "no" is usually read off one
+    of these rows' signs on Q̂ alone (`_frame_probe`); the rest go to
+    Fourier–Motzkin. An empty span asks whether the hulls meet at all; an
+    empty Q meets nothing. With F the common face of two cells, this is the
+    properness test: the intersection is proper exactly when it stays inside
+    aff(F).
     """
-    # Exact equality, not sets: hashing a Fraction costs a modular inverse, and
-    # callers pass P's own vertex tuples, so a match is found by identity.
-    if any(p not in frame.verts for p in span_points):
-        raise ValueError("span_points must be vertices of the frame's simplex")
-    if any(len(q) != len(frame.verts[0]) + 1 for q in q_cols):
+    if any(not 0 <= j < len(frame.bary) for j in span):
+        raise ValueError("span must list positions of the frame's vertices")
+    if any(len(q) != len(frame.bary[0]) for q in q_cols):
         raise ValueError("q_cols must be homogeneous columns in the frame's space")
-    outside = [row for row, v in zip(frame.bary, frame.verts) if v not in span_points]
+    outside = [row for j, row in enumerate(frame.bary) if j not in span]
     escape = [sum(column) for column in zip(*outside)]  # none outside: the row is 0 < 0
     return _frame_probe(frame, q_cols, REL_LE, escape)
 
@@ -691,12 +688,11 @@ def hull_leaves_affine_span(
 def relint_meets_simplex(frame: SimplexFrame, cols: Sequence[tuple[int, ...]]) -> bool:
     """Whether the relative interior of conv(S) meets conv(P), P the frame's simplex.
 
-    S is given by its points' homogeneous columns (`homogeneous_column`;
-    `PLMap.image_columns` keeps them for image simplices). One strict probe
-    over S's weights λ: λ > 0, Σλ = 1, bary·Ŝλ ≥ 0 and aff·Ŝλ = 0, usually
-    answered "no" by one row's signs on Ŝ alone (`_frame_probe`). It decides
-    whether `relint_preimage_witness(X, S, P)` is not None, in P's frame and
-    without the witness.
+    S is given by its points' homogeneous columns (`IntegerPoints.cols`).
+    One strict probe over S's weights λ: λ > 0, Σλ = 1, bary·Ŝλ ≥ 0 and
+    aff·Ŝλ = 0, usually answered "no" by one row's signs on Ŝ alone
+    (`_frame_probe`). It decides whether `relint_preimage_witness(X, S, P)`
+    is not None, in P's frame and without the witness.
     """
     return _frame_probe(frame, cols, REL_LT)
 
@@ -706,27 +702,13 @@ def segment_hits_hull(start: Vector, end: Vector, verts: Hull) -> bool:
     return _meet(verts, REL_LE, [start, end], REL_LE) is not None
 
 
-def segment_avoids_sets(start: Vector, end: Vector, obstacles: Sequence[Hull]) -> bool:
-    """True iff the closed segment [start, end] misses every obstacle hull."""
-    return not any(segment_hits_hull(start, end, obs) for obs in obstacles)
-
-
 # ---------------------------------------------------------------------------
 # Integer boxes and the grid broad phase
 # ---------------------------------------------------------------------------
 
-# An axis-aligned box (lows, highs) of integer coordinates over a denominator
-# its owner keeps: `SimplicialComplex.denominator` for cells,
-# `PLMap.image_denominator` for face images.
+# An axis-aligned box (lows, highs) of integer coordinates over the
+# denominator of the `IntegerPoints` that built it.
 IntBox = tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def over_common_denominator(points: Hull) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The least D > 0 that clears every coordinate's denominator, and each point times D."""
-    denominator = lcm(*(x.denominator for p in points for x in p))
-    return denominator, tuple(
-        tuple(x.numerator * (denominator // x.denominator) for x in p) for p in points
-    )
 
 
 def integer_box(points: Sequence[Sequence[int]]) -> IntBox:
@@ -764,6 +746,51 @@ def segment_meets_box(
         if (s > hi * ms and e > hi * me) or (s < lo * ms and e < lo * me):
             return False
     return True
+
+
+class IntegerPoints:
+    """The integer form of a point set, decided once and kept by its owner.
+
+    The points' common denominator D, the least that clears every
+    coordinate, scales every point to integers (`scaled`, the form of
+    boxes), and each point has one homogeneous column (m·y, m) (`columns`,
+    the form of frames). For a tuple of point ids,
+    `box` (over D), `cols` and `frame` are built at first use and kept;
+    `frame` is None when the points are affinely dependent. The complex
+    keeps one for its vertices (`SimplicialComplex.points`) and the map one
+    for its vertex images (`PLMap.images`).
+    """
+
+    def __init__(self, points: Sequence[Vector]) -> None:
+        self.points = tuple(points)
+        self.denominator = lcm(*(x.denominator for p in self.points for x in p))
+        self.scaled = tuple(
+            tuple(x.numerator * (self.denominator // x.denominator) for x in p) for p in self.points
+        )
+        self.columns = tuple(homogeneous_column(p) for p in self.points)
+        self._boxes: dict[tuple[int, ...], IntBox] = {}
+        self._cols: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._frames: dict[tuple[int, ...], Optional[SimplexFrame]] = {}
+
+    def box(self, ids: tuple[int, ...]) -> IntBox:
+        box = self._boxes.get(ids)
+        if box is None:
+            box = self._boxes[ids] = integer_box([self.scaled[i] for i in ids])
+        return box
+
+    def cols(self, ids: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        cols = self._cols.get(ids)
+        if cols is None:
+            cols = self._cols[ids] = tuple(self.columns[i] for i in ids)
+        return cols
+
+    def frame(self, ids: tuple[int, ...]) -> Optional[SimplexFrame]:
+        if ids not in self._frames:
+            try:
+                self._frames[ids] = simplex_frame(self.cols(ids))
+            except ValueError:
+                self._frames[ids] = None
+        return self._frames[ids]
 
 
 def _grid_cells(box: IntBox, steps: Sequence[int], limit: int) -> Optional[list[tuple[int, ...]]]:

@@ -25,14 +25,15 @@ are evidence). The star images are shrunk by 1/2 about the sample's image;
 that leaves the sample's barycentric coordinates in each image simplex
 unchanged and doubles every slope along a ray, so the oracle works on the
 unshrunk images. Per cell and per call it reads the image simplex's integer
-frame (`PLMap.image_frame`, one fraction-free adjugate) and builds per frame
+frame (`IntegerPoints.frame`, one fraction-free adjugate) and builds per frame
 row the bit mask of base directions of nonnegative slope; a sample then
 costs bitwise ANDs and ORs. Only a failing sample reads f(x) as an integer
 homogeneous column, compares its boundary crossings as integer pairs, and
 builds one rational epsilon per failure.
 
 Both the branch set and the oracle read their frames and columns from the
-map, which builds each at first use and keeps it for the map's lifetime.
+map's `IntegerPoints` (`PLMap.images`), which builds each at first use and
+keeps it for the map's lifetime.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def branch_set(f: PLMap) -> BranchReport:
     n-simplex, that holds iff int f(b) meets f(a): one strict probe in the
     integer frame of f(a) over the weights of f(b)'s vertices
     (`feasible.relint_meets_simplex`). h maps boxes to boxes, so the image
-    boxes prune the same pairs as the shrunk ones. Frames and homogeneous
-    columns are the map's own (`PLMap.image_frame`, `PLMap.image_columns`).
+    boxes prune the same pairs as the shrunk ones. Boxes, frames and
+    homogeneous columns are the map's own (`PLMap.images`).
     """
     n = f.ambient_dim
     out: list[BranchFace] = []
@@ -132,11 +133,9 @@ def branch_set(f: PLMap) -> BranchReport:
                     witness = (a, b)
                     break
                 ids_a, ids_b = f.domain.cells[a].vertex_ids, f.domain.cells[b].vertex_ids
-                if not feasible.boxes_overlap(f.image_int_box(ids_a), f.image_int_box(ids_b)):
+                if not feasible.boxes_overlap(f.images.box(ids_a), f.images.box(ids_b)):
                     continue
-                frame = f.image_frame(ids_a)
-                columns = f.image_columns(ids_b)
-                if feasible.relint_meets_simplex(frame, columns):
+                if feasible.relint_meets_simplex(f.images.frame(ids_a), f.images.cols(ids_b)):
                     witness = (a, b)
                     break
         if witness:
@@ -205,21 +204,6 @@ def seeded_directions(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
     return dirs
 
 
-def shrunk_star_images(
-    f: PLMap, x: Vector, carrier: Face
-) -> list[tuple[int, tuple[Vector, ...], tuple[Vector, ...]]]:
-    """(cell, shrunk cell points, their images) for the star of the carrier."""
-    half = Fraction(1, 2)
-    out = []
-    for ci in f.domain.faces[carrier].cells:
-        pts = tuple(
-            tuple(c + half * (v - c) for v, c in zip(p, x))
-            for p in f.domain.cell_points(ci)
-        )
-        out.append((ci, pts, tuple(f.pieces[ci].apply(p) for p in pts)))
-    return out
-
-
 def _face_normal_directions(f: PLMap, face: Face) -> list[tuple[int, ...]]:
     images = f.image_of_face(face)
     dirs = [vec_sub(q, images[0]) for q in images[1:]]
@@ -237,7 +221,7 @@ class _ImageTable:
     """A star cell's covering tables, built once per oracle call.
 
     `rows` are the barycentric rows of the cell's image-simplex frame
-    (`PLMap.image_frame`, one integer adjugate), one per cell vertex in
+    (`IntegerPoints.frame`, one integer adjugate), one per cell vertex in
     `vertex_ids` order. For the integer homogeneous column ŷ = (m·y, m) of a
     point y, rows[k]·ŷ is m·c_k times y's barycentric coordinate k, with
     c_k > 0 fixed per row. A row's first n entries are its integer slope row
@@ -260,7 +244,7 @@ def _dot(row: tuple[int, ...], vector: tuple[int, ...]) -> int:
 
 def _image_table(f: PLMap, cell_index: int, directions: list[tuple[int, ...]]) -> _ImageTable:
     ids = f.domain.cells[cell_index].vertex_ids
-    rows = f.image_frame(ids).bary
+    rows = f.images.frame(ids).bary
     masks = tuple(sum(1 << j for j, d in enumerate(directions) if _dot(row, d) >= 0) for row in rows)
     return _ImageTable(ids, rows, masks)
 
@@ -423,10 +407,6 @@ class OpennessVerdict:
     oracle: Optional[OracleResult]
     profile: SignProfile = field(repr=False)
     branch: BranchReport = field(repr=False)
-
-    @property
-    def is_open(self) -> bool:
-        return self.coherent
 
     @property
     def all_agree(self) -> bool:

@@ -6,12 +6,12 @@ its n+1 vertices, so continuity across shared faces holds by construction.
 `build_plmap` reads each piece off the cell's integer frame.
 The triple form (cell, matrix, offset) is a derived view: `ingest_pieces`
 keeps the given pieces and reads the vertex images off them after checking
-continuity exactly. The map keeps its vertex images as integers over one
-common denominator (`image_denominator`) and owns, per face, the integer
-bounding box and the integer frame of the face's image simplex, and the
-vertex images' homogeneous columns, each built at first use and kept for its
-lifetime; fibers, degree queries, the branch set, the oracle and the
-certifier read them.
+continuity exactly. The map keeps the integer form of its vertex images in
+one `feasible.IntegerPoints` (`images`), the same kind of owner the domain
+keeps for its vertices: per face, the integer bounding box, the homogeneous
+columns and the integer frame of the face's image simplex, each built at
+first use and kept for the map's lifetime. Fibers, degree queries, the
+branch set, the oracle and the certifier read them.
 
 The ingredients of every openness verdict live here: determinant-sign
 profiles, fibers (with exact witness segments through collapsed cells), the
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import feasible
 from .complexes import (
@@ -75,16 +75,12 @@ class AffinePiece:
 @dataclass
 class PLMap:
     domain: SimplicialComplex
-    vertex_images: tuple[Vector, ...]
+    images: feasible.IntegerPoints  # the vertex images and their integer form
     pieces: tuple[AffinePiece, ...]
 
-    def __post_init__(self) -> None:
-        self.image_denominator, self._scaled_images = feasible.over_common_denominator(
-            self.vertex_images
-        )
-        self._image_boxes: dict[Face, feasible.IntBox] = {}
-        self._image_frames: dict[Face, Optional[feasible.SimplexFrame]] = {}
-        self._columns: Optional[tuple[tuple[int, ...], ...]] = None
+    @property
+    def vertex_images(self) -> tuple[Vector, ...]:
+        return self.images.points
 
     @property
     def ambient_dim(self) -> int:
@@ -95,29 +91,6 @@ class PLMap:
 
     def cell_image_points(self, cell_index: int) -> tuple[Vector, ...]:
         return self.image_of_face(self.domain.cells[cell_index].vertex_ids)
-
-    def image_int_box(self, face: Face) -> feasible.IntBox:
-        """The bounding box of the face's image simplex, as integers over `image_denominator`."""
-        box = self._image_boxes.get(face)
-        if box is None:
-            box = feasible.integer_box([self._scaled_images[i] for i in face])
-            self._image_boxes[face] = box
-        return box
-
-    def image_frame(self, face: Face) -> Optional[feasible.SimplexFrame]:
-        """The integer frame of the face's image simplex; None when it is affinely dependent."""
-        if face not in self._image_frames:
-            try:
-                self._image_frames[face] = feasible.simplex_frame(self.image_of_face(face))
-            except ValueError:
-                self._image_frames[face] = None
-        return self._image_frames[face]
-
-    def image_columns(self, face: Face) -> tuple[tuple[int, ...], ...]:
-        """The integer homogeneous columns of the face's vertex images."""
-        if self._columns is None:
-            self._columns = tuple(feasible.homogeneous_column(q) for q in self.vertex_images)
-        return tuple(self._columns[i] for i in face)
 
     def evaluate(self, x: Vector) -> Vector:
         located = self.domain.locate(x)
@@ -180,7 +153,7 @@ def _frame_piece(
 ) -> AffinePiece:
     """The unique affine map sending each vertex of a cell to its image.
 
-    bary is the cell's frame (`SimplicialComplex.cell_frame`), and the
+    bary is the cell's frame (`IntegerPoints.frame` of the domain), and the
     vertices and their images enter as integer homogeneous columns
     v̂_j = (m_j·v_j, m_j) and (a_j, s_j). For x̂ = (x, 1),
     bary_j·x̂ = D·λ_j(x)/m_j for x's barycentric weights λ, where
@@ -219,17 +192,12 @@ def build_plmap(
     for i, img in enumerate(images):
         if len(img) != n:
             raise ValueError(f"image of vertex {i} has dimension {len(img)}, expected {n}")
-    vertex_columns = complex_.columns
-    image_columns = [feasible.homogeneous_column(y) for y in images]
+    points, image_points = complex_.points, feasible.IntegerPoints(images)
     pieces = tuple(
-        _frame_piece(
-            complex_.cell_frame(ci).bary,
-            [vertex_columns[i] for i in cell.vertex_ids],
-            [image_columns[i] for i in cell.vertex_ids],
-        )
-        for ci, cell in enumerate(complex_.cells)
+        _frame_piece(points.frame(ids).bary, points.cols(ids), image_points.cols(ids))
+        for ids in (cell.vertex_ids for cell in complex_.cells)
     )
-    return PLMap(complex_, images, pieces)
+    return PLMap(complex_, image_points, pieces)
 
 
 def export_pieces(f: PLMap) -> list[tuple[tuple[Vector, ...], Matrix, Vector]]:
@@ -295,7 +263,7 @@ def ingest_pieces(
         raise DiscontinuityError(violations)
     # On a valid complex each piece is the unique affine map through its
     # vertices' images, so the given pieces are kept as they are.
-    images = tuple(assigned[i][0] for i in range(len(vertices)))
+    images = feasible.IntegerPoints(assigned[i][0] for i in range(len(vertices)))
     return PLMap(complex_, images, tuple(pieces))
 
 
@@ -336,15 +304,14 @@ def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:
         raise DimensionError(f"query has dimension {len(query)}, map is on R^{f.ambient_dim}")
     found: dict[Vector, tuple[list[int], list[int]]] = {}
     column = feasible.homogeneous_column(query)
+    images = f.images
     for ci, piece in enumerate(f.pieces):
         if piece.det_sign != 0:
             ids = f.domain.cells[ci].vertex_ids
-            if not feasible.box_holds(f.image_int_box(ids), f.image_denominator, column):
+            if not feasible.box_holds(images.box(ids), images.denominator, column):
                 continue
-            weights = [
-                w * image[-1]
-                for w, image in zip(f.image_frame(ids).weights(column), f.image_columns(ids))
-            ]
+            frame, cols = images.frame(ids), images.cols(ids)
+            weights = [w * col[-1] for w, col in zip(frame.weights(column), cols)]
             if min(weights) < 0:
                 continue
             total = sum(weights)

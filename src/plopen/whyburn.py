@@ -136,13 +136,13 @@ def boundary_preimage_ok(inst: BallMapInstance) -> tuple[bool, Optional[tuple]]:
     f = inst.map
     interior = f.domain.interior_faces()
     pairs = feasible.overlapping_pairs(
-        [f.image_int_box(ids) for ids in interior], [f.image_int_box(face) for face in inst.boundary]
+        [f.images.box(ids) for ids in interior], [f.images.box(face) for face in inst.boundary]
     )
     for i, j in pairs:
         ids, face = interior[i], inst.boundary[j]
-        frame = f.image_frame(face)
+        frame = f.images.frame(face)
         # a degenerate image (no frame) is decided in vertex form
-        if frame is not None and not feasible.relint_meets_simplex(frame, f.image_columns(ids)):
+        if frame is not None and not feasible.relint_meets_simplex(frame, f.images.cols(ids)):
             continue
         # the first hit rebuilds its witness in vertex form
         witness = feasible.relint_preimage_witness(
@@ -167,13 +167,12 @@ def boundary_restriction_injective(
     f = inst.map
     boundary = inst.boundary
     for face in boundary:
-        if f.image_frame(face) is None:
+        if f.images.frame(face) is None:
             return False, (face, face)
-    for i, j in feasible.overlapping_pairs([f.image_int_box(face) for face in boundary]):
+    for i, j in feasible.overlapping_pairs([f.images.box(face) for face in boundary]):
         face_a, face_b = boundary[i], boundary[j]
-        shared = tuple(sorted(set(face_a) & set(face_b)))
-        span = f.image_of_face(shared)
-        if feasible.hull_leaves_affine_span(f.image_frame(face_a), f.image_columns(face_b), span):
+        span = [k for k, v in enumerate(face_a) if v in face_b]
+        if feasible.hull_leaves_affine_span(f.images.frame(face_a), f.images.cols(face_b), span):
             return False, (face_a, face_b)
     return True, None
 
@@ -191,12 +190,12 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
     """
     n = f.ambient_dim
     cells = [cell.vertex_ids for cell in f.domain.cells]
-    for a, b in feasible.overlapping_pairs([f.image_int_box(ids) for ids in cells]):
-        shared = tuple(sorted(set(cells[a]) & set(cells[b])))
-        if len(shared) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
+    for a, b in feasible.overlapping_pairs([f.images.box(ids) for ids in cells]):
+        span = [k for k, v in enumerate(cells[a]) if v in cells[b]]
+        if len(span) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
             continue
-        frame = f.image_frame(cells[a])
-        if feasible.hull_leaves_affine_span(frame, f.image_columns(cells[b]), f.image_of_face(shared)):
+        frame = f.images.frame(cells[a])
+        if feasible.hull_leaves_affine_span(frame, f.images.cols(cells[b]), span):
             return a, b
     return None
 

@@ -169,3 +169,19 @@ def brute_force_sign_sum(f, query) -> int:
         if all(c > 0 for c in coords):  # interior: exactly one cell counts it
             total += 1 if d > 0 else -1
     return total
+
+
+def shrunk_star_images(f, x, carrier):
+    """(cell, shrunk cell points, their images) for the star of the carrier.
+
+    Each star cell is shrunk by 1/2 toward x and mapped by its own piece:
+    the reference the oracle's unshrunk image tables are checked against.
+    """
+    half = Fraction(1, 2)
+    out = []
+    for ci in f.domain.faces[carrier].cells:
+        pts = tuple(
+            tuple(c + half * (v - c) for v, c in zip(p, x)) for p in f.domain.cell_points(ci)
+        )
+        out.append((ci, pts, tuple(f.pieces[ci].apply(p) for p in pts)))
+    return out

@@ -22,7 +22,7 @@ from plopen.degree import HomotopyHypothesisViolation, degree, homotopy_degree_c
 from plopen.generators import GenSpec, generate
 from plopen.instancefile import plmap_to_document, save_document
 from plopen.linalg import Matrix
-from plopen.openness import branch_set, check_conditions, openness_oracle, shrunk_star_images
+from plopen.openness import branch_set, check_conditions, openness_oracle
 from plopen.plmap import (
     FiniteFiber,
     PLMap,
@@ -33,7 +33,7 @@ from plopen.plmap import (
 )
 from plopen.whyburn import Certified, Rejected, _global_collision, certify_ball_map
 
-from oracles import brute_force_sign_sum, point_in_simplex
+from oracles import brute_force_sign_sum, point_in_simplex, shrunk_star_images
 
 
 def F(*args):

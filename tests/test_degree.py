@@ -107,10 +107,10 @@ class TestDegreeWithPerturbation:
     def test_local_constancy_along_clear_segments(self, doubling2d):
         f = doubling2d.plmap
         a, b = (F(1, 2), F(1, 4)), (F(1, 4), F(1, 2))
-        from plopen.feasible import segment_avoids_sets
+        from plopen.feasible import segment_hits_hull
 
         obstacles = [f.image_of_face(face) for face in f.domain.boundary]
-        assert segment_avoids_sets(a, b, obstacles)
+        assert not any(segment_hits_hull(a, b, obs) for obs in obstacles)
         assert degree(f, a).degree == degree(f, b).degree
 
     def test_degree_bounded_by_cell_count(self, doubling2d):

@@ -10,6 +10,7 @@ from plopen.feasible import (
     REL_LE,
     REL_LT,
     LinRow,
+    IntegerPoints,
     LinearSystem,
     _feasible_int,
     _frame_probe,
@@ -25,12 +26,10 @@ from plopen.feasible import (
     integer_box,
     intersection_dim,
     lp_feasible,
-    over_common_denominator,
     overlapping_pairs,
     relative_interiors_intersect,
     relint_meets_simplex,
     relint_preimage_witness,
-    segment_avoids_sets,
     segment_hits_hull,
     segment_meets_box,
     simplex_frame,
@@ -127,8 +126,8 @@ class TestHullPredicates:
 
     def test_segment_avoids_sets(self):
         square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
-        assert segment_avoids_sets(pt(2, 2), pt(2, 2), [square])
-        assert not segment_avoids_sets(pt(F(1, 2), -1), pt(F(1, 2), 2), [square])
+        assert not any(segment_hits_hull(pt(2, 2), pt(2, 2), obs) for obs in [square])
+        assert any(segment_hits_hull(pt(F(1, 2), -1), pt(F(1, 2), 2), obs) for obs in [square])
 
     def test_relative_interiors(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
@@ -198,28 +197,28 @@ class TestAffineSpanEscape:
     def test_proper_shared_edge(self):
         a = [pt(0, 0), pt(1, 0), pt(0, 1)]
         b = [pt(1, 0), pt(0, 1), pt(1, 1)]
-        shared = [pt(1, 0), pt(0, 1)]
-        assert not hull_leaves_affine_span(simplex_frame(a), cols(b), shared)
+        shared = [1, 2]  # a's vertices (1, 0) and (0, 1)
+        assert not hull_leaves_affine_span(simplex_frame(cols(a)), cols(b), shared)
 
     def test_overlapping_pair_escapes(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
         b = [pt(0, 0), pt(3, 1), pt(1, 3)]
-        shared = [pt(0, 0)]
-        assert hull_leaves_affine_span(simplex_frame(a), cols(b), shared)
+        shared = [0]  # a's vertex (0, 0)
+        assert hull_leaves_affine_span(simplex_frame(cols(a)), cols(b), shared)
 
     def test_span_point_off_the_vertices_rejected(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
         b = [pt(1, 0), pt(3, 0), pt(1, 2)]
         with pytest.raises(ValueError):
-            hull_leaves_affine_span(simplex_frame(a), cols(b), [pt(1, 0)])
+            hull_leaves_affine_span(simplex_frame(cols(a)), cols(b), [3])
 
     def test_q_in_another_dimension_rejected(self):
-        frame = simplex_frame([pt(0, 0), pt(2, 0), pt(0, 2)])
+        frame = simplex_frame(cols([pt(0, 0), pt(2, 0), pt(0, 2)]))
         with pytest.raises(ValueError):
             hull_leaves_affine_span(frame, cols([pt(1), pt(1, 1)]), [])
 
     def test_empty_span_asks_whether_hulls_meet(self):
-        a = simplex_frame([pt(0, 0), pt(1, 0), pt(0, 1)])
+        a = simplex_frame(cols([pt(0, 0), pt(1, 0), pt(0, 1)]))
         assert hull_leaves_affine_span(a, cols([pt(1, 1), pt(0, 0)]), [])
         assert not hull_leaves_affine_span(a, cols([pt(1, 1), pt(2, 2)]), [])
         assert not hull_leaves_affine_span(a, cols([]), [])
@@ -235,7 +234,7 @@ class TestAffineSpanEscape:
     )
     def test_affinely_dependent_frame_rejected(self, verts):
         with pytest.raises(ValueError):
-            simplex_frame(verts)
+            simplex_frame(cols(verts))
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_tetrahedron_in_either_orientation(self, swap):
@@ -245,40 +244,42 @@ class TestAffineSpanEscape:
         # the frame's matrix of homogeneous columns: det -1 in this order, +1 swapped
         square = Matrix.from_columns([(*v, F(1)) for v in p_verts])
         assert det_sign(square) == (1 if swap else -1)
-        frame = simplex_frame(p_verts)
+        frame = simplex_frame(cols(p_verts))
         face = p_verts[1:]
-        assert not hull_leaves_affine_span(frame, cols([*face, pt(1, 1, 1)]), face)
-        assert hull_leaves_affine_span(frame, cols([*face, pt(F(1, 8), F(1, 8), F(1, 8))]), face)
+        assert not hull_leaves_affine_span(frame, cols([*face, pt(1, 1, 1)]), [1, 2, 3])
+        assert hull_leaves_affine_span(
+            frame, cols([*face, pt(F(1, 8), F(1, 8), F(1, 8))]), [1, 2, 3]
+        )
         inner = [pt(F(1, 4), F(1, 4), F(1, 4))]
         assert hull_leaves_affine_span(frame, cols(inner), [])
-        assert not hull_leaves_affine_span(frame, cols(inner), p_verts)
+        assert not hull_leaves_affine_span(frame, cols(inner), [0, 1, 2, 3])
         assert hull_leaves_affine_span(frame, cols([pt(0, 0, 0)]), []) and not hull_leaves_affine_span(
-            frame, cols([pt(0, 0, 0)]), [pt(0, 0, 0)]
+            frame, cols([pt(0, 0, 0)]), [0]
         )
 
     def test_one_dimensional_boundary_points(self):
         # the boundary faces of a 1-D ball are points: k = 0 frames with one axis
-        left, right = simplex_frame([pt(-1)]), simplex_frame([pt(1)])
+        left, right = simplex_frame(cols([pt(-1)])), simplex_frame(cols([pt(1)]))
         assert not hull_leaves_affine_span(left, cols([pt(1)]), [])
         assert hull_leaves_affine_span(right, cols([pt(1)]), [])
-        assert not hull_leaves_affine_span(right, cols([pt(1)]), [pt(1)])
+        assert not hull_leaves_affine_span(right, cols([pt(1)]), [0])
         assert hull_leaves_affine_span(left, cols([pt(-2), pt(0)]), [])
         assert not hull_leaves_affine_span(left, cols([pt(F(-1, 2)), pt(0)]), [])
 
     def test_point_frame_in_the_plane(self):
-        frame = simplex_frame([pt(F(1, 3), 0)])
+        frame = simplex_frame(cols([pt(F(1, 3), 0)]))
         assert hull_leaves_affine_span(frame, cols([pt(0, -1), pt(F(2, 3), 1)]), [])
         assert not hull_leaves_affine_span(frame, cols([pt(0, -1), pt(1, 1)]), [])
 
     def test_single_point_q(self):
         p_verts = [pt(0, 0), pt(2, 0), pt(0, 2)]
-        frame = simplex_frame(p_verts)
+        frame = simplex_frame(cols(p_verts))
         on_edge = [pt(1, 0)]
-        assert not hull_leaves_affine_span(frame, cols(on_edge), p_verts[:2])
-        assert hull_leaves_affine_span(frame, cols(on_edge), p_verts[:1])
-        assert hull_leaves_affine_span(frame, cols([pt(F(1, 2), F(1, 2))]), p_verts[1:])
+        assert not hull_leaves_affine_span(frame, cols(on_edge), [0, 1])
+        assert hull_leaves_affine_span(frame, cols(on_edge), [0])
+        assert hull_leaves_affine_span(frame, cols([pt(F(1, 2), F(1, 2))]), [1, 2])
         assert not hull_leaves_affine_span(frame, cols([pt(2, 2)]), [])
-        assert not hull_leaves_affine_span(frame, cols([pt(0, 2)]), [pt(0, 2)])
+        assert not hull_leaves_affine_span(frame, cols([pt(0, 2)]), [2])
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -296,8 +297,9 @@ class TestAffineSpanEscape:
         )
         extra = data.draw(st.lists(point | inside, min_size=0 if face else 1, max_size=3))
         q_verts = data.draw(st.permutations(face + extra))
-        frame = simplex_frame(p_verts)
-        assert hull_leaves_affine_span(frame, cols(q_verts), face) == _leaves_span_by_normals(
+        frame = simplex_frame(cols(p_verts))
+        span = [p_verts.index(v) for v in face]
+        assert hull_leaves_affine_span(frame, cols(q_verts), span) == _leaves_span_by_normals(
             p_verts, q_verts, face
         )
 
@@ -348,7 +350,7 @@ class TestRelintMeetsSimplex:
     """The frame probe of whyburn stage 1 against the vertex-form witness."""
 
     def test_segment_images(self):
-        frame = simplex_frame([pt(1)])
+        frame = simplex_frame(cols([pt(1)]))
         assert relint_meets_simplex(frame, [homogeneous_column(pt(0)), homogeneous_column(pt(2))])
         assert not relint_meets_simplex(
             frame, [homogeneous_column(pt(0)), homogeneous_column(pt(1))]
@@ -375,7 +377,7 @@ class TestRelintMeetsSimplex:
         )
         columns = [homogeneous_column(y) for y in source]
         expected = relint_preimage_witness(source, source, target) is not None
-        assert relint_meets_simplex(simplex_frame(target), columns) == expected
+        assert relint_meets_simplex(simplex_frame(cols(target)), columns) == expected
 
 
 class TestFrameProbeOneRow:
@@ -390,7 +392,7 @@ class TestFrameProbeOneRow:
         # full-dimensional frames and lower ones (then with aff rows)
         p_verts = data.draw(st.lists(point, min_size=1, max_size=n + 1, unique=True))
         assume(hull_dim(p_verts) == len(p_verts) - 1)
-        frame = simplex_frame(p_verts)
+        frame = simplex_frame(cols(p_verts))
         # P's vertices, points of its faces (zero weights) and points just off them
         weights = st.lists(st.integers(0, 2), min_size=len(p_verts), max_size=len(p_verts))
         on_face = weights.filter(any).map(
@@ -405,7 +407,7 @@ class TestFrameProbeOneRow:
                 far | st.sampled_from(p_verts) | on_face | off_face, min_size=size, max_size=size
             )
         )
-        cols = [homogeneous_column(y) for y in source]
+        columns = cols(source)
         weight_rel = data.draw(st.sampled_from([REL_LE, REL_LT]))
         # no escape row, or the escape row of a face (all of P's vertices: the zero row)
         face = data.draw(st.none() | st.sets(st.integers(0, len(p_verts) - 1)))
@@ -413,18 +415,18 @@ class TestFrameProbeOneRow:
         if face is not None:
             outside = [row for j, row in enumerate(frame.bary) if j not in face]
             escape = [sum(column) for column in zip(*outside)]
-        rows = _frame_rows(frame, cols, weight_rel, escape)
-        expected = rows is not None and _feasible_int(len(cols), rows) is not None
-        assert _frame_probe(frame, cols, weight_rel, escape) == expected
+        rows = _frame_rows(frame, columns, weight_rel, escape)
+        expected = rows is not None and _feasible_int(len(columns), rows) is not None
+        assert _frame_probe(frame, columns, weight_rel, escape) == expected
 
     def test_no_that_needs_two_rows_goes_to_fourier_motzkin(self, monkeypatch):
         # the segment x = 2, -1 <= y <= 2 misses the triangle, but each bary
         # row reads some endpoint as >= 0: only y >= 0 with x + y <= 1 excludes it
-        frame = simplex_frame([pt(0, 0), pt(1, 0), pt(0, 1)])
-        cols = [homogeneous_column(pt(2, -1)), homogeneous_column(pt(2, 2))]
+        frame = simplex_frame(cols([pt(0, 0), pt(1, 0), pt(0, 1)]))
+        columns = cols([pt(2, -1), pt(2, 2)])
         solves = []
         monkeypatch.setattr(feasible, "_feasible_int", lambda *a: solves.append(a) or None)
-        assert not _frame_probe(frame, cols, REL_LE)
+        assert not _frame_probe(frame, columns, REL_LE)
         assert len(solves) == 1
         assert _feasible_int(*solves[0]) is None
 
@@ -517,10 +519,21 @@ class TestBoxes:
         corners = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4))
         lows = tuple(map(min, zip(*corners)))
         highs = tuple(map(max, zip(*corners)))
-        denominator, scaled = over_common_denominator(corners)
-        box = integer_box(scaled)
+        points = IntegerPoints(corners)
+        denominator = points.denominator
+        box = points.box(tuple(range(len(corners))))
         assert all(F(lo, denominator) == x for lo, x in zip(box[0], lows))
         assert all(F(hi, denominator) == x for hi, x in zip(box[1], highs))
+        # the owner's box, columns and frame on any tuple of point ids
+        ids = tuple(data.draw(st.permutations(range(len(corners)))))[: data.draw(st.integers(1, 4))]
+        chosen = [corners[i] for i in ids]
+        assert points.box(ids) == (
+            tuple(x * denominator for x in map(min, zip(*chosen))),
+            tuple(x * denominator for x in map(max, zip(*chosen))),
+        )
+        assert points.cols(ids) == tuple(homogeneous_column(p) for p in chosen)
+        assert (points.frame(ids) is None) == (hull_dim(chosen) < len(ids) - 1)
+        assert points.box(ids) is points.box(ids) and points.frame(ids) is points.frame(ids)
         # coordinates on the box's faces are drawn as often as free ones
         axis_value = [st.sampled_from([lo, hi]) | coord for lo, hi in zip(lows, highs)]
         start = data.draw(st.tuples(*axis_value))

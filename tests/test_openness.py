@@ -24,11 +24,10 @@ from plopen.openness import (
     coherently_oriented,
     openness_oracle,
     seeded_directions,
-    shrunk_star_images,
 )
 from plopen.plmap import FiniteFiber, build_plmap, fiber, finite_fibers
 
-from oracles import point_in_simplex
+from oracles import point_in_simplex, shrunk_star_images
 
 
 def F(*args):

@@ -349,7 +349,7 @@ class TestFaceImageMembership:
         n = f.ambient_dim
         face = data.draw(st.sampled_from(sorted(f.domain.faces)))
         images = f.image_of_face(face)
-        frame = f.image_frame(face)
+        frame = f.images.frame(face)
         # only an affinely dependent image has no frame
         assert (frame is None) == (feasible.hull_dim(images) < len(face) - 1)
         if frame is None:
@@ -419,9 +419,9 @@ class TestFaceImageMembership:
         built = []
         simplex_frame = feasible.simplex_frame
 
-        def counting(verts):
-            built.append(tuple(verts))
-            return simplex_frame(verts)
+        def counting(columns):
+            built.append(tuple(columns))
+            return simplex_frame(columns)
 
         monkeypatch.setattr(feasible, "simplex_frame", counting)
         assert degree(f, y).regular_point_used == y
@@ -430,5 +430,5 @@ class TestFaceImageMembership:
             for face in f.domain.faces
             if all(min(axis) <= c <= max(axis) for c, axis in zip(y, zip(*f.image_of_face(face))))
         ]
-        assert sorted(built) == sorted(f.image_of_face(face) for face in hits)
+        assert sorted(built) == sorted(f.images.cols(face) for face in hits)
         assert len(hits) < len(f.domain.faces)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from plopen import whyburn
+from plopen import feasible, whyburn
 from plopen.complexes import validate_complex
 from plopen.degree import PerturbationExhausted
 from plopen.feasible import (
@@ -14,6 +14,7 @@ from plopen.feasible import (
     simplex_frame,
 )
 from plopen.generators import GenSpec, generate
+from plopen.instancefile import document_to_plmap, plmap_to_document
 from plopen.plmap import build_plmap
 from plopen.whyburn import (
     Certified,
@@ -114,7 +115,7 @@ class TestBoundaryPreimage:
         inst = make_ball_instance(build_plmap(validate_complex(vertices, cells), images))
         assert inst.boundary[0] == (0, 1)
         with pytest.raises(ValueError):
-            simplex_frame(inst.map.image_of_face((0, 1)))
+            simplex_frame(inst.map.images.cols((0, 1)))
         assert boundary_preimage_ok(inst) == (False, (F(1, 2), F(1, 2)))
         assert boundary_preimage_ok(inst) == _boundary_preimage_by_vertex_form(inst)
 
@@ -158,11 +159,11 @@ class TestBoundaryInjectivity:
         # re-check the collision: the two boundary edges overlap beyond the
         # image of their shared subface
         f = inst.map
-        shared = tuple(sorted(set(face_a) & set(face_b)))
+        shared = [k for k, v in enumerate(face_a) if v in face_b]
         img_a, img_b = f.image_of_face(face_a), f.image_of_face(face_b)
         if shared:
             assert hull_leaves_affine_span(
-                simplex_frame(img_a), f.image_columns(face_b), f.image_of_face(shared)
+                simplex_frame(f.images.cols(face_a)), f.images.cols(face_b), shared
             )
         else:
             assert hulls_intersect(img_a, img_b)
@@ -230,10 +231,11 @@ class TestCertify:
             if len(ids) != n or len(info.cells) != 2:
                 continue
             a, b = info.cells
+            ids_a, ids_b = f.domain.cells[a].vertex_ids, f.domain.cells[b].vertex_ids
             assert not hull_leaves_affine_span(
-                simplex_frame(f.cell_image_points(a)),
-                f.image_columns(f.domain.cells[b].vertex_ids),
-                f.image_of_face(ids),
+                simplex_frame(f.images.cols(ids_a)),
+                f.images.cols(ids_b),
+                [k for k, v in enumerate(ids_a) if v in ids],
             )
             checked += 1
         assert checked
@@ -292,3 +294,33 @@ class TestDegreeBeforeSweep:
         with pytest.raises(PerturbationExhausted):
             certify_ball_map(inst)
         assert sweeps == [inst.map]
+
+
+def test_each_vertex_and_image_column_is_built_once(monkeypatch):
+    """Loading and certifying a ball builds one homogeneous column per vertex,
+    one per vertex image, and otherwise only the degree's query columns.
+
+    Counts only: the complex and the map each keep one `IntegerPoints`, and
+    every box, frame and column of a face is read from it.
+    """
+    spec = GenSpec("random_orientation_preserving", 3, resolution=2, seed=1)
+    doc = plmap_to_document(generate(spec).plmap)
+    built = []
+    column = feasible.homogeneous_column
+
+    def counting(point):
+        built.append(point)
+        return column(point)
+
+    monkeypatch.setattr(feasible, "homogeneous_column", counting)
+    f, _ = document_to_plmap(doc)
+    assert (len(f.domain.vertices), len(f.domain.cells)) == (27, 48)
+    assert len(built) == 2 * 27
+    built.clear()
+    outcome = certify_ball_map(make_ball_instance(f))
+    assert isinstance(outcome, Certified)
+    # the value stage 5 reads is regular: one column each for the boundary
+    # scan, the regularity scan and the fiber
+    value = outcome.certificate.query_point
+    assert outcome.certificate.regular_point_used == value
+    assert built == [value] * 3
