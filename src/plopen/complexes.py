@@ -11,11 +11,12 @@ The complex keeps the integer form of its vertices in one
 `feasible.IntegerPoints` (`points`), which builds each cell's integer box
 and frame at first use and keeps them for the complex's lifetime.
 Validation finds the cell pairs to probe with one grid broad phase over the
-cell boxes (`feasible.overlapping_pairs`). Point location tests a point's
-integer homogeneous column against each cell box, then reads the signs of
-barycentric weights in the cell's frame: each query is classified as
-interior to a unique cell, on the relative interior of a unique smallest
-face, or outside the support.
+cell boxes (`feasible.overlapping_pairs`). Point location asks the grid over
+the cell boxes (`IntegerPoints.grid`, built at the first query and kept)
+which cell boxes hold the point's integer homogeneous column, then reads the
+signs of barycentric weights in those cells' frames, in cell order: each
+query is classified as interior to a unique cell, on the relative interior
+of a unique smallest face, or outside the support.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ class SimplicialComplex:
     faces: dict[Face, FaceInfo] = field(repr=False)
     boundary: tuple[Face, ...]  # (n-1)-faces incident to exactly one cell
     _proper_faces: Optional[tuple[Face, ...]] = field(default=None, repr=False)
+    cell_ids: tuple[Face, ...] = field(init=False, repr=False)  # each cell's vertex ids
+
+    def __post_init__(self) -> None:
+        self.cell_ids = tuple(cell.vertex_ids for cell in self.cells)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -167,11 +172,9 @@ class SimplicialComplex:
                 f"point has dimension {len(point)}, complex is in R^{self.ambient_dim}"
             )
         column = feasible.homogeneous_column(point)
-        points = self.points
-        for ci, cell in enumerate(self.cells):
-            ids = cell.vertex_ids
-            if not feasible.box_holds(points.box(ids), points.denominator, column):
-                continue
+        points, cells = self.points, self.cell_ids
+        for ci in points.grid(cells, cells).holders(column):
+            ids = cells[ci]
             weights = points.frame(ids).weights(column)
             if min(weights) >= 0:
                 support = tuple(v for v, w in zip(ids, weights) if w > 0)

@@ -11,11 +11,13 @@ metric closeness bound: both are licensed by local constancy, and segment
 avoidance needs no square roots.
 
 Whether a point lies in a face's image (the boundary and regularity scans)
-is read from what the map's `IntegerPoints` keeps per face: the integer
-image box first (`feasible.box_holds` on the point's homogeneous column),
-then, only for a face whose box holds the point, the sign test of the
-image's integer frame on the same column. Only an affinely dependent
-image, such as a singular cell's, is decided by a Fourier–Motzkin probe.
+is read from what the map's `IntegerPoints` keeps. The grid over the image
+boxes of the face list (`PLMap.image_grid`, built at the first query and
+kept) names the faces whose boxes hold the point's homogeneous column, in
+list order, and only those take the sign test of the image's integer frame
+on the same column. Only an affinely dependent image, such as a singular
+cell's, is decided by a Fourier–Motzkin probe. The segment's obstacles come
+from the same boundary grid, asked for the boxes that meet the segment's.
 
 Local degree restricts the map to the closed star of the carrier face of a
 point, rescaled toward the point until its closure meets the fiber only
@@ -95,14 +97,13 @@ def _query_column(f: PLMap, point) -> tuple[int, ...]:
     return feasible.homogeneous_column(point)
 
 
-def _in_face_image(f: PLMap, face: Face, point, column: tuple[int, ...]) -> bool:
-    """Whether the point (with its homogeneous column) lies in the face's image.
+def _image_holds(f: PLMap, face: Face, point, column: tuple[int, ...]) -> bool:
+    """Whether the point (with its homogeneous column) lies in the image of a
+    face whose image box already holds it.
 
-    The box test comes first, so a frame is built only for a face whose box
-    holds the point; an affinely dependent image has no frame and is probed.
+    The sign test in the image's frame decides; an affinely dependent image
+    has no frame and is probed.
     """
-    if not feasible.box_holds(f.images.box(face), f.images.denominator, column):
-        return False
     frame = f.images.frame(face)
     if frame is None:
         return feasible.hull_contains(f.image_of_face(face), point)
@@ -112,9 +113,10 @@ def _in_face_image(f: PLMap, face: Face, point, column: tuple[int, ...]) -> bool
 def point_on_boundary_image(f: PLMap, point) -> Optional[Face]:
     """The first boundary face whose image holds the point, or None."""
     column = _query_column(f, point)
-    for face in f.domain.boundary:
-        if _in_face_image(f, face, point, column):
-            return face
+    boundary = f.domain.boundary
+    for k in f.image_grid(boundary).holders(column):
+        if _image_holds(f, boundary[k], point, column):
+            return boundary[k]
     return None
 
 
@@ -122,19 +124,21 @@ def is_regular_value(f: PLMap, point) -> tuple[bool, Optional[str]]:
     """Whether every preimage of the point has a nonsingular derivative.
 
     Exactly: the point avoids the image of every face of dimension <= n-1 and
-    the image of every singular cell. Each image is tested by its box and
-    then by the sign test in its frame; a singular cell's image has no frame
-    and takes a Fourier–Motzkin probe. The diagnosis names the first
-    offender, faces taken by size and then by vertex ids.
+    the image of every singular cell. Only the images whose boxes hold the
+    point are tested (`PLMap.image_grid`), each by the sign test in its
+    frame; a singular cell's image has no frame and takes a Fourier–Motzkin
+    probe. The diagnosis names the first offender, faces taken by size and
+    then by vertex ids.
     """
     column = _query_column(f, point)
-    for ids in f.domain.proper_faces():
-        if _in_face_image(f, ids, point, column):
+    faces = f.domain.proper_faces()
+    for k in f.image_grid(faces).holders(column):
+        ids = faces[k]
+        if _image_holds(f, ids, point, column):
             return False, f"point lies in the image of face {ids} (dim {len(ids) - 1})"
-    for ci, piece in enumerate(f.pieces):
-        if piece.det_sign == 0 and _in_face_image(
-            f, f.domain.cells[ci].vertex_ids, point, column
-        ):
+    cells = f.domain.cell_ids
+    for ci in f.image_grid(cells).holders(column):
+        if f.pieces[ci].det_sign == 0 and _image_holds(f, cells[ci], point, column):
             return False, f"point lies in the image of singular cell {ci}"
     return True, None
 
@@ -225,16 +229,8 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
                 continue
             if not is_regular_value(f, candidate)[0]:
                 continue
-            # a face whose image box misses the segment's box is a miss, unprobed
             end = feasible.homogeneous_column(candidate)
-            checks = tuple(
-                (
-                    face,
-                    feasible.segment_meets_box(f.images.box(face), f.images.denominator, start, end)
-                    and feasible.segment_hits_hull(point, candidate, f.image_of_face(face)),
-                )
-                for face in f.domain.boundary
-            )
+            checks = _segment_checks(f, point, candidate, start, end)
             if any(hit for _, hit in checks):
                 continue
             evidence = PathEvidence(
@@ -245,6 +241,31 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
             return _sign_sum(f, point, candidate, evidence)
         epsilon = epsilon / 2
     raise PerturbationExhausted(point, attempts)
+
+
+def _segment_checks(
+    f: PLMap, start_point: tuple, end_point: tuple, start: tuple[int, ...], end: tuple[int, ...]
+) -> tuple[tuple[Face, bool], ...]:
+    """Per boundary face, in order, whether the segment between two points
+    (with their homogeneous columns) meets the face's image.
+
+    The boundary grid names the faces whose image boxes meet the segment's
+    integer box (`feasible.segment_box`); only those can be hit. Each is
+    tested against the segment's own box (`feasible.segment_meets_box`) and
+    then probed; every other face is a miss, unprobed.
+    """
+    images, boundary = f.images, f.domain.boundary
+    box = feasible.segment_box(images.denominator, start, end)
+    candidates = set(f.image_grid(boundary).meeting(box))
+    return tuple(
+        (
+            face,
+            k in candidates
+            and feasible.segment_meets_box(images.box(face), images.denominator, start, end)
+            and feasible.segment_hits_hull(start_point, end_point, f.image_of_face(face)),
+        )
+        for k, face in enumerate(boundary)
+    )
 
 
 def _carrier_face(f: PLMap, x) -> Face:

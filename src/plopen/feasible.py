@@ -54,9 +54,12 @@ How a point set becomes integers is decided in one place, `IntegerPoints`:
 one common denominator that scales every point to integers for boxes, and
 one homogeneous column per point for frames. The complex keeps one for its
 vertices and the map one for its vertex images, and each builds a face's
-box, columns and frame at first use and keeps them. `overlapping_pairs`, a
-uniform grid over such boxes, is the one broad phase of every all-pairs
-scan, and `box_holds` tests a point's homogeneous column against a box by
+box, columns and frame at first use and keeps them. A `BoxGrid`, a uniform
+grid over such boxes, is the one broad phase of every box test: it names
+the boxes that meet a box (every all-pairs scan) and the boxes that hold a
+point (point location, fibers and degree queries). `IntegerPoints.grid`
+keeps one per face list, and `overlapping_pairs` builds one for a single
+scan. `box_holds` tests a point's homogeneous column against a box by
 cross-multiplying, so no box test compares a Fraction.
 """
 
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -748,6 +751,17 @@ def segment_meets_box(
     return True
 
 
+def segment_box(denominator: int, start: Sequence[int], end: Sequence[int]) -> IntBox:
+    """The least integer box over the denominator D that holds the segment
+    between two homogeneous columns: per axis, ⌊min·D⌋ and ⌈max·D⌉ of the
+    ends' coordinates. A box over D that misses it misses the segment."""
+    (*s, ms), (*e, me) = start, end
+    return (
+        tuple(min(a * denominator // ms, b * denominator // me) for a, b in zip(s, e)),
+        tuple(max(-(-a * denominator // ms), -(-b * denominator // me)) for a, b in zip(s, e)),
+    )
+
+
 class IntegerPoints:
     """The integer form of a point set, decided once and kept by its owner.
 
@@ -756,9 +770,11 @@ class IntegerPoints:
     boxes), and each point has one homogeneous column (m·y, m) (`columns`,
     the form of frames). For a tuple of point ids,
     `box` (over D), `cols` and `frame` are built at first use and kept;
-    `frame` is None when the points are affinely dependent. The complex
-    keeps one for its vertices (`SimplicialComplex.points`) and the map one
-    for its vertex images (`PLMap.images`).
+    `frame` is None when the points are affinely dependent. For a list of
+    such tuples, `grid` is the `BoxGrid` over their boxes, built at first use
+    and kept. The complex keeps one for its vertices
+    (`SimplicialComplex.points`) and the map one for its vertex images
+    (`PLMap.images`).
     """
 
     def __init__(self, points: Sequence[Vector]) -> None:
@@ -771,6 +787,7 @@ class IntegerPoints:
         self._boxes: dict[tuple[int, ...], IntBox] = {}
         self._cols: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         self._frames: dict[tuple[int, ...], Optional[SimplexFrame]] = {}
+        self._grids: dict[int, tuple[Sequence[tuple[int, ...]], BoxGrid]] = {}
 
     def box(self, ids: tuple[int, ...]) -> IntBox:
         box = self._boxes.get(ids)
@@ -792,14 +809,117 @@ class IntegerPoints:
                 self._frames[ids] = None
         return self._frames[ids]
 
+    def grid(
+        self, faces: Sequence[tuple[int, ...]], cells: Sequence[tuple[int, ...]]
+    ) -> BoxGrid:
+        """The grid over the boxes of faces, built at first use and kept.
 
-def _grid_cells(box: IntBox, steps: Sequence[int], limit: int) -> Optional[list[tuple[int, ...]]]:
-    """The grid cells a box covers, or None when it covers more than limit."""
-    spans = [range(lo // s, hi // s + 1) for lo, hi, s in zip(box[0], box[1], steps)]
-    count = 1
-    for span in spans:
-        count *= len(span)
-    return None if count > limit else list(product(*spans))
+        Its step on each axis is the median extent of the cells' boxes, one
+        step for every face list of the same cells: a median over a list of
+        vertices and edges would be tiny and file most faces as large. The
+        list is kept with its grid and looked up by identity, so a lookup
+        hashes no face, and the caller passes the same list object each time.
+        """
+        kept = self._grids.get(id(faces))
+        if kept is None:
+            steps = median_steps([self.box(ids) for ids in cells])
+            grid = BoxGrid([self.box(ids) for ids in faces], steps, self.denominator)
+            kept = self._grids[id(faces)] = (faces, grid)
+        return kept[1]
+
+
+def median_steps(boxes: Sequence[IntBox]) -> list[int]:
+    """Per axis, the median box extent (at least 1), the step of a `BoxGrid`."""
+    return [
+        max(1, sorted(box[1][c] - box[0][c] for box in boxes)[len(boxes) // 2])
+        for c in range(len(boxes[0][0]))
+    ]
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+class BoxGrid:
+    """A uniform grid over integer boxes: the one broad phase of every box test.
+
+    Slab k of an axis of step s is the interval [k·s, (k+1)·s) of that
+    axis, in units of 1/D over the boxes' denominator D; a grid cell is one
+    slab per axis, and a box covers the cells of its slabs ⌊lo/s⌋..⌊hi/s⌋.
+    The grid keeps, per axis and slab, the bit mask of the boxes that cover
+    the slab, so the boxes filed under a grid cell are the AND of its slabs'
+    masks: a box is filed in the sum of its spans, not their product. A box
+    that covers more grid cells than there are boxes is cheaper to test on
+    every query, so it goes to the `large` mask instead. Two queries read
+    the grid, `holders` (the boxes that hold a point) and `meeting` (the
+    boxes that meet a box). Each tests every candidate exactly and returns
+    ascending box indices, so a caller walking them meets the boxes in the
+    order of its own list. The boxes share one denominator, which only
+    `holders` reads.
+    """
+
+    def __init__(self, boxes: Sequence[IntBox], steps: Sequence[int], denominator: int) -> None:
+        self.boxes = boxes
+        self.steps = tuple(steps)
+        self.denominator = denominator
+        self._slabs: list[dict[int, int]] = [{} for _ in steps]
+        self.large = 0
+        for j, box in enumerate(boxes):
+            spans, bit = self._spans(box), 1 << j
+            if spans is None:
+                self.large |= bit
+                continue
+            for slabs, span in zip(self._slabs, spans):
+                for k in span:
+                    slabs[k] = slabs.get(k, 0) | bit
+
+    def _spans(self, box: IntBox) -> Optional[list[range]]:
+        """The slabs a box covers on each axis, or None when it covers more
+        grid cells than there are boxes."""
+        spans = [range(lo // s, hi // s + 1) for lo, hi, s in zip(box[0], box[1], self.steps)]
+        count = 1
+        for span in spans:
+            count *= len(span)
+        return None if count > len(self.boxes) else spans
+
+    def holders(self, column: Sequence[int]) -> list[int]:
+        """The ascending indices of the boxes that hold the point of a
+        homogeneous column ŷ = (m·y, m), each decided by `box_holds`.
+
+        The point's slab on an axis of step s is ⌊y·D/s⌋, the integer
+        division (ŷ_c·D) // (m·s).
+        """
+        m, denominator = column[-1], self.denominator
+        mask = -1
+        for c, s, slabs in zip(column, self.steps, self._slabs):
+            mask &= slabs.get((c * denominator) // (m * s), 0)
+        boxes = self.boxes
+        return [
+            j for j in _bit_indices(mask | self.large) if box_holds(boxes[j], denominator, column)
+        ]
+
+    def meeting(self, box: IntBox, first: int = 0) -> list[int]:
+        """The ascending indices j ≥ first of the boxes that meet a box
+        (touching counts), each decided by `boxes_overlap`."""
+        spans = self._spans(box)
+        if spans is None:
+            candidates: Sequence[int] = range(first, len(self.boxes))
+        else:
+            mask = -1
+            for slabs, span in zip(self._slabs, spans):
+                covered = 0
+                for k in span:
+                    covered |= slabs.get(k, 0)
+                mask &= covered
+            candidates = _bit_indices((mask | self.large) >> first << first)
+        boxes = self.boxes
+        return [j for j in candidates if boxes_overlap(box, boxes[j])]
 
 
 def overlapping_pairs(
@@ -809,42 +929,17 @@ def overlapping_pairs(
 
     With one list, the pairs i < j of boxes_a that overlap; with two, the
     pairs of a box of boxes_a and a box of boxes_b. All boxes share one
-    denominator. A uniform grid is the broad phase: its step on each axis is
-    the median box extent there (at least 1), each box of boxes_b is filed
-    under every grid cell it covers, and a box of boxes_a meets only the
-    boxes filed under its own cells. A box that covers more cells than there
-    are boxes is cheaper to test against every box, so it is. Each candidate
-    pair is then decided by `boxes_overlap`, in sorted order, so a caller
-    walking the pairs meets them in the order of the nested all-pairs loop.
+    denominator. The broad phase is a `BoxGrid` over boxes_b whose step on
+    each axis is the median extent of all the boxes there; each box of
+    boxes_a asks it which boxes meet it (`BoxGrid.meeting`). The pairs come
+    in sorted order, so a caller walking them meets them in the order of the
+    nested all-pairs loop.
     """
     same = boxes_b is None
     boxes_b = boxes_a if boxes_b is None else boxes_b
     if not boxes_a or not boxes_b:
         return []
-    every = boxes_a if same else [*boxes_a, *boxes_b]
-    steps = [
-        max(1, sorted(box[1][c] - box[0][c] for box in every)[len(every) // 2])
-        for c in range(len(every[0][0]))
+    grid = BoxGrid(boxes_b, median_steps(boxes_a if same else [*boxes_a, *boxes_b]), 1)
+    return [
+        (i, j) for i, box in enumerate(boxes_a) for j in grid.meeting(box, i + 1 if same else 0)
     ]
-    cells_b = [_grid_cells(box, steps, len(boxes_b)) for box in boxes_b]
-    cells_a = cells_b if same else [_grid_cells(box, steps, len(boxes_b)) for box in boxes_a]
-    grid: dict[tuple[int, ...], list[int]] = {}
-    large: list[int] = []  # boxes of boxes_b filed under no cell
-    for j, cells in enumerate(cells_b):
-        if cells is None:
-            large.append(j)
-            continue
-        for cell in cells:
-            grid.setdefault(cell, []).append(j)
-    pairs = []
-    for i, (box, cells) in enumerate(zip(boxes_a, cells_a)):
-        if cells is None:
-            candidates = set(range(i + 1 if same else 0, len(boxes_b)))
-        else:
-            candidates = set(large)
-            for cell in cells:
-                candidates.update(grid.get(cell, ()))
-        for j in sorted(candidates):
-            if (not same or j > i) and boxes_overlap(box, boxes_b[j]):
-                pairs.append((i, j))
-    return pairs

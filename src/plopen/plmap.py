@@ -10,8 +10,10 @@ continuity exactly. The map keeps the integer form of its vertex images in
 one `feasible.IntegerPoints` (`images`), the same kind of owner the domain
 keeps for its vertices: per face, the integer bounding box, the homogeneous
 columns and the integer frame of the face's image simplex, each built at
-first use and kept for the map's lifetime. Fibers, degree queries, the
-branch set, the oracle and the certifier read them.
+first use and kept for the map's lifetime, and the grids over the image
+boxes of the domain's face lists (`image_grid`). Fibers, degree queries,
+the branch set, the oracle and the certifier read them: a point query asks
+a grid which images' boxes hold the point and tests only those.
 
 The ingredients of every openness verdict live here: determinant-sign
 profiles, fibers (with exact witness segments through collapsed cells), the
@@ -85,6 +87,11 @@ class PLMap:
     @property
     def ambient_dim(self) -> int:
         return self.domain.ambient_dim
+
+    def image_grid(self, faces: Sequence[Face]) -> feasible.BoxGrid:
+        """The grid over the image boxes of a face list the domain keeps
+        (`IntegerPoints.grid`), stepped by the cell images' boxes."""
+        return self.images.grid(faces, self.domain.cell_ids)
 
     def image_of_face(self, face: Face) -> tuple[Vector, ...]:
         return tuple(self.vertex_images[i] for i in face)
@@ -195,7 +202,7 @@ def build_plmap(
     points, image_points = complex_.points, feasible.IntegerPoints(images)
     pieces = tuple(
         _frame_piece(points.frame(ids).bary, points.cols(ids), image_points.cols(ids))
-        for ids in (cell.vertex_ids for cell in complex_.cells)
+        for ids in complex_.cell_ids
     )
     return PLMap(complex_, image_points, pieces)
 
@@ -295,30 +302,31 @@ def finite_fibers(f: PLMap) -> bool:
 def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:
     """Exact preimage of a point, or a witness segment through a collapsed cell.
 
-    In a nonsingular cell's image frame, w_j = (bary_j·ŷ)·m_j (ŷ the query's
-    homogeneous column, m_j the last entry of image column j) is the query's
-    weight on image vertex j times one positive factor per cell: the cell
-    counts iff min w ≥ 0, at the point Σ w_j v_j / Σ w_j.
+    Only the cells whose image boxes hold the query can hold a preimage, and
+    the grid over the cell image boxes (`PLMap.image_grid`) names them, in
+    cell order. In a nonsingular cell's image frame, w_j = (bary_j·ŷ)·m_j (ŷ
+    the query's homogeneous column, m_j the last entry of image column j) is
+    the query's weight on image vertex j times one positive factor per cell:
+    the cell counts iff min w ≥ 0, at the point Σ w_j v_j / Σ w_j, one
+    Fraction per coordinate over the domain's scaled integer vertices. A
+    singular cell is decided by `feasible.constrained_hull_dim`.
     """
     if len(query) != f.ambient_dim:
         raise DimensionError(f"query has dimension {len(query)}, map is on R^{f.ambient_dim}")
     found: dict[Vector, tuple[list[int], list[int]]] = {}
     column = feasible.homogeneous_column(query)
-    images = f.images
-    for ci, piece in enumerate(f.pieces):
+    images, vertices, cell_ids = f.images, f.domain.points, f.domain.cell_ids
+    for ci in f.image_grid(cell_ids).holders(column):
+        piece, ids = f.pieces[ci], cell_ids[ci]
         if piece.det_sign != 0:
-            ids = f.domain.cells[ci].vertex_ids
-            if not feasible.box_holds(images.box(ids), images.denominator, column):
-                continue
             frame, cols = images.frame(ids), images.cols(ids)
             weights = [w * col[-1] for w, col in zip(frame.weights(column), cols)]
             if min(weights) < 0:
                 continue
-            total = sum(weights)
-            points = f.domain.cell_points(ci)
+            denominator = vertices.denominator * sum(weights)
             candidate = tuple(
-                sum(w * p[c] for w, p in zip(weights, points) if w) / total
-                for c in range(f.ambient_dim)
+                Fraction(sum(map(mul, weights, axis)), denominator)
+                for axis in zip(*(vertices.scaled[i] for i in ids))
             )
             cells, signs = found.setdefault(candidate, ([], []))
             cells.append(ci)

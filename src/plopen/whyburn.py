@@ -127,29 +127,29 @@ def boundary_preimage_ok(inst: BallMapInstance) -> tuple[bool, Optional[tuple]]:
     A failure returns an exact interior witness point whose image lies in the
     boundary image. Relative interiors of interior faces partition the open
     support, so the sweep is exhaustive. The pairs whose integer image boxes
-    overlap come from one grid broad phase, in the order of the nested loop
-    (interior faces by size and ids, then boundary faces). Each is decided by
-    one probe in the boundary-face image's frame (vertex form when that image
-    is degenerate); only the first pair that hits rebuilds its witness point.
-    The frames stay with the map, so stage 2 reuses them.
+    overlap come from the map's grid over the boundary images
+    (`PLMap.image_grid`, kept for stage 2 and the stage-5 degree), in the
+    order of the nested loop (interior faces by size and ids, then boundary
+    faces). Each is decided by one probe in the boundary-face image's frame
+    (vertex form when that image is degenerate); only the first pair that
+    hits rebuilds its witness point. The frames stay with the map, so stage
+    2 reuses them.
     """
     f = inst.map
-    interior = f.domain.interior_faces()
-    pairs = feasible.overlapping_pairs(
-        [f.images.box(ids) for ids in interior], [f.images.box(face) for face in inst.boundary]
-    )
-    for i, j in pairs:
-        ids, face = interior[i], inst.boundary[j]
-        frame = f.images.frame(face)
-        # a degenerate image (no frame) is decided in vertex form
-        if frame is not None and not feasible.relint_meets_simplex(frame, f.images.cols(ids)):
-            continue
-        # the first hit rebuilds its witness in vertex form
-        witness = feasible.relint_preimage_witness(
-            f.domain.face_points(ids), f.image_of_face(ids), f.image_of_face(face)
-        )
-        if witness is not None:
-            return False, witness
+    grid = f.image_grid(inst.boundary)
+    for ids in f.domain.interior_faces():
+        for j in grid.meeting(f.images.box(ids)):
+            face = inst.boundary[j]
+            frame = f.images.frame(face)
+            # a degenerate image (no frame) is decided in vertex form
+            if frame is not None and not feasible.relint_meets_simplex(frame, f.images.cols(ids)):
+                continue
+            # the first hit rebuilds its witness in vertex form
+            witness = feasible.relint_preimage_witness(
+                f.domain.face_points(ids), f.image_of_face(ids), f.image_of_face(face)
+            )
+            if witness is not None:
+                return False, witness
     return True, None
 
 
@@ -162,18 +162,23 @@ def boundary_restriction_injective(
     shared subface. Each boundary-face image must itself be a nondegenerate
     (n-1)-simplex (a collapsed face is already a collision within itself);
     given that, the overlap is proper iff it stays inside the affine hull of
-    the shared subface's image.
+    the shared subface's image. The pairs whose image boxes overlap come
+    from stage 1's boundary grid.
     """
     f = inst.map
     boundary = inst.boundary
     for face in boundary:
         if f.images.frame(face) is None:
             return False, (face, face)
-    for i, j in feasible.overlapping_pairs([f.images.box(face) for face in boundary]):
-        face_a, face_b = boundary[i], boundary[j]
-        span = [k for k, v in enumerate(face_a) if v in face_b]
-        if feasible.hull_leaves_affine_span(f.images.frame(face_a), f.images.cols(face_b), span):
-            return False, (face_a, face_b)
+    grid = f.image_grid(boundary)
+    for i, face_a in enumerate(boundary):
+        for j in grid.meeting(f.images.box(face_a), i + 1):
+            face_b = boundary[j]
+            span = [k for k, v in enumerate(face_a) if v in face_b]
+            if feasible.hull_leaves_affine_span(
+                f.images.frame(face_a), f.images.cols(face_b), span
+            ):
+                return False, (face_a, face_b)
     return True, None
 
 
@@ -186,17 +191,20 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
     sides of the shared image hyperplane, so the overlap equals the shared
     image face exactly. For the rest, conv(image) ∩ aff(shared image) equals
     the shared image face, so an improper overlap is exactly one that leaves
-    that affine hull (or any overlap at all for disjoint cells).
+    that affine hull (or any overlap at all for disjoint cells). The pairs
+    whose image boxes overlap come from the map's cell grid
+    (`PLMap.image_grid`), the one fibers read.
     """
     n = f.ambient_dim
-    cells = [cell.vertex_ids for cell in f.domain.cells]
-    for a, b in feasible.overlapping_pairs([f.images.box(ids) for ids in cells]):
-        span = [k for k, v in enumerate(cells[a]) if v in cells[b]]
-        if len(span) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
-            continue
-        frame = f.images.frame(cells[a])
-        if feasible.hull_leaves_affine_span(frame, f.images.cols(cells[b]), span):
-            return a, b
+    cells = f.domain.cell_ids
+    grid = f.image_grid(cells)
+    for a, ids in enumerate(cells):
+        for b in grid.meeting(f.images.box(ids), a + 1):
+            span = [k for k, v in enumerate(ids) if v in cells[b]]
+            if len(span) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
+                continue
+            if feasible.hull_leaves_affine_span(f.images.frame(ids), f.images.cols(cells[b]), span):
+                return a, b
     return None
 
 

@@ -185,3 +185,33 @@ def shrunk_star_images(f, x, carrier):
         )
         out.append((ci, pts, tuple(f.pieces[ci].apply(p) for p in pts)))
     return out
+
+
+def _face_image_holds(f, face, point) -> bool:
+    """Membership in a face's image by a barycentric re-solve; the image must
+    be affinely independent, as on a map whose cells are all nonsingular."""
+    images = [f.vertex_images[i] for i in face]
+    assert barycentric_of(images[0], images) is not None, "image is affinely dependent"
+    return point_in_simplex(point, images)
+
+
+def scan_regular_value(f, point):
+    """is_regular_value's (verdict, diagnosis) by a linear scan of every face
+    of dimension <= n-1, by size and then by ids, on a map whose cells are
+    all nonsingular."""
+    n = len(point)
+    faces = sorted((ids for ids in f.domain.faces if len(ids) <= n), key=lambda ids: (len(ids), ids))
+    for ids in faces:
+        if _face_image_holds(f, ids, point):
+            return False, f"point lies in the image of face {ids} (dim {len(ids) - 1})"
+    return True, None
+
+
+def scan_boundary_face(f, point):
+    """The first boundary face, in sorted order, whose image holds the point,
+    by a linear scan; None when there is none."""
+    n = len(point)
+    boundary = sorted(
+        ids for ids, info in f.domain.faces.items() if len(ids) == n and len(info.cells) == 1
+    )
+    return next((ids for ids in boundary if _face_image_holds(f, ids, point)), None)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from plopen import feasible
 from plopen.complexes import validate_complex
 from plopen.degree import (
     BoundaryImageError,
@@ -12,11 +13,12 @@ from plopen.degree import (
     homotopy_degree_constant,
     is_regular_value,
     local_degree,
+    point_on_boundary_image,
 )
 from plopen.generators import GenSpec, generate
-from plopen.plmap import build_plmap
+from plopen.plmap import build_plmap, fiber
 
-from oracles import brute_force_sign_sum
+from oracles import brute_force_sign_sum, scan_boundary_face, scan_regular_value
 
 
 def F(*args):
@@ -202,3 +204,57 @@ class TestHomotopy:
     def test_mismatched_domains_rejected(self, identity_square, fold1d):
         with pytest.raises(ValueError):
             homotopy_degree_constant(identity_square, fold1d, ((F(0), F(0)), (F(0), F(0))), [F(0)])
+
+
+@pytest.fixture(scope="module")
+def grid_queries():
+    """A 3-D map (48 cells, 245 proper faces) and fixed query points on it:
+    the images of points inside every fifth proper face, every third
+    boundary face and every sixth cell, weighted unevenly."""
+    f = generate(GenSpec("random_orientation_preserving", 3, resolution=2, seed=1)).plmap
+    faces = f.domain.proper_faces()
+    cells = [cell.vertex_ids for cell in f.domain.cells]
+    chosen = [*faces[::5], *f.domain.boundary[::3], *cells[::6]]
+    points = []
+    for ids in chosen:
+        weights = range(1, len(ids) + 1)
+        images = [f.vertex_images[i] for i in ids]
+        points.append(
+            tuple(sum(w * y[c] for w, y in zip(weights, images)) / sum(weights) for c in range(3))
+        )
+    return f, points
+
+
+class TestGridQueries:
+    def test_first_offenders_match_the_linear_scan(self, grid_queries):
+        """The grid walks only the faces whose image boxes hold the point, in
+        face order, so every diagnosis names the face a linear scan names."""
+        f, points = grid_queries
+        verdicts = [is_regular_value(f, y) for y in points]
+        assert verdicts == [scan_regular_value(f, y) for y in points]
+        assert [point_on_boundary_image(f, y) for y in points] == [
+            scan_boundary_face(f, y) for y in points
+        ]
+        assert sum(ok for ok, _ in verdicts) >= 8  # the cell points
+        assert sum(point_on_boundary_image(f, y) is not None for y in points) >= 16
+
+    def test_box_tests_are_at_most_half_the_linear_scan(self, grid_queries, monkeypatch):
+        """Counts only: `degree` and `fiber` at every query point make at most
+        half the `box_holds` calls of the linear scan over every face and
+        cell, which made 22,450 on this query set."""
+        f, points = grid_queries
+        calls = []
+        holds = feasible.box_holds
+
+        def counting(*args):
+            calls.append(args)
+            return holds(*args)
+
+        monkeypatch.setattr(feasible, "box_holds", counting)
+        for y in points:
+            try:
+                degree(f, y)
+            except BoundaryImageError:
+                pass
+            fiber(f, y)
+        assert 0 < 2 * len(calls) <= 22_450, len(calls)

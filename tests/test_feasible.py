@@ -9,6 +9,7 @@ from plopen.feasible import (
     REL_EQ,
     REL_LE,
     REL_LT,
+    BoxGrid,
     LinRow,
     IntegerPoints,
     LinearSystem,
@@ -26,10 +27,12 @@ from plopen.feasible import (
     integer_box,
     intersection_dim,
     lp_feasible,
+    median_steps,
     overlapping_pairs,
     relative_interiors_intersect,
     relint_meets_simplex,
     relint_preimage_witness,
+    segment_box,
     segment_hits_hull,
     segment_meets_box,
     simplex_frame,
@@ -511,6 +514,51 @@ class TestBoxes:
             if _meets(boxes_a[i], boxes_b[j])
         ]
 
+    def test_grid_holders_on_faces_grid_lines_and_large_boxes(self):
+        boxes = [((-4, 0), (-1, 0)), ((0, 0), (0, 0)), ((-2, -3), (5, 3)), ((2, 2), (3, 5))]
+        grid = BoxGrid(boxes, [2, 2], 3)
+        assert grid.large == 1 << 2  # 16 grid cells, more than there are boxes
+        assert grid.holders((0, 0, 1)) == [1, 2]
+        # y·D = (-1, 0) lies on box 0's face, in slab ⌊-1/2⌋ = -1, not 0
+        assert grid.holders((-1, 0, 3)) == [0, 2]
+        # y·D = (2, 2) lies on grid lines and on box 3's corner, in any column form
+        assert grid.holders((2, 2, 3)) == grid.holders((4, 4, 6)) == [2, 3]
+        assert grid.holders((40, 40, 3)) == []  # outside every filed cell
+        assert grid.meeting(((-1, 0), (0, 0))) == [0, 1, 2]
+        assert grid.meeting(((-1, 0), (0, 0)), 1) == [1, 2]
+        assert BoxGrid([], [1], 1).holders((0, 1)) == [] == BoxGrid([], [1], 1).meeting(((0,), (0,)))
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_grid_holders_and_meeting_match_the_scan(self, data):
+        """Boxes with negative corners, zero extents and large boxes; points on
+        box faces and grid lines as often as free ones; column denominators
+        m > 1 with and without a common factor with the boxes' D."""
+        n = data.draw(st.integers(1, 3))
+        boxes = data.draw(_int_boxes(n))
+        denominator = data.draw(st.integers(1, 4))
+        any_steps = st.lists(st.integers(1, 5), min_size=n, max_size=n)
+        steps = data.draw(st.just(median_steps(boxes)) | any_steps if boxes else any_steps)
+        grid = BoxGrid(boxes, steps, denominator)
+        m = data.draw(st.integers(1, 3).map(lambda t: t * denominator) | st.integers(1, 9))
+        column = []
+        for c in range(n):
+            # a value v of y·D, exact whenever D divides m
+            lines = [k * steps[c] for k in range(-4, 5)]
+            faces = [x for box in boxes for x in (box[0][c], box[1][c])]
+            scaled = st.sampled_from(lines + faces) | st.integers(-14, 54)
+            column.append(data.draw(scaled.map(lambda v: v * m // denominator)))
+        column.append(m)
+        assert grid.holders(column) == [
+            j for j, box in enumerate(boxes) if box_holds(box, denominator, column)
+        ]
+        lows = data.draw(st.tuples(*[st.integers(-14, 14)] * n))
+        query = (lows, tuple(lo + data.draw(st.integers(0, 3) | st.integers(0, 40)) for lo in lows))
+        first = data.draw(st.integers(0, len(boxes)))
+        assert grid.meeting(query, first) == [
+            j for j in range(first, len(boxes)) if _meets(query, boxes[j])
+        ]
+
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_integer_point_and_segment_tests_match_fractions(self, data):
@@ -547,3 +595,8 @@ class TestBoxes:
             segment_meets_box(box, denominator, homogeneous_column(start), homogeneous_column(end))
             == meets
         )
+        # the segment's integer box rounds its box outward to the next integers
+        outer = segment_box(denominator, homogeneous_column(start), homogeneous_column(end))
+        ends = list(zip(start, end))
+        assert all(F(lo, denominator) <= min(e) < F(lo + 1, denominator) for lo, e in zip(outer[0], ends))
+        assert all(F(hi - 1, denominator) < max(e) <= F(hi, denominator) for hi, e in zip(outer[1], ends))
