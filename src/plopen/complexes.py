@@ -10,13 +10,13 @@ set of (n-1)-faces incident to a single cell.
 The complex keeps the integer form of its vertices in one
 `feasible.IntegerPoints` (`points`), which builds each cell's integer box
 and frame at first use and keeps them for the complex's lifetime.
-Validation finds the cell pairs to probe with one grid broad phase over the
-cell boxes (`feasible.overlapping_pairs`). Point location asks the grid over
-the cell boxes (`IntegerPoints.grid`, built at the first query and kept)
-which cell boxes hold the point's integer homogeneous column, then reads the
-signs of barycentric weights in those cells' frames, in cell order: each
-query is classified as interior to a unique cell, on the relative interior
-of a unique smallest face, or outside the support.
+Validation decides each cell's degeneracy by whether its frame exists, and
+takes the cell pairs to probe from the grid over the cell boxes
+(`IntegerPoints.grid`), which the complex keeps. Point location asks that
+same grid which cell boxes hold the point's integer homogeneous column, then
+reads the signs of barycentric weights in those cells' frames, in cell
+order: each query is classified as interior to a unique cell, on the
+relative interior of a unique smallest face, or outside the support.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import feasible
-from .linalg import (
-    DimensionError,
-    Matrix,
-    Vector,
-    det_sign,
-    vec_sub,
-    vector,
-)
+from .linalg import DimensionError, Vector, vector
 
 Face = tuple[int, ...]  # sorted vertex ids
 
@@ -104,11 +97,9 @@ class SimplicialComplex:
     ambient_dim: int
     faces: dict[Face, FaceInfo] = field(repr=False)
     boundary: tuple[Face, ...]  # (n-1)-faces incident to exactly one cell
+    # each cell's vertex ids; the key of the kept cell grid (`IntegerPoints.grid`)
+    cell_ids: tuple[Face, ...] = field(repr=False)
     _proper_faces: Optional[tuple[Face, ...]] = field(default=None, repr=False)
-    cell_ids: tuple[Face, ...] = field(init=False, repr=False)  # each cell's vertex ids
-
-    def __post_init__(self) -> None:
-        self.cell_ids = tuple(cell.vertex_ids for cell in self.cells)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -216,6 +207,7 @@ def collect_violations(
         else:
             seen[v] = i
 
+    points = feasible.IntegerPoints(verts)
     simplices: list[Simplex] = []
     for idx, raw in enumerate(cells):
         ids = tuple(sorted(raw))
@@ -233,9 +225,7 @@ def collect_violations(
             continue
         if bad_vertices.intersection(ids):
             continue  # already a bad_vertex violation; its shape admits no geometry
-        pts = [verts[i] for i in ids]
-        dirs = [vec_sub(p, pts[0]) for p in pts[1:]]
-        if det_sign(Matrix(tuple(dirs))) == 0:
+        if points.frame(ids) is None:
             violations.append(
                 Violation("degenerate_cell", f"cell {idx} has affinely dependent vertices", (idx,))
             )
@@ -257,10 +247,10 @@ def collect_violations(
     # the shared face, so the intersection is proper iff it stays inside that
     # affine hull (iff it is empty when no vertices are shared): one strict
     # probe per pair whose integer boxes overlap, in cell a's frame; the
-    # complex then keeps the boxes and frames.
-    points = feasible.IntegerPoints(verts)
-    for a, b in feasible.overlapping_pairs([points.box(s.vertex_ids) for s in simplices]):
-        ids_a, ids_b = simplices[a].vertex_ids, simplices[b].vertex_ids
+    # complex then keeps the boxes, the frames and the cell grid.
+    cell_ids = tuple(s.vertex_ids for s in simplices)
+    for a, b in points.grid(cell_ids, cell_ids).pairs():
+        ids_a, ids_b = cell_ids[a], cell_ids[b]
         span = [j for j, v in enumerate(ids_a) if v in ids_b]
         if feasible.hull_leaves_affine_span(points.frame(ids_a), points.cols(ids_b), span):
             shared = tuple(ids_a[j] for j in span)
@@ -301,6 +291,7 @@ def collect_violations(
         ambient_dim=n,
         faces=faces,
         boundary=boundary,
+        cell_ids=cell_ids,
     )
     return [], complex_
 

@@ -212,11 +212,9 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
         return _sign_sum(f, point, point, _regular_evidence(f))
     start = feasible.homogeneous_column(point)
 
-    spread = Fraction(0)
-    for c in range(f.ambient_dim):
-        values = [img[c] for img in f.vertex_images]
-        spread = max(spread, max(values) - min(values))
-    epsilon = spread / 4 if spread > 0 else Fraction(1)
+    images = f.images
+    spread = max(max(axis) - min(axis) for axis in zip(*images.scaled))
+    epsilon = Fraction(spread, 4 * images.denominator) if spread > 0 else Fraction(1)
     directions = _perturbation_directions(f.ambient_dim)
     attempts: list[tuple] = []
     while len(attempts) < max_attempts:

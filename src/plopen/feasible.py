@@ -56,11 +56,12 @@ one homogeneous column per point for frames. The complex keeps one for its
 vertices and the map one for its vertex images, and each builds a face's
 box, columns and frame at first use and keeps them. A `BoxGrid`, a uniform
 grid over such boxes, is the one broad phase of every box test: it names
-the boxes that meet a box (every all-pairs scan) and the boxes that hold a
-point (point location, fibers and degree queries). `IntegerPoints.grid`
-keeps one per face list, and `overlapping_pairs` builds one for a single
-scan. `box_holds` tests a point's homogeneous column against a box by
-cross-multiplying, so no box test compares a Fraction.
+the boxes that meet a box (`meeting`), the pairs of its own boxes that meet
+(`pairs`, every all-pairs scan of one list) and the boxes that hold a point
+(`holders`: point location, fibers and degree queries).
+`IntegerPoints.grid` keeps one per face list. `box_holds` tests a point's
+homogeneous column against a box by cross-multiplying, so no box test
+compares a Fraction.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .linalg import Matrix, Vector, integer_adjugate, null_space, rank, vec_dot, vec_sub
 
@@ -858,10 +859,10 @@ class BoxGrid:
     that covers more grid cells than there are boxes is cheaper to test on
     every query, so it goes to the `large` mask instead. Two queries read
     the grid, `holders` (the boxes that hold a point) and `meeting` (the
-    boxes that meet a box). Each tests every candidate exactly and returns
-    ascending box indices, so a caller walking them meets the boxes in the
-    order of its own list. The boxes share one denominator, which only
-    `holders` reads.
+    boxes that meet a box), and `pairs` asks `meeting` for each of its own
+    boxes. Each tests every candidate exactly and returns ascending box
+    indices, so a caller walking them meets the boxes in the order of its
+    own list. The boxes share one denominator, which only `holders` reads.
     """
 
     def __init__(self, boxes: Sequence[IntBox], steps: Sequence[int], denominator: int) -> None:
@@ -921,25 +922,10 @@ class BoxGrid:
         boxes = self.boxes
         return [j for j in candidates if boxes_overlap(box, boxes[j])]
 
-
-def overlapping_pairs(
-    boxes_a: Sequence[IntBox], boxes_b: Optional[Sequence[IntBox]] = None
-) -> list[tuple[int, int]]:
-    """The index pairs (i, j) of overlapping boxes, sorted.
-
-    With one list, the pairs i < j of boxes_a that overlap; with two, the
-    pairs of a box of boxes_a and a box of boxes_b. All boxes share one
-    denominator. The broad phase is a `BoxGrid` over boxes_b whose step on
-    each axis is the median extent of all the boxes there; each box of
-    boxes_a asks it which boxes meet it (`BoxGrid.meeting`). The pairs come
-    in sorted order, so a caller walking them meets them in the order of the
-    nested all-pairs loop.
-    """
-    same = boxes_b is None
-    boxes_b = boxes_a if boxes_b is None else boxes_b
-    if not boxes_a or not boxes_b:
-        return []
-    grid = BoxGrid(boxes_b, median_steps(boxes_a if same else [*boxes_a, *boxes_b]), 1)
-    return [
-        (i, j) for i, box in enumerate(boxes_a) for j in grid.meeting(box, i + 1 if same else 0)
-    ]
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The index pairs i < j of boxes that meet, in the order of the
+        nested all-pairs loop; each box's partners are found when it is
+        reached, so a caller that stops early tests no further box."""
+        for i, box in enumerate(self.boxes):
+            for j in self.meeting(box, i + 1):
+                yield i, j

@@ -1,17 +1,20 @@
-"""Exact rational linear algebra: determinant signs, solving, rank, null spaces.
+"""Exact rational linear algebra: determinants, solving, rank, null spaces.
 
 Every value is a `fractions.Fraction` (arbitrary-precision, canonical reduced
 form, positive denominator). There is deliberately no floating point in this
 module: each downstream geometric predicate (orientation sign, membership,
 dimension) must be an exact decision, never an approximation.
 
-Determinant signs use Bareiss fraction-free elimination over row-scaled
-integers, which keeps intermediate bit growth polynomial; the same
-elimination carried on to Gauss–Jordan form gives the adjugate of an integer
-matrix with no rational in it (`integer_adjugate`). Plain Gaussian
-elimination over Fractions is used where fill-in is irrelevant (solving,
-inversion, null spaces on tiny systems), all three through one Gauss–Jordan
-reduction.
+All of it is one elimination, `_eliminate`: fraction-free (Bareiss)
+Gauss–Jordan reduction of integer rows (E. H. Bareiss, "Sylvester's identity
+and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+1968). Each entry stays a minor of the input, so intermediate bit growth is
+polynomial and every division is exact. Rational rows enter it through one
+rescaling step, `_scaled_integer_rows` (each row times the lcm of its
+denominators). The determinant and its sign are the last pivot and the
+parity of the row swaps, the rank is the pivot count, and solutions,
+inverses and null spaces are read off the reduced rows, one `Fraction` per
+entry; `integer_adjugate` reduces [A | I] and never leaves the integers.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 Rational = Fraction
@@ -148,144 +151,99 @@ class Matrix:
         return "[" + "; ".join(" ".join(format_rational(x) for x in row) for row in self.entries) + "]"
 
 
-def _scaled_integer_rows(m: Matrix) -> list[list[int]]:
-    # Multiply each row by the (positive) lcm of its denominators: the
-    # determinant sign and the row space are unchanged, and Bareiss can run
-    # over plain integers.
+def _scaled_integer_rows(
+    rows: Iterable[Sequence[int | Fraction]],
+) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those lcms.
+
+    A row scaled by a positive integer keeps its row space, its solutions and
+    its determinant's sign, so every routine below eliminates over integers.
+    """
     out = []
-    for row in m.entries:
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
-    return out
+    scale = 1
+    for row in rows:
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        out.append([x.numerator * (mult // x.denominator) for x in row])
+    return out, scale
 
 
-def _bareiss_determinant(rows: list[list[int]]) -> int:
-    """Exact integer determinant via fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
+def _eliminate(a: list[list[int]], columns: range) -> tuple[list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss–Jordan reduction of integer rows, in place.
+
+    Pivots are taken in the given columns in order, each from the first row
+    at or below the current one that is nonzero there; columns outside the
+    range are carried along. After each step every entry is a minor of the
+    input, so each division by the previous pivot is exact. The end state is
+    d times the reduced row-echelon form, d the last pivot: the k-th pivot
+    column is d in row k and 0 in every other row.
+
+    Returns (pivot columns, d, sign of the row swaps); with every column a
+    pivot on a square matrix, sign·d is its determinant.
+    """
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
+    for col in columns:
+        r = len(pivots)
+        if r == len(a):
+            break
+        pivot_row = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
         if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Exact division: divisibility is the Bareiss identity.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        top = a[r]
+        pivot = top[col]
+        for i in range(len(a)):
+            if i != r:
+                row = a[i]
+                factor = row[col]
+                a[i] = [(x * pivot - factor * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+        pivots.append(col)
+    return pivots, prev, sign
 
 
 def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[Optional[list[list[int]]], int]:
     """Adjugate and determinant of a square integer matrix, fraction-free.
 
-    Bareiss-style Gauss–Jordan on [A | I]: after step k every entry is a
-    (k+1)-minor, so each division by the previous pivot is exact, and the end
-    state is [d·I | d·A⁻¹] with d = ±det(A) (the sign of the row swaps).
-    A singular matrix returns (None, 0).
+    `_eliminate` on [A | I] ends at [d·I | d·A⁻¹] with d = ±det(A) (the
+    sign of the row swaps). A singular matrix returns (None, 0).
     """
     n = len(rows)
     a = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return None, 0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        top = a[k]
-        pivot = top[k]
-        for i in range(n):
-            if i != k:
-                row = a[i]
-                factor = row[k]
-                a[i] = [(x * pivot - factor * y) // prev for x, y in zip(row, top)]
-        prev = pivot
-    return [[sign * x for x in row[n:]] for row in a], sign * prev
+    pivots, d, sign = _eliminate(a, range(n))
+    if len(pivots) < n:
+        return None, 0
+    return [[sign * x for x in row[n:]] for row in a], sign * d
+
+
+def _square_determinant(m: Matrix, name: str) -> tuple[int, int]:
+    """det(m) as (integer numerator, positive scale): det = numerator / scale."""
+    if not m.is_square:
+        raise DimensionError(f"{name} of non-square {m.rows}x{m.cols} matrix")
+    rows, scale = _scaled_integer_rows(m.entries)
+    pivots, d, sign = _eliminate(rows, range(m.cols))
+    return (sign * d if len(pivots) == m.rows else 0), scale
 
 
 def det(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
-    if not m.is_square:
-        raise DimensionError(f"determinant of non-square {m.rows}x{m.cols} matrix")
-    if m.rows == 0:
-        return Fraction(1)
-    scale = 1
-    int_rows = []
-    for row in m.entries:
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        int_rows.append([int(x * mult) for x in row])
-    return Fraction(_bareiss_determinant(int_rows), scale)
+    return Fraction(*_square_determinant(m, "determinant"))
 
 
 def det_sign(m: Matrix) -> int:
     """Sign of det(m) in {-1, 0, +1}, computed fraction-free."""
-    if not m.is_square:
-        raise DimensionError(f"determinant sign of non-square {m.rows}x{m.cols} matrix")
-    d = _bareiss_determinant(_scaled_integer_rows(m))
+    d, _ = _square_determinant(m, "determinant sign")
     return (d > 0) - (d < 0)
 
 
 def rank(m: Matrix) -> int:
-    """Exact rank via fraction-free integer row reduction."""
-    rows = [r for r in _scaled_integer_rows(m) if any(r)]
-    cols = m.cols
-    rk = 0
-    col = 0
-    while rows and col < cols:
-        pivot_row = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        pivot = rows.pop(pivot_row)
-        rk += 1
-        reduced = []
-        for r in rows:
-            if r[col] != 0:
-                r = [rx * pivot[col] - pivot[j] * r[col] for j, rx in enumerate(r)]
-                g = gcd(*r)
-                if g > 1:
-                    r = [x // g for x in r]
-            if any(r):
-                reduced.append(r)
-        rows = reduced
-        col += 1
-    return rk
-
-
-def _gauss_jordan(rows: list[list[Fraction]], columns: range) -> list[int]:
-    """Reduce rows in place to reduced row-echelon form over the given columns.
-
-    Returns the pivot columns in order: the k-th is 1 in row k and 0 in
-    every other row. Columns outside `columns` are carried along.
-    """
-    pivots: list[int] = []
-    for col in columns:
-        r = len(pivots)
-        if r == len(rows):
-            break
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pivot = rows[r][col]
-        rows[r] = [x / pivot for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-    return pivots
+    """Exact rank: the number of pivots of the fraction-free reduction."""
+    rows, _ = _scaled_integer_rows(m.entries)
+    return len(_eliminate(rows, range(m.cols))[0])
 
 
 def solve_square(a: Matrix, rhs: Vector) -> Optional[Vector]:
@@ -295,10 +253,11 @@ def solve_square(a: Matrix, rhs: Vector) -> Optional[Vector]:
     n = a.rows
     if len(rhs) != n:
         raise DimensionError(f"matrix is {n}x{n}, right-hand side has length {len(rhs)}")
-    aug = [[*a.entries[i], rhs[i]] for i in range(n)]
-    if len(_gauss_jordan(aug, range(n))) < n:
+    rows, _ = _scaled_integer_rows([*a.entries[i], rhs[i]] for i in range(n))
+    pivots, d, _ = _eliminate(rows, range(n))
+    if len(pivots) < n:
         return None
-    return tuple(row[n] for row in aug)
+    return tuple(Fraction(row[n], d) for row in rows)
 
 
 def inverse(a: Matrix) -> Optional[Matrix]:
@@ -306,22 +265,27 @@ def inverse(a: Matrix) -> Optional[Matrix]:
     if not a.is_square:
         raise DimensionError("inverse of a non-square matrix")
     n = a.rows
-    aug = [[*a.entries[i], *(Fraction(int(i == j)) for j in range(n))] for i in range(n)]
-    if len(_gauss_jordan(aug, range(n))) < n:
+    # scaling row i of [A | I] by m_i and reducing gives [I | A⁻¹] all the same
+    rows, _ = _scaled_integer_rows(
+        [*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a.entries)
+    )
+    pivots, d, _ = _eliminate(rows, range(n))
+    if len(pivots) < n:
         return None
-    return Matrix(tuple(tuple(row[n:]) for row in aug))
+    return Matrix(tuple(tuple(Fraction(x, d) for x in row[n:]) for row in rows))
 
 
 def null_space(m: Matrix) -> list[Vector]:
-    """Basis of the right null space {x : m x = 0}."""
-    rows = [list(r) for r in m.entries]
+    """Basis of the right null space {x : m x = 0}: one vector per non-pivot
+    column, 1 there and 0 at the other non-pivot columns."""
     cols = m.cols
-    pivots = _gauss_jordan(rows, range(cols))
+    rows, _ = _scaled_integer_rows(m.entries)
+    pivots, d, _ = _eliminate(rows, range(cols))
     basis = []
     for free in (c for c in range(cols) if c not in pivots):
         vec = [Fraction(0)] * cols
         vec[free] = Fraction(1)
         for i, pc in enumerate(pivots):
-            vec[pc] = -rows[i][free]
+            vec[pc] = Fraction(-rows[i][free], d)
         basis.append(tuple(vec))
     return basis

@@ -163,22 +163,18 @@ def boundary_restriction_injective(
     (n-1)-simplex (a collapsed face is already a collision within itself);
     given that, the overlap is proper iff it stays inside the affine hull of
     the shared subface's image. The pairs whose image boxes overlap come
-    from stage 1's boundary grid.
+    from stage 1's boundary grid (`BoxGrid.pairs`).
     """
     f = inst.map
     boundary = inst.boundary
     for face in boundary:
         if f.images.frame(face) is None:
             return False, (face, face)
-    grid = f.image_grid(boundary)
-    for i, face_a in enumerate(boundary):
-        for j in grid.meeting(f.images.box(face_a), i + 1):
-            face_b = boundary[j]
-            span = [k for k, v in enumerate(face_a) if v in face_b]
-            if feasible.hull_leaves_affine_span(
-                f.images.frame(face_a), f.images.cols(face_b), span
-            ):
-                return False, (face_a, face_b)
+    for i, j in f.image_grid(boundary).pairs():
+        face_a, face_b = boundary[i], boundary[j]
+        span = [k for k, v in enumerate(face_a) if v in face_b]
+        if feasible.hull_leaves_affine_span(f.images.frame(face_a), f.images.cols(face_b), span):
+            return False, (face_a, face_b)
     return True, None
 
 
@@ -193,18 +189,17 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
     the shared image face, so an improper overlap is exactly one that leaves
     that affine hull (or any overlap at all for disjoint cells). The pairs
     whose image boxes overlap come from the map's cell grid
-    (`PLMap.image_grid`), the one fibers read.
+    (`PLMap.image_grid`, the one fibers read) by `BoxGrid.pairs`.
     """
     n = f.ambient_dim
     cells = f.domain.cell_ids
-    grid = f.image_grid(cells)
-    for a, ids in enumerate(cells):
-        for b in grid.meeting(f.images.box(ids), a + 1):
-            span = [k for k, v in enumerate(ids) if v in cells[b]]
-            if len(span) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
-                continue
-            if feasible.hull_leaves_affine_span(f.images.frame(ids), f.images.cols(cells[b]), span):
-                return a, b
+    for a, b in f.image_grid(cells).pairs():
+        ids = cells[a]
+        span = [k for k, v in enumerate(ids) if v in cells[b]]
+        if len(span) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
+            continue
+        if feasible.hull_leaves_affine_span(f.images.frame(ids), f.images.cols(cells[b]), span):
+            return a, b
     return None
 
 

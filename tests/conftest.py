@@ -15,22 +15,36 @@ settings.register_profile("ci", derandomize=True, max_examples=100, database=Non
 
 from plopen import validate_complex, build_plmap
 from plopen.generators import GenSpec, generate
-from plopen.linalg import inverse
+from plopen.linalg import det_sign, inverse
+
+
+def _forbidder(monkeypatch, function, message):
+    """A call that makes `function` raise in every plopen module that binds
+    it, under any name."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    def install():
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "plopen":
+                for attr, value in list(vars(module).items()):
+                    if value is function:
+                        monkeypatch.setattr(module, attr, forbidden)
+
+    return install
 
 
 @pytest.fixture
 def forbid_inverse(monkeypatch):
     """A call that makes `linalg.inverse` raise in every plopen module that binds it."""
+    return _forbidder(monkeypatch, inverse, "rational inverse called")
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("rational inverse called")
 
-    def install():
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "plopen" and getattr(module, "inverse", None) is inverse:
-                monkeypatch.setattr(module, "inverse", forbidden)
-
-    return install
+@pytest.fixture
+def forbid_det_sign(monkeypatch):
+    """A call that makes `linalg.det_sign` raise in every plopen module that binds it."""
+    return _forbidder(monkeypatch, det_sign, "determinant sign called")
 
 
 @pytest.fixture(scope="session")

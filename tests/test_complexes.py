@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from plopen import feasible
 from plopen.complexes import (
     InvalidComplexError,
+    Located,
     NonManifoldError,
     boundary_faces,
     cells_connected,
@@ -97,6 +98,64 @@ class TestValidation:
         count = len(complex_.cells)
         assert count == 384
         assert len(tests) * 4 < count * (count - 1) // 2
+
+    @pytest.mark.parametrize(
+        "vertices,cells,expected",
+        [
+            (
+                [[0, 0], [1, 1], [2, 2], [0, 1], [1, 0]],
+                [[0, 1, 2], [0, 3, 4], [1, 2, 3]],
+                [("degenerate_cell", "cell 0 has affinely dependent vertices", (0,))],
+            ),
+            (
+                [[0, 0], [0, 0], [1, 0]],
+                [[0, 1, 2]],
+                [
+                    ("duplicate_vertex", "vertices 0 and 1 coincide", (0, 1)),
+                    ("degenerate_cell", "cell 0 has affinely dependent vertices", (0,)),
+                ],
+            ),
+            (
+                [[0, 0], [1, 0], [0, 1], [1], [2, 2], [3, 3]],
+                [[0, 1, 2], [1, 2, 3], [0, 4, 5]],
+                [
+                    ("bad_vertex", "vertex 3 has dimension 1, expected 2", (3,)),
+                    ("degenerate_cell", "cell 2 has affinely dependent vertices", (2,)),
+                ],
+            ),
+            (
+                [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0]],
+                [[0, 1, 2, 3], [0, 1, 2, 4]],
+                [("degenerate_cell", "cell 1 has affinely dependent vertices", (1,))],
+            ),
+            (*TWO_TRIANGLES, []),
+        ],
+    )
+    def test_degeneracy_is_read_from_the_cell_frames(
+        self, vertices, cells, expected, forbid_det_sign
+    ):
+        # the cell frames decide degeneracy; no determinant sign is taken
+        forbid_det_sign()
+        violations, complex_ = collect_violations(vertices, cells)
+        assert [(v.kind, v.detail, v.subjects) for v in violations] == expected
+        assert (complex_ is None) == bool(expected)
+
+    def test_locate_reuses_the_cell_grid_of_validation(self, monkeypatch):
+        built = []
+
+        class CountedGrid(feasible.BoxGrid):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        grid = box_complex(3, 2)
+        monkeypatch.setattr(feasible, "BoxGrid", CountedGrid)
+        complex_ = validate_complex(grid.vertices, [cell.vertex_ids for cell in grid.cells], 3)
+        assert len(built) == 1
+        for ci in range(10):
+            located = complex_.locate(complex_.barycenter(complex_.cells[ci].vertex_ids))
+            assert located == Located("interior", cell=ci)
+        assert len(built) == 1 and len(built[0]) == len(complex_.cells)
 
 
 class TestLocate:

@@ -28,7 +28,6 @@ from plopen.feasible import (
     intersection_dim,
     lp_feasible,
     median_steps,
-    overlapping_pairs,
     relative_interiors_intersect,
     relint_meets_simplex,
     relint_preimage_witness,
@@ -464,6 +463,13 @@ def _meets(a, b):
     return all(al <= bh and bl <= ah for al, ah, bl, bh in zip(*a, *b))
 
 
+def _grid_pairs(boxes, n):
+    """`BoxGrid.pairs` over boxes in R^n, stepped by their median extents as
+    `IntegerPoints.grid` steps a cell grid."""
+    steps = median_steps(boxes) if boxes else [1] * n
+    return list(BoxGrid(boxes, steps, 1).pairs())
+
+
 @st.composite
 def _int_boxes(draw, n, max_size=24):
     """Boxes over a few small coordinates, so touching and zero extents are common."""
@@ -486,32 +492,21 @@ class TestBoxes:
 
     def test_touching_and_zero_extent_pairs(self):
         boxes = [((0,), (1,)), ((1,), (1,)), ((2,), (3,)), ((-3,), (-1,)), ((-1,), (2,))]
-        assert overlapping_pairs(boxes) == [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)]
-        assert overlapping_pairs(boxes, [((3,), (3,))]) == [(2, 0)]
-        assert overlapping_pairs([]) == [] and overlapping_pairs(boxes, []) == []
-        assert overlapping_pairs([], boxes) == []
+        assert _grid_pairs(boxes, 1) == [(0, 1), (0, 4), (1, 4), (2, 4), (3, 4)]
+        assert _grid_pairs([], 1) == []
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_grid_pairs_match_all_pairs(self, data):
         n = data.draw(st.integers(1, 3))
-        boxes_a = data.draw(_int_boxes(n))
-        boxes_b = data.draw(_int_boxes(n))
-        one = overlapping_pairs(boxes_a)
-        assert one == sorted(one)
-        assert one == [
+        boxes = data.draw(_int_boxes(n))
+        pairs = _grid_pairs(boxes, n)
+        assert pairs == sorted(pairs)
+        assert pairs == [
             (i, j)
-            for i in range(len(boxes_a))
-            for j in range(i + 1, len(boxes_a))
-            if _meets(boxes_a[i], boxes_a[j])
-        ]
-        two = overlapping_pairs(boxes_a, boxes_b)
-        assert two == sorted(two)
-        assert two == [
-            (i, j)
-            for i in range(len(boxes_a))
-            for j in range(len(boxes_b))
-            if _meets(boxes_a[i], boxes_b[j])
+            for i in range(len(boxes))
+            for j in range(i + 1, len(boxes))
+            if _meets(boxes[i], boxes[j])
         ]
 
     def test_grid_holders_on_faces_grid_lines_and_large_boxes(self):

@@ -18,7 +18,7 @@ from plopen.linalg import (
     vec_dot,
 )
 
-from oracles import det_by_permutation_expansion
+from oracles import det_by_permutation_expansion, solve_gauss
 
 
 rationals = st.builds(
@@ -182,6 +182,41 @@ class TestNullSpaceInverse:
         assert len(basis) == 2
         for v in basis:
             assert vec_dot(m.row(0), v) == 0
+
+
+@st.composite
+def rectangular_matrices(draw):
+    """1-5 x 1-5 rational matrices; about half the rows are combinations of
+    the rows above them, and zero entries are common."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entries = rationals | st.just(Fraction(0))
+    out: list[list[Fraction]] = []
+    for _ in range(rows):
+        if out and draw(st.booleans()):
+            coeffs = [draw(entries) for _ in out]
+            out.append([sum(c * row[j] for c, row in zip(coeffs, out)) for j in range(cols)])
+        else:
+            out.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+    return Matrix.from_rows(out)
+
+
+class TestElimination:
+    @given(rectangular_matrices(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_null_space_det_and_solve(self, m, data):
+        basis = null_space(m)
+        assert rank(m) + len(basis) == m.cols
+        # the free columns are those that do not raise the rank of the columns before them
+        prefix = [rank(Matrix(tuple(row[:c] for row in m.entries))) for c in range(m.cols + 1)]
+        free = [c for c in range(m.cols) if prefix[c + 1] == prefix[c]]
+        assert len(free) == len(basis)
+        for k, v in enumerate(basis):
+            assert all(vec_dot(row, v) == 0 for row in m.entries)
+            assert [v[c] for c in free] == [Fraction(int(k == i)) for i in range(len(free))]
+        if m.is_square:
+            assert det(m) == det_by_permutation_expansion(m.entries)
+            rhs = tuple(data.draw(rationals) for _ in range(m.rows))
+            assert solve_square(m, rhs) == solve_gauss(m.entries, rhs)
 
 
 class TestRationalStrings:
