@@ -882,12 +882,18 @@ class BoxGrid:
 
     def _spans(self, box: IntBox) -> Optional[list[range]]:
         """The slabs a box covers on each axis, or None when it covers more
-        grid cells than there are boxes."""
-        spans = [range(lo // s, hi // s + 1) for lo, hi, s in zip(box[0], box[1], self.steps)]
-        count = 1
-        for span in spans:
-            count *= len(span)
-        return None if count > len(self.boxes) else spans
+        grid cells than there are boxes. The count stops growing once it
+        passes that number, so a span of any length (even one too long for
+        `len` of a range) sends the box to `large`."""
+        limit, count = len(self.boxes), 1
+        spans = []
+        for lo, hi, s in zip(box[0], box[1], self.steps):
+            first, last = lo // s, hi // s
+            count *= last - first + 1
+            if count > limit:
+                return None
+            spans.append(range(first, last + 1))
+        return spans
 
     def holders(self, column: Sequence[int]) -> list[int]:
         """The ascending indices of the boxes that hold the point of a

@@ -14,7 +14,8 @@ rescaling step, `_scaled_integer_rows` (each row times the lcm of its
 denominators). The determinant and its sign are the last pivot and the
 parity of the row swaps, the rank is the pivot count, and solutions,
 inverses and null spaces are read off the reduced rows, one `Fraction` per
-entry; `integer_adjugate` reduces [A | I] and never leaves the integers.
+entry; `integer_determinant` and `integer_adjugate` take integer rows and
+never leave the integers.
 """
 
 from __future__ import annotations
@@ -220,13 +221,19 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[Optional[list[list[
     return [[sign * x for x in row[n:]] for row in a], sign * d
 
 
+def integer_determinant(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix, fraction-free; the rows are
+    reduced in place."""
+    pivots, d, sign = _eliminate(rows, range(len(rows)))
+    return sign * d if len(pivots) == len(rows) else 0
+
+
 def _square_determinant(m: Matrix, name: str) -> tuple[int, int]:
     """det(m) as (integer numerator, positive scale): det = numerator / scale."""
     if not m.is_square:
         raise DimensionError(f"{name} of non-square {m.rows}x{m.cols} matrix")
     rows, scale = _scaled_integer_rows(m.entries)
-    pivots, d, sign = _eliminate(rows, range(m.cols))
-    return (sign * d if len(pivots) == m.rows else 0), scale
+    return integer_determinant(rows), scale
 
 
 def det(m: Matrix) -> Fraction:

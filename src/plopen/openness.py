@@ -24,12 +24,24 @@ a certified witness of non-openness (one-sided: failures are proofs, passes
 are evidence). The star images are shrunk by 1/2 about the sample's image;
 that leaves the sample's barycentric coordinates in each image simplex
 unchanged and doubles every slope along a ray, so the oracle works on the
-unshrunk images. Per cell and per call it reads the image simplex's integer
-frame (`IntegerPoints.frame`, one fraction-free adjugate) and builds per frame
-row the bit mask of base directions of nonnegative slope; a sample then
-costs bitwise ANDs and ORs. Only a failing sample reads f(x) as an integer
-homogeneous column, compares its boundary crossings as integer pairs, and
-builds one rational epsilon per failure.
+unshrunk images, in integers until a sample fails:
+- The base directions are drawn once per (n, count, seed), with one column
+  of values per axis, and kept in a small bounded cache.
+- Per cell and per call it reads the image simplex's integer frame
+  (`IntegerPoints.frame`, one fraction-free adjugate). Each frame row gets
+  its slopes on every base direction in one pass over the axis columns, and
+  the bit mask of those that are nonnegative; a sample then costs bitwise
+  ANDs and ORs.
+- At an interior (n-1)-face the two normals of the face's image hyperplane
+  are tested too. They are the slope row of a star cell's vertex off the
+  face, divided by its gcd and signed so its last nonzero entry is positive,
+  and its negation. A 1-D face is a point and adds none: there the base
+  directions alone decide.
+- Only a failing sample builds evidence. x and f(x) are weighted sums of the
+  scaled integer vertices and vertex images (the piece is affine on the
+  carrier), f(x) becomes an integer homogeneous column by one gcd, the
+  boundary crossings are compared as integer pairs, and epsilon and each
+  target coordinate are one `Fraction` each.
 
 Both the branch set and the oracle read their frames and columns from the
 map's `IntegerPoints` (`PLMap.images`), which builds each at first use and
@@ -40,13 +52,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import compress
+from math import gcd
 from operator import mul
 from typing import Optional
 
 from . import feasible
 from .complexes import Face
-from .linalg import Matrix, Vector, null_space, vec_sub
+from .linalg import Vector
 from .plmap import MIXED, PLMap, SignProfile, finite_fibers, sign_profile
 
 REASON_SIGN_MISMATCH = "SignMismatchAcrossFace"
@@ -204,16 +218,14 @@ def seeded_directions(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
     return dirs
 
 
-def _face_normal_directions(f: PLMap, face: Face) -> list[tuple[int, ...]]:
-    images = f.image_of_face(face)
-    dirs = [vec_sub(q, images[0]) for q in images[1:]]
-    normals: list[tuple[int, ...]] = []
-    for normal in null_space(Matrix(tuple(dirs))):
-        scale = lcm(*(c.denominator for c in normal))
-        scaled = tuple(int(c * scale) for c in normal)
-        normals.append(scaled)
-        normals.append(tuple(-c for c in scaled))
-    return normals
+@lru_cache(maxsize=8)
+def _base_directions(
+    n: int, count: int, seed: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The seeded base directions and their per-axis value columns (entry j
+    of column c is coordinate c of direction j), drawn once per setting."""
+    directions = tuple(seeded_directions(n, count, seed))
+    return directions, tuple(tuple(d[c] for d in directions) for c in range(n))
 
 
 @dataclass(frozen=True)
@@ -227,26 +239,47 @@ class _ImageTable:
     c_k > 0 fixed per row. A row's first n entries are its integer slope row
     and its last entry is the constant term, so the slope of coordinate k
     along a direction d is c_k⁻¹ times the dot product of d with the slope
-    row. Bit j of `masks[k]` is set iff that slope is >= 0 for the j-th base
-    direction.
+    row. `slopes[k][j]` is that dot product for the j-th base direction, and
+    bit j of `masks[k]` is set iff it is >= 0.
     """
 
     vertex_ids: Face
     rows: tuple[tuple[int, ...], ...]
+    slopes: tuple[list[int], ...]
     masks: tuple[int, ...]
 
 
-def _dot(row: tuple[int, ...], vector: tuple[int, ...]) -> int:
-    # A frame row dotted with a direction stops at the direction's n entries,
-    # so it reads the slope row; with a homogeneous column it reads the whole row.
-    return sum(map(mul, row, vector))
-
-
-def _image_table(f: PLMap, cell_index: int, directions: list[tuple[int, ...]]) -> _ImageTable:
+def _image_table(
+    f: PLMap, cell_index: int, axis_columns: tuple[tuple[int, ...], ...], bits: tuple[int, ...]
+) -> _ImageTable:
     ids = f.domain.cells[cell_index].vertex_ids
     rows = f.images.frame(ids).bary
-    masks = tuple(sum(1 << j for j, d in enumerate(directions) if _dot(row, d) >= 0) for row in rows)
-    return _ImageTable(ids, rows, masks)
+    slopes = []
+    for row in rows:
+        row_slopes = [row[0] * a for a in axis_columns[0]]
+        for r, column in zip(row[1:], axis_columns[1:]):
+            row_slopes = [s + r * a for s, a in zip(row_slopes, column)]
+        slopes.append(row_slopes)
+    masks = tuple(sum(compress(bits, [s >= 0 for s in row_slopes])) for row_slopes in slopes)
+    return _ImageTable(ids, rows, tuple(slopes), masks)
+
+
+def _fold_normals(table: _ImageTable, off_carrier: list[int]) -> list[tuple[int, ...]]:
+    """The two primitive integer normals of an interior (n-1)-face's image,
+    read off one star cell's frame: the slope row of the cell's vertex off
+    the face is normal to the face's image hyperplane. It is divided by its
+    gcd and signed so that its last nonzero entry is positive, then listed
+    with its negation. In 1-D the face is a point whose image spans no
+    edge, so none is listed and the base directions alone decide there."""
+    n = len(table.rows) - 1
+    if n == 1:
+        return []
+    slope_row = table.rows[off_carrier[0]][:n]
+    g = gcd(*slope_row)
+    if next(c for c in reversed(slope_row) if c) < 0:
+        g = -g
+    normal = tuple(c // g for c in slope_row)
+    return [normal, tuple(-c for c in normal)]
 
 
 def openness_oracle(
@@ -265,14 +298,23 @@ def openness_oracle(
     coordinates of f(x) unchanged and doubles every slope along a ray, so
     each star cell is tested against its unshrunk image through an
     `_ImageTable` built once per call: the barycentric rows of its image
-    simplex's integer frame, and per row the mask of base directions of
-    nonnegative slope. A direction is covered by a cell iff no row with a
-    zero coordinate of f(x) has negative slope; those rows are the cell's
-    vertices off the carrier, because x lies in the relative interior of the
-    carrier and the piece is an affine bijection. The first crossing of a ray
-    in a shrunk image is then -b / (2 s) for each unshrunk coordinate b and
-    slope s, and only samples with an uncovered direction evaluate f(x) and
-    these crossings, in integers until the least one is found.
+    simplex's integer frame, per row its slopes on all base directions (the
+    base directions and their per-axis columns are drawn once per setting
+    and kept), and the mask of those of nonnegative slope. A direction is
+    covered by a cell iff no row with a zero coordinate of f(x) has negative
+    slope; those rows are the cell's vertices off the carrier, because x lies
+    in the relative interior of the carrier and the piece is an affine
+    bijection. At an interior (n-1)-face the two normals of its image
+    hyperplane are tested as well, read off a star cell's frame
+    (`_fold_normals`; none in 1-D).
+
+    Everything up to here is integer work. Only a sample with an uncovered
+    direction builds its evidence: x = Σ w_i v_i / Σ w and, as the piece is
+    affine on the carrier, f(x) = Σ w_i f(v_i) / Σ w, both summed over the
+    scaled integer points of the domain and the images. The first crossing
+    of a ray in a shrunk image is -b / (2 s) for each unshrunk coordinate b
+    and slope s, compared as integer pairs until the least one is found, and
+    each failure builds its rational epsilon and target once.
     """
     singular = [ci for ci, p in enumerate(f.pieces) if p.det_sign == 0]
     if singular:
@@ -289,7 +331,8 @@ def openness_oracle(
         return OracleResult(False, failures, 0)
 
     n = f.ambient_dim
-    base_directions = seeded_directions(n, num_directions, rng_seed)
+    base_directions, axis_columns = _base_directions(n, num_directions, rng_seed)
+    bits = tuple(1 << j for j in range(len(base_directions)))
     rng = _SplitMix64(rng_seed ^ 0xD1B54A32D192ED03)
 
     # (carrier, positive weights on the carrier's vertices): every sample lies
@@ -302,6 +345,7 @@ def openness_oracle(
         ids = f.domain.cells[rng.below(num_cells)].vertex_ids
         samples.append((ids, tuple(rng.int_range(1, 64) for _ in ids)))
 
+    domain, images = f.domain.points, f.images
     tables: dict[int, _ImageTable] = {}
     all_directions = (1 << len(base_directions)) - 1
     failures: list[OracleFailure] = []
@@ -309,7 +353,7 @@ def openness_oracle(
         star = []
         for ci in f.domain.faces[carrier].cells:
             if ci not in tables:
-                tables[ci] = _image_table(f, ci, base_directions)
+                tables[ci] = _image_table(f, ci, axis_columns, bits)
             table = tables[ci]
             off_carrier = [k for k, v in enumerate(table.vertex_ids) if v not in carrier]
             star.append((table, off_carrier))
@@ -320,46 +364,60 @@ def openness_oracle(
             for k in off_carrier:
                 cell_covers &= table.masks[k]
             covered |= cell_covers
-        uncovered = [d for j, d in enumerate(base_directions) if not covered >> j & 1]
+        # each uncovered direction with its slopes on every star table's rows
+        missing = all_directions & ~covered
+        uncovered = [
+            (d, [[row_slopes[j] for row_slopes in table.slopes] for table, _ in star])
+            for j, d in enumerate(base_directions if missing else ())
+            if missing >> j & 1
+        ]
         if len(carrier) == n:  # interior (n-1)-face: add the exact fold normals
-            uncovered += [
-                d
-                for d in _face_normal_directions(f, carrier)
+            for d in _fold_normals(*star[0]):
+                slopes = [[sum(map(mul, row, d)) for row in table.rows] for table, _ in star]
                 if not any(
-                    all(_dot(table.rows[k], d) >= 0 for k in off_carrier)
-                    for table, off_carrier in star
-                )
-            ]
+                    all(row_slopes[k] >= 0 for k in off_carrier)
+                    for (_, off_carrier), row_slopes in zip(star, slopes)
+                ):
+                    uncovered.append((d, slopes))
         if not uncovered:
             continue
 
         total = sum(weights)
-        pts = f.domain.face_points(carrier)
         x = tuple(
-            sum((w * p[c] for w, p in zip(weights, pts)), Fraction(0)) / total
+            Fraction(
+                sum(w * domain.scaled[v][c] for w, v in zip(weights, carrier)),
+                total * domain.denominator,
+            )
             for c in range(n)
         )
-        y0 = f.pieces[f.domain.faces[carrier].cells[0]].apply(x)
-        y0_column = feasible.homogeneous_column(y0)
+        # f(x) as its integer homogeneous column (m·f(x), m), m the least
+        sums = [sum(w * images.scaled[v][c] for w, v in zip(weights, carrier)) for c in range(n)]
+        scale = total * images.denominator
+        g = gcd(*sums, scale)
+        y0_column = (*(s // g for s in sums), scale // g)
         m = y0_column[-1]
-        bases = [[_dot(row, y0_column) for row in table.rows] for table, _ in star]
-        for direction in uncovered:
+        bases = [[sum(map(mul, row, y0_column)) for row in table.rows] for table, _ in star]
+        for direction, slopes in uncovered:
             # Exact epsilon: half the first positive facet crossing of the ray
             # among all shrunk star image simplices. Coordinate k of f(x) is
             # b / (m c_k) and its slope in the shrunk image is 2 s / c_k, so the
             # crossing is -b / (2 m s): the least positive ratio -b / s, kept
             # as an integer pair (num, den > 0) and compared by cross-products.
             least: Optional[tuple[int, int]] = None
-            for (table, _), base in zip(star, bases):
-                for b, row in zip(base, table.rows):
-                    slope = _dot(row, direction)
+            for base, row_slopes in zip(bases, slopes):
+                for b, slope in zip(base, row_slopes):
                     if slope == 0:
                         continue
                     num, den = (-b, slope) if slope > 0 else (b, -slope)
                     if num > 0 and (least is None or num * least[1] < least[0] * den):
                         least = (num, den)
-            epsilon = Fraction(least[0], 4 * m * least[1]) if least else Fraction(1)
-            target = tuple(a + epsilon * d for a, d in zip(y0, direction))
+            # epsilon = num / (4 m den), or 1 = 4m / 4m when no crossing
+            # exists, and target coordinate c is y_c / m + epsilon d_c
+            num, den = least or (4 * m, 1)
+            target = tuple(
+                Fraction(4 * den * y + num * d, 4 * m * den) for y, d in zip(y0_column, direction)
+            )
+            epsilon = Fraction(num, 4 * m * den)
             failures.append(
                 OracleFailure(x, carrier, tuple(Fraction(d) for d in direction), epsilon, target)
             )

@@ -41,6 +41,7 @@ from .linalg import (
     DimensionError,
     Matrix,
     Vector,
+    integer_determinant,
     rank,
     vec_add,
     vec_sub,
@@ -167,24 +168,25 @@ def _frame_piece(
     D = bary_0·v̂_0 > 0. So f(x) = Σ_j f(v_j)·m_j·(bary_j·x̂)/D: entry (r, c)
     of the matrix is Σ_j f(v_j)[r]·m_j·bary_j[c]/D, and the offset is the
     same sum over the last column. Over the images' common denominator each
-    entry is one integer sum and one Fraction, with no inverse matrix.
+    entry is one integer sum and one Fraction, with no inverse matrix. The
+    numerators share that one positive denominator, so the determinant of
+    the integer numerator matrix has the piece's determinant sign.
     """
     n = len(image_columns) - 1
     common = lcm(*(col[-1] for col in image_columns))
     factors = [v[-1] * (common // col[-1]) for v, col in zip(vertex_columns, image_columns)]
     denominator = sum(map(mul, bary[0], vertex_columns[0])) * common
-    entries = [
+    numerators = [
         [
-            Fraction(
-                sum(col[r] * g * row[c] for col, g, row in zip(image_columns, factors, bary)),
-                denominator,
-            )
+            sum(col[r] * g * row[c] for col, g, row in zip(image_columns, factors, bary))
             for c in range(n + 1)
         ]
         for r in range(n)
     ]
-    matrix = Matrix(tuple(tuple(row[:n]) for row in entries))
-    return AffinePiece(matrix, tuple(row[n] for row in entries), matrix_det_sign(matrix))
+    matrix = Matrix(tuple(tuple(Fraction(x, denominator) for x in row[:n]) for row in numerators))
+    offset = tuple(Fraction(row[n], denominator) for row in numerators)
+    d = integer_determinant([row[:n] for row in numerators])
+    return AffinePiece(matrix, offset, (d > 0) - (d < 0))
 
 
 def build_plmap(

@@ -15,7 +15,7 @@ settings.register_profile("ci", derandomize=True, max_examples=100, database=Non
 
 from plopen import validate_complex, build_plmap
 from plopen.generators import GenSpec, generate
-from plopen.linalg import det_sign, inverse
+from plopen.linalg import det_sign, inverse, null_space
 
 
 def _forbidder(monkeypatch, function, message):
@@ -45,6 +45,12 @@ def forbid_inverse(monkeypatch):
 def forbid_det_sign(monkeypatch):
     """A call that makes `linalg.det_sign` raise in every plopen module that binds it."""
     return _forbidder(monkeypatch, det_sign, "determinant sign called")
+
+
+@pytest.fixture
+def forbid_null_space(monkeypatch):
+    """A call that makes `linalg.null_space` raise in every plopen module that binds it."""
+    return _forbidder(monkeypatch, null_space, "rational null space called")
 
 
 @pytest.fixture(scope="session")

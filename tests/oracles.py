@@ -11,6 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
+
+from plopen.linalg import Matrix, null_space, vec_sub
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -215,3 +218,21 @@ def scan_boundary_face(f, point):
         ids for ids, info in f.domain.faces.items() if len(ids) == n and len(info.cells) == 1
     )
     return next((ids for ids in boundary if _face_image_holds(f, ids, point)), None)
+
+
+def face_normal_directions(f, face):
+    """Both primitive integer normals of an (n-1)-face's image hyperplane,
+    from the rational null space of the image's edge vectors, scaled by the
+    lcm of its denominators; none in 1-D, where that matrix has no columns.
+
+    It uses `linalg.null_space`, which the oracle does not call: the oracle
+    reads its normals off the image frames, and this is the check on them."""
+    images = f.image_of_face(face)
+    dirs = [vec_sub(q, images[0]) for q in images[1:]]
+    normals = []
+    for normal in null_space(Matrix(tuple(dirs))):
+        scale = lcm(*(c.denominator for c in normal))
+        scaled = tuple(int(c * scale) for c in normal)
+        normals.append(scaled)
+        normals.append(tuple(-c for c in scaled))
+    return normals

@@ -466,6 +466,49 @@ class TestOtherCommands:
         assert code2 == 0 and validated["instance_digest"] == report["instance_digest"]
 
 
+class TestFarVertex:
+    """A valid map with one vertex 10^20 below the rest: its cell's box
+    covers more grid slabs than `len` of a range can count."""
+
+    @pytest.fixture()
+    def far_path(self, tmp_path):
+        doc = plmap_to_document(generate(GenSpec("identity", 2, resolution=3)).plmap)
+        index = {tuple(v): i for i, v in enumerate(doc["vertices"])}
+        far = ["1/2", "-100000000000000000000"]
+        doc["vertices"].append(far)
+        doc["vertex_images"].append(far)
+        doc["cells"].append([index["0", "0"], index["1", "0"], len(doc["vertices"]) - 1])
+        path = tmp_path / "far.json"
+        save_document(path, doc)
+        return str(path)
+
+    # README's exit codes: 0 for valid, open, certified and computed answers.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["check-open"],
+            ["whyburn"],
+            ["branch-set"],
+            ["graph"],
+            ["oracle-open"],
+            ["degree", "--at", "1/2,-1"],
+            ["fibers", "--at", "1/2,-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command_answers_with_exit_0(self, capsys, far_path, argv):
+        code, report = run_cli(capsys, argv[0], far_path, *argv[1:])
+        assert code == 0 and report["exit_status"] == 0
+
+    def test_identity_answers(self, capsys, far_path):
+        _, validated = run_cli(capsys, "validate", far_path)
+        _, certified = run_cli(capsys, "whyburn", far_path)
+        _, degree = run_cli(capsys, "degree", far_path, "--at", "1/2,-1")
+        assert validated["valid"] and validated["num_cells"] == 19
+        assert certified["certified"] and degree["degree"] == 1
+
+
 class TestRoundTrip:
     def test_parse_serialize_is_identity_on_canonical_documents(self, instance_path):
         from plopen.instancefile import canonical_json, document_to_plmap

@@ -10,6 +10,7 @@ from plopen.linalg import (
     det_sign,
     format_rational,
     integer_adjugate,
+    integer_determinant,
     inverse,
     null_space,
     parse_rational,
@@ -143,6 +144,7 @@ class TestIntegerAdjugate:
         n = len(rows)
         adjugate, d = integer_adjugate(rows)
         assert d == det_by_permutation_expansion(rows)
+        assert integer_determinant([list(row) for row in rows]) == d
         if d == 0:
             assert adjugate is None
             return

@@ -17,7 +17,8 @@ from plopen.openness import (
     OracleConfig,
     OracleFailure,
     OracleResult,
-    _face_normal_directions,
+    _fold_normals,
+    _image_table,
     _SplitMix64,
     branch_set,
     check_conditions,
@@ -25,9 +26,9 @@ from plopen.openness import (
     openness_oracle,
     seeded_directions,
 )
-from plopen.plmap import FiniteFiber, build_plmap, fiber, finite_fibers
+from plopen.plmap import AffinePiece, FiniteFiber, build_plmap, fiber, finite_fibers
 
-from oracles import point_in_simplex, shrunk_star_images
+from oracles import face_normal_directions, point_in_simplex, shrunk_star_images
 
 
 def F(*args):
@@ -270,7 +271,7 @@ def reference_oracle(f, num_points, num_directions, rng_seed):
         bases = [inv.mul_vec((F(1), *y0)) for inv in inverses]
         directions = list(base_directions)
         if len(carrier) == n:
-            directions += _face_normal_directions(f, carrier)
+            directions += face_normal_directions(f, carrier)
         for direction in directions:
             slopes = [inv.mul_vec((F(0), *map(F, direction))) for inv in inverses]
             if any(
@@ -290,10 +291,14 @@ def reference_oracle(f, num_points, num_directions, rng_seed):
     return OracleResult(not failures, tuple(failures), len(samples))
 
 
-# (num_points, num_directions, rng_seed): the CLI defaults and two others; the
-# rational reference is slow in 3-D, so there it runs on one seed with few
-# directions.
-_ORACLE_SETTINGS = {1: [(20, 64, 0), (7, 19, 5)], 2: [(20, 64, 0), (7, 19, 5)], 3: [(4, 8, 11)]}
+# (num_points, num_directions, rng_seed): the CLI defaults, one other, no
+# base direction (every mask empty) and a single one; the rational reference
+# is slow in 3-D, so there it runs on one seed with few directions.
+_ORACLE_SETTINGS = {
+    1: [(20, 64, 0), (7, 19, 5), (4, 0, 0), (6, 1, 9)],
+    2: [(20, 64, 0), (7, 19, 5), (4, 0, 0), (6, 1, 9)],
+    3: [(4, 8, 11)],
+}
 ORACLE_CASES = [
     (GenSpec(kind, dim, seed=seed), settings)
     for kind in KINDS
@@ -408,12 +413,45 @@ def forbid_vertex_form(monkeypatch):
     monkeypatch.setattr(feasible, "_meet_system", forbidden)
 
 
+def forbid_piece_apply(monkeypatch):
+    """Make `AffinePiece.apply`, the rational evaluation of a piece, raise."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rational piece evaluation on the check path")
+
+    monkeypatch.setattr(AffinePiece, "apply", forbidden)
+
+
 class TestCheckPathStaysInIntegerFrames:
     @pytest.mark.parametrize("spec", GUARD_CASES, ids=str)
-    def test_same_results_without_rational_frames(self, spec, monkeypatch, forbid_inverse):
+    def test_same_results_without_rational_frames(
+        self, spec, monkeypatch, forbid_inverse, forbid_null_space
+    ):
+        # the oracle's fold normals come from the frames and its failure
+        # evidence from the scaled integer points
         f = generate(spec).plmap
         settings = [(20, 64, 0), (9, 23, 7)]
         expected = (branch_set(f), [openness_oracle(f, *s) for s in settings])
         forbid_inverse()
+        forbid_null_space()
         forbid_vertex_form(monkeypatch)
+        forbid_piece_apply(monkeypatch)
         assert (branch_set(f), [openness_oracle(f, *s) for s in settings]) == expected
+
+
+class TestFoldNormalsFromFrames:
+    @pytest.mark.parametrize("spec", GUARD_CASES, ids=str)
+    def test_each_star_cell_gives_the_null_space_normals(self, spec):
+        # every interior (n-1)-face, also where the normals are covered and
+        # never reach a failure record; in 1-D both sides list none
+        f = generate(spec).plmap
+        n = f.ambient_dim
+        for face in f.domain.interior_faces():
+            cells = f.domain.faces[face].cells
+            if len(face) != n or any(f.pieces[ci].det_sign == 0 for ci in cells):
+                continue
+            expected = face_normal_directions(f, face)
+            for ci in cells:
+                table = _image_table(f, ci, ((),) * n, ())
+                off_carrier = [k for k, v in enumerate(table.vertex_ids) if v not in face]
+                assert _fold_normals(table, off_carrier) == expected

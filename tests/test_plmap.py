@@ -144,8 +144,13 @@ class TestBuild:
                     assert f.pieces[a].apply(vertex) == f.pieces[b].apply(vertex)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
-    def test_pieces_read_from_cell_frames_match_the_inverse_formula(self, spec, forbid_inverse):
+    def test_pieces_read_from_cell_frames_match_the_inverse_formula(
+        self, spec, forbid_inverse, forbid_det_sign
+    ):
+        # each piece and its sign come from the integer frames: no rational
+        # inverse and no rational determinant sign
         forbid_inverse()
+        forbid_det_sign()
         f = generate(spec).plmap
         for ci, piece in enumerate(f.pieces):
             points, images = f.domain.cell_points(ci), f.cell_image_points(ci)
