@@ -20,6 +20,7 @@ from .complexes import (
 from .degree import (
     BoundaryImageError,
     DegreeCertificate,
+    DomainMismatchError,
     HomotopyHypothesisViolation,
     IrregularValueError,
     PerturbationExhausted,
@@ -28,15 +29,6 @@ from .degree import (
     homotopy_degree_constant,
     is_regular_value,
     local_degree,
-)
-from .feasible import (
-    LinRow,
-    LinearSystem,
-    REL_EQ,
-    REL_LE,
-    REL_LT,
-    intersection_dim,
-    lp_feasible,
 )
 from .generators import GeneratedInstance, GenerationError, GenSpec, generate, oracle_fiber_count
 from .linalg import Matrix, Rational, det, det_sign, rank, solve_square

@@ -11,8 +11,9 @@ diagnostics go to stderr. Exit codes are a total function of the verdict:
        `--gamma`), oracle count (`--oracle-points`, `--oracle-dirs`),
        integer flag (`--seed`, `--samples`, `--dim`, `--resolution`,
        `--den-bound`), `PLOPEN_SEED` value, generator spec, `gen --out`
-       path that cannot be written, or command line (a missing or unknown
-       argument; `--help` exits 0)
+       path that cannot be written, `homotopy` documents over different
+       complexes, or command line (a missing or unknown argument; `--help`
+       exits 0)
     4  exact openness conditions disagree among themselves (implementation
        bug sentinel: the conditions are provably equivalent, so this cannot
        happen for a correct build)
@@ -36,6 +37,7 @@ from . import instancefile
 from .complexes import InvalidComplexError
 from .degree import (
     BoundaryImageError,
+    DomainMismatchError,
     HomotopyHypothesisViolation,
     PerturbationExhausted,
     degree,
@@ -386,6 +388,9 @@ def _cmd_homotopy(args) -> int:
     times = [Fraction(k, count - 1) for k in range(count)] if count > 1 else [Fraction(0)]
     try:
         verdict = homotopy_degree_constant(map_f, map_g, gamma, times)
+    except DomainMismatchError as exc:
+        report["error"] = str(exc)
+        return _emit(report, EXIT_PARSE)
     except HomotopyHypothesisViolation as exc:
         report["hypothesis_violation"] = {
             "t": format_rational(exc.t),

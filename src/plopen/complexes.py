@@ -147,11 +147,6 @@ class SimplicialComplex:
             )
         return self._proper_faces
 
-    def faces_of_dim(self, dim: int) -> list[Face]:
-        out = [ids for ids, info in self.faces.items() if info.dim == dim]
-        out.sort()
-        return out
-
     def locate(self, point: Vector) -> Located:
         """Exact classification of a point against the support.
 

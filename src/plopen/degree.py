@@ -58,6 +58,10 @@ class PerturbationExhausted(RuntimeError):
         )
 
 
+class DomainMismatchError(ValueError):
+    """The two ends of a homotopy are maps on different complexes."""
+
+
 class HomotopyHypothesisViolation(ValueError):
     def __init__(self, t: Fraction, face: Face):
         self.t = t
@@ -328,7 +332,7 @@ def homotopy_degree_constant(
     finitely many t, not a proof over the whole interval.
     """
     if f.domain.vertices != g.domain.vertices or f.domain.cells != g.domain.cells:
-        raise ValueError("homotopy endpoints must share one domain complex")
+        raise DomainMismatchError("homotopy endpoints must share one domain complex")
     start, end = tuple(gamma[0]), tuple(gamma[1])
     samples = tuple(Fraction(t) for t in t_samples)
     if any(t < 0 or t > 1 for t in samples):

@@ -73,53 +73,14 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Optional, Sequence
 
-from .linalg import Matrix, Vector, integer_adjugate, null_space, rank, vec_dot, vec_sub
+from .linalg import Matrix, Vector, integer_adjugate, null_space, vec_dot, vec_sub
 
 REL_EQ = "="
 REL_LE = "<="
 REL_LT = "<"
 
-_RELS = (REL_EQ, REL_LE, REL_LT)
-
 # Integer row form: (coeffs tuple, rel, rhs) meaning sum(c_i x_i) REL rhs.
 _IntRow = tuple[tuple[int, ...], str, int]
-
-
-@dataclass(frozen=True)
-class LinRow:
-    coeffs: Vector
-    rel: str
-    rhs: Fraction
-
-    def __post_init__(self) -> None:
-        if self.rel not in _RELS:
-            raise ValueError(f"unknown relation {self.rel!r}")
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Rational rows over a fixed number of unknowns."""
-
-    num_vars: int
-    rows: tuple[LinRow, ...]
-
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row.coeffs) != self.num_vars:
-                raise ValueError(
-                    f"row arity {len(row.coeffs)} != system arity {self.num_vars}"
-                )
-
-    def satisfies(self, point: Vector) -> bool:
-        for row in self.rows:
-            value = vec_dot(row.coeffs, point)
-            if row.rel == REL_EQ and value != row.rhs:
-                return False
-            if row.rel == REL_LE and not value <= row.rhs:
-                return False
-            if row.rel == REL_LT and not value < row.rhs:
-                return False
-        return True
 
 
 class _Infeasible(Exception):
@@ -330,23 +291,6 @@ def _probe_feasible(
     return _feasible_int(num_vars, rows)
 
 
-def lp_feasible(system: LinearSystem) -> Optional[Vector]:
-    """Exact feasibility: a witness satisfying every row (strict included), or None."""
-    try:
-        raw = []
-        for row in system.rows:
-            norm = _from_fractions(row.coeffs, row.rel, row.rhs)
-            if norm is not None:
-                raw.append(norm)
-    except _Infeasible:
-        return None
-    witness = _feasible_int(system.num_vars, raw)
-    if witness is None:
-        return None
-    assert system.satisfies(witness)
-    return witness
-
-
 # ---------------------------------------------------------------------------
 # Vertex-form polytope predicates
 # ---------------------------------------------------------------------------
@@ -410,16 +354,6 @@ def hull_contains(verts: Hull, point: Vector) -> bool:
     return _meet(verts, REL_LE, [point], REL_LE) is not None
 
 
-def hull_dim(verts: Hull) -> Optional[int]:
-    """Dimension of conv(verts); None for the empty hull."""
-    if not verts:
-        return None
-    dirs = [vec_sub(v, verts[0]) for v in verts[1:]]
-    if not dirs:
-        return 0
-    return rank(Matrix(tuple(dirs)))
-
-
 def relative_interiors_intersect(p_verts: Hull, q_verts: Hull) -> bool:
     """Whether relint(conv P) meets relint(conv Q) (strict combination probe)."""
     return _meet(p_verts, REL_LT, q_verts, REL_LT) is not None
@@ -478,17 +412,6 @@ def _affine_dim_loop(
         if not grown:
             break
     return len(dirs), points
-
-
-def intersection_dim(p_verts: Hull, q_verts: Hull) -> Optional[int]:
-    """Exact dimension of conv(P) ∩ conv(Q); None when the intersection is empty."""
-    if not p_verts or not q_verts:
-        return None
-    system = _meet_system(p_verts, REL_LE, q_verts, REL_LE, ())
-    if system is None:
-        return None
-    dim, _ = _affine_dim_loop(p_verts, *system)
-    return dim
 
 
 def constrained_hull_dim(

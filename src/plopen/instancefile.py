@@ -4,7 +4,10 @@ Rationals are never JSON numbers — exactness must survive every consumer —
 and the canonical serialization (sorted keys, no whitespace) is what the
 instance digest hashes, so identical instances hash identically everywhere.
 A file carries either `vertex_images` (canonical) or `pieces` (one matrix and
-offset per cell, converted through the continuity-checking ingestion path).
+offset per cell). Both forms validate the file's own vertices and cells, so
+reports name the file's vertex ids; the pieces form gives each vertex the
+image of the first cell that lists it, and `plmap.ingest_pieces` checks that
+the pieces rebuilt from those images are the given ones.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 from pathlib import Path
 from typing import Optional
 
-from .complexes import InvalidComplexError, collect_violations, validate_complex
+from .complexes import validate_complex
 from .linalg import Matrix, format_rational, parse_rational
 from .plmap import PLMap, build_plmap, ingest_pieces
 
@@ -86,12 +89,7 @@ def document_to_plmap(doc: dict) -> tuple[PLMap, dict]:
         raw_pieces = doc["pieces"]
         if not isinstance(raw_pieces, list) or len(raw_pieces) != len(cells):
             raise ParseError("pieces: need exactly one piece per cell")
-        if any(len(v) != n for v in vertices) or any(
-            not 0 <= i < len(vertices) for c in cells for i in c
-        ):
-            # the violations the vertex_images form reports (bad_vertex, bad_cell)
-            raise InvalidComplexError(collect_violations(vertices, cells, n)[0])
-        triples = []
+        pieces = []
         for ci, piece in enumerate(raw_pieces):
             if not isinstance(piece, dict) or not {"matrix", "offset"} <= piece.keys():
                 raise ParseError(f"pieces[{ci}]: expected an object with matrix and offset")
@@ -101,9 +99,8 @@ def document_to_plmap(doc: dict) -> tuple[PLMap, dict]:
                 _parse_point(row, f"pieces[{ci}].matrix", n) for row in piece["matrix"]
             ]
             offset = _parse_point(piece["offset"], f"pieces[{ci}].offset", n)
-            points = [vertices[i] for i in cells[ci]]
-            triples.append((points, Matrix.from_rows(matrix_rows), offset))
-        return ingest_pieces(triples), metadata
+            pieces.append((Matrix.from_rows(matrix_rows), offset))
+        return ingest_pieces(vertices, cells, pieces, n), metadata
     raise ParseError("missing vertex_images (or pieces)")
 
 

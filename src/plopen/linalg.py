@@ -72,10 +72,6 @@ def vec_sub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b, strict=True))
 
 
-def vec_scale(c: Fraction | int, a: Vector) -> Vector:
-    return tuple(c * x for x in a)
-
-
 def vec_dot(a: Vector, b: Vector) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
@@ -105,12 +101,6 @@ class Matrix:
             )
         )
 
-    @staticmethod
-    def from_columns(cols: Sequence[Vector]) -> "Matrix":
-        if not cols:
-            return Matrix(())
-        return Matrix(tuple(zip(*cols, strict=True)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -126,27 +116,10 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return self.entries[i]
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries, strict=True))) if self.entries else Matrix(())
-
     def mul_vec(self, v: Vector) -> Vector:
         if len(v) != self.cols:
             raise DimensionError(f"matrix is {self.rows}x{self.cols}, vector has length {len(v)}")
         return tuple(vec_dot(row, v) for row in self.entries)
-
-    def mul_mat(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise DimensionError("inner dimensions do not match")
-        cols = [other.column(j) for j in range(other.cols)]
-        return Matrix(
-            tuple(tuple(vec_dot(row, col) for col in cols) for row in self.entries)
-        )
-
-    def scale(self, c: Fraction | int) -> "Matrix":
-        return Matrix(tuple(vec_scale(c, row) for row in self.entries))
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(format_rational(x) for x in row) for row in self.entries) + "]"

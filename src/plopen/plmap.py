@@ -3,12 +3,15 @@
 A map is a validated simplicial complex plus one image point per vertex; the
 affine piece of each cell is the unique affine map interpolating the images of
 its n+1 vertices, so continuity across shared faces holds by construction.
-`build_plmap` reads each piece off the cell's integer frame.
-The triple form (cell, matrix, offset) is a derived view: `ingest_pieces`
-keeps the given pieces and reads the vertex images off them after checking
-continuity exactly. The map keeps the integer form of its vertex images in
-one `feasible.IntegerPoints` (`images`), the same kind of owner the domain
-keeps for its vertices: per face, the integer bounding box, the homogeneous
+`build_plmap` reads each piece off the cell's integer frame, and every map is
+made there. The pieces form (one matrix and offset per cell) enters through
+`ingest_pieces`: it validates the caller's own vertices and cells, gives each
+vertex the image of the first cell that lists it, builds the map from those
+images, and checks exactly that the given pieces are the built ones.
+
+The map keeps the integer form of its vertex images in one
+`feasible.IntegerPoints` (`images`), the same kind of owner the domain keeps
+for its vertices: per face, the integer bounding box, the homogeneous
 columns and the integer frame of the face's image simplex, each built at
 first use and kept for the map's lifetime, and the grids over the image
 boxes of the domain's face lists (`image_grid`). Fibers, degree queries,
@@ -32,6 +35,7 @@ from typing import Sequence
 from . import feasible
 from .complexes import (
     Face,
+    InvalidComplexError,
     SimplicialComplex,
     Violation,
     graph_connected,
@@ -47,7 +51,6 @@ from .linalg import (
     vec_sub,
     vector,
 )
-from .linalg import det_sign as matrix_det_sign
 
 ALL_POSITIVE = "AllPositive"
 ALL_NEGATIVE = "AllNegative"
@@ -96,9 +99,6 @@ class PLMap:
 
     def image_of_face(self, face: Face) -> tuple[Vector, ...]:
         return tuple(self.vertex_images[i] for i in face)
-
-    def cell_image_points(self, cell_index: int) -> tuple[Vector, ...]:
-        return self.image_of_face(self.domain.cells[cell_index].vertex_ids)
 
     def evaluate(self, x: Vector) -> Vector:
         located = self.domain.locate(x)
@@ -209,71 +209,64 @@ def build_plmap(
     return PLMap(complex_, image_points, pieces)
 
 
-def export_pieces(f: PLMap) -> list[tuple[tuple[Vector, ...], Matrix, Vector]]:
-    """The derived (cell points, matrix, offset) triple view."""
-    return [
-        (f.domain.cell_points(ci), f.pieces[ci].matrix, f.pieces[ci].offset)
-        for ci in range(len(f.domain.cells))
-    ]
-
-
 def ingest_pieces(
-    triples: Sequence[tuple[Sequence[Sequence[int | str | Fraction]], Matrix, Sequence[int | str | Fraction]]],
+    vertices: Sequence[Sequence[int | str | Fraction]],
+    cells: Sequence[Sequence[int]],
+    pieces: Sequence[tuple[Matrix, Sequence[int | str | Fraction]]],
+    ambient_dim: int | None = None,
 ) -> PLMap:
-    """Build a map from (simplex points, matrix, offset) triples.
+    """Build a map from one (matrix, offset) piece per cell.
 
-    The simplices must form a valid complex; adjacent pieces must agree on
-    shared faces, which for affine pieces is equivalent to agreeing on shared
-    vertices. Disagreements raise DiscontinuityError naming each face.
+    The vertices and cells are validated as the vertex-image form validates
+    them (`validate_complex`), so every violation names the caller's vertex
+    ids. Each vertex takes the image that the piece of the first cell listing
+    it gives, and `build_plmap` builds the map from those images; a vertex no
+    cell lists has no image and is an `unused_vertex` violation. On a valid
+    complex a piece is fixed by its vertices' images, so a given piece that
+    differs from the built one disagrees with an earlier cell at one of its
+    vertices. Each disagreement, by cell and then in the cell's listed vertex
+    order, is a violation of the DiscontinuityError raised.
     """
-    vertex_index: dict[Vector, int] = {}
-    vertices: list[Vector] = []
-    cells: list[list[int]] = []
-    for points, _, _ in triples:
-        ids = []
-        for p in points:
-            pv = vector(p)
-            if pv not in vertex_index:
-                vertex_index[pv] = len(vertices)
-                vertices.append(pv)
-            ids.append(vertex_index[pv])
-        cells.append(ids)
-    complex_ = validate_complex(vertices, cells)
+    if len(pieces) != len(cells):
+        raise ValueError(f"{len(pieces)} pieces for {len(cells)} cells")
+    complex_ = validate_complex(vertices, cells, ambient_dim)
+    first_cell: dict[int, int] = {}
+    for ci, cell in enumerate(cells):
+        for vid in cell:
+            first_cell.setdefault(vid, ci)
+    points = complex_.vertices
+    unused = [
+        Violation("unused_vertex", f"vertex {i} is in no cell, so no piece gives its image", (i,))
+        for i in range(len(points))
+        if i not in first_cell
+    ]
+    if unused:
+        raise InvalidComplexError(unused)
 
-    pieces: list[AffinePiece] = []
-    assigned: dict[int, tuple[Vector, int]] = {}
+    def apply(ci: int, vid: int) -> Vector:
+        matrix, offset = pieces[ci]
+        return vec_add(matrix.mul_vec(points[vid]), vector(offset))
+
+    f = build_plmap(complex_, [apply(first_cell[i], i) for i in range(len(points))])
     violations: list[Violation] = []
-    for ci, (points, matrix, offset) in enumerate(triples):
-        piece = AffinePiece(matrix, vector(offset), matrix_det_sign(matrix))
-        pieces.append(piece)
-        for p in points:
-            vid = vertex_index[vector(p)]
-            image = piece.apply(vertices[vid])
-            if vid in assigned:
-                prior_image, prior_cell = assigned[vid]
-                if prior_image != image:
-                    shared = tuple(
-                        sorted(
-                            set(complex_.cells[prior_cell].vertex_ids)
-                            & set(complex_.cells[ci].vertex_ids)
-                        )
+    for ci, ((matrix, offset), built) in enumerate(zip(pieces, f.pieces)):
+        if matrix == built.matrix and vector(offset) == built.offset:
+            continue
+        for vid in cells[ci]:
+            prior = first_cell[vid]
+            if apply(ci, vid) != f.vertex_images[vid]:
+                shared = tuple(sorted(set(cells[prior]) & set(cells[ci])))
+                violations.append(
+                    Violation(
+                        "discontinuous",
+                        f"discontinuous across face {shared}: cells {prior} and {ci} "
+                        f"disagree at vertex {vid}",
+                        (prior, ci, shared),
                     )
-                    violations.append(
-                        Violation(
-                            "discontinuous",
-                            f"discontinuous across face {shared}: cells {prior_cell} and {ci} "
-                            f"disagree at vertex {vid}",
-                            (prior_cell, ci, shared),
-                        )
-                    )
-            else:
-                assigned[vid] = (image, ci)
+                )
     if violations:
         raise DiscontinuityError(violations)
-    # On a valid complex each piece is the unique affine map through its
-    # vertices' images, so the given pieces are kept as they are.
-    images = feasible.IntegerPoints(assigned[i][0] for i in range(len(vertices)))
-    return PLMap(complex_, images, tuple(pieces))
+    return f
 
 
 def sign_profile(f: PLMap) -> SignProfile:

@@ -5,15 +5,31 @@ expanded over permutations (not Bareiss), fibers and sign sums are per-cell
 solves with generic Gaussian elimination, memberships are barycentric
 re-solves. Expected values in the tests are computed (or re-checked) with
 these, never copied from the implementation under test.
+
+The last section is different: `lp_feasible`, `hull_dim` and
+`intersection_dim` are the tests' own entry points into the library's
+engine, which no library code calls.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from typing import Optional
 
-from plopen.linalg import Matrix, null_space, vec_sub
+from plopen.feasible import (
+    REL_EQ,
+    REL_LE,
+    REL_LT,
+    _affine_dim_loop,
+    _feasible_int,
+    _from_fractions,
+    _Infeasible,
+    _meet_system,
+)
+from plopen.linalg import Matrix, Vector, null_space, rank, vec_dot, vec_sub
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -145,7 +161,7 @@ def brute_force_fiber(f, query):
     cells_at: dict = {}
     for ci in range(len(f.domain.cells)):
         cell_points = f.domain.cell_points(ci)
-        images = f.cell_image_points(ci)
+        images = f.image_of_face(f.domain.cell_ids[ci])
         matrix, offset = affine_piece_of(cell_points, images)
         shifted = [q - o for q, o in zip(query, offset)]
         candidate = solve_gauss(matrix, shifted)
@@ -161,7 +177,7 @@ def brute_force_sign_sum(f, query) -> int:
     total = 0
     for ci in range(len(f.domain.cells)):
         cell_points = f.domain.cell_points(ci)
-        images = f.cell_image_points(ci)
+        images = f.image_of_face(f.domain.cell_ids[ci])
         matrix, offset = affine_piece_of(cell_points, images)
         d = det_by_permutation_expansion(matrix)
         if d == 0:
@@ -236,3 +252,85 @@ def face_normal_directions(f, face):
         normals.append(scaled)
         normals.append(tuple(-c for c in scaled))
     return normals
+
+
+# ---------------------------------------------------------------------------
+# Test entry points into the library's Fourier–Motzkin engine. No library code
+# calls them: rational rows in, a checked witness out, and the dimension of a
+# hull or of an intersection of two hulls.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinRow:
+    coeffs: Vector
+    rel: str
+    rhs: Fraction
+
+    def __post_init__(self) -> None:
+        if self.rel not in (REL_EQ, REL_LE, REL_LT):
+            raise ValueError(f"unknown relation {self.rel!r}")
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """Rational rows over a fixed number of unknowns."""
+
+    num_vars: int
+    rows: tuple[LinRow, ...]
+
+    def __post_init__(self) -> None:
+        for row in self.rows:
+            if len(row.coeffs) != self.num_vars:
+                raise ValueError(
+                    f"row arity {len(row.coeffs)} != system arity {self.num_vars}"
+                )
+
+    def satisfies(self, point: Vector) -> bool:
+        for row in self.rows:
+            value = vec_dot(row.coeffs, point)
+            if row.rel == REL_EQ and value != row.rhs:
+                return False
+            if row.rel == REL_LE and not value <= row.rhs:
+                return False
+            if row.rel == REL_LT and not value < row.rhs:
+                return False
+        return True
+
+
+def lp_feasible(system: LinearSystem) -> Optional[Vector]:
+    """Exact feasibility: a witness satisfying every row (strict included), or None."""
+    try:
+        raw = []
+        for row in system.rows:
+            norm = _from_fractions(row.coeffs, row.rel, row.rhs)
+            if norm is not None:
+                raw.append(norm)
+    except _Infeasible:
+        return None
+    witness = _feasible_int(system.num_vars, raw)
+    if witness is None:
+        return None
+    assert system.satisfies(witness)
+    return witness
+
+
+def hull_dim(verts) -> Optional[int]:
+    """Dimension of conv(verts); None for the empty hull."""
+    if not verts:
+        return None
+    dirs = [vec_sub(v, verts[0]) for v in verts[1:]]
+    if not dirs:
+        return 0
+    return rank(Matrix(tuple(dirs)))
+
+
+def intersection_dim(p_verts, q_verts) -> Optional[int]:
+    """Exact dimension of conv(P) ∩ conv(Q); None when the intersection is empty."""
+    if not p_verts or not q_verts:
+        return None
+    system = _meet_system(p_verts, REL_LE, q_verts, REL_LE, ())
+    if system is None:
+        return None
+    dim, _ = _affine_dim_loop(p_verts, *system)
+    return dim

@@ -307,7 +307,7 @@ def test_criterion_6_dimension_and_component_lemmas(corpus, capsys):
             if image_dimension(plmap, [face]) != len(face) - 1:
                 dim_failures += 1
         for dim in range(plmap.ambient_dim + 1):
-            faces = plmap.domain.faces_of_dim(dim)
+            faces = sorted(ids for ids in plmap.domain.faces if len(ids) == dim + 1)
             if faces and image_dimension(plmap, faces) != dim:
                 dim_failures += 1
         if cells_connected(plmap.domain):

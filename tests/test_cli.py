@@ -171,6 +171,48 @@ class TestMalformedDocuments:
             assert code == 2
             assert report["violations"] == ["bad_vertex: vertex 1 has dimension 0, expected 1"]
 
+    def test_duplicate_piece_vertex_exit_2(self, capsys, tmp_path):
+        # vertices 1 and 3 coincide: the pieces form keeps both, as the
+        # vertex_images form does, and reports the same violation
+        vertices, cells = [["-1"], ["0"], ["1"], ["0"]], [[0, 1], [3, 2]]
+        pieces = [{"matrix": [["1"]], "offset": ["0"]}] * 2
+        path = write_doc(tmp_path, "pieces", vertices=vertices, cells=cells, vertex_images=None, pieces=pieces)
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 2 and report["violations"] == ["duplicate_vertex: vertices 1 and 3 coincide"]
+        images = [["-1"], ["0"], ["1"], ["0"]]
+        images_path = write_doc(tmp_path, "images", vertices=vertices, cells=cells, vertex_images=images)
+        code, images_report = run_cli(capsys, "validate", images_path)
+        assert code == 2 and images_report["violations"] == report["violations"]
+
+    def test_unused_piece_vertex_exit_2(self, capsys, tmp_path):
+        # no piece gives vertex 3 an image
+        vertices = [["-1"], ["0"], ["1"], ["5"]]
+        pieces = [{"matrix": [["1"]], "offset": ["0"]}] * 2
+        path = write_doc(tmp_path, "pieces", vertices=vertices, vertex_images=None, pieces=pieces)
+        code, report = run_cli(capsys, "validate", path)
+        assert code == 2
+        assert report["violations"] == ["unused_vertex: vertex 3 is in no cell, so no piece gives its image"]
+
+    def test_discontinuous_unsorted_cells_report_in_file_order(self, capsys, tmp_path):
+        # cell 1 lists vertex 2 before vertex 0, and its piece moves both
+        doc = {
+            "format_version": 1,
+            "ambient_dim": 2,
+            "vertices": [["0", "0"], ["1", "0"], ["1", "1"], ["0", "1"]],
+            "cells": [[0, 1, 2], [2, 0, 3]],
+            "pieces": [
+                {"matrix": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]},
+                {"matrix": [["1", "0"], ["0", "1"]], "offset": ["1", "0"]},
+            ],
+        }
+        path = tmp_path / "unsorted.json"
+        save_document(path, doc)
+        code, report = run_cli(capsys, "validate", str(path))
+        assert code == 2 and report["violations"] == [
+            f"discontinuous: discontinuous across face (0, 2): cells 0 and 1 disagree at vertex {v}"
+            for v in (2, 0)
+        ]
+
     @pytest.mark.parametrize("entry", [False, 1, None])
     def test_rational_not_a_string_exit_3(self, capsys, tmp_path, entry):
         path = write_doc(tmp_path, "typed", vertex_images=[["-1"], [entry], ["1"]])
@@ -429,6 +471,31 @@ class TestOtherCommands:
         )
         assert code == 0 and report["constant"] and set(report["degrees"]) == {1}
 
+    def test_console_script_exits_with_the_report_status(self, capsys, instance_path, monkeypatch):
+        # `console_main` is the `plopen` entry point of pyproject.toml
+        monkeypatch.setattr(sys, "argv", ["plopen", "validate", instance_path("identity", 1, "id")])
+        with pytest.raises(SystemExit) as exc:
+            cli.console_main()
+        assert exc.value.code == 0 and json.loads(capsys.readouterr().out)["valid"]
+
+    def test_homotopy_over_different_complexes_exit_3(self, capsys, instance_path):
+        coarse = instance_path("identity", 2, "coarse", resolution=1)
+        fine = instance_path("identity", 2, "fine", resolution=2)
+        code, report = run_cli(
+            capsys, "homotopy", coarse, fine, "--gamma", "1/2,1/3;1/3,1/2", "--samples", "3"
+        )
+        assert code == 3 and report["exit_status"] == 3
+        assert report["error"] == "homotopy endpoints must share one domain complex"
+
+    def test_homotopy_of_one_complex_in_both_forms(self, capsys, tmp_path):
+        pieces_path, images_path = tmp_path / "pieces.json", tmp_path / "images.json"
+        save_document(pieces_path, {**_FOLD, "pieces": _FOLD_PIECES})
+        save_document(images_path, {**_FOLD, "vertex_images": [["1"], ["1"], ["0"]]})
+        code, report = run_cli(
+            capsys, "homotopy", str(pieces_path), str(images_path), "--gamma", "1/2;1/2", "--samples", "3"
+        )
+        assert code == 0 and report["constant"] and report["degrees"] == [0, 0, 0]
+
     def test_oracle_open_fold(self, capsys, instance_path):
         code, report = run_cli(
             capsys,
@@ -597,15 +664,28 @@ _SQUARE = {
     "cells": [[0, 1, 2], [0, 2, 3]],
 }
 _IDENTITY_2D = {"matrix": [["1", "0"], ["0", "1"]], "offset": ["0", "0"]}
+# |x| on [-1, 1]; the cells list the vertices in the order 1, 2, 0
+_FOLD = {**_LINE, "vertices": [["1"], ["-1"], ["0"]], "cells": [[1, 2], [2, 0]]}
+_FOLD_PIECES = [{"matrix": [["-1"]], "offset": ["0"]}, {"matrix": [["1"]], "offset": ["0"]}]
 BASE_DOCUMENTS = [
     {**_LINE, "vertex_images": [["1"], ["0"], ["1"]]},
     {**_LINE, "pieces": [{"matrix": [["1"]], "offset": ["0"]}, {"matrix": [["-1"]], "offset": ["0"]}]},
     {**_SQUARE, "vertex_images": [["0", "0"], ["2", "0"], ["1", "1"], ["0", "1"]], "metadata": {}},
     {**_SQUARE, "pieces": [_IDENTITY_2D, _IDENTITY_2D]},
+    {**_FOLD, "pieces": _FOLD_PIECES},
 ]
+# integers of 20 to 41 digits, of either sign
+_LONG = st.tuples(st.sampled_from([1, -1]), st.integers(10**19, 10**40)).map(lambda t: t[0] * t[1])
+# rationals whose numerator or denominator has 20 or more digits
+LONG_RATIONALS = st.one_of(
+    _LONG.map(str),
+    st.builds("{}/{}".format, _LONG, st.integers(1, 12)),
+    st.builds("{}/{}".format, st.integers(-12, 12), _LONG.map(abs)),
+)
 JUNK = st.one_of(
     st.integers(-3, 12),
     st.sampled_from(["", "x", "1/0", "0.5", "-1", "3/2", "1/2/3"]),
+    LONG_RATIONALS,
     st.none(),
     st.booleans(),
     st.just(0.5),
@@ -618,9 +698,10 @@ JUNK = st.one_of(
 def mutated_documents(draw):
     """A valid document after one to three random edits.
 
-    An edit drops a key or an entry, gives one a value of another type, sets
-    one to a small (possibly negative or out-of-range) integer, or appends an
-    entry (a copy of a sibling makes a list one too long).
+    An edit drops a key or an entry, gives one a value of another type or a
+    rational string of 20 or more digits, sets one to a small (possibly
+    negative or out-of-range) integer, or appends an entry (a copy of a
+    sibling makes a list one too long).
     """
     doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
     for _ in range(draw(st.integers(1, 3))):
@@ -651,16 +732,30 @@ SEED_VALUES = st.sampled_from(["0", "7", "-3", "+2", " 5", "x", "1.5", "", "1e2"
 
 @st.composite
 def invocations(draw):
-    """An argv with the placeholders FILE and DIR; values are passed as --flag=value.
+    """An argv with the placeholders FILE, FILE2 and DIR; values are passed as
+    --flag=value.
 
     Some have one argument dropped, or an unknown flag or argument added.
     """
     command = draw(
         st.sampled_from(
-            ["validate", "check-open", "oracle-open", "degree", "fibers", "branch-set", "graph", "whyburn"]
+            [
+                "validate",
+                "check-open",
+                "oracle-open",
+                "degree",
+                "fibers",
+                "branch-set",
+                "graph",
+                "whyburn",
+                "homotopy",
+            ]
         )
     )
     argv = [command, "FILE"]
+    if command == "homotopy":
+        ends = draw(st.lists(POINT_VALUES, min_size=1, max_size=3))
+        argv += ["FILE2", f"--gamma={';'.join(ends)}", f"--samples={draw(COUNT_VALUES)}"]
     if command == "check-open" and draw(st.booleans()):
         argv = [command, "DIR", "--all"]
     if command in ("check-open", "oracle-open"):
@@ -681,13 +776,17 @@ def invocations(draw):
 
 
 class TestFuzzedInput:
-    @given(doc=mutated_documents(), argv=invocations())
+    @given(doc=mutated_documents(), other=st.sampled_from(BASE_DOCUMENTS), argv=invocations())
     @settings(max_examples=150, deadline=None)
-    def test_every_run_reports_json_with_a_documented_code(self, doc, argv):
+    def test_every_run_reports_json_with_a_documented_code(self, doc, other, argv):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "doc.json"
             path.write_text(json.dumps(doc))
-            argv = [{"FILE": str(path), "DIR": tmp}.get(a, a) for a in argv]
+            # outside DIR, so `check-open --all` reads only the mutated document
+            other_path = Path(tmp) / "other" / "doc.json"
+            other_path.parent.mkdir()
+            other_path.write_text(json.dumps(other))
+            argv = [{"FILE": str(path), "FILE2": str(other_path), "DIR": tmp}.get(a, a) for a in argv]
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = main(argv)

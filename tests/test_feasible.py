@@ -10,9 +10,7 @@ from plopen.feasible import (
     REL_LE,
     REL_LT,
     BoxGrid,
-    LinRow,
     IntegerPoints,
-    LinearSystem,
     _feasible_int,
     _frame_probe,
     _frame_rows,
@@ -21,12 +19,9 @@ from plopen.feasible import (
     constrained_hull_dim,
     homogeneous_column,
     hull_contains,
-    hull_dim,
     hull_leaves_affine_span,
     hulls_intersect,
     integer_box,
-    intersection_dim,
-    lp_feasible,
     median_steps,
     relative_interiors_intersect,
     relint_meets_simplex,
@@ -39,6 +34,8 @@ from plopen.feasible import (
 from plopen.generators import GenSpec, generate
 from plopen.instancefile import plmap_to_document, save_document
 from plopen.linalg import Matrix, det_sign, null_space
+
+from oracles import LinearSystem, LinRow, hull_dim, intersection_dim, lp_feasible
 
 
 def F(*args):
@@ -244,7 +241,7 @@ class TestAffineSpanEscape:
         if swap:
             p_verts[1], p_verts[2] = p_verts[2], p_verts[1]
         # the frame's matrix of homogeneous columns: det -1 in this order, +1 swapped
-        square = Matrix.from_columns([(*v, F(1)) for v in p_verts])
+        square = Matrix(tuple(zip(*[(*v, F(1)) for v in p_verts])))
         assert det_sign(square) == (1 if swap else -1)
         frame = simplex_frame(cols(p_verts))
         face = p_verts[1:]

@@ -13,6 +13,11 @@ Each run is hashed: SHA-256 of stdout, a newline and the exit code, kept to
 its first 16 hex digits in GOLDEN. The set includes `whyburn` rejections at stages 1, 2 and 3
 and `validate` reports with `improper_intersection` violations.
 
+The two forms of one map must answer alike: every run on a pieces document,
+and on one whose vertices are out of first-appearance order, gives the same
+exit code and report, apart from `instance_digest`, as on the same map in
+vertex_images form.
+
 A deliberate change to a report means writing the table again:
 `PYTHONPATH=src python tests/test_golden.py` prints it.
 """
@@ -29,7 +34,7 @@ import pytest
 
 from plopen.cli import main
 from plopen.generators import KINDS, GenSpec, generate
-from plopen.instancefile import plmap_to_document, save_document
+from plopen.instancefile import document_to_plmap, plmap_to_document, save_document
 from plopen.linalg import format_rational, parse_rational
 
 DIMS = {"fold1d": (1,), "interior_fold1d": (1,), "doubling2d": (2,), "shear": (2,)}
@@ -114,6 +119,23 @@ def golden_documents() -> dict[str, dict]:
     return docs
 
 
+def vertex_images(doc: dict) -> list[tuple]:
+    """Each vertex's image, read off the document: in pieces form, the image
+    under the piece of the first cell that lists the vertex."""
+    if "vertex_images" in doc:
+        return [tuple(map(parse_rational, v)) for v in doc["vertex_images"]]
+    vertices = [tuple(map(parse_rational, v)) for v in doc["vertices"]]
+    images = [None] * len(vertices)
+    for cell, piece in zip(doc["cells"], doc["pieces"]):
+        for vid in cell:
+            if images[vid] is None:
+                images[vid] = tuple(
+                    sum(parse_rational(a) * x for a, x in zip(row, vertices[vid])) + parse_rational(b)
+                    for row, b in zip(piece["matrix"], piece["offset"])
+                )
+    return images
+
+
 def query_points(doc: dict) -> dict[str, tuple]:
     """Point name -> `--at` point for `degree` and `fibers`, from the document alone.
 
@@ -128,16 +150,7 @@ def query_points(doc: dict) -> dict[str, tuple]:
     n = doc["ambient_dim"]
     vertices = [tuple(map(parse_rational, v)) for v in doc["vertices"]]
     cells = [tuple(sorted(cell)) for cell in doc["cells"]]
-    if "vertex_images" in doc:
-        images = [tuple(map(parse_rational, v)) for v in doc["vertex_images"]]
-    else:
-        images = [None] * len(vertices)
-        for cell, piece in zip(cells, doc["pieces"]):
-            for vid in cell:
-                images[vid] = tuple(
-                    sum(parse_rational(a) * x for a, x in zip(row, vertices[vid])) + parse_rational(b)
-                    for row, b in zip(piece["matrix"], piece["offset"])
-                )
+    images = vertex_images(doc)
 
     def mean(ids) -> tuple:
         return tuple(sum(images[i][c] for i in ids) / len(ids) for c in range(n))
@@ -192,11 +205,75 @@ def run_all(directory: Path) -> dict[str, str]:
     return digests
 
 
+# A fold of the square [0, 2]^2 about its center, vertex 0, with the two left
+# cells reversed. The cells list their vertices in the order 1, 2, 0, 3, 4 of
+# first appearance, not in the order of the file.
+_OUT_OF_ORDER = {
+    "format_version": 1,
+    "ambient_dim": 2,
+    "vertices": [["1", "1"], ["0", "0"], ["2", "0"], ["2", "2"], ["0", "2"]],
+    "cells": [[1, 2, 0], [2, 3, 0], [3, 4, 0], [4, 1, 0]],
+    "vertex_images": [["1", "1"], ["0", "0"], ["2", "0"], ["2", "2"], ["3", "1"]],
+}
+
+
+def twin_documents() -> dict[str, tuple[dict, dict]]:
+    """Name -> (pieces document, the same map in vertex_images form), for
+    every pieces document of the golden corpus and `_OUT_OF_ORDER`."""
+    docs = {name: doc for name, doc in golden_documents().items() if name.endswith("-pieces")}
+    docs["out_of_order-d2-pieces"] = _pieces_form(_OUT_OF_ORDER, document_to_plmap(_OUT_OF_ORDER)[0])
+    twins = {}
+    for name, doc in docs.items():
+        twin = {key: value for key, value in doc.items() if key != "pieces"}
+        twin["vertex_images"] = [list(map(format_rational, image)) for image in vertex_images(doc)]
+        twins[name] = (doc, twin)
+    return twins
+
+
+TWINS = twin_documents()
+
+
+def _report(argv: list[str]) -> tuple[int, dict]:
+    """Exit code and report of one run, without the instance digest."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    report.pop("instance_digest", None)
+    return code, report
+
+
+@pytest.mark.parametrize("name", sorted(TWINS))
+def test_pieces_form_answers_as_its_vertex_form(tmp_path, name):
+    """Every golden run on a pieces document gives the exit code and report,
+    apart from `instance_digest`, of the same map in vertex_images form: both
+    forms number the vertices as the file does."""
+    paths = []
+    for form, doc in zip(("pieces", "vertex_images"), TWINS[name]):
+        paths.append(tmp_path / f"{form}.json")
+        save_document(paths[-1], doc)
+    runs = [[command, *flags] for command, flags in RUNS.values()]
+    runs += [
+        [command, "--at=" + ",".join(map(format_rational, point))]
+        for point in query_points(TWINS[name][1]).values()
+        for command in ("degree", "fibers")
+    ]
+    differing = [
+        run
+        for run in runs
+        if _report([run[0], str(paths[0]), *run[1:]]) != _report([run[0], str(paths[1]), *run[1:]])
+    ]
+    assert differing == []
+
+
 # Recorded at the commit before the properness probe moved to the simplex
 # frame; the oracle-open entries at the commit before the openness oracle
 # and the branch set moved to integer image frames; the degree and fibers
 # entries at the commit before face-image membership moved to per-face
-# boxes and image frames.
+# boxes and image frames. The 40 entries of the six pieces documents whose
+# vertices are not in first-appearance order were written again when the
+# pieces form stopped renumbering vertices; each now equals its
+# vertex_images twin's run (`test_pieces_form_answers_as_its_vertex_form`).
 GOLDEN = {
     "identity-d1-s0-vertex_images validate": "45d8e262783be1b8",
     "identity-d1-s0-vertex_images whyburn": "08c57e6a23a5f6d9",
@@ -252,15 +329,15 @@ GOLDEN = {
     "identity-d2-s1-pieces check-open": "94c636a5938c1ca8",
     "identity-d2-s1-pieces oracle-open": "a7c5fda45a619197",
     "identity-d2-s1-pieces oracle-open:s7-p9-d23": "fce1efa173d7e94a",
-    "identity-d2-s1-pieces degree@vertex": "823649e8e695e905",
+    "identity-d2-s1-pieces degree@vertex": "ebfc0e3e918f79c6",
     "identity-d2-s1-pieces fibers@vertex": "1a746c942d1bfd5d",
-    "identity-d2-s1-pieces degree@face": "33225040b1bd026d",
+    "identity-d2-s1-pieces degree@face": "96606e80581893f6",
     "identity-d2-s1-pieces fibers@face": "9210ddfbd8ed2075",
-    "identity-d2-s1-pieces degree@cell": "0b17803a7419f53f",
+    "identity-d2-s1-pieces degree@cell": "4f6c9e281a053f71",
     "identity-d2-s1-pieces fibers@cell": "f5b63296ba0e7372",
-    "identity-d2-s1-pieces degree@boundary": "5a60e26cc1af816e",
+    "identity-d2-s1-pieces degree@boundary": "a2eec9c06b3ae87a",
     "identity-d2-s1-pieces fibers@boundary": "5ae22db178d07764",
-    "identity-d2-s1-pieces degree@outside": "a5a45d64157ce4c5",
+    "identity-d2-s1-pieces degree@outside": "9971701f9b9c3c3d",
     "identity-d2-s1-pieces fibers@outside": "72662610aa70c6f4",
     "identity-d3-s0-vertex_images validate": "d589df26e13a0d17",
     "identity-d3-s0-vertex_images whyburn": "73455a20ca8a5cbb",
@@ -456,31 +533,31 @@ GOLDEN = {
     "singular_cell-d2-s1-pieces check-open": "669f954df8ef5fd0",
     "singular_cell-d2-s1-pieces oracle-open": "6e2ffe8e794a5815",
     "singular_cell-d2-s1-pieces oracle-open:s7-p9-d23": "6e2ffe8e794a5815",
-    "singular_cell-d2-s1-pieces degree@vertex": "386bdf0a6a1b84a9",
+    "singular_cell-d2-s1-pieces degree@vertex": "5d48106491dad7a8",
     "singular_cell-d2-s1-pieces fibers@vertex": "f6b9dfcf185ab40a",
-    "singular_cell-d2-s1-pieces degree@face": "41d7563aad868ae1",
+    "singular_cell-d2-s1-pieces degree@face": "1f5d16c229fd2c84",
     "singular_cell-d2-s1-pieces fibers@face": "b9d9b1225485fd41",
-    "singular_cell-d2-s1-pieces degree@cell": "517d5e3fecfcdff3",
+    "singular_cell-d2-s1-pieces degree@cell": "dd24c012f91d3281",
     "singular_cell-d2-s1-pieces fibers@cell": "869309cb5c6dc550",
-    "singular_cell-d2-s1-pieces degree@boundary": "b8a1861daad0f4d1",
+    "singular_cell-d2-s1-pieces degree@boundary": "2a7938ef5118c33c",
     "singular_cell-d2-s1-pieces fibers@boundary": "49e398e56154d0d5",
-    "singular_cell-d2-s1-pieces degree@outside": "d90022f28d2c78d4",
+    "singular_cell-d2-s1-pieces degree@outside": "b282b72db7c52aeb",
     "singular_cell-d2-s1-pieces fibers@outside": "effa2afd519bc0be",
     "singular_cell-d3-s1-pieces validate": "77b7a913a528a4a2",
-    "singular_cell-d3-s1-pieces whyburn": "5124d9ac0aa4c22d",
-    "singular_cell-d3-s1-pieces branch-set": "4ba33061295ae5c1",
+    "singular_cell-d3-s1-pieces whyburn": "d5b779e4015c31ca",
+    "singular_cell-d3-s1-pieces branch-set": "b4b84712b55787ff",
     "singular_cell-d3-s1-pieces check-open": "013e856f1e95439d",
-    "singular_cell-d3-s1-pieces oracle-open": "5e936488e929447f",
-    "singular_cell-d3-s1-pieces oracle-open:s7-p9-d23": "5e936488e929447f",
-    "singular_cell-d3-s1-pieces degree@vertex": "ff334c9165c223e3",
+    "singular_cell-d3-s1-pieces oracle-open": "be36312e22d4d720",
+    "singular_cell-d3-s1-pieces oracle-open:s7-p9-d23": "be36312e22d4d720",
+    "singular_cell-d3-s1-pieces degree@vertex": "007823de7204f7fc",
     "singular_cell-d3-s1-pieces fibers@vertex": "93316e518c504b02",
-    "singular_cell-d3-s1-pieces degree@face": "df4caab920fc54d6",
+    "singular_cell-d3-s1-pieces degree@face": "f2a403f803ed7066",
     "singular_cell-d3-s1-pieces fibers@face": "9548a2449301a692",
-    "singular_cell-d3-s1-pieces degree@cell": "1cd40eaea1fe17f5",
+    "singular_cell-d3-s1-pieces degree@cell": "a940c85fd6a88e25",
     "singular_cell-d3-s1-pieces fibers@cell": "23be141a1a9ce856",
-    "singular_cell-d3-s1-pieces degree@boundary": "ef7f50d570233c65",
+    "singular_cell-d3-s1-pieces degree@boundary": "007823de7204f7fc",
     "singular_cell-d3-s1-pieces fibers@boundary": "f524c7d82b5ae853",
-    "singular_cell-d3-s1-pieces degree@outside": "3c2a9ea52ada4cf4",
+    "singular_cell-d3-s1-pieces degree@outside": "a64e86b0d7595482",
     "singular_cell-d3-s1-pieces fibers@outside": "af254bb2d6a54eb8",
     "random_orientation_preserving-d1-s0-vertex_images validate": "6783e5e0ccfdfa3e",
     "random_orientation_preserving-d1-s0-vertex_images whyburn": "5725c194abb95026",
@@ -536,15 +613,15 @@ GOLDEN = {
     "random_orientation_preserving-d2-s1-pieces check-open": "92fa62bf8955322b",
     "random_orientation_preserving-d2-s1-pieces oracle-open": "a49da593724b9f80",
     "random_orientation_preserving-d2-s1-pieces oracle-open:s7-p9-d23": "d8c8d66838e80fd1",
-    "random_orientation_preserving-d2-s1-pieces degree@vertex": "b14c69c120df632c",
+    "random_orientation_preserving-d2-s1-pieces degree@vertex": "60fc0cff03634f27",
     "random_orientation_preserving-d2-s1-pieces fibers@vertex": "5c76e2bf19d4e139",
-    "random_orientation_preserving-d2-s1-pieces degree@face": "7274f3b1b8595369",
+    "random_orientation_preserving-d2-s1-pieces degree@face": "2809e0e8b02a52d1",
     "random_orientation_preserving-d2-s1-pieces fibers@face": "9611a598d2719372",
-    "random_orientation_preserving-d2-s1-pieces degree@cell": "93fbac70ff6da2c4",
+    "random_orientation_preserving-d2-s1-pieces degree@cell": "632702dbee43945c",
     "random_orientation_preserving-d2-s1-pieces fibers@cell": "2ed9a45de1afcf7b",
-    "random_orientation_preserving-d2-s1-pieces degree@boundary": "bb4397d5b8e8b4fd",
+    "random_orientation_preserving-d2-s1-pieces degree@boundary": "44f98824c693ab34",
     "random_orientation_preserving-d2-s1-pieces fibers@boundary": "d307185bd7d4706f",
-    "random_orientation_preserving-d2-s1-pieces degree@outside": "8078aa2b0407af65",
+    "random_orientation_preserving-d2-s1-pieces degree@outside": "45cfc65293954864",
     "random_orientation_preserving-d2-s1-pieces fibers@outside": "5d92e8cc5f255814",
     "random_orientation_preserving-d3-s0-vertex_images validate": "88ad6961831957de",
     "random_orientation_preserving-d3-s0-vertex_images whyburn": "ae61d92b8261e968",
@@ -612,35 +689,35 @@ GOLDEN = {
     "random_mixed_signs-d2-s0-vertex_images fibers@outside": "e887c9febf8bee2c",
     "random_mixed_signs-d2-s1-pieces validate": "06e575735699b353",
     "random_mixed_signs-d2-s1-pieces whyburn": "7cb89aeeecca20e5",
-    "random_mixed_signs-d2-s1-pieces branch-set": "194cefdaab480d74",
+    "random_mixed_signs-d2-s1-pieces branch-set": "53c6414f98e90709",
     "random_mixed_signs-d2-s1-pieces check-open": "eb8f312ef5018f1a",
-    "random_mixed_signs-d2-s1-pieces oracle-open": "7ef13152e57900e9",
-    "random_mixed_signs-d2-s1-pieces oracle-open:s7-p9-d23": "d6b763af4d3504af",
-    "random_mixed_signs-d2-s1-pieces degree@vertex": "05aca2780220f84e",
+    "random_mixed_signs-d2-s1-pieces oracle-open": "1ca1f5307b2b00ee",
+    "random_mixed_signs-d2-s1-pieces oracle-open:s7-p9-d23": "d0374a1b0d966f14",
+    "random_mixed_signs-d2-s1-pieces degree@vertex": "a3019cabfc403ebe",
     "random_mixed_signs-d2-s1-pieces fibers@vertex": "396d9f916aa415ef",
-    "random_mixed_signs-d2-s1-pieces degree@face": "c2db6a178f20a1f4",
+    "random_mixed_signs-d2-s1-pieces degree@face": "aeff3b5141821602",
     "random_mixed_signs-d2-s1-pieces fibers@face": "fca96bb4142cf26c",
-    "random_mixed_signs-d2-s1-pieces degree@cell": "9bbf87eef71ed88b",
+    "random_mixed_signs-d2-s1-pieces degree@cell": "a2e1385377779452",
     "random_mixed_signs-d2-s1-pieces fibers@cell": "52662fc087efe6e9",
-    "random_mixed_signs-d2-s1-pieces degree@boundary": "0e32ad0b9e84288b",
+    "random_mixed_signs-d2-s1-pieces degree@boundary": "d786df3abd99b043",
     "random_mixed_signs-d2-s1-pieces fibers@boundary": "20a25e951811dc5c",
-    "random_mixed_signs-d2-s1-pieces degree@outside": "ee59f795e755c8e2",
+    "random_mixed_signs-d2-s1-pieces degree@outside": "7d24b8feb8b31dd8",
     "random_mixed_signs-d2-s1-pieces fibers@outside": "07fbdc08f12035a7",
     "random_mixed_signs-d3-s1-pieces validate": "3e6ae7cea8b41653",
     "random_mixed_signs-d3-s1-pieces whyburn": "d0467f75530d44c8",
-    "random_mixed_signs-d3-s1-pieces branch-set": "c180c0fa031bad34",
+    "random_mixed_signs-d3-s1-pieces branch-set": "89fbc615744af29b",
     "random_mixed_signs-d3-s1-pieces check-open": "e9a989e6381ff255",
-    "random_mixed_signs-d3-s1-pieces oracle-open": "4321c2b1d0afea5b",
-    "random_mixed_signs-d3-s1-pieces oracle-open:s7-p9-d23": "a6b01c57aee47dd1",
-    "random_mixed_signs-d3-s1-pieces degree@vertex": "9ec02604be3d1df1",
+    "random_mixed_signs-d3-s1-pieces oracle-open": "895b00fad2836459",
+    "random_mixed_signs-d3-s1-pieces oracle-open:s7-p9-d23": "6560be3ab8731f8e",
+    "random_mixed_signs-d3-s1-pieces degree@vertex": "03660598380a01d5",
     "random_mixed_signs-d3-s1-pieces fibers@vertex": "b08f840d4def5bda",
-    "random_mixed_signs-d3-s1-pieces degree@face": "b94ea1960e3fd041",
+    "random_mixed_signs-d3-s1-pieces degree@face": "7c9156b793d0fd83",
     "random_mixed_signs-d3-s1-pieces fibers@face": "4e9e78af7df4e08e",
-    "random_mixed_signs-d3-s1-pieces degree@cell": "b776ac74fcfaa343",
+    "random_mixed_signs-d3-s1-pieces degree@cell": "90a0111d36fa6e55",
     "random_mixed_signs-d3-s1-pieces fibers@cell": "19474a4fac74fc7c",
-    "random_mixed_signs-d3-s1-pieces degree@boundary": "4aa885de85a55f7d",
+    "random_mixed_signs-d3-s1-pieces degree@boundary": "0dbc843295943d06",
     "random_mixed_signs-d3-s1-pieces fibers@boundary": "89daa6a6da9544ff",
-    "random_mixed_signs-d3-s1-pieces degree@outside": "795c9cf9a75da83c",
+    "random_mixed_signs-d3-s1-pieces degree@outside": "c66434cb2e307e00",
     "random_mixed_signs-d3-s1-pieces fibers@outside": "f975e5dc927ffa2c",
     "improper-d1-vertex_images validate": "cca65a5e0b908527",
     "improper-d1-vertex_images whyburn": "c5c57e954cb58d11",
