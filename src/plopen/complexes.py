@@ -10,11 +10,19 @@ set of (n-1)-faces incident to a single cell.
 The complex keeps the integer form of its vertices in one
 `feasible.IntegerPoints` (`points`), which builds each cell's integer box
 and frame at first use and keeps them for the complex's lifetime.
-Validation decides each cell's degeneracy by whether its frame exists, and
-takes the cell pairs to probe from the grid over the cell boxes
-(`IntegerPoints.grid`), which the complex keeps. Point location asks that
-same grid which cell boxes hold the point's integer homogeneous column, then
-reads the signs of barycentric weights in those cells' frames, in cell
+Validation decides each cell's degeneracy by whether its frame exists.
+Properness is first decided by the degree argument (`_proper_by_degree`,
+Lipman's injectivity theorem for meshes with the identity as the map): when
+the two cells of every interior facet lie on opposite sides of it, the
+cells are connected, the boundary is one embedded cycle and one cell holds
+cell 0's barycentre, no two cells meet improperly. That costs one sign per
+interior facet and one probe per pair of boundary facets whose boxes meet.
+Only when a premise fails does the all-pairs sweep run
+(`improper_intersections`), over the pairs of the grid over the cell boxes
+(`IntegerPoints.grid`), and it alone reports improper intersections. Point
+location asks that cell grid, built at its first query (or by the sweep)
+and kept, which cell boxes hold the point's integer homogeneous column,
+then reads the signs of barycentric weights in those cells' frames, in cell
 order: each query is classified as interior to a unique cell, on the
 relative interior of a unique smallest face, or outside the support.
 """
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import feasible
@@ -175,6 +184,95 @@ def boundary_faces(complex_: SimplicialComplex) -> tuple[Face, ...]:
     return complex_.boundary
 
 
+def improper_intersections(
+    points: feasible.IntegerPoints, cell_ids: Sequence[Face]
+) -> list[Violation]:
+    """The improper_intersection violations of the all-pairs properness sweep.
+
+    Two cells must meet exactly in the simplex spanned by their shared
+    vertices. For simplices, conv(P) ∩ aff(shared) equals the shared face,
+    so the intersection is proper iff it stays inside that affine hull (iff
+    it is empty when no vertices are shared): one strict probe per pair
+    whose integer boxes overlap, in cell a's frame. The pairs come from the
+    grid over the cell boxes, which the points keep for `locate`.
+    """
+    violations = []
+    for a, b in points.grid(cell_ids, cell_ids).pairs():
+        ids_a, ids_b = cell_ids[a], cell_ids[b]
+        span = [j for j, v in enumerate(ids_a) if v in ids_b]
+        if feasible.hull_leaves_affine_span(points.frame(ids_a), points.cols(ids_b), span):
+            shared = tuple(ids_a[j] for j in span)
+            if shared:
+                message = f"cells {a} and {b} overlap beyond their common face {shared}"
+            else:
+                message = f"cells {a} and {b} intersect but share no face"
+            violations.append(Violation("improper_intersection", message, (a, b)))
+    return violations
+
+
+def _proper_by_degree(
+    points: feasible.IntegerPoints,
+    cell_ids: Sequence[Face],
+    face_cells: dict[Face, set[int]],
+    boundary: Sequence[Face],
+) -> bool:
+    """Whether the degree argument proves that every two cells meet properly.
+
+    The caller has checked that every cell has a frame, that no cell is
+    listed twice and that every (n-1)-face has at most two cells. The
+    premises:
+    - the two cells of each interior facet lie strictly on opposite sides of
+      it (one sign in a cell frame), so the number of cells over a generic
+      point is constant off the boundary;
+    - the cells are connected through interior facets;
+    - the boundary is one strongly connected cycle (`boundary_cycle_defects`);
+    - exactly one closed cell holds the barycentre of cell 0;
+    - the boundary facets meet properly: one probe per pair whose boxes
+      meet, in a facet frame read off its cell's frame (`SimplexFrame.facet`).
+    The boundary is then an embedded connected closed pseudomanifold, whose
+    complement has one bounded component (Alexander duality mod 2; in 1-D
+    the outer two intervals count 0 cells). The count there is the count
+    over cell 0's barycentre, 1, so no generic point lies in two cells. Two
+    cells meeting improperly would give two points of the complex one
+    position, and then the cells around the two would both cover generic
+    points near it. This is Lipman's injectivity theorem for meshes, with
+    the identity as the map. False means "not proved": the sweep decides.
+    """
+    n = len(cell_ids[0]) - 1
+    frames = [points.frame(ids) for ids in cell_ids]
+    columns = points.columns
+    edges = []
+    for ids, incident in face_cells.items():
+        if len(ids) == n and len(incident) == 2:
+            a, b = incident
+            j = next(k for k, v in enumerate(cell_ids[a]) if v not in ids)
+            (far,) = (v for v in cell_ids[b] if v not in ids)
+            if sum(map(mul, frames[a].bary[j], columns[far])) >= 0:
+                return False
+            edges.append((a, b))
+    if not graph_connected(len(cell_ids), edges) or boundary_cycle_defects(n, boundary):
+        return False
+    scaled, denominator = points.scaled, points.denominator
+    centre = (*map(sum, zip(*(scaled[v] for v in cell_ids[0]))), (n + 1) * denominator)
+    holders = 0
+    for ids, frame in zip(cell_ids, frames):
+        if feasible.box_holds(points.box(ids), denominator, centre) and frame.contains(centre):
+            holders += 1
+    if holders != 1:
+        return False
+    facet_frames = []
+    for face in boundary:
+        (owner,) = face_cells[face]
+        j = next(k for k, v in enumerate(cell_ids[owner]) if v not in face)
+        facet_frames.append(frames[owner].facet(j))
+    for i, k in points.grid(boundary, cell_ids).pairs():
+        face_i, face_k = boundary[i], boundary[k]
+        span = [j for j, v in enumerate(face_i) if v in face_k]
+        if feasible.hull_leaves_affine_span(facet_frames[i], points.cols(face_k), span):
+            return False
+    return True
+
+
 def collect_violations(
     vertices: Sequence[Sequence[int | str | Fraction]],
     cells: Sequence[Sequence[int]],
@@ -237,44 +335,34 @@ def collect_violations(
             )
         dup_cells.setdefault(s.vertex_ids, idx)
 
-    # Pairwise properness: two cells must meet exactly in the simplex spanned
-    # by their shared vertices. For simplices, conv(P) ∩ aff(shared) equals
-    # the shared face, so the intersection is proper iff it stays inside that
-    # affine hull (iff it is empty when no vertices are shared): one strict
-    # probe per pair whose integer boxes overlap, in cell a's frame; the
-    # complex then keeps the boxes, the frames and the cell grid.
+    # Face lattice and manifold condition on (n-1)-faces. Properness comes
+    # first: by the degree argument (`_proper_by_degree`) when its premises
+    # hold, else by the all-pairs sweep, whose violations come before the
+    # nonmanifold ones.
     cell_ids = tuple(s.vertex_ids for s in simplices)
-    for a, b in points.grid(cell_ids, cell_ids).pairs():
-        ids_a, ids_b = cell_ids[a], cell_ids[b]
-        span = [j for j, v in enumerate(ids_a) if v in ids_b]
-        if feasible.hull_leaves_affine_span(points.frame(ids_a), points.cols(ids_b), span):
-            shared = tuple(ids_a[j] for j in span)
-            if shared:
-                message = f"cells {a} and {b} overlap beyond their common face {shared}"
-            else:
-                message = f"cells {a} and {b} intersect but share no face"
-            violations.append(Violation("improper_intersection", message, (a, b)))
-
-    # Face lattice and manifold condition on (n-1)-faces.
     face_cells: dict[Face, set[int]] = {}
-    for idx, s in enumerate(simplices):
-        for sub in _subsets(s.vertex_ids):
+    for idx, ids in enumerate(cell_ids):
+        for sub in _subsets(ids):
             face_cells.setdefault(sub, set()).add(idx)
-    for ids, incident in sorted(face_cells.items()):
-        if len(ids) == n and len(incident) > 2:
-            violations.append(
-                Violation(
-                    "nonmanifold_face",
-                    f"(n-1)-face {ids} is incident to {len(incident)} cells",
-                    tuple(sorted(incident)),
-                )
-            )
-    if violations:
-        return violations, None
-
+    nonmanifold = [
+        Violation(
+            "nonmanifold_face",
+            f"(n-1)-face {ids} is incident to {len(incident)} cells",
+            tuple(sorted(incident)),
+        )
+        for ids, incident in sorted(
+            (ids, inc) for ids, inc in face_cells.items() if len(ids) == n and len(inc) > 2
+        )
+    ]
     boundary = tuple(
         sorted(ids for ids, inc in face_cells.items() if len(ids) == n and len(inc) == 1)
     )
+    if violations or nonmanifold or not _proper_by_degree(points, cell_ids, face_cells, boundary):
+        violations += improper_intersections(points, cell_ids)
+    violations += nonmanifold
+    if violations:
+        return violations, None
+
     on_boundary = {sub for ids in boundary for sub in _subsets(ids)}
     faces = {
         ids: FaceInfo(ids, len(ids) - 1, tuple(sorted(inc)), ids in on_boundary)
@@ -322,6 +410,37 @@ def graph_connected(count: int, edges: Iterable[Sequence[int]]) -> bool:
                 seen.add(nxt)
                 frontier.append(nxt)
     return len(seen) == count
+
+
+def boundary_cycle_defects(n: int, boundary: Sequence[Face]) -> list[str]:
+    """The reasons the boundary (n-1)-faces are not one strongly connected
+    cycle, [] when they are.
+
+    The boundary must not be empty. An n = 1 boundary is exactly two
+    vertices. For n >= 2 every boundary (n-2)-face must bound exactly two
+    boundary faces, and the boundary faces must be connected through them.
+    """
+    reasons = []
+    if not boundary:
+        reasons.append("support has no boundary")
+    if n == 1:
+        if len(boundary) != 2:
+            reasons.append(f"an interval has 2 boundary vertices, found {len(boundary)}")
+    elif boundary:
+        ridge_count: dict[Face, list[int]] = {}
+        for bi, face in enumerate(boundary):
+            for drop in range(len(face)):
+                ridge = face[:drop] + face[drop + 1 :]
+                ridge_count.setdefault(ridge, []).append(bi)
+        bad = {r: inc for r, inc in ridge_count.items() if len(inc) != 2}
+        if bad:
+            sample = next(iter(sorted(bad)))
+            reasons.append(
+                f"boundary (n-2)-face {sample} bounds {len(bad[sample])} boundary faces, expected 2"
+            )
+        elif not graph_connected(len(boundary), ridge_count.values()):
+            reasons.append("boundary faces are not a single connected cycle")
+    return reasons
 
 
 def cells_connected(complex_: SimplicialComplex) -> bool:

@@ -33,6 +33,9 @@ needs P affinely independent (else `simplex_frame` raises ValueError) and F
 given by positions of P's vertices. Whether a single point lies in conv(P)
 needs no probe at all: it is the sign test `SimplexFrame.contains` on the
 point's column, and `hull_contains` stays for affinely dependent point sets.
+A facet of a full-dimensional P takes its frame from P's with no adjugate
+(`SimplexFrame.facet`): the row of the vertex it leaves out vanishes
+exactly on the facet's affine hull.
 
 The same frame decides whether the relative interior of a point set S meets
 conv(P) (`relint_meets_simplex`): one probe over S's strictly positive
@@ -474,6 +477,17 @@ class SimplexFrame:
         return all(sum(map(mul, row, column)) == 0 for row in self.aff) and all(
             sum(map(mul, row, column)) >= 0 for row in self.bary
         )
+
+    def facet(self, j: int) -> SimplexFrame:
+        """The frame of the facet of a full-dimensional P opposite its j-th
+        vertex, with no adjugate: row j reads the weight on that vertex, so
+        it vanishes exactly on the facet's affine hull and becomes the aff
+        row, and on that hull the other rows read the facet's own weights.
+        Off the hull they read y's weights on P instead, which no frame probe
+        uses, since each one asks aff·ŷ = 0."""
+        if self.aff:
+            raise ValueError("only a full-dimensional frame has facet frames")
+        return SimplexFrame(self.bary[:j] + self.bary[j + 1 :], (self.bary[j],))
 
 
 def homogeneous_column(point: Vector) -> tuple[int, ...]:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import feasible
-from .complexes import Face, cells_connected, graph_connected
+from .complexes import Face, boundary_cycle_defects, cells_connected
 from .degree import DegreeCertificate, degree
 from .openness import coherently_oriented
 from .plmap import PLMap, sign_profile
@@ -75,36 +75,21 @@ class Rejected:
 def make_ball_instance(f: PLMap) -> BallMapInstance:
     """Validate the ball structure: one connected boundary (n-1)-cycle.
 
-    For n >= 2 every boundary (n-2)-face must bound exactly two boundary
-    faces, the boundary faces must be connected through them, and the
-    boundary's Euler characteristic must match a sphere's (this rejects e.g.
-    toroidal boundaries that the cycle conditions alone admit). An n = 1 ball
-    is a connected interval: exactly two boundary vertices.
+    The cells must be connected through interior facets. For n >= 2 every
+    boundary (n-2)-face must bound exactly two boundary faces and the
+    boundary faces must be connected through them (`boundary_cycle_defects`,
+    the cycle validation reads too), and the boundary's Euler
+    characteristic must match a sphere's (this rejects e.g. toroidal
+    boundaries that the cycle conditions alone admit). An n = 1 ball is a
+    connected interval: exactly two boundary vertices.
     """
     n = f.ambient_dim
     boundary = f.domain.boundary
     reasons: list[str] = []
     if not cells_connected(f.domain):
         reasons.append("support is not connected through interior facets")
-    if not boundary:
-        reasons.append("support has no boundary")
-    if n == 1:
-        if len(boundary) != 2:
-            reasons.append(f"an interval has 2 boundary vertices, found {len(boundary)}")
-    elif boundary:
-        ridge_count: dict[Face, list[int]] = {}
-        for bi, face in enumerate(boundary):
-            for drop in range(len(face)):
-                ridge = face[:drop] + face[drop + 1 :]
-                ridge_count.setdefault(ridge, []).append(bi)
-        bad = {r: inc for r, inc in ridge_count.items() if len(inc) != 2}
-        if bad:
-            sample = next(iter(sorted(bad)))
-            reasons.append(
-                f"boundary (n-2)-face {sample} bounds {len(bad[sample])} boundary faces, expected 2"
-            )
-        elif not graph_connected(len(boundary), ridge_count.values()):
-            reasons.append("boundary faces are not a single connected cycle")
+    reasons += boundary_cycle_defects(n, boundary)
+    if n >= 2 and boundary:
         boundary_subfaces = set()
         for face in boundary:
             ids = face

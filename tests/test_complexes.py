@@ -5,7 +5,7 @@ from math import ceil, floor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plopen import feasible
+from plopen import complexes, feasible
 from plopen.complexes import (
     InvalidComplexError,
     Located,
@@ -140,22 +140,223 @@ class TestValidation:
         assert [(v.kind, v.detail, v.subjects) for v in violations] == expected
         assert (complex_ is None) == bool(expected)
 
-    def test_locate_reuses_the_cell_grid_of_validation(self, monkeypatch):
+    def test_locate_builds_the_cell_grid_once(self, monkeypatch):
+        # Validation on the degree argument builds no cell grid; `locate`
+        # builds it at its first query and keeps it. A complex that falls
+        # back to the sweep leaves the sweep's cell grid for `locate`.
         built = []
 
         class CountedGrid(feasible.BoxGrid):
-            def __init__(self, *args):
-                built.append(args[0])
-                super().__init__(*args)
+            def __init__(self, boxes, *args):
+                built.append(list(boxes))
+                super().__init__(boxes, *args)
+
+        def cell_grids(complex_):
+            boxes = [complex_.points.box(ids) for ids in complex_.cell_ids]
+            return sum(grid_boxes == boxes for grid_boxes in built)
 
         grid = box_complex(3, 2)
         monkeypatch.setattr(feasible, "BoxGrid", CountedGrid)
         complex_ = validate_complex(grid.vertices, [cell.vertex_ids for cell in grid.cells], 3)
-        assert len(built) == 1
+        assert cell_grids(complex_) == 0
         for ci in range(10):
             located = complex_.locate(complex_.barycenter(complex_.cells[ci].vertex_ids))
             assert located == Located("interior", cell=ci)
-        assert len(built) == 1 and len(built[0]) == len(complex_.cells)
+        assert cell_grids(complex_) == 1
+
+        built.clear()
+        annulus = validate_complex(*SWEPT["annulus"][:2])
+        assert cell_grids(annulus) == 1
+        for ci in range(len(annulus.cells)):
+            located = annulus.locate(annulus.barycenter(annulus.cells[ci].vertex_ids))
+            assert located == Located("interior", cell=ci)
+        assert cell_grids(annulus) == 1
+
+
+# Complexes that break a premise of the degree argument, each with the
+# violations the all-pairs sweep lists for it.
+SWEPT = {
+    "two_overlapping_disks": (
+        [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1], [3, 1], [3, 3], [1, 3]],
+        [[0, 1, 2], [0, 2, 3], [4, 5, 6], [4, 6, 7]],
+        [
+            ("improper_intersection", "cells 0 and 2 intersect but share no face", (0, 2)),
+            ("improper_intersection", "cells 0 and 3 intersect but share no face", (0, 3)),
+            ("improper_intersection", "cells 1 and 2 intersect but share no face", (1, 2)),
+            ("improper_intersection", "cells 1 and 3 intersect but share no face", (1, 3)),
+        ],
+    ),
+    # eight triangles around the origin, its ring of neighbours winding twice
+    "doubly_wrapped_fan": (
+        [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [2, 0], [0, 2], [-2, 0], [0, -2]],
+        [[0, i, i % 8 + 1] for i in range(1, 9)],
+        [
+            (
+                "improper_intersection",
+                f"cells {a} and {b} overlap beyond their common face (0,)",
+                (a, b),
+            )
+            for a, b in [
+                (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (1, 6),
+                (2, 5), (2, 6), (2, 7), (3, 6), (3, 7), (4, 7),
+            ]
+        ],
+    ),
+    # four triangles around the origin whose last laps over the first: one
+    # boundary cycle, one cell over cell 0's barycentre, but boundary edges
+    # that meet improperly at vertex 1
+    "overwound_fan": (
+        [[0, 0], [1, 0], [0, 1], [-1, 0], [0, -1], [2, 1]],
+        [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 5]],
+        [("improper_intersection", "cells 0 and 3 overlap beyond their common face (0,)", (0, 3))],
+    ),
+    # a valid complex whose boundary is two cycles
+    "annulus": (
+        [[0, 0], [3, 0], [3, 3], [0, 3], [1, 1], [2, 1], [2, 2], [1, 2]],
+        [
+            cell
+            for k in range(4)
+            for cell in ([k, (k + 1) % 4, 4 + (k + 1) % 4], [k, 4 + (k + 1) % 4, 4 + k])
+        ],
+        [],
+    ),
+    # a valid complex: a square with a triangular hole that touches its
+    # bottom edge at vertex 1, which lies in four boundary edges
+    "pinched_boundary": (
+        [[0, 0], [2, 0], [4, 0], [4, 4], [0, 4], [1, 1], [3, 1]],
+        [[0, 1, 5], [1, 2, 6], [0, 5, 4], [2, 3, 6], [5, 6, 3], [5, 3, 4]],
+        [],
+    ),
+    # vertex 6 lies inside cell 0's edge (1, 2)
+    "t_junction": (
+        [[0, 0], [1, 0], [1, 2], [0, 2], [2, 0], [2, 2], [1, 1]],
+        [[0, 1, 2], [0, 2, 3], [1, 4, 6], [6, 4, 5], [6, 5, 2]],
+        [
+            ("improper_intersection", "cells 0 and 2 overlap beyond their common face (1,)", (0, 2)),
+            ("improper_intersection", "cells 0 and 3 intersect but share no face", (0, 3)),
+            ("improper_intersection", "cells 0 and 4 overlap beyond their common face (2,)", (0, 4)),
+        ],
+    ),
+    "same_side_of_shared_facet": (
+        [[0, 0], [2, 0], [0, 2], [1, 1]],
+        [[0, 1, 2], [0, 1, 3]],
+        [("improper_intersection", "cells 0 and 1 overlap beyond their common face (0, 1)", (0, 1))],
+    ),
+    "nonmanifold_face": (
+        [[0, 0], [1, 0], [0, 1], [0, -1], [-1, 1]],
+        [[0, 1, 2], [0, 1, 3], [0, 1, 4]],
+        [
+            ("improper_intersection", "cells 0 and 2 overlap beyond their common face (0, 1)", (0, 2)),
+            ("nonmanifold_face", "(n-1)-face (0, 1) is incident to 3 cells", (0, 1, 2)),
+        ],
+    ),
+}
+
+
+def violations_both_ways(vertices, cells, ambient_dim=None):
+    """The violations of `collect_violations`, whether it accepted the
+    complex by the degree argument alone (no sweep), and its violations with
+    the degree argument turned off."""
+    swept = []
+    sweep = complexes.improper_intersections
+
+    def counted(*args):
+        swept.append(args)
+        return sweep(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "improper_intersections", counted)
+        violations, complex_ = collect_violations(vertices, cells, ambient_dim)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "_proper_by_degree", lambda *args: False)
+        forced, _ = collect_violations(vertices, cells, ambient_dim)
+    return violations, complex_ is not None and not swept, forced
+
+
+def assert_sweep_agrees(vertices, cells, ambient_dim=None):
+    violations, accepted, forced = violations_both_ways(vertices, cells, ambient_dim)
+    assert violations == forced
+    if accepted:
+        assert forced == []  # what the degree argument accepts, the sweep finds proper
+    return accepted
+
+
+def acceptance_complexes():
+    """The domain and the image of every map in the acceptance corpus, each
+    as a complex on the map's cells."""
+    from test_acceptance import RANDOM_SEEDS, _named_fixtures
+
+    maps = [
+        generate(GenSpec(kind, dim, seed=seed)).plmap
+        for kind in ("random_orientation_preserving", "random_mixed_signs", "singular_cell")
+        for dim, seeds in RANDOM_SEEDS.items()
+        for seed in seeds
+    ] + [plmap for _, plmap in _named_fixtures()]
+    return [
+        (points, f.domain.cell_ids, f.ambient_dim)
+        for f in maps
+        for points in (f.domain.vertices, f.vertex_images)
+    ]
+
+
+class TestProperByDegree:
+    @pytest.mark.parametrize("name", sorted(SWEPT))
+    def test_named_complexes_reach_the_sweep(self, name):
+        vertices, cells, expected = SWEPT[name]
+        violations, accepted, forced = violations_both_ways(vertices, cells)
+        assert not accepted
+        assert [(v.kind, v.detail, v.subjects) for v in violations] == expected
+        assert violations == forced
+
+    @pytest.mark.parametrize("spec", COMPLEXES)
+    def test_generator_kinds_agree_with_the_sweep(self, spec):
+        if spec is None:
+            assert_sweep_agrees(*TWO_TRIANGLES)
+            return
+        f = generate(spec).plmap
+        for points in (f.domain.vertices, f.vertex_images):
+            assert_sweep_agrees(points, f.domain.cell_ids, spec.dim)
+
+    def test_acceptance_corpus_agrees_with_the_sweep(self):
+        accepted = [assert_sweep_agrees(*complex_) for complex_ in acceptance_complexes()]
+        assert sum(accepted) > 50
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_perturbed_box_complexes_agree_with_the_sweep(self, data):
+        dim = data.draw(st.integers(1, 3))
+        grid = box_complex(dim, data.draw(st.integers(1, {1: 4, 2: 3, 3: 2}[dim])))
+        # each coordinate moves by a multiple of 1/8 of the unit grid step,
+        # up to a drawn bound of at most 5/8: small moves keep the complex
+        # valid, large ones fold it
+        bound = data.draw(st.integers(0, 5))
+        offsets = st.tuples(*[st.integers(-bound, bound)] * dim)
+        count = len(grid.vertices)
+        moves = data.draw(st.lists(offsets, min_size=count, max_size=count))
+        vertices = [
+            [c + F(d, 8) for c, d in zip(v, move)] for v, move in zip(grid.vertices, moves)
+        ]
+        assert_sweep_agrees(vertices, [cell.vertex_ids for cell in grid.cells], dim)
+
+    @pytest.mark.parametrize("resolution,boundary_pairs", [(2, 360), (4, 1584)])
+    def test_validation_probes_only_boundary_pairs(self, monkeypatch, resolution, boundary_pairs):
+        # The all-pairs sweep made 1,128 and 17,808 probes on these complexes.
+        probes = []
+        probe = feasible.hull_leaves_affine_span
+
+        def counted(*args):
+            probes.append(args)
+            return probe(*args)
+
+        grid = box_complex(3, resolution)
+        monkeypatch.setattr(feasible, "hull_leaves_affine_span", counted)
+        complex_ = validate_complex(grid.vertices, [cell.vertex_ids for cell in grid.cells], 3)
+        boxes = [complex_.points.box(face) for face in complex_.boundary]
+        pairs = sum(
+            feasible.boxes_overlap(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
+        )
+        assert pairs == boundary_pairs
+        assert len(probes) <= pairs
 
 
 class TestLocate:

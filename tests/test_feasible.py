@@ -302,6 +302,35 @@ class TestAffineSpanEscape:
             p_verts, q_verts, face
         )
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_facet_frame_probes_as_the_facets_own_frame(self, data):
+        # a facet frame read off a cell's frame answers every probe as the
+        # facet's own simplex_frame (coordinate axes completing it) does
+        n = data.draw(st.integers(1, 3))
+        coord = st.fractions(-2, 2, max_denominator=2)
+        point = st.tuples(*[coord] * n)
+        p_verts = data.draw(st.lists(point, min_size=n + 1, max_size=n + 1, unique=True))
+        assume(hull_dim(p_verts) == n)
+        j = data.draw(st.integers(0, n))
+        facet = p_verts[:j] + p_verts[j + 1 :]
+        # points of the facet's hull (small weights) make meetings common
+        weights = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+        on_facet = weights.filter(any).map(
+            lambda w: tuple(sum(x * v[c] for x, v in zip(w, facet)) / sum(w) for c in range(n))
+        )
+        q_verts = data.draw(st.lists(point | on_facet, min_size=1, max_size=n))
+        span = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+        derived = simplex_frame(cols(p_verts)).facet(j)
+        own = simplex_frame(cols(facet))
+        assert hull_leaves_affine_span(derived, cols(q_verts), span) == hull_leaves_affine_span(
+            own, cols(q_verts), span
+        )
+
+    def test_facet_frame_needs_a_full_dimensional_frame(self):
+        with pytest.raises(ValueError):
+            simplex_frame(cols([pt(0, 0), pt(1, 0)])).facet(0)
+
 
 def _leaves_span_by_normals(p_verts, q_verts, face):
     """Reference: strict probes on both sides of every normal of aff(face)."""
