@@ -7,8 +7,33 @@ open (coherent orientation), (4) exact global injectivity pairwise over all
 cells, (5) the degree at an interior value is plus or minus one. A map is
 rejected at the earliest failing stage, and certified when all five hold.
 
-Stages 1-3 run in that order. Stage 5 then runs before stage 4, because once
-stages 1-3 hold, the degree is ±1 exactly when stage 4 holds:
+Stage 3 (a set of determinant signs) runs first and, when it holds, stage 2
+next. When both hold, stage 1 holds as well and its sweep is skipped. Write
+B for the support, X = f(∂B) and deg(y) = deg(f, int B, y) for y not in X:
+- by stage 2, f embeds ∂B, a strongly connected closed (n-1)-pseudomanifold
+  (`make_ball_instance`). For n ≥ 2, Alexander duality gives the complement
+  of X exactly two components, and X is orientable because H̃₀ of the
+  complement is free; call the bounded one U and the unbounded one W. For
+  n = 1, X is two points and W is the two unbounded rays;
+- deg depends only on f|∂B: the chain ∂[B] is the sum of the boundary
+  facets, because interior facets cancel. It is constant on each component
+  of the complement, ±1 on U and 0 on W, where far values have no preimage.
+  Across the relative interior of a boundary-facet image, which by stage 2
+  meets no other facet image, it jumps by ±1, so the two sides lie in
+  different components and one of them is W: X lies in the closure of W;
+- by stage 3, every piece has the same nonzero sign, so each regular value
+  y has exactly |deg(y)| preimages;
+- suppose stage 1 fails: an interior x has f(x) in X. By the paper's
+  (ii) ⇒ (i), f is open, so f maps a neighbourhood N of x in int B onto an
+  open set around f(x), which meets W because f(x) lies in its closure. A
+  regular value in that open part of W has a preimage in N, but |deg| = 0
+  on W. That is a contradiction.
+When stage 2 or 3 fails, stages 1, 2 and 3 are reported in that order (stage
+2's result is reused if it was already computed), so every rejection names
+the same stage and witness as running the stages in order would.
+
+Stage 5 then runs before stage 4, because once stages 1-3 hold, the degree
+is ±1 exactly when stage 4 holds:
 - f(int B) is connected and, by stage 1, misses f(∂B), so the degree is
   constant on f(int B);
 - every piece has the same determinant sign (stage 3), so at a regular value
@@ -22,9 +47,9 @@ stages 1-3 hold, the degree is ±1 exactly when stage 4 holds:
 So a degree of ±1 certifies without the O(cells²) stage-4 sweep. The sweep
 runs only when the degree is not ±1, or when `degree` raises, and then the
 verdict follows the stage order: stage 4 if the sweep finds a pair, else
-stage 5 (or the same exception). Every premise of the argument is a stage
-already checked exactly; the tests still run the stage-4 sweep on every
-certified instance of the acceptance corpus.
+stage 5 (or the same exception). Every premise of both arguments is a stage
+checked exactly; the tests still run the skipped stages on every instance
+of the acceptance corpus and compare with running them in order.
 
 Stage 1 implements the witnessed inclusion: no interior face's relative
 interior may meet any boundary-face image. The reverse inclusion (the image
@@ -111,14 +136,14 @@ def boundary_preimage_ok(inst: BallMapInstance) -> tuple[bool, Optional[tuple]]:
 
     A failure returns an exact interior witness point whose image lies in the
     boundary image. Relative interiors of interior faces partition the open
-    support, so the sweep is exhaustive. The pairs whose integer image boxes
-    overlap come from the map's grid over the boundary images
-    (`PLMap.image_grid`, kept for stage 2 and the stage-5 degree), in the
-    order of the nested loop (interior faces by size and ids, then boundary
-    faces). Each is decided by one probe in the boundary-face image's frame
-    (vertex form when that image is degenerate); only the first pair that
-    hits rebuilds its witness point. The frames stay with the map, so stage
-    2 reuses them.
+    support, so the sweep is exhaustive. `certify_ball_map` runs it only when
+    stage 2 or 3 fails; otherwise it holds by the degree argument (module
+    docstring). The pairs whose integer image boxes overlap come from the
+    map's grid over the boundary images (`PLMap.image_grid`, kept with the
+    map), in the order of the nested loop (interior faces by size and ids,
+    then boundary faces). Each is decided by one probe in the boundary-face
+    image's frame (vertex form when that image is degenerate); only the first
+    pair that hits rebuilds its witness point.
     """
     f = inst.map
     grid = f.image_grid(inst.boundary)
@@ -148,7 +173,9 @@ def boundary_restriction_injective(
     (n-1)-simplex (a collapsed face is already a collision within itself);
     given that, the overlap is proper iff it stays inside the affine hull of
     the shared subface's image. The pairs whose image boxes overlap come
-    from stage 1's boundary grid (`BoxGrid.pairs`).
+    from the map's grid over the boundary images (`PLMap.image_grid`, built
+    here at first use and kept for stage 1 and the stage-5 degree) by
+    `BoxGrid.pairs`.
     """
     f = inst.map
     boundary = inst.boundary
@@ -191,19 +218,23 @@ def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
 def certify_ball_map(inst: BallMapInstance) -> Union[Certified, Rejected]:
     """Run the five-stage pipeline; reject at the earliest failing stage.
 
-    Stage 4 runs only when the stage-5 degree is not ±1 (module docstring).
+    Stage 3 runs first, then stage 2; when both hold, stage 1 holds too and
+    is not swept. Otherwise stages 1, 2 and 3 are reported in that order,
+    with stage 2's result reused if it was already computed. Stage 4 runs
+    only when the stage-5 degree is not ±1. Both shortcuts are proved in
+    the module docstring.
     """
     f = inst.map
 
-    ok, witness = boundary_preimage_ok(inst)
-    if not ok:
-        return Rejected(1, "an interior point maps onto the boundary image", witness)
-
-    ok, pair = boundary_restriction_injective(inst)
-    if not ok:
-        return Rejected(2, "boundary restriction is not injective", pair)
-
-    if not coherently_oriented(f):
+    oriented = coherently_oriented(f)
+    injective = boundary_restriction_injective(inst) if oriented else None
+    if not oriented or not injective[0]:
+        ok, witness = boundary_preimage_ok(inst)
+        if not ok:
+            return Rejected(1, "an interior point maps onto the boundary image", witness)
+        ok, pair = injective if oriented else boundary_restriction_injective(inst)
+        if not ok:
+            return Rejected(2, "boundary restriction is not injective", pair)
         profile = sign_profile(f)
         return Rejected(
             3,

@@ -6,9 +6,11 @@ solves with generic Gaussian elimination, memberships are barycentric
 re-solves. Expected values in the tests are computed (or re-checked) with
 these, never copied from the implementation under test.
 
-The last section is different: `lp_feasible`, `hull_dim` and
-`intersection_dim` are the tests' own entry points into the library's
-engine, which no library code calls.
+The last two sections are different. `certify_in_stage_order` runs the
+library's own whyburn stages, each unconditionally and in their numbered
+order, as the reference for the certifier's shortcuts. `lp_feasible`,
+`hull_dim` and `intersection_dim` are the tests' own entry points into the
+library's engine, which no library code calls.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from itertools import permutations
 from math import lcm
 from typing import Optional
 
+from plopen import whyburn
 from plopen.feasible import (
     REL_EQ,
     REL_LE,
@@ -30,6 +33,7 @@ from plopen.feasible import (
     _meet_system,
 )
 from plopen.linalg import Matrix, Vector, null_space, rank, vec_dot, vec_sub
+from plopen.plmap import sign_profile
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -252,6 +256,54 @@ def face_normal_directions(f, face):
         normals.append(scaled)
         normals.append(tuple(-c for c in scaled))
     return normals
+
+
+# ---------------------------------------------------------------------------
+# The whyburn certifier with every stage run in its numbered order.
+# ---------------------------------------------------------------------------
+
+
+def certify_in_stage_order(inst):
+    """Stages 1, 2 and 3 unconditionally, in that order, then the stage-5
+    degree and the stage-4 sweep when the degree is not ±1.
+
+    The certifier skips stage 1 when stages 2 and 3 hold; this runs it
+    always, so comparing the two checks that the skip changes no verdict,
+    stage or witness.
+    """
+    f = inst.map
+    ok, witness = whyburn.boundary_preimage_ok(inst)
+    if not ok:
+        return whyburn.Rejected(1, "an interior point maps onto the boundary image", witness)
+    ok, pair = whyburn.boundary_restriction_injective(inst)
+    if not ok:
+        return whyburn.Rejected(2, "boundary restriction is not injective", pair)
+    if not whyburn.coherently_oriented(f):
+        profile = sign_profile(f)
+        return whyburn.Rejected(
+            3,
+            "map is not open: determinant signs are not coherently oriented",
+            (profile.num_pos, profile.num_neg, profile.num_zero),
+        )
+    center = f.domain.barycenter(f.domain.cells[0].vertex_ids)
+    value = f.pieces[0].apply(center)
+    try:
+        certificate = whyburn.degree(f, value)
+    except (ValueError, RuntimeError):
+        certificate = None
+    if certificate is None or certificate.degree not in (1, -1):
+        collision = whyburn._global_collision(f)
+        if collision is not None:
+            return whyburn.Rejected(4, "global injectivity failure between cell images", collision)
+        if certificate is None:
+            certificate = whyburn.degree(f, value)
+        if certificate.degree not in (1, -1):
+            return whyburn.Rejected(
+                5,
+                f"interior degree is {certificate.degree}, expected plus or minus 1",
+                certificate,
+            )
+    return whyburn.Certified(degree=certificate.degree, certificate=certificate)
 
 
 # ---------------------------------------------------------------------------

@@ -80,8 +80,7 @@ def _named_fixtures() -> list[tuple[str, PLMap]]:
     return named
 
 
-@pytest.fixture(scope="module")
-def corpus():
+def corpus_instances() -> list[tuple[str, PLMap]]:
     instances: list[tuple[str, PLMap]] = []
     for kind in ("random_orientation_preserving", "random_mixed_signs", "singular_cell"):
         for dim, seeds in RANDOM_SEEDS.items():
@@ -92,6 +91,11 @@ def corpus():
     instances.extend(_named_fixtures())
     assert len(instances) >= 100
     return instances
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return corpus_instances()
 
 
 def test_criterion_1_theorem_equivalence(corpus, capsys):

@@ -284,17 +284,11 @@ def assert_sweep_agrees(vertices, cells, ambient_dim=None):
 def acceptance_complexes():
     """The domain and the image of every map in the acceptance corpus, each
     as a complex on the map's cells."""
-    from test_acceptance import RANDOM_SEEDS, _named_fixtures
+    from test_acceptance import corpus_instances
 
-    maps = [
-        generate(GenSpec(kind, dim, seed=seed)).plmap
-        for kind in ("random_orientation_preserving", "random_mixed_signs", "singular_cell")
-        for dim, seeds in RANDOM_SEEDS.items()
-        for seed in seeds
-    ] + [plmap for _, plmap in _named_fixtures()]
     return [
         (points, f.domain.cell_ids, f.ambient_dim)
-        for f in maps
+        for _, f in corpus_instances()
         for points in (f.domain.vertices, f.vertex_images)
     ]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from plopen import cli, feasible
+from plopen import cli, feasible, whyburn
 from plopen.feasible import (
     REL_EQ,
     REL_LE,
@@ -459,6 +459,11 @@ class TestFrameProbeOneRow:
         assert _feasible_int(*solves[0]) is None
 
     def test_few_whyburn_probes_reach_fourier_motzkin(self, monkeypatch, tmp_path, capsys):
+        # Stage 1's sweep (`boundary_preimage_ok`) makes most frame probes of
+        # all; nearly every one is a one-row "no". A certified ball skips that
+        # sweep, so the bound applies to the sweep called directly, and the
+        # whole command must make fewer probes than the sweep's plus the rest
+        # (2,932 + 720 on this ball).
         instance = generate(GenSpec("random_orientation_preserving", 3, resolution=2, seed=1))
         path = tmp_path / "ball.json"
         save_document(path, plmap_to_document(instance.plmap))
@@ -480,9 +485,12 @@ class TestFrameProbeOneRow:
 
         monkeypatch.setattr(feasible, "_frame_probe", counted_probe)
         monkeypatch.setattr(feasible, "_feasible_int", counted_solve)
+        assert whyburn.boundary_preimage_ok(instance.ball) == (True, None)
+        assert counts["probes"] > 100 and counts["solves"] * 10 <= counts["probes"], counts
+        counts.update(probes=0, solves=0)
         assert cli.main(["whyburn", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["certified"]
-        assert counts["probes"] > 100 and counts["solves"] * 10 <= counts["probes"], counts
+        assert 0 < counts["probes"] < 3652, counts
 
 
 def _meets(a, b):

@@ -2,8 +2,9 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plopen import feasible, whyburn
+from plopen import cli, feasible, whyburn
 from plopen.complexes import validate_complex
 from plopen.degree import PerturbationExhausted
 from plopen.feasible import (
@@ -13,8 +14,9 @@ from plopen.feasible import (
     relint_preimage_witness,
     simplex_frame,
 )
-from plopen.generators import GenSpec, generate
-from plopen.instancefile import document_to_plmap, plmap_to_document
+from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
+from plopen.instancefile import document_to_plmap, plmap_to_document, save_document
+from plopen.openness import coherently_oriented
 from plopen.plmap import build_plmap
 from plopen.whyburn import (
     Certified,
@@ -25,6 +27,8 @@ from plopen.whyburn import (
     certify_ball_map,
     make_ball_instance,
 )
+
+from oracles import certify_in_stage_order
 
 
 def F(*args):
@@ -324,3 +328,145 @@ def test_each_vertex_and_image_column_is_built_once(monkeypatch):
     value = outcome.certificate.query_point
     assert outcome.certificate.regular_point_used == value
     assert built == [value] * 3
+
+
+# -- stage 1 by the degree argument --------------------------------------------
+
+
+def _mirrored(f):
+    return build_plmap(f.domain, [(-v[0], *v[1:]) for v in f.vertex_images])
+
+
+def _outcome(certify, f):
+    """What `certify` answers on a fresh ball instance of f, or the type and
+    message of what it raised."""
+    try:
+        return certify(make_ball_instance(build_plmap(f.domain, f.vertex_images)))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_stage_order_agrees(f, name=""):
+    """The certifier answers as running stages 1, 2 and 3 in order does, and
+    stage 1 holds wherever stages 2 and 3 do."""
+    assert _outcome(certify_ball_map, f) == _outcome(certify_in_stage_order, f), name
+    inst = make_ball_instance(f)
+    if coherently_oriented(f) and boundary_restriction_injective(inst)[0]:
+        assert boundary_preimage_ok(inst) == (True, None), name
+
+
+def _generated_maps():
+    """Every generator kind in each of its dimensions, seeds 0 and 1."""
+    for kind in KINDS:
+        for dim in (1, 2, 3):
+            if _FIXED_DIMS.get(kind, dim) == dim:
+                for seed in (0, 1):
+                    yield f"{kind}-{dim}d-s{seed}", generate(GenSpec(kind, dim, seed=seed)).plmap
+
+
+def _multi_stage_failures(doubling2d):
+    """Named balls that fail several of stages 1-3 at once, and doubling2d,
+    which fails stage 2 alone: (name, failing stages, map)."""
+    fan = doubling2d.plmap.domain
+    # the fan's boundary wound twice around the origin, once at radius 1 and
+    # once at radius 2: every cell keeps its sign, and the edges from the
+    # centre to the outer loop pass through the inner loop's vertices
+    two_loops = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (2, 0), (0, 2), (-2, 0), (0, -2)]
+    crossing = interval_map([[-1], [2], [1]]).map  # mixed signs; the middle overshoots 1
+    return [
+        ("two-loop fan", {1, 2}, build_plmap(fan, two_loops)),
+        ("overshooting interval", {1, 3}, crossing),
+        ("fold1d", {2, 3}, generate(GenSpec("fold1d", 1)).plmap),
+        ("doubling2d", {2}, doubling2d.plmap),
+        ("singular_cell-3d-s0", {1, 2, 3}, generate(GenSpec("singular_cell", 3, seed=0)).plmap),
+    ]
+
+
+_SMALL_BALLS = {
+    dim: generate(GenSpec("identity", dim, resolution=res)).plmap.domain
+    for dim, res in ((1, 3), (2, 2), (3, 1))
+}
+
+
+class TestStageOneByDegree:
+    """Stage 1 is skipped once stages 2 and 3 hold; no answer changes."""
+
+    def test_acceptance_corpus_agrees_with_stage_order(self):
+        from test_acceptance import corpus_instances
+
+        for name, f in corpus_instances():
+            _assert_stage_order_agrees(f, name)
+
+    def test_generator_kinds_and_mirrors_agree_with_stage_order(self):
+        for name, f in _generated_maps():
+            _assert_stage_order_agrees(f, name)
+            _assert_stage_order_agrees(_mirrored(f), f"mirrored {name}")
+
+    def test_multi_stage_failures_report_the_earliest_stage(self, doubling2d):
+        for name, failing, f in _multi_stage_failures(doubling2d):
+            inst = make_ball_instance(f)
+            stages = {
+                1: boundary_preimage_ok(inst)[0],
+                2: boundary_restriction_injective(inst)[0],
+                3: coherently_oriented(f),
+            }
+            assert {k for k, ok in stages.items() if not ok} == failing, name
+            outcome = certify_ball_map(make_ball_instance(f))
+            assert isinstance(outcome, Rejected) and outcome.stage == min(failing), name
+            _assert_stage_order_agrees(f, name)
+            _assert_stage_order_agrees(_mirrored(f), f"mirrored {name}")
+
+    @given(st.data())
+    @settings(settings.get_profile("ci"), max_examples=60, deadline=None)
+    def test_perturbed_small_balls_agree(self, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        domain = _SMALL_BALLS[dim]
+        # small moves keep every sign (certified); larger ones fold cells and
+        # push interior images across the boundary image
+        scale = data.draw(st.sampled_from([F(1, 8), F(1, 4), F(1, 2), F(1)]), label="scale")
+        offset = st.integers(-2, 2).map(lambda k: k * scale)
+        images = [tuple(c + data.draw(offset) for c in v) for v in domain.vertices]
+        _assert_stage_order_agrees(build_plmap(domain, images))
+
+
+class TestCertifiedBallsSkipTheSweep:
+    """`whyburn` on a certified ball never calls the stage-1 sweep, and its
+    report is the golden one."""
+
+    CERTIFIED = (
+        "identity-d1-s0-vertex_images",
+        "identity-d2-s1-pieces",
+        "identity-d3-s0-vertex_images",
+        "random_orientation_preserving-d1-s0-vertex_images",
+        "random_orientation_preserving-d2-s0-vertex_images",
+        "random_orientation_preserving-d3-s0-vertex_images",
+        "shear-d2-s0-vertex_images",
+    )
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        calls = []
+
+        def forbidden(inst):
+            calls.append(inst)
+            raise AssertionError("stage-1 sweep called")
+
+        monkeypatch.setattr(whyburn, "boundary_preimage_ok", forbidden)
+        return calls
+
+    def test_certified_balls_keep_their_golden_reports(self, sweeps, tmp_path):
+        from test_golden import GOLDEN, _run, golden_documents
+
+        docs = golden_documents()
+        for name in self.CERTIFIED:
+            path = tmp_path / f"{name}.json"
+            save_document(path, docs[name])
+            assert _run(["whyburn", str(path)]) == GOLDEN[f"{name} whyburn"], name
+        assert sweeps == []
+
+    def test_mixed_signs_still_reach_stage_one(self, sweeps, tmp_path):
+        path = tmp_path / "mixed.json"
+        save_document(path, plmap_to_document(generate(GenSpec("random_mixed_signs", 2)).plmap))
+        with pytest.raises(AssertionError, match="stage-1 sweep called"):
+            cli.main(["whyburn", str(path)])
+        assert len(sweeps) == 1
