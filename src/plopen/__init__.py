@@ -14,7 +14,6 @@ from .complexes import (
     SimplicialComplex,
     Simplex,
     Violation,
-    boundary_faces,
     validate_complex,
 )
 from .degree import (

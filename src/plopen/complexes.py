@@ -19,12 +19,14 @@ cell 0's barycentre, no two cells meet improperly. That costs one sign per
 interior facet and one probe per pair of boundary facets whose boxes meet.
 Only when a premise fails does the all-pairs sweep run
 (`improper_intersections`), over the pairs of the grid over the cell boxes
-(`IntegerPoints.grid`), and it alone reports improper intersections. Point
-location asks that cell grid, built at its first query (or by the sweep)
-and kept, which cell boxes hold the point's integer homogeneous column,
-then reads the signs of barycentric weights in those cells' frames, in cell
-order: each query is classified as interior to a unique cell, on the
-relative interior of a unique smallest face, or outside the support.
+(`IntegerPoints.grid`), and it alone reports improper intersections. Both
+walk their pairs with one loop, `improper_pairs`, as `whyburn`'s
+boundary-injectivity stage does. Point location asks that cell grid, built
+at its first query (or by the sweep) and kept, which cell boxes hold the
+point's integer homogeneous column, then reads the signs of barycentric
+weights in those cells' frames, in cell order: each query is classified as
+interior to a unique cell, on the relative interior of a unique smallest
+face, or outside the support.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import feasible
 from .linalg import DimensionError, Vector, vector
@@ -179,34 +181,44 @@ class SimplicialComplex:
         return Located("outside")
 
 
-def boundary_faces(complex_: SimplicialComplex) -> tuple[Face, ...]:
-    """The (n-1)-faces on the topological boundary of the support."""
-    return complex_.boundary
+def improper_pairs(
+    points: feasible.IntegerPoints,
+    faces: Sequence[Face],
+    cells: Sequence[Face],
+    frames: Sequence[feasible.SimplexFrame],
+) -> Iterator[tuple[int, int, Face]]:
+    """The pairs of simplices that meet improperly: (i, k, shared face).
+
+    Two simplices must meet exactly in the simplex spanned by their shared
+    vertices. For simplices, conv(P) ∩ aff(shared) equals the shared face,
+    so the intersection is proper iff it stays inside that affine hull (iff
+    it is empty when no vertices are shared): one strict probe per pair
+    whose integer boxes overlap, in the frame of faces[i] (frames[i]). The
+    pairs come from the grid over the boxes of faces (`IntegerPoints.grid`,
+    stepped by the cells' boxes), in `BoxGrid.pairs` order, and the grid
+    finds each simplex's partners only when it is reached, so a caller that
+    takes the first pair probes no further.
+    """
+    for i, k in points.grid(faces, cells).pairs():
+        face_i, face_k = faces[i], faces[k]
+        span = [j for j, v in enumerate(face_i) if v in face_k]
+        if feasible.hull_leaves_affine_span(frames[i], points.cols(face_k), span):
+            yield i, k, tuple(face_i[j] for j in span)
 
 
 def improper_intersections(
     points: feasible.IntegerPoints, cell_ids: Sequence[Face]
 ) -> list[Violation]:
-    """The improper_intersection violations of the all-pairs properness sweep.
-
-    Two cells must meet exactly in the simplex spanned by their shared
-    vertices. For simplices, conv(P) ∩ aff(shared) equals the shared face,
-    so the intersection is proper iff it stays inside that affine hull (iff
-    it is empty when no vertices are shared): one strict probe per pair
-    whose integer boxes overlap, in cell a's frame. The pairs come from the
-    grid over the cell boxes, which the points keep for `locate`.
-    """
+    """The improper_intersection violations of the all-pairs properness sweep
+    (`improper_pairs` over the cells, whose grid the points keep for `locate`)."""
     violations = []
-    for a, b in points.grid(cell_ids, cell_ids).pairs():
-        ids_a, ids_b = cell_ids[a], cell_ids[b]
-        span = [j for j, v in enumerate(ids_a) if v in ids_b]
-        if feasible.hull_leaves_affine_span(points.frame(ids_a), points.cols(ids_b), span):
-            shared = tuple(ids_a[j] for j in span)
-            if shared:
-                message = f"cells {a} and {b} overlap beyond their common face {shared}"
-            else:
-                message = f"cells {a} and {b} intersect but share no face"
-            violations.append(Violation("improper_intersection", message, (a, b)))
+    frames = [points.frame(ids) for ids in cell_ids]
+    for a, b, shared in improper_pairs(points, cell_ids, cell_ids, frames):
+        if shared:
+            message = f"cells {a} and {b} overlap beyond their common face {shared}"
+        else:
+            message = f"cells {a} and {b} intersect but share no face"
+        violations.append(Violation("improper_intersection", message, (a, b)))
     return violations
 
 
@@ -236,7 +248,9 @@ def _proper_by_degree(
     cells meeting improperly would give two points of the complex one
     position, and then the cells around the two would both cover generic
     points near it. This is Lipman's injectivity theorem for meshes, with
-    the identity as the map. False means "not proved": the sweep decides.
+    the identity as the map; `whyburn` certifies a ball map by the same
+    argument with the map in its place (its module docstring). False means
+    "not proved": the sweep decides.
     """
     n = len(cell_ids[0]) - 1
     frames = [points.frame(ids) for ids in cell_ids]
@@ -265,12 +279,7 @@ def _proper_by_degree(
         (owner,) = face_cells[face]
         j = next(k for k, v in enumerate(cell_ids[owner]) if v not in face)
         facet_frames.append(frames[owner].facet(j))
-    for i, k in points.grid(boundary, cell_ids).pairs():
-        face_i, face_k = boundary[i], boundary[k]
-        span = [j for j, v in enumerate(face_i) if v in face_k]
-        if feasible.hull_leaves_affine_span(facet_frames[i], points.cols(face_k), span):
-            return False
-    return True
+    return next(improper_pairs(points, boundary, cell_ids, facet_frames), None) is None
 
 
 def collect_violations(

@@ -3,9 +3,12 @@
 For a piecewise-affine map on a complex whose support is a combinatorial
 closed ball, the certifier checks: (1) no interior point maps onto the
 boundary image, (2) the boundary restriction is injective, (3) the map is
-open (coherent orientation), (4) exact global injectivity pairwise over all
-cells, (5) the degree at an interior value is plus or minus one. A map is
-rejected at the earliest failing stage, and certified when all five hold.
+open (coherent orientation). A map is rejected at the earliest failing
+stage. When all three hold, the paper's application (Whyburn's conjecture
+for these maps: an open map of a ball that embeds the boundary is a
+homeomorphism) gives (4) global injectivity and (5) degree plus or minus
+one at every interior value; the degree at the image of cell 0's
+barycentre, with its certificate, is the evidence.
 
 Stage 3 (a set of determinant signs) runs first and, when it holds, stage 2
 next. When both hold, stage 1 holds as well and its sweep is skipped. Write
@@ -32,24 +35,15 @@ When stage 2 or 3 fails, stages 1, 2 and 3 are reported in that order (stage
 2's result is reused if it was already computed), so every rejection names
 the same stage and witness as running the stages in order would.
 
-Stage 5 then runs before stage 4, because once stages 1-3 hold, the degree
-is ±1 exactly when stage 4 holds:
-- f(int B) is connected and, by stage 1, misses f(∂B), so the degree is
-  constant on f(int B);
-- every piece has the same determinant sign (stage 3), so at a regular value
-  |degree| counts preimages;
-- if f(x) = f(y) for interior x ≠ y, openness maps disjoint neighbourhoods of
-  x and y onto open sets whose intersection holds regular values with at
-  least two preimages, so |degree| ≥ 2; a pair of equal images with a point
-  on the boundary breaks stage 1 or 2;
-- conversely, if f is injective, the value used (the image of a cell's
-  barycenter) has one nonsingular preimage, so the degree is ±1.
-So a degree of ±1 certifies without the O(cells²) stage-4 sweep. The sweep
-runs only when the degree is not ±1, or when `degree` raises, and then the
-verdict follows the stage order: stage 4 if the sweep finds a pair, else
-stage 5 (or the same exception). Every premise of both arguments is a stage
-checked exactly; the tests still run the skipped stages on every instance
-of the acceptance corpus and compare with running them in order.
+Stages 4 and 5 are a corollary of the same argument. By stage 1, f(int B)
+misses X. A value y = f(x) in W would have an open set of regular values
+around it with preimages near x (openness), but |deg| = 0 on W; so
+f(int B) ⊂ U, where every regular value has exactly one preimage. If
+f(x) = f(x') for interior x ≠ x', openness maps disjoint neighbourhoods of
+the two onto open sets whose intersection holds regular values with two
+preimages; a pair with a point on the boundary breaks stage 1 or 2. So f
+is injective, and the degree at any value of f(int B) is ±1. The tests run
+the stage-4 sweep on every map they certify.
 
 Stage 1 implements the witnessed inclusion: no interior face's relative
 interior may meet any boundary-face image. The reverse inclusion (the image
@@ -64,7 +58,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import feasible
-from .complexes import Face, boundary_cycle_defects, cells_connected
+from .complexes import Face, boundary_cycle_defects, cells_connected, improper_pairs
 from .degree import DegreeCertificate, degree
 from .openness import coherently_oriented
 from .plmap import PLMap, sign_profile
@@ -174,55 +168,30 @@ def boundary_restriction_injective(
     given that, the overlap is proper iff it stays inside the affine hull of
     the shared subface's image. The pairs whose image boxes overlap come
     from the map's grid over the boundary images (`PLMap.image_grid`, built
-    here at first use and kept for stage 1 and the stage-5 degree) by
-    `BoxGrid.pairs`.
+    here at first use and kept for the degree, and for stage 1 when it
+    runs), walked by `improper_pairs`.
     """
     f = inst.map
     boundary = inst.boundary
-    for face in boundary:
-        if f.images.frame(face) is None:
+    frames = [f.images.frame(face) for face in boundary]
+    for face, frame in zip(boundary, frames):
+        if frame is None:
             return False, (face, face)
-    for i, j in f.image_grid(boundary).pairs():
-        face_a, face_b = boundary[i], boundary[j]
-        span = [k for k, v in enumerate(face_a) if v in face_b]
-        if feasible.hull_leaves_affine_span(f.images.frame(face_a), f.images.cols(face_b), span):
-            return False, (face_a, face_b)
+    pair = next(improper_pairs(f.images, boundary, f.domain.cell_ids, frames), None)
+    if pair is not None:
+        return False, (boundary[pair[0]], boundary[pair[1]])
     return True, None
 
 
-def _global_collision(f: PLMap) -> Optional[tuple[int, int]]:
-    """Lexicographically smallest cell pair whose images overlap improperly.
-
-    Runs after coherent orientation is established, so every cell image is a
-    nondegenerate simplex. Pairs adjacent across an (n-1)-face with equal
-    determinant signs are skipped: their images lie strictly on opposite
-    sides of the shared image hyperplane, so the overlap equals the shared
-    image face exactly. For the rest, conv(image) ∩ aff(shared image) equals
-    the shared image face, so an improper overlap is exactly one that leaves
-    that affine hull (or any overlap at all for disjoint cells). The pairs
-    whose image boxes overlap come from the map's cell grid
-    (`PLMap.image_grid`, the one fibers read) by `BoxGrid.pairs`.
-    """
-    n = f.ambient_dim
-    cells = f.domain.cell_ids
-    for a, b in f.image_grid(cells).pairs():
-        ids = cells[a]
-        span = [k for k, v in enumerate(ids) if v in cells[b]]
-        if len(span) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
-            continue
-        if feasible.hull_leaves_affine_span(f.images.frame(ids), f.images.cols(cells[b]), span):
-            return a, b
-    return None
-
-
 def certify_ball_map(inst: BallMapInstance) -> Union[Certified, Rejected]:
-    """Run the five-stage pipeline; reject at the earliest failing stage.
+    """Reject at the earliest failing stage of 1-3, else certify with the degree.
 
     Stage 3 runs first, then stage 2; when both hold, stage 1 holds too and
     is not swept. Otherwise stages 1, 2 and 3 are reported in that order,
-    with stage 2's result reused if it was already computed. Stage 4 runs
-    only when the stage-5 degree is not ±1. Both shortcuts are proved in
-    the module docstring.
+    with stage 2's result reused if it was already computed. Once all three
+    hold, stages 4 and 5 follow (module docstring), and the degree at the
+    image of cell 0's barycentre is the certificate; `degree`'s errors
+    propagate.
     """
     f = inst.map
 
@@ -242,24 +211,7 @@ def certify_ball_map(inst: BallMapInstance) -> Union[Certified, Rejected]:
             (profile.num_pos, profile.num_neg, profile.num_zero),
         )
 
-    # Given stages 1-3, stage 5 passes exactly when stage 4 does (module
-    # docstring), so the O(cells²) sweep runs only when the degree is not ±1.
     center = f.domain.barycenter(f.domain.cells[0].vertex_ids)
-    value = f.pieces[0].apply(center)
-    try:
-        certificate = degree(f, value)
-    except (ValueError, RuntimeError):  # the bases of the degree module's errors
-        certificate = None
-    if certificate is None or certificate.degree not in (1, -1):
-        collision = _global_collision(f)
-        if collision is not None:
-            return Rejected(4, "global injectivity failure between cell images", collision)
-        if certificate is None:
-            certificate = degree(f, value)  # raises the same error again, after stage 4
-        if certificate.degree not in (1, -1):
-            return Rejected(
-                5,
-                f"interior degree is {certificate.degree}, expected plus or minus 1",
-                certificate,
-            )
+    certificate = degree(f, f.pieces[0].apply(center))
+    assert certificate.degree in (1, -1), "stages 1-3 hold, so the degree is ±1"
     return Certified(degree=certificate.degree, certificate=certificate)

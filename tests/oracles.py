@@ -7,10 +7,11 @@ re-solves. Expected values in the tests are computed (or re-checked) with
 these, never copied from the implementation under test.
 
 The last two sections are different. `certify_in_stage_order` runs the
-library's own whyburn stages, each unconditionally and in their numbered
-order, as the reference for the certifier's shortcuts. `lp_feasible`,
-`hull_dim` and `intersection_dim` are the tests' own entry points into the
-library's engine, which no library code calls.
+library's own whyburn stages and degree, with the stage-4 sweep
+(`global_collision`, on the library's probe), each unconditionally and in
+their numbered order, as the reference for the certifier's shortcuts.
+`lp_feasible`, `hull_dim` and `intersection_dim` are the tests' own entry
+points into the library's engine, which no library code calls.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from plopen.feasible import (
     _from_fractions,
     _Infeasible,
     _meet_system,
+    hull_leaves_affine_span,
 )
 from plopen.linalg import Matrix, Vector, null_space, rank, vec_dot, vec_sub
 from plopen.plmap import sign_profile
@@ -263,13 +265,38 @@ def face_normal_directions(f, face):
 # ---------------------------------------------------------------------------
 
 
-def certify_in_stage_order(inst):
-    """Stages 1, 2 and 3 unconditionally, in that order, then the stage-5
-    degree and the stage-4 sweep when the degree is not ±1.
+def global_collision(f):
+    """Stage 4, the reference sweep: the lexicographically smallest cell pair
+    whose images overlap improperly, or None.
 
-    The certifier skips stage 1 when stages 2 and 3 hold; this runs it
-    always, so comparing the two checks that the skip changes no verdict,
-    stage or witness.
+    Runs after coherent orientation is established, so every cell image is a
+    nondegenerate simplex. Pairs adjacent across an (n-1)-face with equal
+    determinant signs are skipped: their images lie strictly on opposite
+    sides of the shared image hyperplane, so the overlap equals the shared
+    image face exactly. For the rest, conv(image) ∩ aff(shared image) equals
+    the shared image face, so an improper overlap is exactly one that leaves
+    that affine hull (or any overlap at all for disjoint cells). The pairs
+    whose image boxes overlap come from the map's cell grid
+    (`PLMap.image_grid`) by `BoxGrid.pairs`.
+    """
+    n = f.ambient_dim
+    cells = f.domain.cell_ids
+    for a, b in f.image_grid(cells).pairs():
+        ids = cells[a]
+        span = [k for k, v in enumerate(ids) if v in cells[b]]
+        if len(span) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
+            continue
+        if hull_leaves_affine_span(f.images.frame(ids), f.images.cols(cells[b]), span):
+            return a, b
+    return None
+
+
+def certify_in_stage_order(inst):
+    """Stages 1 to 5 unconditionally, in their numbered order.
+
+    The certifier skips stage 1 when stages 2 and 3 hold, and stages 4 and 5
+    follow from stages 1-3; this runs every stage, so comparing the two
+    checks that no shortcut changes a verdict, stage or witness.
     """
     f = inst.map
     ok, witness = whyburn.boundary_preimage_ok(inst)
@@ -285,24 +312,15 @@ def certify_in_stage_order(inst):
             "map is not open: determinant signs are not coherently oriented",
             (profile.num_pos, profile.num_neg, profile.num_zero),
         )
+    collision = global_collision(f)
+    if collision is not None:
+        return whyburn.Rejected(4, "global injectivity failure between cell images", collision)
     center = f.domain.barycenter(f.domain.cells[0].vertex_ids)
-    value = f.pieces[0].apply(center)
-    try:
-        certificate = whyburn.degree(f, value)
-    except (ValueError, RuntimeError):
-        certificate = None
-    if certificate is None or certificate.degree not in (1, -1):
-        collision = whyburn._global_collision(f)
-        if collision is not None:
-            return whyburn.Rejected(4, "global injectivity failure between cell images", collision)
-        if certificate is None:
-            certificate = whyburn.degree(f, value)
-        if certificate.degree not in (1, -1):
-            return whyburn.Rejected(
-                5,
-                f"interior degree is {certificate.degree}, expected plus or minus 1",
-                certificate,
-            )
+    certificate = whyburn.degree(f, f.pieces[0].apply(center))
+    if certificate.degree not in (1, -1):
+        return whyburn.Rejected(
+            5, f"interior degree is {certificate.degree}, expected plus or minus 1", certificate
+        )
     return whyburn.Certified(degree=certificate.degree, certificate=certificate)
 
 

@@ -10,7 +10,6 @@ from plopen.complexes import (
     InvalidComplexError,
     Located,
     NonManifoldError,
-    boundary_faces,
     cells_connected,
     collect_violations,
     scaled_star,
@@ -421,17 +420,17 @@ class TestLocate:
 class TestBoundary:
     def test_single_triangle(self):
         complex_ = validate_complex([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]])
-        assert boundary_faces(complex_) == ((0, 1), (0, 2), (1, 2))
+        assert complex_.boundary == ((0, 1), (0, 2), (1, 2))
 
     def test_glued_triangles_hide_the_diagonal(self):
         complex_ = validate_complex(*TWO_TRIANGLES)
-        assert (0, 2) not in boundary_faces(complex_)
-        assert len(boundary_faces(complex_)) == 4
+        assert (0, 2) not in complex_.boundary
+        assert len(complex_.boundary) == 4
 
     def test_boundary_cycle_closes(self):
         complex_ = validate_complex(*TWO_TRIANGLES)
         ridge_incidence = {}
-        for face in boundary_faces(complex_):
+        for face in complex_.boundary:
             for v in face:
                 ridge_incidence.setdefault((v,), []).append(face)
         assert all(len(inc) == 2 for inc in ridge_incidence.values())
@@ -446,7 +445,7 @@ class TestBoundary:
     @pytest.mark.parametrize("spec", COMPLEXES)
     def test_on_boundary_is_a_subset_of_a_boundary_face(self, spec):
         complex_ = sample_complex(spec)
-        facets = [set(face) for face in boundary_faces(complex_)]
+        facets = [set(face) for face in complex_.boundary]
         for ids, info in complex_.faces.items():
             assert info.on_boundary == any(set(ids) <= facet for facet in facets), ids
 

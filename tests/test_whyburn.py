@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -28,7 +27,7 @@ from plopen.whyburn import (
     make_ball_instance,
 )
 
-from oracles import certify_in_stage_order
+from oracles import certify_in_stage_order, global_collision
 
 
 def F(*args):
@@ -200,6 +199,53 @@ class TestCertify:
             assert outcome.degree == 1
             assert len(outcome.certificate.fiber) == 1
 
+
+class TestDegreeCertificate:
+    """Once stages 1-3 hold, one `degree` call is the certificate; rejected
+    maps never compute a degree."""
+
+    @pytest.fixture()
+    def degrees(self, monkeypatch):
+        calls = []
+        real = whyburn.degree
+
+        def counted(f, value):
+            calls.append(real(f, value))
+            return calls[-1]
+
+        monkeypatch.setattr(whyburn, "degree", counted)
+        return calls
+
+    def test_certificate_is_the_single_degree_call(self, degrees):
+        for dim in (1, 2, 3):
+            degrees.clear()
+            outcome = certify_ball_map(generate(GenSpec("identity", dim)).ball)
+            assert isinstance(outcome, Certified) and outcome.degree == 1
+            assert len(degrees) == 1 and outcome.certificate is degrees[0]
+
+    def test_rejections_never_compute_the_degree(
+        self, degrees, interior_fold1d, doubling2d
+    ):
+        cases = (
+            (interior_fold1d.ball, 3),
+            (doubling2d.ball, 2),
+            (interval_map([[-1], [1], [F(1, 2)]]), 1),
+        )
+        for inst, stage in cases:
+            outcome = certify_ball_map(inst)
+            assert isinstance(outcome, Rejected) and outcome.stage == stage
+        assert degrees == []
+
+    def test_degree_error_propagates(self, monkeypatch):
+        inst = generate(GenSpec("identity", 2)).ball
+
+        def exhausted(f, value):
+            raise PerturbationExhausted(tuple(value), [])
+
+        monkeypatch.setattr(whyburn, "degree", exhausted)
+        with pytest.raises(PerturbationExhausted):
+            certify_ball_map(inst)
+
     def test_certified_maps_have_singleton_regular_fibers(self):
         from plopen.degree import is_regular_value
         from plopen.plmap import fiber
@@ -253,53 +299,6 @@ class TestCertify:
         assert isinstance(outcome, Certified) and outcome.degree == -1
 
 
-class TestDegreeBeforeSweep:
-    """Stage 5 runs first; the stage-4 sweep runs only when it is not ±1."""
-
-    @pytest.fixture()
-    def sweeps(self, monkeypatch):
-        calls = []
-        sweep = whyburn._global_collision
-
-        def counted(f):
-            calls.append(f)
-            return sweep(f)
-
-        monkeypatch.setattr(whyburn, "_global_collision", counted)
-        return calls
-
-    def test_degree_one_skips_the_sweep(self, sweeps):
-        outcome = certify_ball_map(generate(GenSpec("identity", 2)).ball)
-        assert isinstance(outcome, Certified) and outcome.degree == 1
-        assert sweeps == []
-
-    def test_degree_two_sweeps_then_rejects_at_stage_5(self, sweeps, monkeypatch):
-        inst = generate(GenSpec("identity", 2)).ball
-        real = whyburn.degree
-        seen = []
-
-        def doubled(f, value):
-            seen.append(dataclasses.replace(real(f, value), degree=2))
-            return seen[-1]
-
-        monkeypatch.setattr(whyburn, "degree", doubled)
-        outcome = certify_ball_map(inst)
-        assert sweeps == [inst.map]
-        assert isinstance(outcome, Rejected) and outcome.stage == 5
-        assert outcome.witness is seen[0] and len(seen) == 1
-
-    def test_degree_error_surfaces_after_the_sweep(self, sweeps, monkeypatch):
-        inst = generate(GenSpec("identity", 2)).ball
-
-        def exhausted(f, value):
-            raise PerturbationExhausted(tuple(value), [])
-
-        monkeypatch.setattr(whyburn, "degree", exhausted)
-        with pytest.raises(PerturbationExhausted):
-            certify_ball_map(inst)
-        assert sweeps == [inst.map]
-
-
 def test_each_vertex_and_image_column_is_built_once(monkeypatch):
     """Loading and certifying a ball builds one homogeneous column per vertex,
     one per vertex image, and otherwise only the degree's query columns.
@@ -347,12 +346,16 @@ def _outcome(certify, f):
 
 
 def _assert_stage_order_agrees(f, name=""):
-    """The certifier answers as running stages 1, 2 and 3 in order does, and
-    stage 1 holds wherever stages 2 and 3 do."""
-    assert _outcome(certify_ball_map, f) == _outcome(certify_in_stage_order, f), name
+    """The certifier answers as running stages 1 to 5 in order does, and
+    wherever stages 2 and 3 hold, so do stage 1, stage 4 (no collision in
+    the reference sweep) and stage 5 (the certifier's degree is ±1)."""
+    outcome = _outcome(certify_ball_map, f)
+    assert outcome == _outcome(certify_in_stage_order, f), name
     inst = make_ball_instance(f)
     if coherently_oriented(f) and boundary_restriction_injective(inst)[0]:
         assert boundary_preimage_ok(inst) == (True, None), name
+        assert global_collision(f) is None, name
+        assert isinstance(outcome, Certified) and outcome.degree in (1, -1), name
 
 
 def _generated_maps():
