@@ -110,7 +110,6 @@ class SimplicialComplex:
     boundary: tuple[Face, ...]  # (n-1)-faces incident to exactly one cell
     # each cell's vertex ids; the key of the kept cell grid (`IntegerPoints.grid`)
     cell_ids: tuple[Face, ...] = field(repr=False)
-    _proper_faces: Optional[tuple[Face, ...]] = field(default=None, repr=False)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -146,17 +145,6 @@ class SimplicialComplex:
         ]
         out.sort(key=lambda ids: (len(ids), ids))
         return out
-
-    def proper_faces(self) -> tuple[Face, ...]:
-        """The faces of dimension <= n-1, by size and then by ids; sorted once."""
-        if self._proper_faces is None:
-            self._proper_faces = tuple(
-                sorted(
-                    (ids for ids, info in self.faces.items() if info.dim < self.ambient_dim),
-                    key=lambda ids: (len(ids), ids),
-                )
-            )
-        return self._proper_faces
 
     def locate(self, point: Vector) -> Located:
         """Exact classification of a point against the support.

@@ -10,14 +10,18 @@ meets the segment's box; a box miss is a miss). The segment test replaces a
 metric closeness bound: both are licensed by local constancy, and segment
 avoidance needs no square roots.
 
-Whether a point lies in a face's image (the boundary and regularity scans)
-is read from what the map's `IntegerPoints` keeps. The grid over the image
-boxes of the face list (`PLMap.image_grid`, built at the first query and
-kept) names the faces whose boxes hold the point's homogeneous column, in
-list order, and only those take the sign test of the image's integer frame
-on the same column. Only an affinely dependent image, such as a singular
-cell's, is decided by a Fourier–Motzkin probe. The segment's obstacles come
-from the same boundary grid, asked for the boxes that meet the segment's.
+Every face's image lies in the image of each cell that has the face, so
+one scan of the cell images that hold a point decides whether the point is
+on the boundary image, whether it is regular, and its fiber (`_scan`). The
+map's cell grid (`PLMap.image_grid`, built at the first query and kept)
+names the cells whose image boxes hold the point's homogeneous column, and
+the point's weights in each such cell's integer image frame are read once:
+a negative weight is a miss, all positive a fiber point, and a zero weight
+names the faces whose images hold the point. Only an affinely dependent
+image, such as a singular cell's, is decided by a Fourier–Motzkin probe. On
+the perturbation path, the segment's obstacles come from the map's grid
+over the boundary images, asked for the boxes that meet the segment's, and
+each is probed in its image's frame.
 
 Local degree restricts the map to the closed star of the carrier face of a
 point, rescaled toward the point until its closure meets the fiber only
@@ -34,7 +38,7 @@ from typing import Optional, Sequence
 from . import feasible
 from .complexes import Face, SimplicialComplex, scaled_star, validate_complex
 from .linalg import DimensionError
-from .plmap import FiniteFiber, PLMap, build_plmap, fiber, finite_fibers
+from .plmap import FiniteFiber, PLMap, build_plmap, fiber, finite_fibers, image_weights, preimage
 
 
 class BoundaryImageError(ValueError):
@@ -102,8 +106,7 @@ def _query_column(f: PLMap, point) -> tuple[int, ...]:
 
 
 def _image_holds(f: PLMap, face: Face, point, column: tuple[int, ...]) -> bool:
-    """Whether the point (with its homogeneous column) lies in the image of a
-    face whose image box already holds it.
+    """Whether the point (with its homogeneous column) lies in a face's image.
 
     The sign test in the image's frame decides; an affinely dependent image
     has no frame and is probed.
@@ -114,62 +117,129 @@ def _image_holds(f: PLMap, face: Face, point, column: tuple[int, ...]) -> bool:
     return frame.contains(column)
 
 
+def _size_order(face: Face) -> tuple[int, Face]:
+    return len(face), face
+
+
+def _proper_subfaces(cell: Face) -> list[Face]:
+    """The proper faces of a cell, by size and then by ids."""
+    k = len(cell)
+    subsets = (
+        tuple(v for i, v in enumerate(cell) if mask >> i & 1) for mask in range(1, (1 << k) - 1)
+    )
+    return sorted(subsets, key=_size_order)
+
+
+@dataclass(frozen=True)
+class _Scan:
+    """What one pass over the cell images that hold a point decides."""
+
+    boundary: Optional[Face]  # the least boundary face whose image holds the point
+    diagnosis: Optional[str]  # why the point is irregular; None when it is regular
+    fiber: tuple[tuple[tuple, int], ...]  # (point, sign) by point; complete when regular
+
+
+def _scan(f: PLMap, point, column: tuple[int, ...]) -> _Scan:
+    """The boundary test, regularity and the fiber of a point, from the cells
+    whose image boxes hold it (one `BoxGrid.holders` call).
+
+    A face's image lies in the image of every cell that has the face, so
+    every face image that holds the point lies in a cell image that holds
+    it. In a nonsingular cell the point's `image_weights` w decide: min w < 0
+    is a miss; min w > 0 is a fiber point; min w = 0 puts the point in the
+    image of the face of the positive weights, the least face of the cell
+    whose image holds it, and in the image of each facet opposite a zero
+    weight. A singular cell's image is probed as a whole, and on a hit its
+    proper faces one by one, skipping those that could not be named. The
+    boundary face reported is the least one found and the diagnosis names
+    the least face found by size and then by ids, else the first singular
+    cell: the first offenders of a scan over every face in those orders.
+    """
+    faces, cells = f.domain.faces, f.domain.cell_ids
+    n = f.ambient_dim
+    boundary: Optional[Face] = None
+    offender: Optional[Face] = None
+    singular: Optional[int] = None
+    entries = []
+
+    def names_boundary(face: Face) -> bool:
+        on_boundary = len(face) == n and len(faces[face].cells) == 1
+        return on_boundary and (boundary is None or face < boundary)
+
+    def names_offender(face: Face) -> bool:
+        return offender is None or _size_order(face) < _size_order(offender)
+
+    def record(face: Face) -> None:
+        nonlocal boundary, offender
+        if names_boundary(face):
+            boundary = face
+        if names_offender(face):
+            offender = face
+
+    for ci in f.image_grid(cells).holders(column):
+        ids, sign = cells[ci], f.pieces[ci].det_sign
+        if sign:
+            weights = image_weights(f, ids, column)
+            low = min(weights)
+            if low > 0:
+                entries.append((preimage(f, ids, weights), sign))
+            elif low == 0:
+                record(tuple(v for v, w in zip(ids, weights) if w))
+                for j, w in enumerate(weights):
+                    if not w:
+                        record(ids[:j] + ids[j + 1 :])
+        elif _image_holds(f, ids, point, column):
+            if singular is None:
+                singular = ci
+            for face in _proper_subfaces(ids):
+                if (names_offender(face) or names_boundary(face)) and _image_holds(
+                    f, face, point, column
+                ):
+                    record(face)
+    if offender is not None:
+        diagnosis = f"point lies in the image of face {offender} (dim {len(offender) - 1})"
+    elif singular is not None:
+        diagnosis = f"point lies in the image of singular cell {singular}"
+    else:
+        diagnosis = None
+    return _Scan(boundary, diagnosis, tuple(sorted(entries)))
+
+
 def point_on_boundary_image(f: PLMap, point) -> Optional[Face]:
-    """The first boundary face whose image holds the point, or None."""
-    column = _query_column(f, point)
-    boundary = f.domain.boundary
-    for k in f.image_grid(boundary).holders(column):
-        if _image_holds(f, boundary[k], point, column):
-            return boundary[k]
-    return None
+    """The first boundary face, in sorted order, whose image holds the point,
+    or None: the boundary test of the point's one image scan (`_scan`)."""
+    return _scan(f, point, _query_column(f, point)).boundary
 
 
 def is_regular_value(f: PLMap, point) -> tuple[bool, Optional[str]]:
     """Whether every preimage of the point has a nonsingular derivative.
 
     Exactly: the point avoids the image of every face of dimension <= n-1 and
-    the image of every singular cell. Only the images whose boxes hold the
-    point are tested (`PLMap.image_grid`), each by the sign test in its
-    frame; a singular cell's image has no frame and takes a Fourier–Motzkin
-    probe. The diagnosis names the first offender, faces taken by size and
-    then by vertex ids.
+    the image of every singular cell. One scan of the cell images whose
+    boxes hold the point decides it (`_scan`); the diagnosis names the first
+    offender, faces taken by size and then by vertex ids, then singular
+    cells in order.
     """
-    column = _query_column(f, point)
-    faces = f.domain.proper_faces()
-    for k in f.image_grid(faces).holders(column):
-        ids = faces[k]
-        if _image_holds(f, ids, point, column):
-            return False, f"point lies in the image of face {ids} (dim {len(ids) - 1})"
-    cells = f.domain.cell_ids
-    for ci in f.image_grid(cells).holders(column):
-        if f.pieces[ci].det_sign == 0 and _image_holds(f, cells[ci], point, column):
-            return False, f"point lies in the image of singular cell {ci}"
-    return True, None
+    diagnosis = _scan(f, point, _query_column(f, point)).diagnosis
+    return diagnosis is None, diagnosis
 
 
-def _refuse_boundary_image(f: PLMap, point) -> None:
-    offending = point_on_boundary_image(f, point)
-    if offending is not None:
+def _refuse_boundary_image(scan: _Scan) -> None:
+    if scan.boundary is not None:
         raise BoundaryImageError(
-            f"degree undefined: point lies in the image of boundary face {offending}"
+            f"degree undefined: point lies in the image of boundary face {scan.boundary}"
         )
 
 
-def _sign_sum(
-    f: PLMap, query: tuple, regular: tuple, evidence: PathEvidence
+def _certificate(
+    query: tuple, regular: tuple, scan: _Scan, evidence: PathEvidence
 ) -> DegreeCertificate:
-    """The certificate at a regular point already checked to be off the boundary image."""
-    fib = fiber(f, regular)
-    assert isinstance(fib, FiniteFiber)
-    entries = []
-    for fp in fib.points:
-        assert len(fp.cells) == 1 and fp.signs[0] != 0  # regularity
-        entries.append((fp.point, fp.signs[0]))
+    """The certificate at a regular point off the boundary image, from its scan."""
     return DegreeCertificate(
-        degree=sum(s for _, s in entries),
+        degree=sum(s for _, s in scan.fiber),
         query_point=query,
         regular_point_used=regular,
-        fiber=tuple(entries),
+        fiber=scan.fiber,
         path_evidence=evidence,
     )
 
@@ -184,11 +254,11 @@ def _regular_evidence(f: PLMap) -> PathEvidence:
 def degree_at_regular(f: PLMap, point) -> DegreeCertificate:
     """Sign-sum degree at an exactly regular value outside the boundary image."""
     point = tuple(point)
-    _refuse_boundary_image(f, point)
-    regular, diagnosis = is_regular_value(f, point)
-    if not regular:
-        raise IrregularValueError(f"{diagnosis}; call degree() to perturb exactly")
-    return _sign_sum(f, point, point, _regular_evidence(f))
+    scan = _scan(f, point, _query_column(f, point))
+    _refuse_boundary_image(scan)
+    if scan.diagnosis is not None:
+        raise IrregularValueError(f"{scan.diagnosis}; call degree() to perturb exactly")
+    return _certificate(point, point, scan, _regular_evidence(f))
 
 
 def _perturbation_directions(n: int) -> list[tuple[Fraction, ...]]:
@@ -211,10 +281,11 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
     perturbation schedule raises PerturbationExhausted with every attempt.
     """
     point = tuple(point)
-    _refuse_boundary_image(f, point)
-    if is_regular_value(f, point)[0]:
-        return _sign_sum(f, point, point, _regular_evidence(f))
-    start = feasible.homogeneous_column(point)
+    start = _query_column(f, point)
+    scan = _scan(f, point, start)
+    _refuse_boundary_image(scan)
+    if scan.diagnosis is None:
+        return _certificate(point, point, scan, _regular_evidence(f))
 
     images = f.images
     spread = max(max(axis) - min(axis) for axis in zip(*images.scaled))
@@ -227,11 +298,10 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
                 break
             candidate = tuple(p + epsilon * d for p, d in zip(point, direction))
             attempts.append(candidate)
-            if point_on_boundary_image(f, candidate) is not None:
-                continue
-            if not is_regular_value(f, candidate)[0]:
-                continue
             end = feasible.homogeneous_column(candidate)
+            scan = _scan(f, candidate, end)
+            if scan.boundary is not None or scan.diagnosis is not None:
+                continue
             checks = _segment_checks(f, point, candidate, start, end)
             if any(hit for _, hit in checks):
                 continue
@@ -240,7 +310,7 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
                 "avoids every boundary-face image (per-obstacle outcomes listed)",
                 checks,
             )
-            return _sign_sum(f, point, candidate, evidence)
+            return _certificate(point, candidate, scan, evidence)
         epsilon = epsilon / 2
     raise PerturbationExhausted(point, attempts)
 
@@ -254,17 +324,27 @@ def _segment_checks(
     The boundary grid names the faces whose image boxes meet the segment's
     integer box (`feasible.segment_box`); only those can be hit. Each is
     tested against the segment's own box (`feasible.segment_meets_box`) and
-    then probed; every other face is a miss, unprobed.
+    then probed in the image's frame, on the two end columns: whether the
+    segment meets the image at all (`feasible.hull_leaves_affine_span` with
+    an empty span). An image with no frame is probed in vertex form
+    (`feasible.segment_hits_hull`). Every other face is a miss, unprobed.
     """
     images, boundary = f.images, f.domain.boundary
     box = feasible.segment_box(images.denominator, start, end)
     candidates = set(f.image_grid(boundary).meeting(box))
+
+    def hits(face: Face) -> bool:
+        frame = images.frame(face)
+        if frame is None:
+            return feasible.segment_hits_hull(start_point, end_point, f.image_of_face(face))
+        return feasible.hull_leaves_affine_span(frame, (start, end), ())
+
     return tuple(
         (
             face,
             k in candidates
             and feasible.segment_meets_box(images.box(face), images.denominator, start, end)
-            and feasible.segment_hits_hull(start_point, end_point, f.image_of_face(face)),
+            and hits(face),
         )
         for k, face in enumerate(boundary)
     )

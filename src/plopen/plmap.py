@@ -15,8 +15,11 @@ for its vertices: per face, the integer bounding box, the homogeneous
 columns and the integer frame of the face's image simplex, each built at
 first use and kept for the map's lifetime, and the grids over the image
 boxes of the domain's face lists (`image_grid`). Fibers, degree queries,
-the branch set, the oracle and the certifier read them: a point query asks
-a grid which images' boxes hold the point and tests only those.
+the branch set, the oracle and the certifier read them. A point query asks
+the cell grid which cell images' boxes hold the point and reads the point's
+weights in those cells' image frames only (`image_weights`); `fiber` and
+`degree`'s scan share that arithmetic. Each face's image lies in the image
+of every cell that has the face, so no point query needs a grid over faces.
 
 The ingredients of every openness verdict live here: determinant-sign
 profiles, fibers (with exact witness segments through collapsed cells), the
@@ -294,36 +297,53 @@ def finite_fibers(f: PLMap) -> bool:
     return all(p.det_sign != 0 for p in f.pieces)
 
 
+def image_weights(f: PLMap, ids: Face, column: Sequence[int]) -> list[int]:
+    """A point's weights on the image vertices of a nonsingular cell, all
+    times one positive factor.
+
+    In the cell's image frame, w_j = (bary_j·ŷ)·m_j (ŷ the point's
+    homogeneous column, m_j the last entry of image column j) is the point's
+    barycentric weight on image vertex j times a factor shared by every j:
+    the point lies in the cell's image iff min w ≥ 0, and when min w = 0 in
+    the relative interior of the image of the face whose vertices have
+    positive weights.
+    """
+    images = f.images
+    return [w * col[-1] for w, col in zip(images.frame(ids).weights(column), images.cols(ids))]
+
+
+def preimage(f: PLMap, ids: Face, weights: Sequence[int]) -> Vector:
+    """The point of a cell with the given `image_weights`: Σ w_j v_j / Σ w_j,
+    one Fraction per coordinate over the domain's scaled integer vertices."""
+    vertices = f.domain.points
+    denominator = vertices.denominator * sum(weights)
+    return tuple(
+        Fraction(sum(map(mul, weights, axis)), denominator)
+        for axis in zip(*(vertices.scaled[i] for i in ids))
+    )
+
+
 def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:
     """Exact preimage of a point, or a witness segment through a collapsed cell.
 
     Only the cells whose image boxes hold the query can hold a preimage, and
     the grid over the cell image boxes (`PLMap.image_grid`) names them, in
-    cell order. In a nonsingular cell's image frame, w_j = (bary_j·ŷ)·m_j (ŷ
-    the query's homogeneous column, m_j the last entry of image column j) is
-    the query's weight on image vertex j times one positive factor per cell:
-    the cell counts iff min w ≥ 0, at the point Σ w_j v_j / Σ w_j, one
-    Fraction per coordinate over the domain's scaled integer vertices. A
-    singular cell is decided by `feasible.constrained_hull_dim`.
+    cell order. A nonsingular cell counts iff the query's `image_weights`
+    are all ≥ 0, at their `preimage`. A singular cell is decided by
+    `feasible.constrained_hull_dim`.
     """
     if len(query) != f.ambient_dim:
         raise DimensionError(f"query has dimension {len(query)}, map is on R^{f.ambient_dim}")
     found: dict[Vector, tuple[list[int], list[int]]] = {}
     column = feasible.homogeneous_column(query)
-    images, vertices, cell_ids = f.images, f.domain.points, f.domain.cell_ids
+    cell_ids = f.domain.cell_ids
     for ci in f.image_grid(cell_ids).holders(column):
         piece, ids = f.pieces[ci], cell_ids[ci]
         if piece.det_sign != 0:
-            frame, cols = images.frame(ids), images.cols(ids)
-            weights = [w * col[-1] for w, col in zip(frame.weights(column), cols)]
+            weights = image_weights(f, ids, column)
             if min(weights) < 0:
                 continue
-            denominator = vertices.denominator * sum(weights)
-            candidate = tuple(
-                Fraction(sum(map(mul, weights, axis)), denominator)
-                for axis in zip(*(vertices.scaled[i] for i in ids))
-            )
-            cells, signs = found.setdefault(candidate, ([], []))
+            cells, signs = found.setdefault(preimage(f, ids, weights), ([], []))
             cells.append(ci)
             signs.append(piece.det_sign)
         else:

@@ -168,8 +168,9 @@ def boundary_restriction_injective(
     given that, the overlap is proper iff it stays inside the affine hull of
     the shared subface's image. The pairs whose image boxes overlap come
     from the map's grid over the boundary images (`PLMap.image_grid`, built
-    here at first use and kept for the degree, and for stage 1 when it
-    runs), walked by `improper_pairs`.
+    here at first use and kept for stage 1 when it runs), walked by
+    `improper_pairs`. The degree reads that grid only on its perturbation
+    path, for the segment's obstacles; its point queries read the cell grid.
     """
     f = inst.map
     boundary = inst.boundary

@@ -6,23 +6,27 @@ solves with generic Gaussian elimination, memberships are barycentric
 re-solves. Expected values in the tests are computed (or re-checked) with
 these, never copied from the implementation under test.
 
-The last two sections are different. `certify_in_stage_order` runs the
+The last three sections are different. `certify_in_stage_order` runs the
 library's own whyburn stages and degree, with the stage-4 sweep
 (`global_collision`, on the library's probe), each unconditionally and in
 their numbered order, as the reference for the certifier's shortcuts.
+`grid_degree` and its parts are the degree's point queries as they were
+before its one image scan, on the library's grids and probes: the reference
+for that scan.
 `lp_feasible`, `hull_dim` and `intersection_dim` are the tests' own entry
 points into the library's engine, which no library code calls.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
 from typing import Optional
 
-from plopen import whyburn
+from plopen import feasible, whyburn
 from plopen.feasible import (
     REL_EQ,
     REL_LE,
@@ -35,7 +39,10 @@ from plopen.feasible import (
     hull_leaves_affine_span,
 )
 from plopen.linalg import Matrix, Vector, null_space, rank, vec_dot, vec_sub
-from plopen.plmap import sign_profile
+from plopen.plmap import FiniteFiber, fiber, sign_profile
+
+# the module: the package exports the function `degree` under the same name
+degree_module = importlib.import_module("plopen.degree")
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -322,6 +329,132 @@ def certify_in_stage_order(inst):
             5, f"interior degree is {certificate.degree}, expected plus or minus 1", certificate
         )
     return whyburn.Certified(degree=certificate.degree, certificate=certificate)
+
+
+# ---------------------------------------------------------------------------
+# The degree's point queries over one grid per face list, before the one
+# image scan: the boundary grid, the grid over every proper face, the cell
+# grid and the fiber, and the obstacle test in vertex form.
+# ---------------------------------------------------------------------------
+
+_PROPER_FACES: dict = {}
+
+
+def proper_faces(complex_):
+    """The faces of dimension <= n-1, by size and then by ids. One tuple per
+    complex, kept with the complex, so the map's grid over it (looked up by
+    the list's identity) is built once."""
+    kept = _PROPER_FACES.get(id(complex_))
+    if kept is None:
+        faces = tuple(
+            sorted(
+                (ids for ids, info in complex_.faces.items() if info.dim < complex_.ambient_dim),
+                key=lambda ids: (len(ids), ids),
+            )
+        )
+        kept = _PROPER_FACES[id(complex_)] = (complex_, faces)
+    return kept[1]
+
+
+def grid_boundary_face(f, point):
+    """The first boundary face whose image holds the point, or None, from
+    the map's grid over the boundary images."""
+    column = degree_module._query_column(f, point)
+    boundary = f.domain.boundary
+    for k in f.image_grid(boundary).holders(column):
+        if degree_module._image_holds(f, boundary[k], point, column):
+            return boundary[k]
+    return None
+
+
+def grid_regular_value(f, point):
+    """is_regular_value's (verdict, diagnosis) from the map's grid over every
+    proper face, then its cell grid for the singular cells."""
+    column = degree_module._query_column(f, point)
+    faces = proper_faces(f.domain)
+    for k in f.image_grid(faces).holders(column):
+        ids = faces[k]
+        if degree_module._image_holds(f, ids, point, column):
+            return False, f"point lies in the image of face {ids} (dim {len(ids) - 1})"
+    cells = f.domain.cell_ids
+    for ci in f.image_grid(cells).holders(column):
+        if f.pieces[ci].det_sign == 0 and degree_module._image_holds(f, cells[ci], point, column):
+            return False, f"point lies in the image of singular cell {ci}"
+    return True, None
+
+
+def vertex_form_segment_checks(f, start_point, end_point, start, end):
+    """Per boundary face, in order, whether the segment between two points
+    meets the face's image, each box candidate probed in vertex form."""
+    images, boundary = f.images, f.domain.boundary
+    box = feasible.segment_box(images.denominator, start, end)
+    candidates = set(f.image_grid(boundary).meeting(box))
+    return tuple(
+        (
+            face,
+            k in candidates
+            and feasible.segment_meets_box(images.box(face), images.denominator, start, end)
+            and feasible.segment_hits_hull(start_point, end_point, f.image_of_face(face)),
+        )
+        for k, face in enumerate(boundary)
+    )
+
+
+def _grid_certificate(f, query, regular, evidence):
+    fib = fiber(f, regular)
+    assert isinstance(fib, FiniteFiber)
+    entries = []
+    for fp in fib.points:
+        assert len(fp.cells) == 1 and fp.signs[0] != 0  # regularity
+        entries.append((fp.point, fp.signs[0]))
+    return degree_module.DegreeCertificate(
+        degree=sum(s for _, s in entries),
+        query_point=query,
+        regular_point_used=regular,
+        fiber=tuple(entries),
+        path_evidence=evidence,
+    )
+
+
+def grid_degree(f, point, max_attempts=64):
+    """`degree` by the grid queries above, the fiber from `plmap.fiber` and
+    the obstacles in vertex form: the same schedule, certificate and errors."""
+    point = tuple(point)
+    offending = grid_boundary_face(f, point)
+    if offending is not None:
+        raise degree_module.BoundaryImageError(
+            f"degree undefined: point lies in the image of boundary face {offending}"
+        )
+    if grid_regular_value(f, point)[0]:
+        return _grid_certificate(f, point, point, degree_module._regular_evidence(f))
+    start = feasible.homogeneous_column(point)
+    images = f.images
+    spread = max(max(axis) - min(axis) for axis in zip(*images.scaled))
+    epsilon = Fraction(spread, 4 * images.denominator) if spread > 0 else Fraction(1)
+    directions = degree_module._perturbation_directions(f.ambient_dim)
+    attempts = []
+    while len(attempts) < max_attempts:
+        for direction in directions:
+            if len(attempts) >= max_attempts:
+                break
+            candidate = tuple(p + epsilon * d for p, d in zip(point, direction))
+            attempts.append(candidate)
+            if grid_boundary_face(f, candidate) is not None:
+                continue
+            if not grid_regular_value(f, candidate)[0]:
+                continue
+            end = feasible.homogeneous_column(candidate)
+            checks = vertex_form_segment_checks(f, point, candidate, start, end)
+            if any(hit for _, hit in checks):
+                continue
+            evidence = degree_module.PathEvidence(
+                "query point was irregular; the segment to the regular point below "
+                "avoids every boundary-face image (per-obstacle outcomes listed)",
+                checks,
+            )
+            return _grid_certificate(f, point, candidate, evidence)
+        epsilon = epsilon / 2
+    raise degree_module.PerturbationExhausted(point, attempts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plopen import feasible
 from plopen.complexes import validate_complex
@@ -15,10 +17,19 @@ from plopen.degree import (
     local_degree,
     point_on_boundary_image,
 )
-from plopen.generators import GenSpec, generate
+from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
 from plopen.plmap import build_plmap, fiber
 
-from oracles import brute_force_sign_sum, scan_boundary_face, scan_regular_value
+from oracles import (
+    brute_force_sign_sum,
+    degree_module,
+    grid_boundary_face,
+    grid_degree,
+    grid_regular_value,
+    proper_faces,
+    scan_boundary_face,
+    scan_regular_value,
+)
 
 
 def F(*args):
@@ -212,7 +223,7 @@ def grid_queries():
     the images of points inside every fifth proper face, every third
     boundary face and every sixth cell, weighted unevenly."""
     f = generate(GenSpec("random_orientation_preserving", 3, resolution=2, seed=1)).plmap
-    faces = f.domain.proper_faces()
+    faces = proper_faces(f.domain)
     cells = [cell.vertex_ids for cell in f.domain.cells]
     chosen = [*faces[::5], *f.domain.boundary[::3], *cells[::6]]
     points = []
@@ -258,3 +269,183 @@ class TestGridQueries:
                 pass
             fiber(f, y)
         assert 0 < 2 * len(calls) <= 22_450, len(calls)
+
+
+# -- one image scan against the grid queries it replaced ------------------------
+
+
+def _mirrored(f):
+    return build_plmap(f.domain, [(-v[0], *v[1:]) for v in f.vertex_images])
+
+
+def _collapsed_boundary_edge():
+    """A square fanned from its centre whose bottom edge collapses to the
+    point (9/8, 1), near the centre's image (1, 1): that boundary image has
+    no frame, the cell over it is singular and its image holds (1, 1), and
+    the first perturbation segment from (1, 1) runs through (9/8, 1)."""
+    complex_ = validate_complex(
+        [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1]],
+        [[0, 1, 4], [1, 2, 4], [2, 3, 4], [0, 3, 4]],
+        2,
+    )
+    eight = Fraction(9, 8)
+    return build_plmap(complex_, [(eight, 1), (eight, 1), (2, 2), (0, 2), (1, 1)])
+
+
+def _collapsed_cell():
+    """A square fanned from its centre, vertex 0, whose bottom cell (0, 1, 2)
+    collapses onto the bottom side: a point of that side's image left of
+    the centre's lies in the images of the interior edge (0, 1) and of the
+    boundary edge (1, 2), which only the singular cell has."""
+    complex_ = validate_complex(
+        [[1, 1], [0, 0], [2, 0], [2, 2], [0, 2]],
+        [[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 1, 4]],
+        2,
+    )
+    return build_plmap(complex_, [(1, 0), (0, 0), (2, 0), (2, 2), (0, 2)])
+
+
+SCAN_MAPS = {
+    f"{kind}-{dim}d": generate(GenSpec(kind, dim, seed=1)).plmap
+    for kind in KINDS
+    for dim in (1, 2, 3)
+    if _FIXED_DIMS.get(kind, dim) == dim
+}
+SCAN_MAPS.update({f"mirrored {name}": _mirrored(f) for name, f in list(SCAN_MAPS.items())})
+SCAN_MAPS["collapsed boundary edge"] = _collapsed_boundary_edge()
+SCAN_MAPS["collapsed cell"] = _collapsed_cell()
+
+
+def _image_barycentre(f, face, weights=None):
+    """The point with the given weights (all 1 by default) on a face's vertex
+    images: the image of the face's barycentre, or of an inner point."""
+    weights = weights or [1] * len(face)
+    images = [f.vertex_images[i] for i in face]
+    total = sum(weights)
+    return tuple(
+        sum(w * y[c] for w, y in zip(weights, images)) / total for c in range(f.ambient_dim)
+    )
+
+
+def _scan_queries(f):
+    """Vertex images, the images of inner points of a few interior faces of
+    each dimension below n, of a few boundary faces and of a few cells, and
+    every singular cell's image barycentre."""
+    domain = f.domain
+    by_dim = {}
+    for ids in domain.interior_faces(max_dim=f.ambient_dim - 1):
+        by_dim.setdefault(len(ids), []).append(ids)
+    faces = [ids for group in by_dim.values() for ids in group[::4][:4]]
+    faces += list(domain.boundary[::5][:4]) + list(domain.cell_ids[::5][:4])
+    points = [f.vertex_images[v] for v in range(0, len(domain.vertices), 3)]
+    points += [_image_barycentre(f, ids, list(range(1, len(ids) + 1))) for ids in faces]
+    points += [
+        _image_barycentre(f, ids)
+        for ids, piece in zip(domain.cell_ids, f.pieces)
+        if piece.det_sign == 0
+    ]
+    return points
+
+
+def _outcome(degree_fn, f, point):
+    try:
+        return degree_fn(f, point)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _answers(f, point):
+    return (
+        point_on_boundary_image(f, point),
+        is_regular_value(f, point),
+        _outcome(degree, f, point),
+    )
+
+
+def _reference_answers(f, point):
+    return (
+        grid_boundary_face(f, point),
+        grid_regular_value(f, point),
+        _outcome(grid_degree, f, point),
+    )
+
+
+class TestOneImageScan:
+    """`degree`'s one scan of the cell images that hold a point names the
+    boundary face, the (verdict, diagnosis) pair and the whole certificate,
+    path evidence included, that the grid queries it replaced name."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_MAPS))
+    def test_agrees_with_the_grid_queries(self, name):
+        f = SCAN_MAPS[name]
+        for y in _scan_queries(f):
+            assert _answers(f, y) == _reference_answers(f, y), (name, y)
+
+    @given(st.data())
+    @settings(settings.get_profile("ci"), max_examples=60, deadline=None)
+    def test_perturbed_points_agree(self, data):
+        name = data.draw(st.sampled_from(sorted(SCAN_MAPS)), label="map")
+        f = SCAN_MAPS[name]
+        faces = sorted(f.domain.faces)
+        face = data.draw(st.sampled_from(faces), label="face")
+        weights = data.draw(
+            st.lists(st.integers(0, 4), min_size=len(face), max_size=len(face)).filter(any),
+            label="weights",
+        )
+        y = _image_barycentre(f, face, weights)
+        step = data.draw(st.sampled_from([0, 1, Fraction(1, 8), Fraction(1, 97)]), label="step")
+        axis = data.draw(st.integers(0, f.ambient_dim - 1), label="axis")
+        y = tuple(c + step * (i == axis) for i, c in enumerate(y))
+        assert _answers(f, y) == _reference_answers(f, y)
+
+    def test_every_branch_is_reached(self, monkeypatch):
+        """Across the maps above, the scan meets zero weights in a nonsingular
+        cell, a singular cell whose image holds the point, and an obstacle
+        with no image frame (the vertex-form segment probe)."""
+        zero_weights, singular_hits, frameless = [], [], []
+        weights_of, holds, hits = (
+            degree_module.image_weights,
+            degree_module._image_holds,
+            feasible.segment_hits_hull,
+        )
+
+        def spy_weights(f, ids, column):
+            weights = weights_of(f, ids, column)
+            if min(weights) == 0:
+                zero_weights.append(ids)
+            return weights
+
+        def spy_holds(f, face, point, column):
+            held = holds(f, face, point, column)
+            if held and len(face) == f.ambient_dim + 1:
+                singular_hits.append(face)
+            return held
+
+        def spy_hits(*args):
+            frameless.append(args)
+            return hits(*args)
+
+        monkeypatch.setattr(degree_module, "image_weights", spy_weights)
+        monkeypatch.setattr(degree_module, "_image_holds", spy_holds)
+        monkeypatch.setattr(feasible, "segment_hits_hull", spy_hits)
+        for f in SCAN_MAPS.values():
+            for y in _scan_queries(f):
+                _outcome(degree, f, y)
+        assert zero_weights and singular_hits and frameless
+
+    def test_a_regular_query_makes_one_grid_lookup(self, monkeypatch):
+        """Counts only: one `BoxGrid.holders` call decides the boundary test,
+        regularity and the fiber of a regular point."""
+        f = generate(GenSpec("random_orientation_preserving", 3, seed=1)).plmap
+        y = _image_barycentre(f, f.domain.cell_ids[5], [1, 2, 3, 4])
+        calls = []
+        holders = feasible.BoxGrid.holders
+
+        def counting(grid, column):
+            calls.append(column)
+            return holders(grid, column)
+
+        monkeypatch.setattr(feasible.BoxGrid, "holders", counting)
+        cert = degree(f, y)
+        assert cert.regular_point_used == y and cert.fiber
+        assert len(calls) == 1

@@ -398,11 +398,11 @@ class TestFaceImageMembership:
         assert answers(f) == expected
 
     def test_first_degree_call_builds_frames_only_for_box_hits(self, monkeypatch):
-        """On a fresh map, one frame per face whose image box holds the point.
+        """On a fresh map, one frame per cell whose image box holds the point.
 
-        At a regular point both scans and the fiber visit every face, so the
-        frames built are exactly the box hits; building a frame for every
-        face visited would multiply the cost of a map's first query.
+        At a regular point the one image scan reads the point's weights in
+        the frame of each cell the cell grid names and in no face's frame, so
+        the frames built are exactly the cells' box hits.
         """
         spec = GenSpec("random_orientation_preserving", 3)
         reference = sample_map(spec)
@@ -422,9 +422,9 @@ class TestFaceImageMembership:
         monkeypatch.setattr(feasible, "simplex_frame", counting)
         assert degree(f, y).regular_point_used == y
         hits = [
-            face
-            for face in f.domain.faces
-            if all(min(axis) <= c <= max(axis) for c, axis in zip(y, zip(*f.image_of_face(face))))
+            ids
+            for ids in f.domain.cell_ids
+            if all(min(axis) <= c <= max(axis) for c, axis in zip(y, zip(*f.image_of_face(ids))))
         ]
-        assert sorted(built) == sorted(f.images.cols(face) for face in hits)
-        assert len(hits) < len(f.domain.faces)
+        assert sorted(built) == sorted(f.images.cols(ids) for ids in hits)
+        assert len(hits) < len(f.domain.cells)

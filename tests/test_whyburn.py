@@ -322,11 +322,31 @@ def test_each_vertex_and_image_column_is_built_once(monkeypatch):
     built.clear()
     outcome = certify_ball_map(make_ball_instance(f))
     assert isinstance(outcome, Certified)
-    # the value stage 5 reads is regular: one column each for the boundary
-    # scan, the regularity scan and the fiber
+    # the value stage 5 reads is regular: one column for the one image scan
+    # that decides the boundary test, regularity and the fiber
     value = outcome.certificate.query_point
     assert outcome.certificate.regular_point_used == value
-    assert built == [value] * 3
+    assert built == [value]
+
+
+def test_certifying_builds_no_proper_face_grid(monkeypatch):
+    """Validation, the certifier's stages and its degree query build grids
+    over cells and boundary faces only: no grid over every proper face."""
+    spec = GenSpec("random_orientation_preserving", 3, resolution=2, seed=1)
+    doc = plmap_to_document(generate(spec).plmap)
+    built = []
+    grid = feasible.IntegerPoints.grid
+
+    def recording(points, faces, cells):
+        built.append(faces)
+        return grid(points, faces, cells)
+
+    monkeypatch.setattr(feasible.IntegerPoints, "grid", recording)
+    f, _ = document_to_plmap(doc)
+    inst = make_ball_instance(f)
+    assert isinstance(certify_ball_map(inst), Certified)
+    assert built and all(len(face) >= 3 for faces in built for face in faces)
+    assert any(faces is f.domain.boundary for faces in built)
 
 
 # -- stage 1 by the degree argument --------------------------------------------
