@@ -136,15 +136,13 @@ class SimplicialComplex:
         """Indices of the cells containing the face."""
         return self.faces[face].cells
 
-    def interior_faces(self, max_dim: Optional[int] = None) -> list[Face]:
-        """Faces whose relative interior lies in the open support."""
-        out = [
-            ids
-            for ids, info in self.faces.items()
-            if not info.on_boundary and (max_dim is None or info.dim <= max_dim)
-        ]
-        out.sort(key=lambda ids: (len(ids), ids))
-        return out
+    def interior_faces(self) -> list[Face]:
+        """Faces whose relative interior lies in the open support, by size
+        and then by ids."""
+        return sorted(
+            (ids for ids, info in self.faces.items() if not info.on_boundary),
+            key=lambda ids: (len(ids), ids),
+        )
 
     def locate(self, point: Vector) -> Located:
         """Exact classification of a point against the support.
@@ -447,32 +445,3 @@ def cells_connected(complex_: SimplicialComplex) -> bool:
         info.cells for ids, info in complex_.faces.items() if len(ids) == n and len(info.cells) == 2
     ]
     return graph_connected(len(complex_.cells), edges)
-
-
-def scaled_star(
-    complex_: SimplicialComplex, center: Vector, carrier: Face, factor: Fraction
-) -> tuple[tuple[Vector, ...], list[list[int]], dict[int, int]]:
-    """Vertices and cells of the star of a face, scaled toward a point.
-
-    Returns (vertices, cells, cell_map) where cell_map sends new cell indices
-    back to the original cell indices. Scaling about a point of the carrier is
-    a homeomorphism, so the scaled star is again a valid complex.
-    """
-    star_cells = complex_.star(carrier)
-    new_vertices: list[Vector] = []
-    index_of: dict[Vector, int] = {}
-    cells_out: list[list[int]] = []
-    cell_map: dict[int, int] = {}
-    for new_index, ci in enumerate(star_cells):
-        ids = []
-        for vid in complex_.cells[ci].vertex_ids:
-            scaled = tuple(
-                c + factor * (v - c) for v, c in zip(complex_.vertices[vid], center)
-            )
-            if scaled not in index_of:
-                index_of[scaled] = len(new_vertices)
-                new_vertices.append(scaled)
-            ids.append(index_of[scaled])
-        cells_out.append(ids)
-        cell_map[new_index] = ci
-    return tuple(new_vertices), cells_out, cell_map

@@ -23,26 +23,41 @@ the perturbation path, the segment's obstacles come from the map's grid
 over the boundary images, asked for the boxes that meet the segment's, and
 each is probed in its image's frame.
 
-Local degree restricts the map to the closed star of the carrier face of a
-point, rescaled toward the point until its closure meets the fiber only
-there, and evaluates the degree of that restriction.
+Local degree is one signed count over the star of the point's carrier
+face. Each star piece is an affine bijection, so near f(x) the image of a
+star cell is f(x) plus the cone of directions on which the cell's image
+frame weights off the carrier do not decrease (their slopes, the first n
+entries of each such `SimplexFrame.bary` row dotted with the direction). A
+direction d on which no slope is zero lies on the boundary of no cone, so
+for small ε > 0 the value f(x) + εd is regular near f(x) and has one
+preimage near x in each star cell whose cone holds d, and no other: the
+local degree is the sum of those cells' determinant signs. The directions
+d = (1, t, …, t^{n−1}), t = 1, 2, …, give one after finitely many tries,
+since each slope row is nonzero and so vanishes for at most n−1 values of t.
+No restricted map is built and no fiber is solved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
+from operator import mul
 from typing import Optional, Sequence
 
 from . import feasible
-from .complexes import Face, SimplicialComplex, scaled_star, validate_complex
+from .complexes import Face
 from .linalg import DimensionError
-from .plmap import FiniteFiber, PLMap, build_plmap, fiber, finite_fibers, image_weights, preimage
+from .plmap import PLMap, build_plmap, finite_fibers, image_weights, preimage
 
 
 class BoundaryImageError(ValueError):
     """The query point lies in the image of the boundary: degree undefined."""
+
+    def __init__(self, face: Face):
+        self.face = face
+        super().__init__(f"degree undefined: point lies in the image of boundary face {face}")
 
 
 class IrregularValueError(ValueError):
@@ -226,9 +241,7 @@ def is_regular_value(f: PLMap, point) -> tuple[bool, Optional[str]]:
 
 def _refuse_boundary_image(scan: _Scan) -> None:
     if scan.boundary is not None:
-        raise BoundaryImageError(
-            f"degree undefined: point lies in the image of boundary face {scan.boundary}"
-        )
+        raise BoundaryImageError(scan.boundary)
 
 
 def _certificate(
@@ -261,7 +274,10 @@ def degree_at_regular(f: PLMap, point) -> DegreeCertificate:
     return _certificate(point, point, scan, _regular_evidence(f))
 
 
-def _perturbation_directions(n: int) -> list[tuple[Fraction, ...]]:
+@cache
+def _perturbation_directions(n: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The schedule's directions on R^n: ±e_i, the ±1 diagonals and, for
+    n ≥ 2, ±(1, 2, …, 2^{n−1}), which lies in no plane x_i = x_j."""
     dirs = []
     for axis in range(n):
         for sign in (1, -1):
@@ -269,7 +285,9 @@ def _perturbation_directions(n: int) -> list[tuple[Fraction, ...]]:
     if n > 1:
         for combo in product((1, -1), repeat=n):
             dirs.append(tuple(Fraction(c) for c in combo))
-    return dirs
+        for sign in (1, -1):
+            dirs.append(tuple(Fraction(sign << c) for c in range(n)))
+    return tuple(dirs)
 
 
 def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
@@ -359,42 +377,31 @@ def _carrier_face(f: PLMap, x) -> Face:
     return located.face
 
 
-def star_restriction(
-    f: PLMap, x, carrier: Face, factor: Fraction
-) -> tuple[PLMap, SimplicialComplex]:
-    """The map restricted to the closed star of the carrier, scaled toward x."""
-    verts, cells, cell_map = scaled_star(f.domain, tuple(x), carrier, factor)
-    star_complex = validate_complex(verts, cells, f.ambient_dim)
-    images = [None] * len(verts)
-    for new_ci, ids in enumerate(cells):
-        piece = f.pieces[cell_map[new_ci]]
-        for vid in ids:
-            if images[vid] is None:
-                images[vid] = piece.apply(verts[vid])
-    star_map = build_plmap(star_complex, images)
-    return star_map, star_complex
-
-
 def local_degree(f: PLMap, x) -> int:
-    """Degree of the map on a small neighborhood isolating x in its fiber."""
+    """Degree of the map on a small neighborhood isolating x in its fiber:
+    one signed count of the star cells whose image cones at f(x) hold a
+    direction on which no off-carrier frame weight is stationary (module
+    docstring)."""
     if not finite_fibers(f):
         raise InfiniteFiberError("local degree needs finite fibers (no singular pieces)")
     x = tuple(x)
     carrier = _carrier_face(f, x)
-    if f.domain.faces[carrier].on_boundary:
+    info = f.domain.faces[carrier]
+    if info.on_boundary:
         raise ValueError(f"point {x} is not in the open support")
-    value = f.pieces[f.domain.faces[carrier].cells[0]].apply(x)
-    fib = fiber(f, value)
-    assert isinstance(fib, FiniteFiber)
-    other_points = [fp.point for fp in fib.points if fp.point != x]
-
-    factor = Fraction(1, 2)
-    for _ in range(64):
-        star_map, star_complex = star_restriction(f, x, carrier, factor)
-        if not any(star_complex.locate(z).kind != "outside" for z in other_points):
-            return degree(star_map, value).degree
-        factor = factor / 2
-    raise RuntimeError("fiber isolation did not terminate; fiber finiteness is violated")
+    n, cells = f.ambient_dim, f.domain.cell_ids
+    stars = []
+    for ci in info.cells:
+        bary = f.images.frame(cells[ci]).bary
+        off_carrier = [row[:n] for v, row in zip(cells[ci], bary) if v not in carrier]
+        stars.append((f.pieces[ci].det_sign, off_carrier))
+    t = 1
+    while True:
+        direction = [t**k for k in range(n)]
+        slopes = [[sum(map(mul, row, direction)) for row in rows] for _, rows in stars]
+        if all(all(s) for s in slopes):
+            return sum(sign for (sign, _), s in zip(stars, slopes) if all(v > 0 for v in s))
+        t += 1
 
 
 def homotopy_degree_constant(
@@ -425,10 +432,10 @@ def homotopy_degree_constant(
         ]
         stage = build_plmap(f.domain, images)
         target = tuple((1 - t) * a + t * b for a, b in zip(start, end))
-        offending = point_on_boundary_image(stage, target)
-        if offending is not None:
-            raise HomotopyHypothesisViolation(t, offending)
-        degrees.append(degree(stage, target).degree)
+        try:
+            degrees.append(degree(stage, target).degree)
+        except BoundaryImageError as exc:
+            raise HomotopyHypothesisViolation(t, exc.face) from None
     return HomotopyVerdict(
         constant=len(set(degrees)) <= 1,
         samples=samples,

@@ -98,9 +98,10 @@ def make_ball_instance(f: PLMap) -> BallMapInstance:
     boundary (n-2)-face must bound exactly two boundary faces and the
     boundary faces must be connected through them (`boundary_cycle_defects`,
     the cycle validation reads too), and the boundary's Euler
-    characteristic must match a sphere's (this rejects e.g. toroidal
-    boundaries that the cycle conditions alone admit). An n = 1 ball is a
-    connected interval: exactly two boundary vertices.
+    characteristic, read off the faces the complex marks `on_boundary`,
+    must match a sphere's (this rejects e.g. toroidal boundaries that the
+    cycle conditions alone admit). An n = 1 ball is a connected interval:
+    exactly two boundary vertices.
     """
     n = f.ambient_dim
     boundary = f.domain.boundary
@@ -109,12 +110,7 @@ def make_ball_instance(f: PLMap) -> BallMapInstance:
         reasons.append("support is not connected through interior facets")
     reasons += boundary_cycle_defects(n, boundary)
     if n >= 2 and boundary:
-        boundary_subfaces = set()
-        for face in boundary:
-            ids = face
-            for mask in range(1, 1 << len(ids)):
-                boundary_subfaces.add(tuple(ids[i] for i in range(len(ids)) if mask >> i & 1))
-        euler = sum((-1) ** (len(sub) - 1) for sub in boundary_subfaces)
+        euler = sum((-1) ** info.dim for info in f.domain.faces.values() if info.on_boundary)
         expected = 1 + (-1) ** (n - 1)
         if euler != expected:
             reasons.append(

@@ -6,13 +6,16 @@ solves with generic Gaussian elimination, memberships are barycentric
 re-solves. Expected values in the tests are computed (or re-checked) with
 these, never copied from the implementation under test.
 
-The last three sections are different. `certify_in_stage_order` runs the
+The last four sections are different. `certify_in_stage_order` runs the
 library's own whyburn stages and degree, with the stage-4 sweep
 (`global_collision`, on the library's probe), each unconditionally and in
 their numbered order, as the reference for the certifier's shortcuts.
 `grid_degree` and its parts are the degree's point queries as they were
 before its one image scan, on the library's grids and probes: the reference
 for that scan.
+`star_local_degree` is the local degree as it was before the cone count:
+the degree of the map restricted to the carrier's star, rescaled toward
+the point until the star holds no other point of its fiber.
 `lp_feasible`, `hull_dim` and `intersection_dim` are the tests' own entry
 points into the library's engine, which no library code calls.
 """
@@ -27,6 +30,7 @@ from math import lcm
 from typing import Optional
 
 from plopen import feasible, whyburn
+from plopen.complexes import validate_complex
 from plopen.feasible import (
     REL_EQ,
     REL_LE,
@@ -39,7 +43,7 @@ from plopen.feasible import (
     hull_leaves_affine_span,
 )
 from plopen.linalg import Matrix, Vector, null_space, rank, vec_dot, vec_sub
-from plopen.plmap import FiniteFiber, fiber, sign_profile
+from plopen.plmap import FiniteFiber, build_plmap, fiber, finite_fibers, sign_profile
 
 # the module: the package exports the function `degree` under the same name
 degree_module = importlib.import_module("plopen.degree")
@@ -422,9 +426,7 @@ def grid_degree(f, point, max_attempts=64):
     point = tuple(point)
     offending = grid_boundary_face(f, point)
     if offending is not None:
-        raise degree_module.BoundaryImageError(
-            f"degree undefined: point lies in the image of boundary face {offending}"
-        )
+        raise degree_module.BoundaryImageError(offending)
     if grid_regular_value(f, point)[0]:
         return _grid_certificate(f, point, point, degree_module._regular_evidence(f))
     start = feasible.homogeneous_column(point)
@@ -455,6 +457,73 @@ def grid_degree(f, point, max_attempts=64):
             return _grid_certificate(f, point, candidate, evidence)
         epsilon = epsilon / 2
     raise degree_module.PerturbationExhausted(point, attempts)
+
+
+# ---------------------------------------------------------------------------
+# The local degree by restriction to a rescaled star, before the cone count.
+# ---------------------------------------------------------------------------
+
+
+def scaled_star(complex_, center, carrier, factor):
+    """Vertices and cells of the star of a face, scaled toward a point.
+
+    Returns (vertices, cells, cell_map) where cell_map sends new cell indices
+    back to the original cell indices. Scaling about a point of the carrier is
+    a homeomorphism, so the scaled star is again a valid complex.
+    """
+    new_vertices = []
+    index_of = {}
+    cells_out = []
+    cell_map = {}
+    for new_index, ci in enumerate(complex_.star(carrier)):
+        ids = []
+        for vid in complex_.cells[ci].vertex_ids:
+            scaled = tuple(c + factor * (v - c) for v, c in zip(complex_.vertices[vid], center))
+            if scaled not in index_of:
+                index_of[scaled] = len(new_vertices)
+                new_vertices.append(scaled)
+            ids.append(index_of[scaled])
+        cells_out.append(ids)
+        cell_map[new_index] = ci
+    return tuple(new_vertices), cells_out, cell_map
+
+
+def star_restriction(f, x, carrier, factor):
+    """The map restricted to the closed star of the carrier, scaled toward x."""
+    verts, cells, cell_map = scaled_star(f.domain, tuple(x), carrier, factor)
+    star_complex = validate_complex(verts, cells, f.ambient_dim)
+    images = [None] * len(verts)
+    for new_ci, ids in enumerate(cells):
+        piece = f.pieces[cell_map[new_ci]]
+        for vid in ids:
+            if images[vid] is None:
+                images[vid] = piece.apply(verts[vid])
+    return build_plmap(star_complex, images), star_complex
+
+
+def star_local_degree(f, x):
+    """`local_degree` as the degree of the restriction to the carrier's star,
+    halved toward x until no other point of the fiber of f(x) lies in it: the
+    same values and errors."""
+    if not finite_fibers(f):
+        raise degree_module.InfiniteFiberError(
+            "local degree needs finite fibers (no singular pieces)"
+        )
+    x = tuple(x)
+    carrier = degree_module._carrier_face(f, x)
+    if f.domain.faces[carrier].on_boundary:
+        raise ValueError(f"point {x} is not in the open support")
+    value = f.pieces[f.domain.faces[carrier].cells[0]].apply(x)
+    fib = fiber(f, value)
+    assert isinstance(fib, FiniteFiber)
+    other_points = [fp.point for fp in fib.points if fp.point != x]
+    factor = Fraction(1, 2)
+    for _ in range(64):
+        star_map, star_complex = star_restriction(f, x, carrier, factor)
+        if not any(star_complex.locate(z).kind != "outside" for z in other_points):
+            return degree_module.degree(star_map, value).degree
+        factor = factor / 2
+    raise RuntimeError("fiber isolation did not terminate; fiber finiteness is violated")
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,18 @@ class TestDegreeCommands:
         )
         assert code == 5 and "degree undefined" in report["error"]
 
+    @pytest.mark.parametrize("resolution", [[], ["--resolution", "4"]])
+    def test_degree_at_an_interior_vertex_of_the_3d_identity(self, capsys, tmp_path, resolution):
+        """(1, 1, 1) lies in the image of an interior vertex and of the cube
+        diagonals' planes x_i = x_j, so the perturbation needs a direction
+        off every such plane."""
+        path = str(tmp_path / "identity3.json")
+        assert main(["gen", "--kind", "identity", "--dim", "3", *resolution, "--out", path]) == 0
+        capsys.readouterr()
+        code, report = run_cli(capsys, "degree", path, "--at", "1,1,1")
+        assert code == 0 and report["degree"] == 1
+        assert report["regular_point_used"] != report["query_point"]
+
     def test_degree_approx_flag(self, capsys, instance_path):
         code, report = run_cli(
             capsys,

@@ -12,7 +12,6 @@ from plopen.complexes import (
     NonManifoldError,
     cells_connected,
     collect_violations,
-    scaled_star,
     validate_complex,
 )
 from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, box_complex, generate
@@ -458,14 +457,3 @@ class TestConnectivityAndStars:
         vertices = [[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]]
         complex_ = validate_complex(vertices, [[0, 1, 2], [3, 4, 5]])
         assert not cells_connected(complex_)
-
-    def test_scaled_star_shrinks_toward_center(self):
-        complex_ = validate_complex(*TWO_TRIANGLES)
-        center = (F(1, 2), F(1, 2))
-        verts, cells, cell_map = scaled_star(complex_, center, (0, 2), F(1, 2))
-        assert len(cells) == 2 and set(cell_map.values()) == {0, 1}
-        star = validate_complex(verts, cells, 2)
-        located = star.locate(center)
-        assert located.kind == "face"
-        for v in verts:
-            assert complex_.locate(v).kind != "outside"

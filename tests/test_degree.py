@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from oracles import (
     proper_faces,
     scan_boundary_face,
     scan_regular_value,
+    star_local_degree,
 )
 
 
@@ -77,8 +79,10 @@ class TestDegreeAtRegular:
         assert cert.degree == 2 == brute_force_sign_sum(f, query)
 
     def test_boundary_image_rejected(self, identity_square):
-        with pytest.raises(BoundaryImageError):
+        with pytest.raises(BoundaryImageError) as err:
             degree_at_regular(identity_square, (F(0), F(1, 2)))
+        assert err.value.face == (0, 3)
+        assert str(err.value) == "degree undefined: point lies in the image of boundary face (0, 3)"
 
     def test_irregular_directs_to_degree(self, identity_square):
         with pytest.raises(IrregularValueError):
@@ -158,7 +162,8 @@ class TestLocalDegree:
         assert local_degree(identity_square, (F(1, 3), F(1, 4))) == 1
 
     def test_doubling_center(self, doubling2d):
-        assert local_degree(doubling2d.plmap, (F(0), F(0))) == 2
+        f = doubling2d.plmap
+        assert local_degree(f, (F(0), F(0))) == star_local_degree(f, (F(0), F(0))) == 2
 
     def test_fold_breakpoint(self, fold1d):
         assert local_degree(fold1d, (F(0),)) == 0
@@ -211,6 +216,8 @@ class TestHomotopy:
         with pytest.raises(HomotopyHypothesisViolation) as err:
             homotopy_degree_constant(identity, reflected, (center, center), times)
         assert err.value.t == F(1, 2)
+        # at t = 1/2 every vertex maps to the centre: the first boundary face is named
+        assert err.value.face == complex_.boundary[0]
 
     def test_mismatched_domains_rejected(self, identity_square, fold1d):
         with pytest.raises(ValueError):
@@ -333,8 +340,9 @@ def _scan_queries(f):
     every singular cell's image barycentre."""
     domain = f.domain
     by_dim = {}
-    for ids in domain.interior_faces(max_dim=f.ambient_dim - 1):
-        by_dim.setdefault(len(ids), []).append(ids)
+    for ids in domain.interior_faces():
+        if len(ids) <= f.ambient_dim:
+            by_dim.setdefault(len(ids), []).append(ids)
     faces = [ids for group in by_dim.values() for ids in group[::4][:4]]
     faces += list(domain.boundary[::5][:4]) + list(domain.cell_ids[::5][:4])
     points = [f.vertex_images[v] for v in range(0, len(domain.vertices), 3)]
@@ -449,3 +457,93 @@ class TestOneImageScan:
         cert = degree(f, y)
         assert cert.regular_point_used == y and cert.fiber
         assert len(calls) == 1
+
+
+# -- the local degree's cone count against the rescaled-star restriction -------
+
+
+def _weighted_point(points, weights):
+    return tuple(
+        sum(w * p[c] for w, p in zip(weights, points)) / sum(weights)
+        for c in range(len(points[0]))
+    )
+
+
+def _local_degree_points(f, seed=1):
+    """Barycentres of every interior face of dimension at most n-2, of every
+    third interior facet and of every fifth cell, and seeded inner points of
+    up to eight interior faces, with positive weights."""
+    n, domain = f.ambient_dim, f.domain
+    interior = domain.interior_faces()
+    by_size = {}
+    for ids in interior:
+        by_size.setdefault(len(ids), []).append(ids)
+    faces = [ids for size, group in by_size.items() if size < n for ids in group]
+    faces += by_size.get(n, [])[::3] + by_size.get(n + 1, [])[::5]
+    points = [domain.barycenter(ids) for ids in faces]
+    rng = random.Random(seed)
+    for ids in rng.sample(interior, min(8, len(interior))):
+        weights = [rng.randint(1, 9) for _ in ids]
+        points.append(_weighted_point(domain.face_points(ids), weights))
+    return points
+
+
+class TestLocalDegreeCount:
+    """`local_degree`'s one count over the star's image cones gives the value,
+    or the error, of the degree of the map restricted to a rescaled star."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_MAPS))
+    def test_agrees_with_the_star_restriction(self, name):
+        f = SCAN_MAPS[name]
+        for x in _local_degree_points(f):
+            assert _outcome(local_degree, f, x) == _outcome(star_local_degree, f, x), (name, x)
+
+    @given(st.data())
+    @settings(settings.get_profile("ci"), max_examples=40, deadline=None)
+    def test_perturbed_mixed_sign_maps_agree(self, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        base = SCAN_MAPS[f"random_mixed_signs-{dim}d"]
+        images = [list(v) for v in base.vertex_images]
+        vertex = data.draw(st.integers(0, len(images) - 1), label="vertex")
+        axis = data.draw(st.integers(0, dim - 1), label="axis")
+        images[vertex][axis] += data.draw(
+            st.sampled_from([F(1, 3), F(-1, 5), F(1, 16), F(-3, 7)]), label="shift"
+        )
+        f = build_plmap(base.domain, images)
+        face = data.draw(st.sampled_from(f.domain.interior_faces()), label="face")
+        weights = data.draw(
+            st.lists(st.integers(1, 4), min_size=len(face), max_size=len(face)), label="weights"
+        )
+        x = _weighted_point(f.domain.face_points(face), weights)
+        assert _outcome(local_degree, f, x) == _outcome(star_local_degree, f, x)
+
+    def test_builds_no_restricted_map(self, monkeypatch, doubling2d):
+        """Inside `plopen.degree`, `local_degree` validates no complex, builds
+        no map and solves no fiber or degree."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("local_degree built a restriction")
+
+        for name in ("validate_complex", "build_plmap", "fiber", "degree"):
+            monkeypatch.setattr(degree_module, name, forbidden, raising=False)
+        f = SCAN_MAPS["identity-3d"]
+        (centre,) = (ids for ids in f.domain.interior_faces() if len(ids) == 1)
+        assert local_degree(f, f.domain.barycenter(centre)) == 1
+        assert local_degree(doubling2d.plmap, (F(0), F(0))) == 2
+        mixed = SCAN_MAPS["mirrored random_mixed_signs-3d"]
+        for x in _local_degree_points(mixed):
+            local_degree(mixed, x)
+
+
+def test_perturbation_schedule_is_built_once_per_dimension():
+    """The schedule is one tuple per dimension, and for n >= 2 it ends with
+    ±(1, 2, ..., 2^(n-1)), which lies in no plane x_i = x_j."""
+    for n in (1, 2, 3):
+        directions = degree_module._perturbation_directions(n)
+        assert directions is degree_module._perturbation_directions(n)
+        assert len(directions) == 2 * n + (2**n + 2 if n > 1 else 0)
+        if n > 1:
+            assert directions[-2:] == (
+                tuple(F(2**c) for c in range(n)),
+                tuple(F(-(2**c)) for c in range(n)),
+            )

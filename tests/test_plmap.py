@@ -64,7 +64,7 @@ def sample_points(f, count=6):
     domain, n = f.domain, f.ambient_dim
     vertices = rng.sample(range(len(domain.vertices)), min(count, len(domain.vertices)))
     out = [(domain.vertices[v], f.vertex_images[v]) for v in vertices]
-    shared = domain.interior_faces(max_dim=n - 1)
+    shared = [ids for ids in domain.interior_faces() if len(ids) <= n]
     for ids in rng.sample(shared, min(count, len(shared))):
         x = domain.barycenter(ids)
         out.append((x, f.pieces[domain.star(ids)[0]].apply(x)))
