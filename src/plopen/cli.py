@@ -210,7 +210,7 @@ def _openness_payload(plmap, config: OracleConfig) -> tuple[dict, int]:
             "checked": True,
             "open_at_all_samples": verdict.oracle.open_at_all_samples,
             "samples": verdict.oracle.samples,
-            "failures": len(verdict.oracle.failures),
+            "failures": verdict.oracle.num_failures,
         }
     if not verdict.all_agree:
         status = EXIT_DISAGREEMENT

@@ -24,17 +24,12 @@ over the boundary images, asked for the boxes that meet the segment's, and
 each is probed in its image's frame.
 
 Local degree is one signed count over the star of the point's carrier
-face. Each star piece is an affine bijection, so near f(x) the image of a
-star cell is f(x) plus the cone of directions on which the cell's image
-frame weights off the carrier do not decrease (their slopes, the first n
-entries of each such `SimplexFrame.bary` row dotted with the direction). A
-direction d on which no slope is zero lies on the boundary of no cone, so
-for small ε > 0 the value f(x) + εd is regular near f(x) and has one
-preimage near x in each star cell whose cone holds d, and no other: the
-local degree is the sum of those cells' determinant signs. The directions
-d = (1, t, …, t^{n−1}), t = 1, 2, …, give one after finitely many tries,
-since each slope row is nonzero and so vanishes for at most n−1 values of t.
-No restricted map is built and no fiber is solved.
+face (`plmap.cone_count`). Each star piece is an affine bijection, so near
+f(x) the image of a star cell is f(x) plus a cone. A direction d on the
+boundary of no cone gives, for small ε > 0, a value f(x) + εd that is
+regular near f(x) and has one preimage near x in each star cell whose cone
+holds d, and no other: the local degree is the sum of those cells'
+determinant signs. No restricted map is built and no fiber is solved.
 """
 
 from __future__ import annotations
@@ -43,13 +38,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from operator import mul
 from typing import Optional, Sequence
 
 from . import feasible
 from .complexes import Face
 from .linalg import DimensionError
-from .plmap import PLMap, build_plmap, finite_fibers, image_weights, preimage
+from .plmap import PLMap, build_plmap, cone_count, finite_fibers, image_weights, preimage
 
 
 class BoundaryImageError(ValueError):
@@ -380,28 +374,15 @@ def _carrier_face(f: PLMap, x) -> Face:
 def local_degree(f: PLMap, x) -> int:
     """Degree of the map on a small neighborhood isolating x in its fiber:
     one signed count of the star cells whose image cones at f(x) hold a
-    direction on which no off-carrier frame weight is stationary (module
-    docstring)."""
+    direction on which no off-carrier frame weight is stationary
+    (`plmap.cone_count`)."""
     if not finite_fibers(f):
         raise InfiniteFiberError("local degree needs finite fibers (no singular pieces)")
     x = tuple(x)
     carrier = _carrier_face(f, x)
-    info = f.domain.faces[carrier]
-    if info.on_boundary:
+    if f.domain.faces[carrier].on_boundary:
         raise ValueError(f"point {x} is not in the open support")
-    n, cells = f.ambient_dim, f.domain.cell_ids
-    stars = []
-    for ci in info.cells:
-        bary = f.images.frame(cells[ci]).bary
-        off_carrier = [row[:n] for v, row in zip(cells[ci], bary) if v not in carrier]
-        stars.append((f.pieces[ci].det_sign, off_carrier))
-    t = 1
-    while True:
-        direction = [t**k for k in range(n)]
-        slopes = [[sum(map(mul, row, direction)) for row in rows] for _, rows in stars]
-        if all(all(s) for s in slopes):
-            return sum(sign for (sign, _), s in zip(stars, slopes) if all(v > 0 for v in s))
-        t += 1
+    return cone_count(f, carrier)
 
 
 def homotopy_degree_constant(

@@ -11,11 +11,18 @@ the branch set iff its two incident determinant signs differ or one vanishes
 (equal nonzero signs give local injectivity across the face by invariance of
 domain). A face of dimension <= n-2 lies in it iff an incident cell is
 singular or two star cells, shrunk toward the face, have images overlapping
-in full dimension. Every star piece sends the face barycenter c to the same
-point f(c), so all star images shrink by one homothety about f(c) and the
-shrink cancels: each pair is one strict probe on the unshrunk images, in the
-integer frame of one of them (`feasible.relint_meets_simplex`). Singular
-cells additionally contribute their own interiors.
+in full dimension. When every star cell has the same nonzero sign, the
+face's barycenter c is alone in its fiber near c, so every regular value
+near f(c) has |local degree| preimages near c: two shrunk star images
+overlap in full dimension iff that count is at least 2. One count of the
+star-cell image cones that hold a generic direction (`plmap.cone_count`)
+gives it, in integers, and a count of 1 clears the face with no probe.
+Mixed signs or a count of 2 or more go to the pair loop, which names the
+witness pair. Every star piece sends c to the same point f(c), so all star
+images shrink by one homothety about f(c) and the shrink cancels: each pair
+is one strict probe on the unshrunk images, in the integer frame of one of
+them (`feasible.relint_meets_simplex`). Singular cells additionally
+contribute their own interiors.
 
 The openness oracle is an independent probabilistic check of openness itself:
 at face barycenters and seeded random interior points, it tests whether the
@@ -37,11 +44,18 @@ unshrunk images, in integers until a sample fails:
   face, divided by its gcd and signed so its last nonzero entry is positive,
   and its negation. A 1-D face is a point and adds none: there the base
   directions alone decide.
-- Only a failing sample builds evidence. x and f(x) are weighted sums of the
-  scaled integer vertices and vertex images (the piece is affine on the
-  carrier), f(x) becomes an integer homogeneous column by one gcd, the
-  boundary crossings are compared as integer pairs, and epsilon and each
-  target coordinate are one `Fraction` each.
+- The uncovered directions are counted (`OracleResult.num_failures`), and a
+  failing sample keeps only integers: its carrier, its weights, the mask of
+  its uncovered base directions and its uncovered fold normals with their
+  slopes. The tables are dropped when the call returns. The evidence is
+  built the first time `OracleResult.failures` is read, so a caller that
+  prints only the count builds none. It reads the star cells' frames again
+  from the map; each uncovered base direction gets its slopes on their
+  rows, x and f(x) are weighted sums of the scaled integer vertices and
+  vertex images (the piece is affine on the carrier), f(x) becomes an
+  integer homogeneous column by one gcd, the boundary crossings are
+  compared as integer pairs, and epsilon and each target coordinate are one
+  `Fraction` each.
 
 Both the branch set and the oracle read their frames and columns from the
 map's `IntegerPoints` (`PLMap.images`), which builds each at first use and
@@ -52,16 +66,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import compress
 from math import gcd
 from operator import mul
-from typing import Optional
+from typing import Callable, Optional
 
 from . import feasible
 from .complexes import Face
 from .linalg import Vector
-from .plmap import MIXED, PLMap, SignProfile, finite_fibers, sign_profile
+from .plmap import MIXED, PLMap, SignProfile, cone_count, finite_fibers, sign_profile
 
 REASON_SIGN_MISMATCH = "SignMismatchAcrossFace"
 REASON_SINGULAR = "SingularIncidentCell"
@@ -99,16 +113,20 @@ def _adjacent_across_facet(f: PLMap, a: int, b: int) -> bool:
 def branch_set(f: PLMap) -> BranchReport:
     """Faces whose relative interiors fail local homeomorphism, with reasons.
 
-    A face F of dimension <= n-2 with nonsingular star is decided pair by
-    pair on the star's unshrunk cell images. Every star piece sends F's
-    barycenter c to f(c), so shrinking each star cell toward c shrinks its
-    image by one homothety h about f(c), and relint(h f(a)) meets
-    relint(h f(b)) iff relint f(a) meets relint f(b). As f(a) is a full
-    n-simplex, that holds iff int f(b) meets f(a): one strict probe in the
-    integer frame of f(a) over the weights of f(b)'s vertices
-    (`feasible.relint_meets_simplex`). h maps boxes to boxes, so the image
-    boxes prune the same pairs as the shrunk ones. Boxes, frames and
-    homogeneous columns are the map's own (`PLMap.images`).
+    A face F of dimension <= n-2 whose star cells all have one nonzero sign
+    and whose star has a cone count (`plmap.cone_count`) of ±1 has local
+    degree ±1, so no two shrunk star images overlap in full dimension and F
+    is not in the branch set; no probe runs. Any other face F of dimension
+    <= n-2 with nonsingular star, of mixed signs or of a count of 2 or
+    more, is decided pair by pair on the star's unshrunk cell images. Every
+    star piece sends F's barycenter c to f(c), so shrinking each star cell
+    toward c shrinks its image by one homothety h about f(c), and
+    relint(h f(a)) meets relint(h f(b)) iff relint f(a) meets relint f(b).
+    As f(a) is a full n-simplex, that holds iff int f(b) meets f(a): one
+    strict probe in the integer frame of f(a) over the weights of f(b)'s
+    vertices (`feasible.relint_meets_simplex`). h maps boxes to boxes, so
+    the image boxes prune the same pairs as the shrunk ones. Boxes, frames
+    and homogeneous columns are the map's own (`PLMap.images`).
     """
     n = f.ambient_dim
     out: list[BranchFace] = []
@@ -130,6 +148,10 @@ def branch_set(f: PLMap) -> BranchReport:
         singular = tuple(c for c in star if f.pieces[c].det_sign == 0)
         if singular:
             out.append(BranchFace(ids, info.dim, REASON_SINGULAR, singular))
+            continue
+        if len({f.pieces[c].det_sign for c in star}) == 1 and abs(cone_count(f, ids)) == 1:
+            # Local degree ±1 with equal signs: no two shrunk star images
+            # overlap in full dimension, so no pair has a witness.
             continue
         witness: Optional[tuple[int, int]] = None
         for i, a in enumerate(star):
@@ -201,11 +223,31 @@ class OracleFailure:
     target: Vector  # f(point) + epsilon * direction, certified uncovered
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
+    """The oracle's answer. `num_failures` counts the uncovered (sample,
+    direction) pairs, and `failures` is their evidence, one record each,
+    which `evidence` builds the first time it is read. Equality compares
+    the evidence too."""
+
     open_at_all_samples: bool
-    failures: tuple[OracleFailure, ...]
+    num_failures: int
     samples: int
+    evidence: Callable[[], tuple[OracleFailure, ...]] = field(repr=False)
+
+    @cached_property
+    def failures(self) -> tuple[OracleFailure, ...]:
+        return self.evidence()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OracleResult):
+            return NotImplemented
+        return (self.open_at_all_samples, self.num_failures, self.samples, self.failures) == (
+            other.open_at_all_samples,
+            other.num_failures,
+            other.samples,
+            other.failures,
+        )
 
 
 def seeded_directions(n: int, count: int, seed: int) -> list[tuple[int, ...]]:
@@ -239,13 +281,12 @@ class _ImageTable:
     c_k > 0 fixed per row. A row's first n entries are its integer slope row
     and its last entry is the constant term, so the slope of coordinate k
     along a direction d is c_k⁻¹ times the dot product of d with the slope
-    row. `slopes[k][j]` is that dot product for the j-th base direction, and
-    bit j of `masks[k]` is set iff it is >= 0.
+    row. Bit j of `masks[k]` is set iff that dot product is >= 0 for the
+    j-th base direction.
     """
 
     vertex_ids: Face
     rows: tuple[tuple[int, ...], ...]
-    slopes: tuple[list[int], ...]
     masks: tuple[int, ...]
 
 
@@ -254,14 +295,19 @@ def _image_table(
 ) -> _ImageTable:
     ids = f.domain.cells[cell_index].vertex_ids
     rows = f.images.frame(ids).bary
-    slopes = []
-    for row in rows:
-        row_slopes = [row[0] * a for a in axis_columns[0]]
-        for r, column in zip(row[1:], axis_columns[1:]):
-            row_slopes = [s + r * a for s, a in zip(row_slopes, column)]
-        slopes.append(row_slopes)
-    masks = tuple(sum(compress(bits, [s >= 0 for s in row_slopes])) for row_slopes in slopes)
-    return _ImageTable(ids, rows, tuple(slopes), masks)
+    masks = tuple(
+        sum(compress(bits, [s >= 0 for s in _base_slopes(row, axis_columns)])) for row in rows
+    )
+    return _ImageTable(ids, rows, masks)
+
+
+def _base_slopes(row: tuple[int, ...], axis_columns: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The dot products of a frame row's slope row with every base
+    direction, in one pass over the axis columns."""
+    slopes = [row[0] * a for a in axis_columns[0]]
+    for r, column in zip(row[1:], axis_columns[1:]):
+        slopes = [s + r * a for s, a in zip(slopes, column)]
+    return slopes
 
 
 def _fold_normals(table: _ImageTable, off_carrier: list[int]) -> list[tuple[int, ...]]:
@@ -298,9 +344,9 @@ def openness_oracle(
     coordinates of f(x) unchanged and doubles every slope along a ray, so
     each star cell is tested against its unshrunk image through an
     `_ImageTable` built once per call: the barycentric rows of its image
-    simplex's integer frame, per row its slopes on all base directions (the
-    base directions and their per-axis columns are drawn once per setting
-    and kept), and the mask of those of nonnegative slope. A direction is
+    simplex's integer frame and, per row, the mask of the base directions of
+    nonnegative slope (the base directions and their per-axis columns are
+    drawn once per setting and kept). A direction is
     covered by a cell iff no row with a zero coordinate of f(x) has negative
     slope; those rows are the cell's vertices off the carrier, because x lies
     in the relative interior of the carrier and the piece is an affine
@@ -308,27 +354,29 @@ def openness_oracle(
     hyperplane are tested as well, read off a star cell's frame
     (`_fold_normals`; none in 1-D).
 
-    Everything up to here is integer work. Only a sample with an uncovered
-    direction builds its evidence: x = Σ w_i v_i / Σ w and, as the piece is
-    affine on the carrier, f(x) = Σ w_i f(v_i) / Σ w, both summed over the
-    scaled integer points of the domain and the images. The first crossing
-    of a ray in a shrunk image is -b / (2 s) for each unshrunk coordinate b
-    and slope s, compared as integer pairs until the least one is found, and
-    each failure builds its rational epsilon and target once.
+    All of this is integer work, and so is the count of the uncovered
+    directions. A sample with an uncovered direction keeps its integer
+    record (`_FailingSample`), which holds no table; the rational evidence,
+    x, epsilon and the target of each failure, is built from the records and
+    the map's frames the first time `OracleResult.failures` is read
+    (`_evidence`).
     """
     singular = [ci for ci, p in enumerate(f.pieces) if p.det_sign == 0]
     if singular:
-        failures = tuple(
-            OracleFailure(
-                point=f.domain.barycenter(f.domain.cells[ci].vertex_ids),
-                carrier=f.domain.cells[ci].vertex_ids,
-                direction=(),
-                epsilon=Fraction(0),
-                target=(),
+
+        def collapsed() -> tuple[OracleFailure, ...]:
+            return tuple(
+                OracleFailure(
+                    point=f.domain.barycenter(f.domain.cells[ci].vertex_ids),
+                    carrier=f.domain.cells[ci].vertex_ids,
+                    direction=(),
+                    epsilon=Fraction(0),
+                    target=(),
+                )
+                for ci in singular
             )
-            for ci in singular
-        )
-        return OracleResult(False, failures, 0)
+
+        return OracleResult(False, len(singular), 0, collapsed)
 
     n = f.ambient_dim
     base_directions, axis_columns = _base_directions(n, num_directions, rng_seed)
@@ -345,10 +393,10 @@ def openness_oracle(
         ids = f.domain.cells[rng.below(num_cells)].vertex_ids
         samples.append((ids, tuple(rng.int_range(1, 64) for _ in ids)))
 
-    domain, images = f.domain.points, f.images
     tables: dict[int, _ImageTable] = {}
     all_directions = (1 << len(base_directions)) - 1
-    failures: list[OracleFailure] = []
+    failing: list[_FailingSample] = []
+    num_failures = 0
     for carrier, weights in samples:
         star = []
         for ci in f.domain.faces[carrier].cells:
@@ -364,13 +412,8 @@ def openness_oracle(
             for k in off_carrier:
                 cell_covers &= table.masks[k]
             covered |= cell_covers
-        # each uncovered direction with its slopes on every star table's rows
         missing = all_directions & ~covered
-        uncovered = [
-            (d, [[row_slopes[j] for row_slopes in table.slopes] for table, _ in star])
-            for j, d in enumerate(base_directions if missing else ())
-            if missing >> j & 1
-        ]
+        folds = []
         if len(carrier) == n:  # interior (n-1)-face: add the exact fold normals
             for d in _fold_normals(*star[0]):
                 slopes = [[sum(map(mul, row, d)) for row in table.rows] for table, _ in star]
@@ -378,10 +421,66 @@ def openness_oracle(
                     all(row_slopes[k] >= 0 for k in off_carrier)
                     for (_, off_carrier), row_slopes in zip(star, slopes)
                 ):
-                    uncovered.append((d, slopes))
-        if not uncovered:
-            continue
+                    folds.append((d, slopes))
+        if missing or folds:
+            failing.append(_FailingSample(carrier, weights, missing, folds))
+            num_failures += missing.bit_count() + len(folds)
+    return OracleResult(
+        not num_failures,
+        num_failures,
+        len(samples),
+        partial(_evidence, f, base_directions, axis_columns, failing),
+    )
 
+
+@dataclass(frozen=True)
+class _FailingSample:
+    """A sample with uncovered directions, as the covering test left it:
+    its carrier and integer weights, the mask of the uncovered base
+    directions, and the uncovered fold normals with their slopes on every
+    star cell's frame rows."""
+
+    carrier: Face
+    weights: tuple[int, ...]
+    missing: int
+    folds: list[tuple[tuple[int, ...], list[list[int]]]]
+
+
+def _evidence(
+    f: PLMap,
+    base_directions: tuple[tuple[int, ...], ...],
+    axis_columns: tuple[tuple[int, ...], ...],
+    failing: list[_FailingSample],
+) -> tuple[OracleFailure, ...]:
+    """The failure records of the failing samples, in sample order and, per
+    sample, the uncovered base directions in order and then the fold normals.
+
+    The slopes of each star cell's frame rows on every base direction are
+    computed again, once per cell (the map keeps the frames), and read per
+    uncovered direction. x = Σ w_i v_i / Σ w and, as the piece is affine on
+    the carrier, f(x) = Σ w_i f(v_i) / Σ w, both summed over the scaled
+    integer points of the domain and the images. The first crossing of a ray
+    in a shrunk image is -b / (2 s) for each unshrunk coordinate b and slope
+    s, compared as integer pairs until the least one is found, and each
+    failure builds its rational epsilon and target once.
+    """
+    n = f.ambient_dim
+    domain, images, cells = f.domain.points, f.images, f.domain.cell_ids
+    slopes: dict[int, list[list[int]]] = {}  # per cell, per frame row, per base direction
+    failures: list[OracleFailure] = []
+    for sample in failing:
+        carrier, weights = sample.carrier, sample.weights
+        star = f.domain.faces[carrier].cells
+        for ci in star:
+            if ci not in slopes:
+                rows = images.frame(cells[ci]).bary
+                slopes[ci] = [_base_slopes(row, axis_columns) for row in rows]
+        # each uncovered direction with its slopes on every star cell's rows
+        uncovered = [
+            (d, [[row_slopes[j] for row_slopes in slopes[ci]] for ci in star])
+            for j, d in enumerate(base_directions)
+            if sample.missing >> j & 1
+        ] + sample.folds
         total = sum(weights)
         x = tuple(
             Fraction(
@@ -396,15 +495,17 @@ def openness_oracle(
         g = gcd(*sums, scale)
         y0_column = (*(s // g for s in sums), scale // g)
         m = y0_column[-1]
-        bases = [[sum(map(mul, row, y0_column)) for row in table.rows] for table, _ in star]
-        for direction, slopes in uncovered:
+        bases = [
+            [sum(map(mul, row, y0_column)) for row in images.frame(cells[ci]).bary] for ci in star
+        ]
+        for direction, ray_slopes in uncovered:
             # Exact epsilon: half the first positive facet crossing of the ray
             # among all shrunk star image simplices. Coordinate k of f(x) is
             # b / (m c_k) and its slope in the shrunk image is 2 s / c_k, so the
             # crossing is -b / (2 m s): the least positive ratio -b / s, kept
             # as an integer pair (num, den > 0) and compared by cross-products.
             least: Optional[tuple[int, int]] = None
-            for base, row_slopes in zip(bases, slopes):
+            for base, row_slopes in zip(bases, ray_slopes):
                 for b, slope in zip(base, row_slopes):
                     if slope == 0:
                         continue
@@ -421,7 +522,7 @@ def openness_oracle(
             failures.append(
                 OracleFailure(x, carrier, tuple(Fraction(d) for d in direction), epsilon, target)
             )
-    return OracleResult(not failures, tuple(failures), len(samples))
+    return tuple(failures)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +587,10 @@ def check_conditions(f: PLMap, oracle_config: Optional[OracleConfig] = None) -> 
     cells, which fiber finiteness already excludes. So conditions (ii) and
     (iii) are one predicate, computed once and reported under both keys.
     The checks computed independently of it are condition (iv) through the
-    branch set, coherent orientation, and the oracle.
+    branch set, coherent orientation, and the oracle. The branch set reads
+    the determinant signs too, but decides each star by its own cone count
+    or pair probes; the oracle's covering test is its own computation, and
+    its failure evidence waits until `verdict.oracle.failures` is read.
     """
     profile = sign_profile(f)
     finite = finite_fibers(f)

@@ -23,6 +23,8 @@ of every cell that has the face, so no point query needs a grid over faces.
 
 The ingredients of every openness verdict live here: determinant-sign
 profiles, fibers (with exact witness segments through collapsed cells), the
+local degree at a face as one signed count of its star's image cones
+(`cone_count`, which the branch set and `degree.local_degree` share), the
 component graph of the nonsingular locus, and image dimensions of
 subcomplexes.
 """
@@ -321,6 +323,36 @@ def preimage(f: PLMap, ids: Face, weights: Sequence[int]) -> Vector:
         Fraction(sum(map(mul, weights, axis)), denominator)
         for axis in zip(*(vertices.scaled[i] for i in ids))
     )
+
+
+def cone_count(f: PLMap, face: Face) -> int:
+    """The signed count of the star cells of a face whose image cones hold
+    one generic direction; every star cell must be nonsingular.
+
+    Each star piece is an affine bijection, so near the image of a point x
+    in the face's relative interior a star cell's image is f(x) plus the cone
+    of directions on which the cell's image frame weights off the face do
+    not decrease: their slopes are the first n entries of those
+    `SimplexFrame.bary` rows, dotted with the direction. The direction
+    d = (1, t, …, t^{n−1}) is taken for the first t = 1, 2, … on which no
+    slope is zero (each slope row is nonzero, so it vanishes for at most n−1
+    values of t); then d lies on the boundary of no cone, and the sum of the
+    determinant signs of the cells whose slopes are all positive is the
+    local degree at x.
+    """
+    n, cells = f.ambient_dim, f.domain.cell_ids
+    stars = []
+    for ci in f.domain.faces[face].cells:
+        bary = f.images.frame(cells[ci]).bary
+        off_face = [row[:n] for v, row in zip(cells[ci], bary) if v not in face]
+        stars.append((f.pieces[ci].det_sign, off_face))
+    t = 1
+    while True:
+        direction = [t**k for k in range(n)]
+        slopes = [[sum(map(mul, row, direction)) for row in rows] for _, rows in stars]
+        if all(all(s) for s in slopes):
+            return sum(sign for (sign, _), s in zip(stars, slopes) if all(v > 0 for v in s))
+        t += 1
 
 
 def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:

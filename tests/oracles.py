@@ -6,7 +6,7 @@ solves with generic Gaussian elimination, memberships are barycentric
 re-solves. Expected values in the tests are computed (or re-checked) with
 these, never copied from the implementation under test.
 
-The last four sections are different. `certify_in_stage_order` runs the
+The last five sections are different. `certify_in_stage_order` runs the
 library's own whyburn stages and degree, with the stage-4 sweep
 (`global_collision`, on the library's probe), each unconditionally and in
 their numbered order, as the reference for the certifier's shortcuts.
@@ -16,6 +16,8 @@ for that scan.
 `star_local_degree` is the local degree as it was before the cone count:
 the degree of the map restricted to the carrier's star, rescaled toward
 the point until the star holds no other point of its fiber.
+`pair_loop_branch_set` is the branch set as it was before the cone count:
+every nonsingular star probed pair by pair in the library's frames.
 `lp_feasible`, `hull_dim` and `intersection_dim` are the tests' own entry
 points into the library's engine, which no library code calls.
 """
@@ -43,6 +45,13 @@ from plopen.feasible import (
     hull_leaves_affine_span,
 )
 from plopen.linalg import Matrix, Vector, null_space, rank, vec_dot, vec_sub
+from plopen.openness import (
+    REASON_INJECTIVITY,
+    REASON_SIGN_MISMATCH,
+    REASON_SINGULAR,
+    BranchFace,
+    BranchReport,
+)
 from plopen.plmap import FiniteFiber, build_plmap, fiber, finite_fibers, sign_profile
 
 # the module: the package exports the function `degree` under the same name
@@ -524,6 +533,62 @@ def star_local_degree(f, x):
             return degree_module.degree(star_map, value).degree
         factor = factor / 2
     raise RuntimeError("fiber isolation did not terminate; fiber finiteness is violated")
+
+
+# ---------------------------------------------------------------------------
+# The branch set by star-cell pairs, before the cone count.
+# ---------------------------------------------------------------------------
+
+
+def pair_loop_branch_set(f):
+    """`branch_set` with every nonsingular star of a face of dimension <= n-2
+    decided pair by pair in the image frames: across a shared facet by the
+    two determinant signs, otherwise by one `relint_meets_simplex` probe on
+    the unshrunk images whose boxes meet; the first hit is the witness."""
+    n = f.ambient_dim
+    cells = f.domain.cells
+    out = []
+    for ids in f.domain.interior_faces():
+        info = f.domain.faces[ids]
+        if info.dim == n - 1:
+            a, b = info.cells
+            sa, sb = f.pieces[a].det_sign, f.pieces[b].det_sign
+            if sa == 0 or sb == 0:
+                singular = tuple(c for c in (a, b) if f.pieces[c].det_sign == 0)
+                out.append(BranchFace(ids, info.dim, REASON_SINGULAR, singular))
+            elif sa != sb:
+                out.append(BranchFace(ids, info.dim, REASON_SIGN_MISMATCH, (a, b)))
+            continue
+        if info.dim > n - 1:
+            continue
+        star = info.cells
+        singular = tuple(c for c in star if f.pieces[c].det_sign == 0)
+        if singular:
+            out.append(BranchFace(ids, info.dim, REASON_SINGULAR, singular))
+            continue
+        witness = None
+        for i, a in enumerate(star):
+            if witness:
+                break
+            for b in star[i + 1 :]:
+                ids_a, ids_b = cells[a].vertex_ids, cells[b].vertex_ids
+                if len(set(ids_a) & set(ids_b)) == n:
+                    if f.pieces[a].det_sign != f.pieces[b].det_sign:
+                        witness = (a, b)
+                        break
+                    continue
+                if feasible.boxes_overlap(
+                    f.images.box(ids_a), f.images.box(ids_b)
+                ) and feasible.relint_meets_simplex(f.images.frame(ids_a), f.images.cols(ids_b)):
+                    witness = (a, b)
+                    break
+        if witness:
+            out.append(BranchFace(ids, info.dim, REASON_INJECTIVITY, witness))
+    for ci, piece in enumerate(f.pieces):
+        if piece.det_sign == 0:
+            out.append(BranchFace(cells[ci].vertex_ids, n, REASON_SINGULAR, (ci,)))
+    out.sort(key=lambda bf: (len(bf.face), bf.face))
+    return BranchReport(tuple(out), max((bf.dim for bf in out), default=None))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plopen import feasible
+from plopen import feasible, openness
+from plopen.cli import _openness_payload
 from plopen.complexes import validate_complex
 from plopen.degree import local_degree
 from plopen.feasible import relative_interiors_intersect
@@ -26,9 +30,14 @@ from plopen.openness import (
     openness_oracle,
     seeded_directions,
 )
-from plopen.plmap import AffinePiece, FiniteFiber, build_plmap, fiber, finite_fibers
+from plopen.plmap import AffinePiece, FiniteFiber, build_plmap, cone_count, fiber, finite_fibers
 
-from oracles import face_normal_directions, point_in_simplex, shrunk_star_images
+from oracles import (
+    face_normal_directions,
+    pair_loop_branch_set,
+    point_in_simplex,
+    shrunk_star_images,
+)
 
 
 def F(*args):
@@ -231,20 +240,17 @@ def reference_oracle(f, num_points, num_directions, rng_seed):
     """
     singular = [ci for ci, p in enumerate(f.pieces) if p.det_sign == 0]
     if singular:
-        return OracleResult(
-            False,
-            tuple(
-                OracleFailure(
-                    f.domain.barycenter(f.domain.cells[ci].vertex_ids),
-                    f.domain.cells[ci].vertex_ids,
-                    (),
-                    F(0),
-                    (),
-                )
-                for ci in singular
-            ),
-            0,
+        collapsed = tuple(
+            OracleFailure(
+                f.domain.barycenter(f.domain.cells[ci].vertex_ids),
+                f.domain.cells[ci].vertex_ids,
+                (),
+                F(0),
+                (),
+            )
+            for ci in singular
         )
+        return OracleResult(False, len(collapsed), 0, lambda: collapsed)
     n = f.ambient_dim
     base_directions = seeded_directions(n, num_directions, rng_seed)
     rng = _SplitMix64(rng_seed ^ 0xD1B54A32D192ED03)
@@ -288,7 +294,7 @@ def reference_oracle(f, num_points, num_directions, rng_seed):
             epsilon = min(crossings) / 2 if crossings else F(1)
             target = tuple(a + epsilon * d for a, d in zip(y0, direction))
             failures.append(OracleFailure(x, carrier, tuple(map(F, direction)), epsilon, target))
-    return OracleResult(not failures, tuple(failures), len(samples))
+    return OracleResult(not failures, len(failures), len(samples), lambda: tuple(failures))
 
 
 # (num_points, num_directions, rng_seed): the CLI defaults, one other, no
@@ -379,6 +385,7 @@ class TestBranchSetMatchesVertexFormReference:
     def test_whole_report_equal(self, spec):
         f = generate(spec).plmap
         assert branch_set(f) == reference_branch_set(f)
+        assert branch_set(f) == pair_loop_branch_set(f)
 
     @pytest.mark.parametrize(
         "spec", [GenSpec("doubling2d", 2, seed=0), GenSpec("random_mixed_signs", 3, seed=1)], ids=str
@@ -455,3 +462,124 @@ class TestFoldNormalsFromFrames:
                 table = _image_table(f, ci, ((),) * n, ())
                 off_carrier = [k for k, v in enumerate(table.vertex_ids) if v not in face]
                 assert _fold_normals(table, off_carrier) == expected
+
+
+def mirrored(f):
+    return build_plmap(f.domain, [(-v[0], *v[1:]) for v in f.vertex_images])
+
+
+# every generator kind and its mirror in dims 1-3, seeds 0-3; the unmirrored
+# maps in dims 2 and 3 are `BRANCH_CASES`
+COUNT_CASES = [
+    (GenSpec(kind, dim, seed=seed), mirror)
+    for kind in KINDS
+    for dim in (1, 2, 3)
+    if _FIXED_DIMS.get(kind, dim) == dim
+    for seed in range(4)
+    for mirror in (False, True)
+]
+MORE_BRANCH_CASES = [(spec, mirror) for spec, mirror in COUNT_CASES if mirror or spec.dim == 1]
+
+
+def count_case_map(spec, mirror):
+    f = generate(spec).plmap
+    return mirrored(f) if mirror else f
+
+
+def star_paths(f):
+    """The path `branch_set` takes at each nonsingular star of an interior
+    face of dimension <= n-2: one count of 1 decides it, or a count of 2 or
+    more, or mixed signs, sends it to the pair loop."""
+    n = f.ambient_dim
+    paths = set()
+    for ids in f.domain.interior_faces():
+        info = f.domain.faces[ids]
+        signs = {f.pieces[ci].det_sign for ci in info.cells}
+        if info.dim > n - 2 or 0 in signs:
+            continue
+        if len(signs) > 1:
+            paths.add("mixed signs")
+        else:
+            paths.add("count 1" if abs(cone_count(f, ids)) == 1 else "count >= 2")
+    return paths
+
+
+class TestBranchSetByConeCount:
+    """`branch_set` decides a star of equal signs whose cone count is 1
+    without a probe, and gives the report of the pair loop on every star."""
+
+    @pytest.mark.parametrize("spec, mirror", MORE_BRANCH_CASES, ids=str)
+    def test_equals_the_pair_loop_and_the_vertex_form(self, spec, mirror):
+        f = count_case_map(spec, mirror)
+        report = branch_set(f)
+        assert report == pair_loop_branch_set(f)
+        assert report == reference_branch_set(f)
+
+    def test_identity_square_fixture(self, identity_square):
+        # the other named fixtures are generator kinds at seed 0, cases above
+        f = identity_square
+        assert branch_set(f) == pair_loop_branch_set(f) == reference_branch_set(f)
+
+    def test_cases_reach_every_path(self, doubling2d):
+        paths = set()
+        for spec, mirror in COUNT_CASES:
+            paths |= star_paths(count_case_map(spec, mirror))
+        assert paths == {"count 1", "count >= 2", "mixed signs"}
+        # the doubling map's centre: two star images over every direction
+        assert cone_count(doubling2d.plmap, (0,)) == 2
+
+    @given(st.data())
+    @settings(settings.get_profile("ci"), max_examples=40, deadline=None)
+    def test_perturbed_maps_agree(self, data):
+        kind = data.draw(
+            st.sampled_from(["random_mixed_signs", "random_orientation_preserving"]), label="kind"
+        )
+        dim = data.draw(st.integers(2, 3), label="dim")
+        seed = data.draw(st.integers(0, 3), label="seed")
+        base = generate(GenSpec(kind, dim, seed=seed)).plmap
+        images = [list(v) for v in base.vertex_images]
+        vertex = data.draw(st.integers(0, len(images) - 1), label="vertex")
+        axis = data.draw(st.integers(0, dim - 1), label="axis")
+        images[vertex][axis] += data.draw(
+            st.sampled_from([F(1, 3), F(-1, 5), F(1, 16), F(-3, 7), F(2), F(-5, 2)]), label="shift"
+        )
+        f = build_plmap(base.domain, images)
+        assert branch_set(f) == pair_loop_branch_set(f) == reference_branch_set(f)
+
+    def test_no_probe_where_every_count_is_one(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("pair probe on a star of local degree 1")
+
+        f = generate(GenSpec("random_orientation_preserving", 3, resolution=4, seed=1)).plmap
+        assert star_paths(f) == {"count 1"}
+        monkeypatch.setattr(feasible, "relint_meets_simplex", forbidden)
+        assert branch_set(f) == BranchReport((), None)
+
+
+class TestOracleEvidenceOnDemand:
+    @pytest.mark.parametrize("spec, settings", ORACLE_CASES, ids=str)
+    def test_count_is_the_number_of_failures(self, spec, settings):
+        result = openness_oracle(generate(spec).plmap, *settings)
+        assert result.num_failures == len(result.failures)
+        assert result.open_at_all_samples == (result.num_failures == 0)
+
+    def test_check_open_builds_no_failure_record(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("failure record built for a count")
+
+        f = generate(GenSpec("random_mixed_signs", 3, seed=1)).plmap
+        config = OracleConfig()
+        expected = check_conditions(f, config)
+        expected_payload = _openness_payload(f, config)
+        assert expected.oracle.num_failures > 0
+        monkeypatch.setattr(openness, "OracleFailure", forbidden)
+        verdict = check_conditions(f, config)
+        assert replace(verdict, oracle=None) == replace(expected, oracle=None)
+
+        def counts(v):
+            return v.oracle.open_at_all_samples, v.oracle.num_failures, v.oracle.samples
+
+        assert counts(verdict) == counts(expected)
+        assert _openness_payload(f, config) == expected_payload
+        with pytest.raises(AssertionError, match="failure record"):
+            verdict.oracle.failures
