@@ -226,7 +226,8 @@ def _proper_by_degree(
     - the boundary is one strongly connected cycle (`boundary_cycle_defects`);
     - exactly one closed cell holds the barycentre of cell 0;
     - the boundary facets meet properly: one probe per pair whose boxes
-      meet, in a facet frame read off its cell's frame (`SimplexFrame.facet`).
+      meet, in a facet frame read off its cell's frame
+      (`IntegerPoints.facet_frame`).
     The boundary is then an embedded connected closed pseudomanifold, whose
     complement has one bounded component (Alexander duality mod 2; in 1-D
     the outer two intervals count 0 cells). The count there is the count
@@ -263,8 +264,7 @@ def _proper_by_degree(
     facet_frames = []
     for face in boundary:
         (owner,) = face_cells[face]
-        j = next(k for k, v in enumerate(cell_ids[owner]) if v not in face)
-        facet_frames.append(frames[owner].facet(j))
+        facet_frames.append(points.facet_frame(cell_ids[owner], face))
     return next(improper_pairs(points, boundary, cell_ids, facet_frames), None) is None
 
 

@@ -461,11 +461,14 @@ class SimplexFrame:
     P's j-th vertex (the weights of the point of aff(P) that y projects to
     along the frame's complement), and aff[r]·ŷ = 0 for every r exactly when
     y ∈ aff(P). So membership of y in conv(P) is a sign test (`contains`),
-    with no probe.
+    with no probe. A full-dimensional frame keeps the sign of the
+    determinant of P's columns as its orientation; a lower-dimensional one
+    has orientation 0.
     """
 
     bary: tuple[tuple[int, ...], ...]
     aff: tuple[tuple[int, ...], ...]
+    orientation: int = 0
 
     def weights(self, column: Sequence[int]) -> list[int]:
         """bary·ŷ for each vertex: the signs of ŷ's barycentric weights, and
@@ -504,7 +507,8 @@ def simplex_frame(columns: Sequence[tuple[int, ...]]) -> SimplexFrame:
     the columns (e_i, 0) of n − k coordinate axes that complete P's
     direction space. Its adjugate's rows 0..k, times sign(det), give the
     barycentric weights up to a positive factor per row; rows k+1..n vanish
-    exactly on aff(P). Affinely dependent vertices raise ValueError.
+    exactly on aff(P). When k = n, sign(det) is the frame's orientation.
+    Affinely dependent vertices raise ValueError.
     """
     n = len(columns[0]) - 1
     k = len(columns) - 1
@@ -518,6 +522,7 @@ def simplex_frame(columns: Sequence[tuple[int, ...]]) -> SimplexFrame:
             return SimplexFrame(
                 tuple(tuple(sign * x for x in row) for row in adjugate[: k + 1]),
                 tuple(tuple(row) for row in adjugate[k + 1 :]),
+                sign if k == n else 0,
             )
     raise ValueError("simplex vertices are affinely dependent")
 
@@ -746,6 +751,17 @@ class IntegerPoints:
             except ValueError:
                 self._frames[ids] = None
         return self._frames[ids]
+
+    def facet_frame(self, cell: tuple[int, ...], face: tuple[int, ...]) -> Optional[SimplexFrame]:
+        """The frame of a facet of a full-dimensional cell, listed in the
+        cell's order: read off the cell's kept frame (`SimplexFrame.facet`,
+        no adjugate), or the facet's own frame when the cell's points have
+        none. Not kept, since off the facet's hull its rows read the cell's
+        weights: it serves the frame probes, which all ask aff·ŷ = 0."""
+        frame = self.frame(cell)
+        if frame is None:
+            return self.frame(face)
+        return frame.facet(next(k for k, v in enumerate(cell) if v not in face))
 
     def grid(
         self, faces: Sequence[tuple[int, ...]], cells: Sequence[tuple[int, ...]]

@@ -3,11 +3,14 @@
 A map is a validated simplicial complex plus one image point per vertex; the
 affine piece of each cell is the unique affine map interpolating the images of
 its n+1 vertices, so continuity across shared faces holds by construction.
-`build_plmap` reads each piece off the cell's integer frame, and every map is
-made there. The pieces form (one matrix and offset per cell) enters through
-`ingest_pieces`: it validates the caller's own vertices and cells, gives each
-vertex the image of the first cell that lists it, builds the map from those
-images, and checks exactly that the given pieces are the built ones.
+Every map is made by `build_plmap`, in integers only: each piece's
+determinant sign is the product of two integer orientations, the cell's and
+its image's, and its matrix and offset are read off the cell's integer frame
+only when something reads them (`AffinePiece`). The pieces form (one matrix
+and offset per cell) enters through `ingest_pieces`: it validates the
+caller's own vertices and cells, gives each vertex the image of the first
+cell that lists it, builds the map from those images, and checks exactly
+that the given pieces are the built ones.
 
 The map keeps the integer form of its vertex images in one
 `feasible.IntegerPoints` (`images`), the same kind of owner the domain keeps
@@ -71,13 +74,55 @@ class DiscontinuityError(ValueError):
         super().__init__("; ".join(str(v) for v in violations))
 
 
-@dataclass(frozen=True)
 class AffinePiece:
-    """One affine piece x -> matrix x + offset with its orientation sign."""
+    """One affine piece x -> matrix x + offset with its orientation sign.
 
-    matrix: Matrix
-    offset: Vector
-    det_sign: int
+    `build_plmap` sets `det_sign` from two integer orientations and hands
+    the piece its cell's frame rows and columns; `matrix` and `offset` are
+    built from those (`_frame_piece`) the first time either is read, and
+    kept. Two pieces are equal when their matrices, offsets and signs are.
+    """
+
+    __slots__ = ("det_sign", "_source", "_affine")
+
+    def __init__(
+        self,
+        det_sign: int,
+        bary: Sequence[Sequence[int]],
+        vertex_columns: Sequence[tuple[int, ...]],
+        image_columns: Sequence[tuple[int, ...]],
+    ) -> None:
+        self.det_sign = det_sign
+        self._source = (bary, vertex_columns, image_columns)
+        self._affine: tuple[Matrix, Vector] | None = None
+
+    def _built(self) -> tuple[Matrix, Vector]:
+        if self._affine is None:
+            self._affine = _frame_piece(*self._source)
+        return self._affine
+
+    @property
+    def matrix(self) -> Matrix:
+        return self._built()[0]
+
+    @property
+    def offset(self) -> Vector:
+        return self._built()[1]
+
+    def _key(self) -> tuple[Matrix, Vector, int]:
+        return (*self._built(), self.det_sign)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        matrix, offset = self._built()
+        return f"AffinePiece(matrix={matrix!r}, offset={offset!r}, det_sign={self.det_sign})"
 
     def apply(self, x: Vector) -> Vector:
         return vec_add(self.matrix.mul_vec(x), self.offset)
@@ -163,8 +208,9 @@ def _frame_piece(
     bary: Sequence[Sequence[int]],
     vertex_columns: Sequence[tuple[int, ...]],
     image_columns: Sequence[tuple[int, ...]],
-) -> AffinePiece:
-    """The unique affine map sending each vertex of a cell to its image.
+) -> tuple[Matrix, Vector]:
+    """The matrix and offset of the unique affine map sending each vertex
+    of a cell to its image.
 
     bary is the cell's frame (`IntegerPoints.frame` of the domain), and the
     vertices and their images enter as integer homogeneous columns
@@ -173,9 +219,7 @@ def _frame_piece(
     D = bary_0·v̂_0 > 0. So f(x) = Σ_j f(v_j)·m_j·(bary_j·x̂)/D: entry (r, c)
     of the matrix is Σ_j f(v_j)[r]·m_j·bary_j[c]/D, and the offset is the
     same sum over the last column. Over the images' common denominator each
-    entry is one integer sum and one Fraction, with no inverse matrix. The
-    numerators share that one positive denominator, so the determinant of
-    the integer numerator matrix has the piece's determinant sign.
+    entry is one integer sum and one Fraction, with no inverse matrix.
     """
     n = len(image_columns) - 1
     common = lcm(*(col[-1] for col in image_columns))
@@ -189,14 +233,21 @@ def _frame_piece(
         for r in range(n)
     ]
     matrix = Matrix(tuple(tuple(Fraction(x, denominator) for x in row[:n]) for row in numerators))
-    offset = tuple(Fraction(row[n], denominator) for row in numerators)
-    d = integer_determinant([row[:n] for row in numerators])
-    return AffinePiece(matrix, offset, (d > 0) - (d < 0))
+    return matrix, tuple(Fraction(row[n], denominator) for row in numerators)
 
 
 def build_plmap(
     complex_: SimplicialComplex, vertex_images: Sequence[Sequence[int | str | Fraction]]
 ) -> PLMap:
+    """The map with these vertex images on a validated complex.
+
+    The homogeneous form of a piece sends each vertex column
+    v̂_j = (m_j·v_j, m_j) to its image column (a_j, s_j) times m_j/s_j > 0,
+    so the piece's determinant sign is the cell's orientation
+    (`SimplexFrame.orientation`, from the frame validation built) times the
+    sign of the integer determinant of the image columns. No Fraction is
+    made here; each piece builds its matrix and offset when first read.
+    """
     images = tuple(vector(v) for v in vertex_images)
     if len(images) != len(complex_.vertices):
         raise ValueError(
@@ -207,11 +258,13 @@ def build_plmap(
         if len(img) != n:
             raise ValueError(f"image of vertex {i} has dimension {len(img)}, expected {n}")
     points, image_points = complex_.points, feasible.IntegerPoints(images)
-    pieces = tuple(
-        _frame_piece(points.frame(ids).bary, points.cols(ids), image_points.cols(ids))
-        for ids in complex_.cell_ids
-    )
-    return PLMap(complex_, image_points, pieces)
+    pieces = []
+    for ids in complex_.cell_ids:
+        frame, image_cols = points.frame(ids), image_points.cols(ids)
+        d = integer_determinant([list(col) for col in image_cols])
+        sign = frame.orientation * ((d > 0) - (d < 0))
+        pieces.append(AffinePiece(sign, frame.bary, points.cols(ids), image_cols))
+    return PLMap(complex_, image_points, tuple(pieces))
 
 
 def ingest_pieces(

@@ -162,15 +162,20 @@ def boundary_restriction_injective(
     shared subface. Each boundary-face image must itself be a nondegenerate
     (n-1)-simplex (a collapsed face is already a collision within itself);
     given that, the overlap is proper iff it stays inside the affine hull of
-    the shared subface's image. The pairs whose image boxes overlap come
-    from the map's grid over the boundary images (`PLMap.image_grid`, built
-    here at first use and kept for stage 1 when it runs), walked by
-    `improper_pairs`. The degree reads that grid only on its perturbation
-    path, for the segment's obstacles; its point queries read the cell grid.
+    the shared subface's image. Each face's image frame is read off the
+    image frame of the one cell that has the face
+    (`IntegerPoints.facet_frame`, no adjugate). Only a cell with a collapsed
+    image has no frame, and then the face's own frame is built; a
+    coherently oriented map collapses no cell, so that happens only when
+    stage 3 fails. The pairs whose image boxes overlap come from the map's
+    grid over the boundary images (`PLMap.image_grid`, built here at first
+    use and kept for stage 1 when it runs), walked by `improper_pairs`. The
+    degree reads that grid only on its perturbation path, for the segment's
+    obstacles; its point queries read the cell grid.
     """
     f = inst.map
-    boundary = inst.boundary
-    frames = [f.images.frame(face) for face in boundary]
+    boundary, faces, cells = inst.boundary, f.domain.faces, f.domain.cell_ids
+    frames = [f.images.facet_frame(cells[faces[face].cells[0]], face) for face in boundary]
     for face, frame in zip(boundary, frames):
         if frame is None:
             return False, (face, face)

@@ -9,7 +9,9 @@ these, never copied from the implementation under test.
 The last five sections are different. `certify_in_stage_order` runs the
 library's own whyburn stages and degree, with the stage-4 sweep
 (`global_collision`, on the library's probe), each unconditionally and in
-their numbered order, as the reference for the certifier's shortcuts.
+their numbered order, as the reference for the certifier's shortcuts;
+`face_frame_boundary_injective` is stage 2 with each boundary face image in
+its own frame, the reference for the frames read off the cell images.
 `grid_degree` and its parts are the degree's point queries as they were
 before its one image scan, on the library's grids and probes: the reference
 for that scan.
@@ -32,7 +34,7 @@ from math import lcm
 from typing import Optional
 
 from plopen import feasible, whyburn
-from plopen.complexes import validate_complex
+from plopen.complexes import improper_pairs, validate_complex
 from plopen.feasible import (
     REL_EQ,
     REL_LE,
@@ -281,7 +283,8 @@ def face_normal_directions(f, face):
 
 
 # ---------------------------------------------------------------------------
-# The whyburn certifier with every stage run in its numbered order.
+# The whyburn certifier with every stage run in its numbered order, and
+# stage 2 in per-face frames.
 # ---------------------------------------------------------------------------
 
 
@@ -342,6 +345,23 @@ def certify_in_stage_order(inst):
             5, f"interior degree is {certificate.degree}, expected plus or minus 1", certificate
         )
     return whyburn.Certified(degree=certificate.degree, certificate=certificate)
+
+
+def face_frame_boundary_injective(inst):
+    """Stage 2 as it was before it read each boundary face's image frame off
+    its cell's image frame: every face image in its own frame, built by its
+    own adjugate. The reference for `whyburn.boundary_restriction_injective`.
+    """
+    f = inst.map
+    boundary = inst.boundary
+    frames = [f.images.frame(face) for face in boundary]
+    for face, frame in zip(boundary, frames):
+        if frame is None:
+            return False, (face, face)
+    pair = next(improper_pairs(f.images, boundary, f.domain.cell_ids, frames), None)
+    if pair is not None:
+        return False, (boundary[pair[0]], boundary[pair[1]])
+    return True, None
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plopen import feasible
+from plopen import cli, feasible, plmap
 from plopen.complexes import validate_complex
 from plopen.degree import degree, is_regular_value, point_on_boundary_image
-from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
-from plopen.instancefile import document_to_plmap, plmap_to_document
+from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, box_complex, generate
+from plopen.instancefile import document_to_plmap, plmap_to_document, save_document
 from plopen.linalg import Matrix, format_rational
+from plopen.openness import OracleConfig, check_conditions
 from plopen.plmap import (
     ALL_POSITIVE,
     MIXED,
@@ -25,6 +26,7 @@ from plopen.plmap import (
     ingest_pieces,
     sign_profile,
 )
+from plopen.whyburn import Certified, certify_ball_map, make_ball_instance
 
 from oracles import (
     affine_piece_of,
@@ -33,6 +35,7 @@ from oracles import (
     hull_dim,
     piece_by_inverse,
 )
+from test_degree import SCAN_MAPS
 
 
 def F(*args):
@@ -75,6 +78,28 @@ def sample_points(f, count=6):
         x = tuple(sum(w * p[c] for w, p in zip(weights, points)) / sum(weights) for c in range(n))
         out.append((x, f.pieces[ci].apply(x)))
     return out
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def assert_pieces_match_reference(f):
+    """Each piece's matrix and offset are the plain interpolation's and its
+    sign is that matrix's permutation-expansion sign; each full-dimensional
+    frame, of a cell or of a cell's image, has the orientation of the
+    permutation expansion over its homogeneous points (a collapsed image,
+    expansion 0, has no frame)."""
+    for ci, (ids, piece) in enumerate(zip(f.domain.cell_ids, f.pieces)):
+        points, images = f.domain.cell_points(ci), f.image_of_face(ids)
+        matrix, offset = affine_piece_of(points, images)
+        assert piece.det_sign == _sign(det_by_permutation_expansion(matrix))
+        assert piece.matrix.entries == tuple(matrix)
+        assert piece.offset == offset
+        for owner, hull in ((f.domain.points, points), (f.images, images)):
+            frame = owner.frame(ids)
+            expected = _sign(det_by_permutation_expansion([(*p, 1) for p in hull]))
+            assert (0 if frame is None else frame.orientation) == expected
 
 
 def pieces_document(f):
@@ -159,6 +184,79 @@ class TestBuild:
             assert piece.offset == offset and piece.det_sign == sign
 
 
+_SMALL_BOXES = {dim: box_complex(dim, res) for dim, res in ((1, 3), (2, 2), (3, 1))}
+
+
+class TestLazyPieces:
+    """A piece's sign comes from two integer orientations and its matrix and
+    offset are built at first read; all three are the reference's."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_MAPS))
+    def test_kinds_mirrors_and_collapsed_fixtures_match_the_reference(self, name):
+        # a fresh map of the same images, so every piece is built here
+        f = SCAN_MAPS[name]
+        assert_pieces_match_reference(build_plmap(f.domain, f.vertex_images))
+
+    @given(st.data())
+    @settings(settings.get_profile("ci"), deadline=None)
+    def test_perturbed_maps_match_the_reference(self, data):
+        dim = data.draw(st.integers(1, 3), label="dim")
+        domain = _SMALL_BOXES[dim]
+        # larger moves fold cells, so negatively oriented pieces are common
+        scale = data.draw(st.sampled_from([F(1, 8), F(1, 3), F(1)]), label="scale")
+        offset = st.integers(-2, 2).map(lambda k: k * scale)
+        images = [[c + data.draw(offset) for c in v] for v in domain.vertices]
+        if data.draw(st.booleans(), label="mirror"):
+            images = [[-v[0], *v[1:]] for v in images]
+        edge = None
+        if data.draw(st.booleans(), label="collapse"):
+            # two vertices of one cell share an image: every cell on that
+            # edge collapses
+            ids = domain.cell_ids[data.draw(st.integers(0, len(domain.cells) - 1))]
+            edge = tuple(sorted(data.draw(st.sets(st.sampled_from(ids), min_size=2, max_size=2))))
+            images[edge[0]] = images[edge[1]]
+        f = build_plmap(domain, images)
+        assert edge is None or all(f.pieces[ci].det_sign == 0 for ci in domain.star(edge))
+        assert_pieces_match_reference(f)
+
+
+class TestPiecesBuiltOnlyWhenRead:
+    """No piece's matrix is built where no report reads one."""
+
+    SPEC = GenSpec("random_orientation_preserving", 3, resolution=4)
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        calls = []
+        frame_piece = plmap._frame_piece
+
+        def counting(bary, vertex_columns, image_columns):
+            calls.append(image_columns)
+            return frame_piece(bary, vertex_columns, image_columns)
+
+        monkeypatch.setattr(plmap, "_frame_piece", counting)
+        return calls
+
+    def test_generation_loading_and_conditions_build_no_piece(self, built):
+        doc = plmap_to_document(generate(self.SPEC).plmap)
+        f, _ = document_to_plmap(doc)
+        assert check_conditions(f, OracleConfig()).coherent
+        assert built == []
+
+    def test_validate_and_check_open_build_no_piece(self, built, tmp_path, capsys):
+        path = tmp_path / "map.json"
+        save_document(path, plmap_to_document(generate(self.SPEC).plmap))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["check-open", str(path)]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_certify_builds_only_the_certificates_piece(self, built):
+        f, _ = document_to_plmap(plmap_to_document(generate(self.SPEC).plmap))
+        assert isinstance(certify_ball_map(make_ball_instance(f)), Certified)
+        assert built == [f.images.cols(f.domain.cell_ids[0])]
+
+
 class TestIngest:
     def test_identity_pieces_on_two_triangles(self):
         vertices, cells = TWO_TRIANGLES
@@ -184,6 +282,7 @@ class TestIngest:
         forbid_inverse()
         f, _ = document_to_plmap(doc)
         assert f.pieces == expected.pieces
+        assert_pieces_match_reference(f)
         assert list(f.domain.vertices) == list(expected.domain.vertices)
         assert list(f.vertex_images) == list(expected.vertex_images)
 

@@ -27,7 +27,7 @@ from plopen.whyburn import (
     make_ball_instance,
 )
 
-from oracles import certify_in_stage_order, global_collision
+from oracles import certify_in_stage_order, face_frame_boundary_injective, global_collision
 
 
 def F(*args):
@@ -366,13 +366,16 @@ def _outcome(certify, f):
 
 
 def _assert_stage_order_agrees(f, name=""):
-    """The certifier answers as running stages 1 to 5 in order does, and
-    wherever stages 2 and 3 hold, so do stage 1, stage 4 (no collision in
-    the reference sweep) and stage 5 (the certifier's degree is ±1)."""
+    """The certifier answers as running stages 1 to 5 in order does, stage 2
+    answers as it does in per-face frames, and wherever stages 2 and 3 hold,
+    so do stage 1, stage 4 (no collision in the reference sweep) and stage 5
+    (the certifier's degree is ±1)."""
     outcome = _outcome(certify_ball_map, f)
     assert outcome == _outcome(certify_in_stage_order, f), name
     inst = make_ball_instance(f)
-    if coherently_oriented(f) and boundary_restriction_injective(inst)[0]:
+    injective = boundary_restriction_injective(inst)
+    assert injective == face_frame_boundary_injective(inst), name
+    if coherently_oriented(f) and injective[0]:
         assert boundary_preimage_ok(inst) == (True, None), name
         assert global_collision(f) is None, name
         assert isinstance(outcome, Certified) and outcome.degree in (1, -1), name
@@ -450,6 +453,55 @@ class TestStageOneByDegree:
         offset = st.integers(-2, 2).map(lambda k: k * scale)
         images = [tuple(c + data.draw(offset) for c in v) for v in domain.vertices]
         _assert_stage_order_agrees(build_plmap(domain, images))
+
+
+def _collapse_boundary_cells(f, count):
+    """f with the cells of its first `count` boundary faces collapsed: the
+    image of each such cell's vertex off the face moves to the centroid of
+    the face's images, so the face's image keeps its frame while its cell's
+    image has none."""
+    images = list(f.vertex_images)
+    for face in f.domain.boundary[:count]:
+        (owner,) = f.domain.faces[face].cells
+        (far,) = (v for v in f.domain.cell_ids[owner] if v not in face)
+        images[far] = tuple(sum(c) / len(face) for c in zip(*(images[v] for v in face)))
+    return build_plmap(f.domain, images)
+
+
+class TestStageTwoFrames:
+    """Stage 2 reads each boundary face's image frame off its cell's image
+    frame and builds the face's own frame only where that cell's image
+    collapsed; it answers as per-face frames do (`_assert_stage_order_agrees`
+    compares the two on every map the stage-order tests run)."""
+
+    @pytest.mark.parametrize("kind", ["singular_cell", "random_mixed_signs"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_collapsed_cell_images_fall_back_to_face_frames(self, kind, dim, monkeypatch):
+        asked = []
+        frame = feasible.IntegerPoints.frame
+
+        def recording(points, ids):
+            asked.append(ids)
+            return frame(points, ids)
+
+        monkeypatch.setattr(feasible.IntegerPoints, "frame", recording)
+        fallbacks = 0
+        for seed in (0, 1):
+            generated = generate(GenSpec(kind, dim, seed=seed)).plmap
+            for f in (generated, _collapse_boundary_cells(generated, 3)):
+                inst = make_ball_instance(f)
+                cells, n = f.domain.cell_ids, f.ambient_dim
+                collapsed = [
+                    face
+                    for face in inst.boundary
+                    if f.images.frame(cells[f.domain.faces[face].cells[0]]) is None
+                ]
+                asked.clear()
+                injective = boundary_restriction_injective(inst)
+                assert [ids for ids in asked if len(ids) == n] == collapsed
+                assert injective == face_frame_boundary_injective(inst)
+                fallbacks += len(collapsed)
+        assert fallbacks
 
 
 class TestCertifiedBallsSkipTheSweep:
