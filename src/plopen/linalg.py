@@ -5,17 +5,23 @@ form, positive denominator). There is deliberately no floating point in this
 module: each downstream geometric predicate (orientation sign, membership,
 dimension) must be an exact decision, never an approximation.
 
-All of it is one elimination, `_eliminate`: fraction-free (Bareiss)
-Gauss–Jordan reduction of integer rows (E. H. Bareiss, "Sylvester's identity
-and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-1968). Each entry stays a minor of the input, so intermediate bit growth is
-polynomial and every division is exact. Rational rows enter it through one
-rescaling step, `_scaled_integer_rows` (each row times the lcm of its
-denominators). The determinant and its sign are the last pivot and the
-parity of the row swaps, the rank is the pivot count, and solutions,
-inverses and null spaces are read off the reduced rows, one `Fraction` per
-entry; `integer_determinant` and `integer_adjugate` take integer rows and
-never leave the integers.
+Rank, solutions, inverses and null spaces come from one elimination,
+`_eliminate`: fraction-free (Bareiss) Gauss–Jordan reduction of integer rows
+(E. H. Bareiss, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination", Math. Comp. 22, 1968). Each entry stays a minor of
+the input, so intermediate bit growth is polynomial and every division is
+exact. Rational rows enter it through one rescaling step,
+`_scaled_integer_rows` (each row times the lcm of its denominators). The
+rank is the pivot count, and solutions, inverses and null spaces are read
+off the reduced rows, one `Fraction` per entry.
+
+Determinants and adjugates (`integer_determinant`, `integer_adjugate`, and
+`det` and `det_sign` through them) take integer rows and never leave the
+integers. A matrix of side 1–4, which is every simplex frame and orientation
+of a map in dimensions 1–3, gets written-out cofactor formulas (side 4 by
+Laplace expansion in the 2×2 minors of rows 0–1 and of rows 2–3); a larger
+one is eliminated, its determinant being the last pivot times the parity of
+the row swaps. Both give the same integers, since the adjugate is unique.
 """
 
 from __future__ import annotations
@@ -180,8 +186,8 @@ def _eliminate(a: list[list[int]], columns: range) -> tuple[list[int], int, int]
     return pivots, prev, sign
 
 
-def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[Optional[list[list[int]]], int]:
-    """Adjugate and determinant of a square integer matrix, fraction-free.
+def _elimination_adjugate(rows: Sequence[Sequence[int]]) -> tuple[Optional[list[list[int]]], int]:
+    """`integer_adjugate` by elimination, for a matrix of any side.
 
     `_eliminate` on [A | I] ends at [d·I | d·A⁻¹] with d = ±det(A) (the
     sign of the row swaps). A singular matrix returns (None, 0).
@@ -194,9 +200,120 @@ def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[Optional[list[list[
     return [[sign * x for x in row[n:]] for row in a], sign * d
 
 
+# Each `_cofactors_n` returns (adj(A), det(A)) for a side-n matrix A, with
+# adj(A)[i][j] the (j, i) cofactor.
+def _cofactors_1(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    ((a,),) = rows
+    return [[1]], a
+
+
+def _cofactors_2(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    (a, b), (c, d) = rows
+    return [[d, -b], [-c, a]], a * d - b * c
+
+
+def _cofactors_3(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    c0, c1, c2 = e * i - f * h, f * g - d * i, d * h - e * g
+    return [
+        [c0, c * h - b * i, b * f - c * e],
+        [c1, a * i - c * g, c * d - a * f],
+        [c2, b * g - a * h, a * e - b * d],
+    ], a * c0 + b * c1 + c * c2
+
+
+def _cofactors_4(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Laplace expansion by complementary minors: s_jk are the 2×2 minors of
+    rows 0–1 on columns j < k, c_jk those of rows 2–3."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
+    s01, s02, s03 = a00 * a11 - a01 * a10, a00 * a12 - a02 * a10, a00 * a13 - a03 * a10
+    s12, s13, s23 = a01 * a12 - a02 * a11, a01 * a13 - a03 * a11, a02 * a13 - a03 * a12
+    c01, c02, c03 = a20 * a31 - a21 * a30, a20 * a32 - a22 * a30, a20 * a33 - a23 * a30
+    c12, c13, c23 = a21 * a32 - a22 * a31, a21 * a33 - a23 * a31, a22 * a33 - a23 * a32
+    adjugate = [
+        [
+            a11 * c23 - a12 * c13 + a13 * c12,
+            a02 * c13 - a01 * c23 - a03 * c12,
+            a31 * s23 - a32 * s13 + a33 * s12,
+            a22 * s13 - a21 * s23 - a23 * s12,
+        ],
+        [
+            a12 * c03 - a10 * c23 - a13 * c02,
+            a00 * c23 - a02 * c03 + a03 * c02,
+            a32 * s03 - a30 * s23 - a33 * s02,
+            a20 * s23 - a22 * s03 + a23 * s02,
+        ],
+        [
+            a10 * c13 - a11 * c03 + a13 * c01,
+            a01 * c03 - a00 * c13 - a03 * c01,
+            a30 * s13 - a31 * s03 + a33 * s01,
+            a21 * s03 - a20 * s13 - a23 * s01,
+        ],
+        [
+            a11 * c02 - a10 * c12 - a12 * c01,
+            a00 * c12 - a01 * c02 + a02 * c01,
+            a31 * s02 - a30 * s12 - a32 * s01,
+            a20 * s12 - a21 * s02 + a22 * s01,
+        ],
+    ]
+    return adjugate, s01 * c23 - s02 * c13 + s03 * c12 + s12 * c03 - s13 * c02 + s23 * c01
+
+
+def _determinant_1(rows: Sequence[Sequence[int]]) -> int:
+    return rows[0][0]
+
+
+def _determinant_2(rows: Sequence[Sequence[int]]) -> int:
+    (a, b), (c, d) = rows
+    return a * d - b * c
+
+
+def _determinant_3(rows: Sequence[Sequence[int]]) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return a * (e * i - f * h) + b * (f * g - d * i) + c * (d * h - e * g)
+
+
+def _determinant_4(rows: Sequence[Sequence[int]]) -> int:
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = rows
+    return (
+        (a00 * a11 - a01 * a10) * (a22 * a33 - a23 * a32)
+        - (a00 * a12 - a02 * a10) * (a21 * a33 - a23 * a31)
+        + (a00 * a13 - a03 * a10) * (a21 * a32 - a22 * a31)
+        + (a01 * a12 - a02 * a11) * (a20 * a33 - a23 * a30)
+        - (a01 * a13 - a03 * a11) * (a20 * a32 - a22 * a30)
+        + (a02 * a13 - a03 * a12) * (a20 * a31 - a21 * a30)
+    )
+
+
+# Straight-line kernels by side; a matrix of any other side is eliminated.
+_COFACTORS = {1: _cofactors_1, 2: _cofactors_2, 3: _cofactors_3, 4: _cofactors_4}
+_DETERMINANTS = {1: _determinant_1, 2: _determinant_2, 3: _determinant_3, 4: _determinant_4}
+
+
+def integer_adjugate(rows: Sequence[Sequence[int]]) -> tuple[Optional[list[list[int]]], int]:
+    """Adjugate and determinant of a square integer matrix, fraction-free.
+
+    Sides 1–4 (every simplex frame in dimensions 1–3) are written-out
+    cofactor formulas; larger sides go through `_elimination_adjugate`. The
+    adjugate is unique, so both give the same integers. A singular matrix
+    returns (None, 0).
+    """
+    kernel = _COFACTORS.get(len(rows))
+    if kernel is None:
+        return _elimination_adjugate(rows)
+    adjugate, d = kernel(rows)
+    return (adjugate, d) if d else (None, 0)
+
+
 def integer_determinant(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix, fraction-free; the rows are
-    reduced in place."""
+    """Determinant of a square integer matrix, fraction-free.
+
+    Sides 1–4 are cofactor formulas that leave the rows alone; above side 4
+    the rows are reduced in place by `_eliminate`, so callers pass a copy.
+    """
+    kernel = _DETERMINANTS.get(len(rows))
+    if kernel is not None:
+        return kernel(rows)
     pivots, d, sign = _eliminate(rows, range(len(rows)))
     return sign * d if len(pivots) == len(rows) else 0
 

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -586,6 +587,46 @@ class TestFarVertex:
         _, degree = run_cli(capsys, "degree", far_path, "--at", "1/2,-1")
         assert validated["valid"] and validated["num_cells"] == 19
         assert certified["certified"] and degree["degree"] == 1
+
+
+def box_document(dim, resolution, mirror=False):
+    """The [0, resolution]^dim grid split as `generators.box_complex` splits
+    it, mapped by the identity or, with mirror, by negating the first image
+    coordinate. The generators stop at dimension 3; the file format does not."""
+    coords = list(itertools.product(range(resolution + 1), repeat=dim))
+    index = {c: i for i, c in enumerate(coords)}
+    cells = []
+    for corner in itertools.product(range(resolution), repeat=dim):
+        for perm in itertools.permutations(range(dim)):
+            path = [corner]
+            for axis in perm:
+                path.append(tuple(c + (i == axis) for i, c in enumerate(path[-1])))
+            cells.append([index[p] for p in path])
+    images = [(-c[0], *c[1:]) if mirror else c for c in coords]
+    return {
+        "format_version": 1,
+        "ambient_dim": dim,
+        "vertices": [[str(x) for x in c] for c in coords],
+        "cells": cells,
+        "vertex_images": [[str(x) for x in c] for c in images],
+        "metadata": {},
+    }
+
+
+class TestFourDimensional:
+    """One 4-D cube split into 24 cells: every frame is a side-5 matrix, which
+    only the elimination computes."""
+
+    @pytest.mark.parametrize("mirror,degree", [(False, 1), (True, -1)], ids=["identity", "mirror"])
+    def test_validate_check_open_and_whyburn(self, capsys, tmp_path, mirror, degree):
+        path = tmp_path / "cube4.json"
+        save_document(path, box_document(4, 1, mirror))
+        code, validated = run_cli(capsys, "validate", str(path))
+        assert code == 0 and validated["valid"] is True and validated["num_cells"] == 24
+        code, checked = run_cli(capsys, "check-open", str(path))
+        assert code == 0 and checked["dim_branch_set"] == "-inf"
+        code, certified = run_cli(capsys, "whyburn", str(path))
+        assert code == 0 and certified["certified"] is True and certified["degree"] == degree
 
 
 class TestRoundTrip:

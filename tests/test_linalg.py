@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from plopen.linalg import (
     DimensionError,
+    _elimination_adjugate,
     Matrix,
     det,
     det_sign,
@@ -130,11 +131,27 @@ class TestRank:
         assert (rank(m) == m.rows) == (det_sign(m) != 0)
 
 
-integer_matrices = st.integers(min_value=1, max_value=4).flatmap(
+integer_matrices = st.integers(min_value=1, max_value=6).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n
     )
 )
+
+
+@st.composite
+def cofactor_sized_matrices(draw):
+    """Sides 1-4 with small or 20-40 digit entries; about half of those of
+    side 2 or more made singular by a repeated, proportional or zero row."""
+    n = draw(st.integers(1, 4))
+    big = st.integers(10**19, 10**40 - 1) | st.integers(-(10**40) + 1, -(10**19))
+    entries = st.integers(-6, 6) | big
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        j = (i + draw(st.integers(1, n - 1))) % n
+        factor = draw(st.integers(-3, 3) | big)
+        rows[j] = [factor * x for x in rows[i]]
+    return rows
 
 
 class TestIntegerAdjugate:
@@ -142,17 +159,28 @@ class TestIntegerAdjugate:
     @settings(max_examples=80, deadline=None)
     def test_cofactors_by_permutation_expansion(self, rows):
         n = len(rows)
+        expected_det = det_by_permutation_expansion(rows)
+        assert integer_determinant([list(row) for row in rows]) == expected_det
+        for adjugate, d in (integer_adjugate(rows), _elimination_adjugate(rows)):
+            assert d == expected_det
+            if d == 0:
+                assert adjugate is None
+                continue
+            for i in range(n):
+                for j in range(n):
+                    minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
+                    assert adjugate[i][j] == (-1) ** (i + j) * det_by_permutation_expansion(minor)
+                    assert type(adjugate[i][j]) is int
+
+    @given(cofactor_sized_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_cofactor_formulas_equal_the_elimination(self, rows):
         adjugate, d = integer_adjugate(rows)
-        assert d == det_by_permutation_expansion(rows)
-        assert integer_determinant([list(row) for row in rows]) == d
-        if d == 0:
-            assert adjugate is None
-            return
-        for i in range(n):
-            for j in range(n):
-                minor = [r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j]
-                assert adjugate[i][j] == (-1) ** (i + j) * det_by_permutation_expansion(minor)
-                assert type(adjugate[i][j]) is int
+        assert (adjugate, d) == _elimination_adjugate(rows)
+        copy = [list(row) for row in rows]
+        assert integer_determinant(copy) == d and copy == rows
+        assert type(d) is int
+        assert adjugate is None if d == 0 else all(type(x) is int for row in adjugate for x in row)
 
     def test_row_swap_pivot(self):
         # a zero leading entry forces a swap; adj(A)·A = det(A)·I still holds

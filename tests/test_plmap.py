@@ -5,7 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plopen import cli, feasible, plmap
+from plopen import cli, feasible, linalg, plmap
 from plopen.complexes import validate_complex
 from plopen.degree import degree, is_regular_value, point_on_boundary_image
 from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, box_complex, generate
@@ -35,6 +35,7 @@ from oracles import (
     hull_dim,
     piece_by_inverse,
 )
+from test_cli import box_document
 from test_degree import SCAN_MAPS
 
 
@@ -255,6 +256,36 @@ class TestPiecesBuiltOnlyWhenRead:
         f, _ = document_to_plmap(plmap_to_document(generate(self.SPEC).plmap))
         assert isinstance(certify_ball_map(make_ball_instance(f)), Certified)
         assert built == [f.images.cols(f.domain.cell_ids[0])]
+
+
+class TestFramesWithoutElimination:
+    """In dimensions 1-3 every frame and orientation is a matrix of side at
+    most 4, which the cofactor formulas compute with no elimination."""
+
+    @pytest.fixture()
+    def eliminations(self, monkeypatch):
+        calls = []
+        eliminate = linalg._eliminate
+
+        def counting(a, columns):
+            calls.append(len(a))
+            return eliminate(a, columns)
+
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        return calls
+
+    def test_loading_frames_and_certify_make_no_elimination(self, eliminations):
+        doc = plmap_to_document(generate(GenSpec("random_orientation_preserving", 3, resolution=2)).plmap)
+        f, _ = document_to_plmap(doc)
+        for ids in f.domain.cell_ids:
+            assert f.domain.points.frame(ids).orientation != 0
+            assert f.images.frame(ids).orientation != 0
+        assert isinstance(certify_ball_map(make_ball_instance(f)), Certified)
+        assert eliminations == []
+
+    def test_a_4d_map_is_loaded_by_elimination(self, eliminations):
+        f, _ = document_to_plmap(box_document(4, 1))
+        assert len(f.pieces) == 24 and eliminations and set(eliminations) == {5}
 
 
 class TestIngest:
