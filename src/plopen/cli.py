@@ -30,6 +30,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -155,19 +156,12 @@ def _cmd_validate(args) -> int:
     report = _report_skeleton("validate")
     try:
         doc = instancefile.load_document(args.path)
-    except ParseError as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_PARSE)
-    report["instance_digest"] = instancefile.instance_digest(doc)
-    try:
-        plmap, metadata = instancefile.document_to_plmap(doc)
-    except ParseError as exc:
-        report["error"] = str(exc)
-        return _emit(report, EXIT_PARSE)
-    except (InvalidComplexError, DiscontinuityError) as exc:
-        report["valid"] = False
-        report["violations"] = [str(v) for v in exc.violations]
-        return _emit(report, EXIT_INVALID)
+        report["instance_digest"] = instancefile.instance_digest(doc)
+        plmap, _ = instancefile.document_to_plmap(doc)
+    except _INPUT_ERRORS as exc:
+        fields, status = _input_failure(exc)
+        report.update(fields)
+        return _emit(report, status)
     report["valid"] = True
     report["num_vertices"] = len(plmap.domain.vertices)
     report["num_cells"] = len(plmap.domain.cells)
@@ -178,21 +172,14 @@ def _cmd_validate(args) -> int:
 def _openness_payload(plmap, config: OracleConfig) -> tuple[dict, int]:
     verdict = check_conditions(plmap, config)
     payload = {
-        "cond_ii": {
-            "finite_fibers": verdict.cond_ii.finite_fibers,
-            "sign_not_mixed": verdict.cond_ii.sign_not_mixed,
-            "holds": verdict.cond_ii.holds,
-        },
-        "cond_iii": {
-            "finite_fibers": verdict.cond_iii.finite_fibers,
-            "sign_not_mixed": verdict.cond_iii.sign_not_mixed,
-            "holds": verdict.cond_iii.holds,
-        },
-        "cond_iv": {
-            "finite_fibers": verdict.cond_iv.finite_fibers,
-            "dim_branch_ok": verdict.cond_iv.dim_branch_ok,
-            "holds": verdict.cond_iv.holds,
-        },
+        name: asdict(c) | {"holds": c.holds}
+        for name, c in (
+            ("cond_ii", verdict.cond_ii),
+            ("cond_iii", verdict.cond_iii),
+            ("cond_iv", verdict.cond_iv),
+        )
+    }
+    payload |= {
         "coherently_oriented": verdict.coherent,
         "all_agree": verdict.all_agree,
         "sign_profile": {
@@ -243,10 +230,7 @@ def _cmd_check_open(args) -> int:
                 entry, status = _openness_payload(plmap, config)
                 entry["instance_digest"] = digest
             results[path.name] = entry
-            if status == EXIT_DISAGREEMENT or worst == EXIT_DISAGREEMENT:
-                worst = EXIT_DISAGREEMENT
-            else:
-                worst = max(worst, status)
+            worst = max(worst, status)  # the disagreement code 4 is the largest
         report["results"] = results
         return _emit(report, worst)
 

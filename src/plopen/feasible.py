@@ -17,8 +17,8 @@ Polytopes enter in vertex form (a tuple of points whose convex hull is the
 polytope). Every predicate on two polytopes P and Q asks one question, how
 conv(P) and conv(Q) meet, and all but properness are one call to a single
 row builder: convex weights λ on P and μ on Q with Σλp = Σμq, each side
-either closed (λ ≥ 0) or strict (λ > 0, the relative interior), plus optional
-rows on λ. Each coordinate row is scaled to integers once, on its own.
+either closed (λ ≥ 0) or strict (λ > 0, the relative interior). Each
+coordinate row is scaled to integers once, on its own.
 
 Properness of two simplices is one strict probe, asked in P's own frame
 instead of in vertex form. For a face F of a simplex P, conv(P) ∩ aff(F) = F,
@@ -300,25 +300,17 @@ def _probe_feasible(
 
 Hull = Sequence[Vector]
 
-# A row over the weights on P's vertices: (coeffs, rel, rhs).
-_WeightRow = tuple[Sequence[Fraction], str, Fraction]
-
 
 def _meet_system(
-    p_verts: Hull,
-    p_rel: str,
-    q_verts: Hull,
-    q_rel: str,
-    p_rows: Sequence[_WeightRow],
+    p_verts: Hull, p_rel: str, q_verts: Hull, q_rel: str
 ) -> Optional[tuple[int, list[_IntRow]]]:
     """Integer system for "convex weights λ on P, μ on Q, Σλp = Σμq".
 
     p_rel and q_rel give each side's sign rows (-w REL 0): REL_LE for the
     closed hull, REL_LT for its relative interior. A single-point Q is moved
     to the right-hand side and gets no weight; an empty Q drops the match, so
-    the system is the weights on P alone. p_rows are extra rows over the
-    weights on P. Returns (number of unknowns, rows), or None when some row is
-    a constant contradiction.
+    the system is the weights on P alone. Returns (number of unknowns, rows),
+    or None when some row is a constant contradiction.
     """
     kp = len(p_verts)
     kq = len(q_verts) if len(q_verts) > 1 else 0
@@ -338,7 +330,6 @@ def _meet_system(
                 rational_rows.append(([*on_p, *(-c for c in on_q)], REL_EQ, Fraction(0)))
             else:
                 rational_rows.append((on_p, REL_EQ, on_q[0]))
-    rational_rows += [([*coeffs, *[Fraction(0)] * kq], rel, rhs) for coeffs, rel, rhs in p_rows]
     try:
         scaled = [_from_fractions(*row) for row in rational_rows]
     except _Infeasible:
@@ -347,8 +338,8 @@ def _meet_system(
 
 
 def _meet(p_verts: Hull, p_rel: str, q_verts: Hull, q_rel: str) -> Optional[tuple[Fraction, ...]]:
-    """A feasible weight vector of the _meet_system with no extra rows, or None."""
-    system = _meet_system(p_verts, p_rel, q_verts, q_rel, ())
+    """A feasible weight vector of the _meet_system, or None."""
+    system = _meet_system(p_verts, p_rel, q_verts, q_rel)
     return None if system is None else _feasible_int(*system)
 
 
@@ -418,18 +409,18 @@ def _affine_dim_loop(
 
 
 def constrained_hull_dim(
-    verts: Hull,
-    equation_matrix: Matrix,
-    equation_rhs: Vector,
+    verts: Hull, images: Hull, target: Vector
 ) -> tuple[Optional[int], list[Vector]]:
-    """Dimension and spanning points of {x in conv(verts) : M x = rhs}."""
+    """Dimension and spanning points of the points of conv(verts) that the
+    affine map sending each vertex to its image sends to target.
+
+    The image of Σλv is Σλ·image, so these are the Σλv for the convex
+    weights λ with Σλ·image = target: the meet system of the images and the
+    one point target, its weights read on verts.
+    """
     if not verts:
         return None, []
-    equations = [
-        ([vec_dot(equation_matrix.row(r), v) for v in verts], REL_EQ, equation_rhs[r])
-        for r in range(equation_matrix.rows)
-    ]
-    system = _meet_system(verts, REL_LE, (), REL_LE, equations)
+    system = _meet_system(images, REL_LE, [target], REL_LE)
     if system is None:
         return None, []
     return _affine_dim_loop(verts, *system)

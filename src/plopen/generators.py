@@ -240,9 +240,8 @@ def oracle_fiber_count(f: PLMap, query) -> Optional[int]:
     query = vector(query)
     points = set()
     for ci, piece in enumerate(f.pieces):
-        shifted = vec_sub(query, piece.offset)
         if piece.det_sign != 0:
-            candidate = solve_square(piece.matrix, shifted)
+            candidate = solve_square(piece.matrix, vec_sub(query, piece.offset))
             assert candidate is not None
             pts = f.domain.cell_points(ci)
             rows = [tuple(Fraction(1) for _ in pts)]
@@ -252,7 +251,7 @@ def oracle_fiber_count(f: PLMap, query) -> Optional[int]:
                 points.add(candidate)
         else:
             dim, span_points = feasible.constrained_hull_dim(
-                f.domain.cell_points(ci), piece.matrix, shifted
+                f.domain.cell_points(ci), f.image_of_face(f.domain.cell_ids[ci]), query
             )
             if dim is None:
                 continue

@@ -5,9 +5,10 @@ and the canonical serialization (sorted keys, no whitespace) is what the
 instance digest hashes, so identical instances hash identically everywhere.
 A file carries either `vertex_images` (canonical) or `pieces` (one matrix and
 offset per cell). Both forms validate the file's own vertices and cells, so
-reports name the file's vertex ids; the pieces form gives each vertex the
-image of the first cell that lists it, and `plmap.ingest_pieces` checks that
-the pieces rebuilt from those images are the given ones.
+reports name the file's vertex ids. The pieces form is checked at the
+vertices (`plmap.ingest_pieces`): each vertex takes the image of the first
+cell that lists it, and every other cell that lists it must give the same
+point.
 """
 
 from __future__ import annotations

@@ -5,12 +5,17 @@ affine piece of each cell is the unique affine map interpolating the images of
 its n+1 vertices, so continuity across shared faces holds by construction.
 Every map is made by `build_plmap`, in integers only: each piece's
 determinant sign is the product of two integer orientations, the cell's and
-its image's, and its matrix and offset are read off the cell's integer frame
-only when something reads them (`AffinePiece`). The pieces form (one matrix
+its image's. Its matrix and offset are an output: `AffinePiece` builds them
+from the cell's integer frame only when something reads them, and nothing
+here decides with them. A piece is fixed by its vertices' images, so every
+question about pieces is asked at the vertices. The pieces form (one matrix
 and offset per cell) enters through `ingest_pieces`: it validates the
-caller's own vertices and cells, gives each vertex the image of the first
-cell that lists it, builds the map from those images, and checks exactly
-that the given pieces are the built ones.
+caller's own vertices and cells, reads each given piece at its cell's
+vertices in integers, checks that every cell listing a vertex gives it the
+same image, and builds the map from those images. Two pieces across a facet
+coincide when the far vertex of one cell has the same weights in the other
+cell's frame as its image has in that cell's image frame
+(`component_graph`).
 
 The map keeps the integer form of its vertex images in one
 `feasible.IntegerPoints` (`images`), the same kind of owner the domain keeps
@@ -80,7 +85,9 @@ class AffinePiece:
     `build_plmap` sets `det_sign` from two integer orientations and hands
     the piece its cell's frame rows and columns; `matrix` and `offset` are
     built from those (`_frame_piece`) the first time either is read, and
-    kept. Two pieces are equal when their matrices, offsets and signs are.
+    kept. This is the one place that builds a piece's `Fraction` form, for
+    `PLMap.evaluate`, callers and tests: no decision of the library reads
+    it. Two pieces are equal when their matrices, offsets and signs are.
     """
 
     __slots__ = ("det_sign", "_source", "_affine")
@@ -277,43 +284,37 @@ def ingest_pieces(
 
     The vertices and cells are validated as the vertex-image form validates
     them (`validate_complex`), so every violation names the caller's vertex
-    ids. Each vertex takes the image that the piece of the first cell listing
-    it gives, and `build_plmap` builds the map from those images; a vertex no
-    cell lists has no image and is an `unused_vertex` violation. On a valid
-    complex a piece is fixed by its vertices' images, so a given piece that
-    differs from the built one disagrees with an earlier cell at one of its
-    vertices. Each disagreement, by cell and then in the cell's listed vertex
-    order, is a violation of the DiscontinuityError raised.
+    ids. On a valid complex a piece is fixed by its vertices' images, so the
+    pieces are checked at the vertices, in one pass and in integers: each
+    piece's rows (M_r, b_r) are scaled once by the lcm k_r of their
+    denominators, and the scaled row read on a vertex's homogeneous column
+    (m·v, m) is k_r·m times coordinate r of the vertex's image. The first
+    cell that lists a vertex gives its image, and every later cell must give
+    the same point (compared by cross-multiplying). Each that does not, by
+    cell and then in the cell's listed vertex order, is a violation of the
+    DiscontinuityError raised; a vertex no cell lists has no image and is an
+    `unused_vertex` violation. A piece that is not an affine map of R^n
+    raises DimensionError. `build_plmap` builds the map from the images.
     """
     if len(pieces) != len(cells):
         raise ValueError(f"{len(pieces)} pieces for {len(cells)} cells")
     complex_ = validate_complex(vertices, cells, ambient_dim)
-    first_cell: dict[int, int] = {}
-    for ci, cell in enumerate(cells):
-        for vid in cell:
-            first_cell.setdefault(vid, ci)
-    points = complex_.vertices
-    unused = [
-        Violation("unused_vertex", f"vertex {i} is in no cell, so no piece gives its image", (i,))
-        for i in range(len(points))
-        if i not in first_cell
-    ]
-    if unused:
-        raise InvalidComplexError(unused)
-
-    def apply(ci: int, vid: int) -> Vector:
-        matrix, offset = pieces[ci]
-        return vec_add(matrix.mul_vec(points[vid]), vector(offset))
-
-    f = build_plmap(complex_, [apply(first_cell[i], i) for i in range(len(points))])
+    n, columns = complex_.ambient_dim, complex_.points.columns
+    # per vertex: the first cell that lists it, and its image as one
+    # (numerator, denominator) pair per coordinate
+    first: list[tuple[int, list[tuple[int, int]]] | None] = [None] * len(columns)
     violations: list[Violation] = []
-    for ci, ((matrix, offset), built) in enumerate(zip(pieces, f.pieces)):
-        if matrix == built.matrix and vector(offset) == built.offset:
-            continue
-        for vid in cells[ci]:
-            prior = first_cell[vid]
-            if apply(ci, vid) != f.vertex_images[vid]:
-                shared = tuple(sorted(set(cells[prior]) & set(cells[ci])))
+    for ci, (cell, (matrix, offset)) in enumerate(zip(cells, pieces)):
+        rows = _integer_rows(matrix, vector(offset), n)
+        for vid in cell:
+            col = columns[vid]
+            image = [(sum(map(mul, row, col)), scale * col[-1]) for row, scale in rows]
+            kept = first[vid]
+            if kept is None:
+                first[vid] = (ci, image)
+            elif any(a * e != b * d for (a, d), (b, e) in zip(image, kept[1])):
+                prior = kept[0]
+                shared = tuple(sorted(set(cells[prior]) & set(cell)))
                 violations.append(
                     Violation(
                         "discontinuous",
@@ -322,9 +323,31 @@ def ingest_pieces(
                         (prior, ci, shared),
                     )
                 )
+    unused = [
+        Violation("unused_vertex", f"vertex {i} is in no cell, so no piece gives its image", (i,))
+        for i, kept in enumerate(first)
+        if kept is None
+    ]
+    if unused:
+        raise InvalidComplexError(unused)
     if violations:
         raise DiscontinuityError(violations)
-    return f
+    return build_plmap(complex_, [[Fraction(a, d) for a, d in image] for _, image in first])
+
+
+def _integer_rows(matrix: Matrix, offset: Vector, n: int) -> list[tuple[tuple[int, ...], int]]:
+    """Each row (M_r, b_r) of a piece x -> Mx + b of R^n, times the lcm k_r
+    of its denominators, with k_r."""
+    if matrix.rows != n or matrix.cols != n or len(offset) != n:
+        raise DimensionError(
+            f"a piece of R^{n} needs an {n}x{n} matrix and {n} offsets, "
+            f"got {matrix.rows}x{matrix.cols} and {len(offset)}"
+        )
+    rows = []
+    for row, b in zip(matrix.entries, offset):
+        k = lcm(*(x.denominator for x in row), b.denominator)
+        rows.append((tuple(x.numerator * (k // x.denominator) for x in (*row, b)), k))
+    return rows
 
 
 def sign_profile(f: PLMap) -> SignProfile:
@@ -363,8 +386,14 @@ def image_weights(f: PLMap, ids: Face, column: Sequence[int]) -> list[int]:
     the relative interior of the image of the face whose vertices have
     positive weights.
     """
-    images = f.images
-    return [w * col[-1] for w, col in zip(images.frame(ids).weights(column), images.cols(ids))]
+    return _cell_weights(f.images, ids, column)
+
+
+def _cell_weights(points: feasible.IntegerPoints, ids: Face, column: Sequence[int]) -> list[int]:
+    """A point's barycentric weights on the simplex of points ids, all times
+    the point's last homogeneous entry and the frame's positive factor D:
+    bary_j·ŷ reads D·λ_j/m_j, times m_j."""
+    return [w * col[-1] for w, col in zip(points.frame(ids).weights(column), points.cols(ids))]
 
 
 def preimage(f: PLMap, ids: Face, weights: Sequence[int]) -> Vector:
@@ -414,8 +443,8 @@ def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:
     Only the cells whose image boxes hold the query can hold a preimage, and
     the grid over the cell image boxes (`PLMap.image_grid`) names them, in
     cell order. A nonsingular cell counts iff the query's `image_weights`
-    are all ≥ 0, at their `preimage`. A singular cell is decided by
-    `feasible.constrained_hull_dim`.
+    are all ≥ 0, at their `preimage`. A singular cell is decided on its
+    vertex images by `feasible.constrained_hull_dim`.
     """
     if len(query) != f.ambient_dim:
         raise DimensionError(f"query has dimension {len(query)}, map is on R^{f.ambient_dim}")
@@ -433,7 +462,7 @@ def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:
             signs.append(piece.det_sign)
         else:
             dim, points = feasible.constrained_hull_dim(
-                f.domain.cell_points(ci), piece.matrix, vec_sub(query, piece.offset)
+                f.domain.cell_points(ci), f.image_of_face(ids), query
             )
             if dim is None:
                 continue
@@ -456,8 +485,15 @@ def component_graph(f: PLMap) -> ComponentGraph:
     (n-1)-faces with coinciding pieces connects them (the map is affine, hence
     C^1, through such a face). Components whose closures share an interior
     (n-1)-face (the pieces then differ across it) are joined by an edge.
+
+    The pieces of cells a and b agree on their shared facet, so they
+    coincide iff they agree at b's far vertex v: iff v's barycentric
+    weights in a's domain frame are f(v)'s in a's image frame. Each side is
+    read in integers (`_cell_weights`), times a positive factor of its own
+    that is the sum of its entries, so the two are compared by
+    cross-multiplying with the sums.
     """
-    n = f.ambient_dim
+    n, points, cell_ids = f.ambient_dim, f.domain.points, f.domain.cell_ids
     nonsingular = [ci for ci, p in enumerate(f.pieces) if p.det_sign != 0]
     parent = {ci: ci for ci in nonsingular}
 
@@ -474,7 +510,11 @@ def component_graph(f: PLMap) -> ComponentGraph:
         a, b = info.cells
         if f.pieces[a].det_sign == 0 or f.pieces[b].det_sign == 0:
             continue
-        if f.pieces[a].matrix == f.pieces[b].matrix and f.pieces[a].offset == f.pieces[b].offset:
+        (far,) = (v for v in cell_ids[b] if v not in ids)
+        domain = _cell_weights(points, cell_ids[a], points.columns[far])
+        image = image_weights(f, cell_ids[a], f.images.columns[far])
+        domain_sum, image_sum = sum(domain), sum(image)
+        if all(x * image_sum == y * domain_sum for x, y in zip(domain, image)):
             parent[find(a)] = find(b)
         else:
             shared_faces.append((a, b))

@@ -192,8 +192,8 @@ def certify_ball_map(inst: BallMapInstance) -> Union[Certified, Rejected]:
     is not swept. Otherwise stages 1, 2 and 3 are reported in that order,
     with stage 2's result reused if it was already computed. Once all three
     hold, stages 4 and 5 follow (module docstring), and the degree at the
-    image of cell 0's barycentre is the certificate; `degree`'s errors
-    propagate.
+    image of cell 0's barycentre, the mean of its vertex images, is the
+    certificate; `degree`'s errors propagate.
     """
     f = inst.map
 
@@ -213,7 +213,7 @@ def certify_ball_map(inst: BallMapInstance) -> Union[Certified, Rejected]:
             (profile.num_pos, profile.num_neg, profile.num_zero),
         )
 
-    center = f.domain.barycenter(f.domain.cells[0].vertex_ids)
-    certificate = degree(f, f.pieces[0].apply(center))
+    images = f.image_of_face(f.domain.cell_ids[0])
+    certificate = degree(f, tuple(sum(axis) / len(images) for axis in zip(*images)))
     assert certificate.degree in (1, -1), "stages 1-3 hold, so the degree is ±1"
     return Certified(degree=certificate.degree, certificate=certificate)

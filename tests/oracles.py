@@ -6,7 +6,7 @@ solves with generic Gaussian elimination, memberships are barycentric
 re-solves. Expected values in the tests are computed (or re-checked) with
 these, never copied from the implementation under test.
 
-The last five sections are different. `certify_in_stage_order` runs the
+The last six sections are different. `certify_in_stage_order` runs the
 library's own whyburn stages and degree, with the stage-4 sweep
 (`global_collision`, on the library's probe), each unconditionally and in
 their numbered order, as the reference for the certifier's shortcuts;
@@ -20,6 +20,9 @@ the degree of the map restricted to the carrier's star, rescaled toward
 the point until the star holds no other point of its fiber.
 `pair_loop_branch_set` is the branch set as it was before the cone count:
 every nonsingular star probed pair by pair in the library's frames.
+`build_and_compare_ingest`, `matrix_component_graph` and
+`matrix_constrained_hull_dim` decide with the pieces' `Fraction` matrices,
+as the library did before it asked those questions at the vertices.
 `lp_feasible`, `hull_dim` and `intersection_dim` are the tests' own entry
 points into the library's engine, which no library code calls.
 """
@@ -34,7 +37,13 @@ from math import lcm
 from typing import Optional
 
 from plopen import feasible, whyburn
-from plopen.complexes import improper_pairs, validate_complex
+from plopen.complexes import (
+    InvalidComplexError,
+    Violation,
+    graph_connected,
+    improper_pairs,
+    validate_complex,
+)
 from plopen.feasible import (
     REL_EQ,
     REL_LE,
@@ -46,7 +55,7 @@ from plopen.feasible import (
     _meet_system,
     hull_leaves_affine_span,
 )
-from plopen.linalg import Matrix, Vector, null_space, rank, vec_dot, vec_sub
+from plopen.linalg import Matrix, Vector, null_space, rank, vec_add, vec_dot, vec_sub, vector
 from plopen.openness import (
     REASON_INJECTIVITY,
     REASON_SIGN_MISMATCH,
@@ -54,7 +63,15 @@ from plopen.openness import (
     BranchFace,
     BranchReport,
 )
-from plopen.plmap import FiniteFiber, build_plmap, fiber, finite_fibers, sign_profile
+from plopen.plmap import (
+    ComponentGraph,
+    DiscontinuityError,
+    FiniteFiber,
+    build_plmap,
+    fiber,
+    finite_fibers,
+    sign_profile,
+)
 
 # the module: the package exports the function `degree` under the same name
 degree_module = importlib.import_module("plopen.degree")
@@ -612,6 +629,112 @@ def pair_loop_branch_set(f):
 
 
 # ---------------------------------------------------------------------------
+# Decisions by the pieces' Fraction matrices, before they were asked at the
+# vertices in integers.
+# ---------------------------------------------------------------------------
+
+
+def build_and_compare_ingest(vertices, cells, pieces, ambient_dim=None):
+    """`ingest_pieces` in two passes: apply the first cell's piece to each
+    vertex in Fractions, build the map from those images, and then, for
+    each given piece that is not the built one, apply it again at each of
+    its vertices to find the disagreements."""
+    if len(pieces) != len(cells):
+        raise ValueError(f"{len(pieces)} pieces for {len(cells)} cells")
+    complex_ = validate_complex(vertices, cells, ambient_dim)
+    first_cell: dict[int, int] = {}
+    for ci, cell in enumerate(cells):
+        for vid in cell:
+            first_cell.setdefault(vid, ci)
+    points = complex_.vertices
+    unused = [
+        Violation("unused_vertex", f"vertex {i} is in no cell, so no piece gives its image", (i,))
+        for i in range(len(points))
+        if i not in first_cell
+    ]
+    if unused:
+        raise InvalidComplexError(unused)
+
+    def apply(ci: int, vid: int) -> Vector:
+        matrix, offset = pieces[ci]
+        return vec_add(matrix.mul_vec(points[vid]), vector(offset))
+
+    f = build_plmap(complex_, [apply(first_cell[i], i) for i in range(len(points))])
+    violations = []
+    for ci, ((matrix, offset), built) in enumerate(zip(pieces, f.pieces)):
+        if matrix == built.matrix and vector(offset) == built.offset:
+            continue
+        for vid in cells[ci]:
+            prior = first_cell[vid]
+            if apply(ci, vid) != f.vertex_images[vid]:
+                shared = tuple(sorted(set(cells[prior]) & set(cells[ci])))
+                violations.append(
+                    Violation(
+                        "discontinuous",
+                        f"discontinuous across face {shared}: cells {prior} and {ci} "
+                        f"disagree at vertex {vid}",
+                        (prior, ci, shared),
+                    )
+                )
+    if violations:
+        raise DiscontinuityError(violations)
+    return f
+
+
+def matrix_component_graph(f) -> ComponentGraph:
+    """`component_graph` with two nonsingular cells across an interior facet
+    joined when their pieces' matrices and offsets are equal."""
+    n = f.ambient_dim
+    nonsingular = [ci for ci, p in enumerate(f.pieces) if p.det_sign != 0]
+    parent = {ci: ci for ci in nonsingular}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    shared_faces = []
+    for ids, info in f.domain.faces.items():
+        if len(ids) != n or len(info.cells) != 2:
+            continue
+        a, b = info.cells
+        if f.pieces[a].det_sign == 0 or f.pieces[b].det_sign == 0:
+            continue
+        if f.pieces[a].matrix == f.pieces[b].matrix and f.pieces[a].offset == f.pieces[b].offset:
+            parent[find(a)] = find(b)
+        else:
+            shared_faces.append((a, b))
+    groups: dict[int, list[int]] = {}
+    for ci in nonsingular:
+        groups.setdefault(find(ci), []).append(ci)
+    nodes = tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    node_of = {ci: idx for idx, node in enumerate(nodes) for ci in node}
+    edges = {
+        (min(node_of[a], node_of[b]), max(node_of[a], node_of[b]))
+        for a, b in shared_faces
+        if node_of[a] != node_of[b]
+    }
+    edge_tuple = tuple(sorted(edges))
+    return ComponentGraph(nodes, edge_tuple, graph_connected(len(nodes), edge_tuple))
+
+
+def matrix_constrained_hull_dim(verts, matrix, rhs):
+    """`constrained_hull_dim` of {x in conv(verts) : M x = rhs}: the rows
+    Σλ·(M v) = rhs, one per row of M, on the convex weights λ of verts."""
+    if not verts:
+        return None, []
+    num_vars, rows = _meet_system(verts, REL_LE, (), REL_LE)
+    try:
+        equations = [
+            _from_fractions([vec_dot(matrix.row(r), v) for v in verts], REL_EQ, rhs[r])
+            for r in range(matrix.rows)
+        ]
+    except _Infeasible:
+        return None, []
+    return _affine_dim_loop(verts, num_vars, rows + [row for row in equations if row is not None])
+
+
+# ---------------------------------------------------------------------------
 # Test entry points into the library's Fourier–Motzkin engine. No library code
 # calls them: rational rows in, a checked witness out, and the dimension of a
 # hull or of an intersection of two hulls.
@@ -686,7 +809,7 @@ def intersection_dim(p_verts, q_verts) -> Optional[int]:
     """Exact dimension of conv(P) ∩ conv(Q); None when the intersection is empty."""
     if not p_verts or not q_verts:
         return None
-    system = _meet_system(p_verts, REL_LE, q_verts, REL_LE, ())
+    system = _meet_system(p_verts, REL_LE, q_verts, REL_LE)
     if system is None:
         return None
     dim, _ = _affine_dim_loop(p_verts, *system)

@@ -175,20 +175,21 @@ class TestIntersectionDim:
 
 
 class TestConstrainedHullDim:
+    # the corners of the unit square and their images under (x, y) -> x + y
+    SQUARE = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
+    SUMS = [pt(0), pt(1), pt(2), pt(1)]
+
     def test_line_through_square(self):
-        square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
         # x + y = 1 cuts a diagonal segment
-        dim, points = constrained_hull_dim(square, Matrix.from_rows([[1, 1]]), (F(1),))
+        dim, points = constrained_hull_dim(self.SQUARE, self.SUMS, pt(1))
         assert dim == 1 and len(points) >= 2
 
     def test_touching_at_vertex(self):
-        square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
-        dim, points = constrained_hull_dim(square, Matrix.from_rows([[1, 1]]), (F(0),))
+        dim, points = constrained_hull_dim(self.SQUARE, self.SUMS, pt(0))
         assert dim == 0 and points == [pt(0, 0)]
 
     def test_empty(self):
-        square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
-        dim, points = constrained_hull_dim(square, Matrix.from_rows([[1, 1]]), (F(5),))
+        dim, points = constrained_hull_dim(self.SQUARE, self.SUMS, pt(5))
         assert dim is None and points == []
 
 

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -10,7 +11,9 @@ from plopen.complexes import validate_complex
 from plopen.degree import degree, is_regular_value, point_on_boundary_image
 from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, box_complex, generate
 from plopen.instancefile import document_to_plmap, plmap_to_document, save_document
-from plopen.linalg import Matrix, format_rational
+from plopen.complexes import InvalidComplexError
+from plopen.feasible import constrained_hull_dim
+from plopen.linalg import Matrix, format_rational, vec_sub
 from plopen.openness import OracleConfig, check_conditions
 from plopen.plmap import (
     ALL_POSITIVE,
@@ -31,8 +34,11 @@ from plopen.whyburn import Certified, certify_ball_map, make_ball_instance
 from oracles import (
     affine_piece_of,
     brute_force_fiber,
+    build_and_compare_ingest,
     det_by_permutation_expansion,
     hull_dim,
+    matrix_component_graph,
+    matrix_constrained_hull_dim,
     piece_by_inverse,
 )
 from test_cli import box_document
@@ -53,6 +59,15 @@ SPECS = [
     for seed in (0, 1)
 ]
 NONSINGULAR_SPECS = [spec for spec in SPECS if spec.kind != "singular_cell"]
+# every kind in each of its dimensions, seeds 0-3: the corpus on which each
+# decision on pieces is compared with its matrix-form reference
+CORPUS = [
+    GenSpec(kind, dim, seed=seed)
+    for kind in KINDS
+    for dim in (1, 2, 3)
+    if _FIXED_DIMS.get(kind, dim) == dim
+    for seed in range(4)
+]
 
 
 @lru_cache(maxsize=None)
@@ -188,6 +203,30 @@ class TestBuild:
 _SMALL_BOXES = {dim: box_complex(dim, res) for dim, res in ((1, 3), (2, 2), (3, 1))}
 
 
+def draw_perturbed_map(data):
+    """A small box complex in dims 1-3 with each vertex moved by a drawn
+    multiple of a drawn scale, often mirrored, sometimes with one edge
+    collapsed (every cell on it is then singular)."""
+    dim = data.draw(st.integers(1, 3), label="dim")
+    domain = _SMALL_BOXES[dim]
+    # larger moves fold cells, so negatively oriented pieces are common
+    scale = data.draw(st.sampled_from([F(1, 8), F(1, 3), F(1)]), label="scale")
+    offset = st.integers(-2, 2).map(lambda k: k * scale)
+    images = [[c + data.draw(offset) for c in v] for v in domain.vertices]
+    if data.draw(st.booleans(), label="mirror"):
+        images = [[-v[0], *v[1:]] for v in images]
+    edge = None
+    if data.draw(st.booleans(), label="collapse"):
+        # two vertices of one cell share an image: every cell on that edge
+        # collapses
+        ids = domain.cell_ids[data.draw(st.integers(0, len(domain.cells) - 1))]
+        edge = tuple(sorted(data.draw(st.sets(st.sampled_from(ids), min_size=2, max_size=2))))
+        images[edge[0]] = images[edge[1]]
+    f = build_plmap(domain, images)
+    assert edge is None or all(f.pieces[ci].det_sign == 0 for ci in domain.star(edge))
+    return f
+
+
 class TestLazyPieces:
     """A piece's sign comes from two integer orientations and its matrix and
     offset are built at first read; all three are the reference's."""
@@ -201,24 +240,7 @@ class TestLazyPieces:
     @given(st.data())
     @settings(settings.get_profile("ci"), deadline=None)
     def test_perturbed_maps_match_the_reference(self, data):
-        dim = data.draw(st.integers(1, 3), label="dim")
-        domain = _SMALL_BOXES[dim]
-        # larger moves fold cells, so negatively oriented pieces are common
-        scale = data.draw(st.sampled_from([F(1, 8), F(1, 3), F(1)]), label="scale")
-        offset = st.integers(-2, 2).map(lambda k: k * scale)
-        images = [[c + data.draw(offset) for c in v] for v in domain.vertices]
-        if data.draw(st.booleans(), label="mirror"):
-            images = [[-v[0], *v[1:]] for v in images]
-        edge = None
-        if data.draw(st.booleans(), label="collapse"):
-            # two vertices of one cell share an image: every cell on that
-            # edge collapses
-            ids = domain.cell_ids[data.draw(st.integers(0, len(domain.cells) - 1))]
-            edge = tuple(sorted(data.draw(st.sets(st.sampled_from(ids), min_size=2, max_size=2))))
-            images[edge[0]] = images[edge[1]]
-        f = build_plmap(domain, images)
-        assert edge is None or all(f.pieces[ci].det_sign == 0 for ci in domain.star(edge))
-        assert_pieces_match_reference(f)
+        assert_pieces_match_reference(draw_perturbed_map(data))
 
 
 class TestPiecesBuiltOnlyWhenRead:
@@ -244,18 +266,39 @@ class TestPiecesBuiltOnlyWhenRead:
         assert check_conditions(f, OracleConfig()).coherent
         assert built == []
 
-    def test_validate_and_check_open_build_no_piece(self, built, tmp_path, capsys):
+    def test_loading_a_pieces_document_builds_no_piece(self, built):
+        doc = pieces_document(generate(self.SPEC).plmap)
+        built.clear()  # writing the document read every piece
+        f, _ = document_to_plmap(doc)
+        assert len(f.pieces) == 384
+        assert built == []
+
+    def test_validate_check_open_whyburn_and_graph_build_no_piece(
+        self, built, tmp_path, capsys
+    ):
         path = tmp_path / "map.json"
         save_document(path, plmap_to_document(generate(self.SPEC).plmap))
         assert cli.main(["validate", str(path)]) == 0
         assert cli.main(["check-open", str(path)]) == 0
+        assert cli.main(["whyburn", str(path)]) == 0
+        assert cli.main(["graph", str(path)]) == 0
         capsys.readouterr()
         assert built == []
 
-    def test_certify_builds_only_the_certificates_piece(self, built):
+    def test_certify_builds_no_piece(self, built):
         f, _ = document_to_plmap(plmap_to_document(generate(self.SPEC).plmap))
         assert isinstance(certify_ball_map(make_ball_instance(f)), Certified)
-        assert built == [f.images.cols(f.domain.cell_ids[0])]
+        assert built == []
+
+    def test_fibers_at_a_collapsed_cells_image_build_no_piece(self, built, tmp_path, capsys):
+        f = generate(GenSpec("singular_cell", 3, seed=1)).plmap
+        ci = next(ci for ci, p in enumerate(f.pieces) if p.det_sign == 0)
+        at = ",".join(map(format_rational, mean_image(f, f.domain.cell_ids[ci])))
+        path = tmp_path / "map.json"
+        save_document(path, plmap_to_document(f))
+        assert cli.main(["fibers", str(path), f"--at={at}"]) == 0
+        assert json.loads(capsys.readouterr().out)["finite"] is False
+        assert built == []
 
 
 class TestFramesWithoutElimination:
@@ -317,12 +360,118 @@ class TestIngest:
         assert list(f.domain.vertices) == list(expected.domain.vertices)
         assert list(f.vertex_images) == list(expected.vertex_images)
 
+    @pytest.mark.parametrize("cell", [0, 3], ids=["first", "all_vertices_seen"])
+    @pytest.mark.parametrize(
+        "piece",
+        [
+            (Matrix.from_rows([[1, 0, 0], [0, 1, 0]]), (0, 0)),
+            (Matrix.from_rows([[1, 0]]), (0,)),
+            (Matrix.identity(2), (0, 0, 0)),
+        ],
+        ids=["three_columns", "one_row", "three_offsets"],
+    )
+    def test_a_piece_of_the_wrong_shape_raises(self, cell, piece):
+        # the square [0, 2]^2 fanned about its centre: the last cell lists
+        # only vertices that earlier cells list
+        vertices = [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1]]
+        cells = [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]
+        pieces = [(Matrix.identity(2), (0, 0))] * 4
+        pieces[cell] = piece
+        with pytest.raises(ValueError):
+            ingest_pieces(vertices, cells, pieces)
+
     def test_round_trip_reproduces_pieces(self, doubling2d):
         f = doubling2d.plmap
         rebuilt, _ = document_to_plmap(pieces_document(f))
         assert rebuilt.vertex_images == f.vertex_images
         assert [p.matrix for p in rebuilt.pieces] == [p.matrix for p in f.pieces]
         assert [p.offset for p in rebuilt.pieces] == [p.offset for p in f.pieces]
+
+
+def mean_image(f, face):
+    """The image of a face's barycentre: the mean of its vertex images."""
+    images = f.image_of_face(face)
+    return tuple(sum(axis) / len(images) for axis in zip(*images))
+
+
+def ingest_outcome(ingest, vertices, cells, pieces, n):
+    """The map's vertex images and pieces, or the error's type and violations."""
+    try:
+        f = ingest(vertices, cells, pieces, n)
+    except (InvalidComplexError, DiscontinuityError) as exc:
+        return type(exc).__name__, [str(v) for v in exc.violations]
+    return f.vertex_images, f.pieces
+
+
+class TestPiecesAskedAtVertices:
+    """Ingest, the component graph and the collapsed-cell fiber decide at
+    the vertices, in integers, what their matrix-form references in
+    tests/oracles.py decide with the pieces' Fraction matrices."""
+
+    @pytest.mark.parametrize("spec", CORPUS, ids=str)
+    def test_ingest_matches_build_and_compare(self, spec):
+        f = sample_map(spec)
+        vertices, cells = f.domain.vertices, [list(ids) for ids in f.domain.cell_ids]
+        pieces = [(p.matrix, p.offset) for p in f.pieces]
+        n = f.ambient_dim
+        got = ingest_outcome(ingest_pieces, vertices, cells, pieces, n)
+        assert got == ingest_outcome(build_and_compare_ingest, vertices, cells, pieces, n)
+        assert got == (f.vertex_images, f.pieces)
+
+    @given(st.data())
+    @settings(settings.get_profile("ci"), deadline=None)
+    def test_drawn_pieces_documents_match_build_and_compare(self, data):
+        # one entry of one piece changed, or each cell's vertices listed in
+        # a drawn order (which orders the violations), or both
+        f = sample_map(data.draw(st.sampled_from(SPECS), label="spec"))
+        n = f.ambient_dim
+        cells = [list(ids) for ids in f.domain.cell_ids]
+        pieces = [(p.matrix, p.offset) for p in f.pieces]
+        unsorted = data.draw(st.booleans(), label="unsorted")
+        if unsorted:
+            cells = [data.draw(st.permutations(cell)) for cell in cells]
+        if not unsorted or data.draw(st.booleans(), label="changed"):
+            ci = data.draw(st.integers(0, len(cells) - 1), label="cell")
+            r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n))
+            delta = data.draw(st.sampled_from([F(1), F(-1), F(1, 2), F(-1, 3)]), label="delta")
+            matrix, offset = pieces[ci]
+            rows = [list(row) for row in matrix.entries]
+            offset = list(offset)
+            if c < n:
+                rows[r][c] += delta
+            else:
+                offset[r] += delta
+            pieces[ci] = (Matrix.from_rows(rows), offset)
+        got = ingest_outcome(ingest_pieces, f.domain.vertices, cells, pieces, n)
+        assert got == ingest_outcome(build_and_compare_ingest, f.domain.vertices, cells, pieces, n)
+
+    @pytest.mark.parametrize("spec", CORPUS, ids=str)
+    def test_component_graph_matches_the_matrix_comparison(self, spec):
+        f = sample_map(spec)
+        assert component_graph(f) == matrix_component_graph(f)
+
+    @given(st.data())
+    @settings(settings.get_profile("ci"), deadline=None)
+    def test_perturbed_component_graphs_match_the_matrix_comparison(self, data):
+        f = draw_perturbed_map(data)
+        assert component_graph(f) == matrix_component_graph(f)
+
+    @pytest.mark.parametrize("spec", CORPUS, ids=str)
+    def test_constrained_hull_dim_matches_the_matrix_form(self, spec):
+        # at the image of the barycentre of each cell, of each of its facets
+        # and of each of its vertices, and beyond every image: a collapsed
+        # cell answers with a segment, a point, or nothing
+        f = sample_map(spec)
+        beyond = tuple(1 + max(q[c] for q in f.vertex_images) for c in range(f.ambient_dim))
+        for ci, (ids, piece) in enumerate(zip(f.domain.cell_ids, f.pieces)):
+            points, images = f.domain.cell_points(ci), f.image_of_face(ids)
+            faces = [ids, *(ids[:k] + ids[k + 1 :] for k in range(len(ids))), *((v,) for v in ids)]
+            queries = [mean_image(f, face) for face in faces] + [beyond]
+            for query in queries:
+                expected = matrix_constrained_hull_dim(
+                    points, piece.matrix, vec_sub(query, piece.offset)
+                )
+                assert constrained_hull_dim(points, images, query) == expected
 
 
 class TestSignProfile:
