@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Sequence
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 
-_RATIONAL_PATTERN = re.compile(r"-?\d+(?:/[1-9]\d*)?")
+_RATIONAL_PATTERN = re.compile(r"(-?\d+)(?:/([1-9]\d*))?")
 
 
 class DimensionError(ValueError):
@@ -56,9 +56,11 @@ def rat(value: int | str | Fraction) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse the exact form "p/q" or "p" (optional leading minus on p only)."""
     text = text.strip()
-    if not _RATIONAL_PATTERN.fullmatch(text):
+    match = _RATIONAL_PATTERN.fullmatch(text)
+    if not match:
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(text)
+    p, q = match.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 def format_rational(value: Fraction) -> str:

@@ -33,12 +33,16 @@ that leaves the sample's barycentric coordinates in each image simplex
 unchanged and doubles every slope along a ray, so the oracle works on the
 unshrunk images, in integers until a sample fails:
 - The base directions are drawn once per (n, count, seed), with one column
-  of values per axis, and kept in a small bounded cache.
+  of values per axis, and kept in a small bounded cache. Beside them, per
+  lane width w, each axis column is packed into one integer, coordinate j
+  in the w-bit lane j, with a bias of 2^(w-1) per lane.
 - Per cell and per call it reads the image simplex's integer frame
   (`IntegerPoints.frame`, one fraction-free adjugate). Each frame row gets
-  its slopes on every base direction in one pass over the axis columns, and
-  the bit mask of those that are nonnegative; a sample then costs bitwise
-  ANDs and ORs.
+  the bit mask of the base directions on which its slope is nonnegative
+  from one sum of n big-integer products over the packed columns, plus the
+  bias: the top bit of each lane is the sign test of one direction, and a
+  byte slice reads all of them at once. A sample then costs bitwise ANDs
+  and ORs.
 - At an interior (n-1)-face the two normals of the face's image hyperplane
   are tested too. They are the slope row of a star cell's vertex off the
   face, divided by its gcd and signed so its last nonzero entry is positive,
@@ -51,11 +55,11 @@ unshrunk images, in integers until a sample fails:
   built the first time `OracleResult.failures` is read, so a caller that
   prints only the count builds none. It reads the star cells' frames again
   from the map; each uncovered base direction gets its slopes on their
-  rows, x and f(x) are weighted sums of the scaled integer vertices and
-  vertex images (the piece is affine on the carrier), f(x) becomes an
-  integer homogeneous column by one gcd, the boundary crossings are
-  compared as integer pairs, and epsilon and each target coordinate are one
-  `Fraction` each.
+  rows, one Python product per direction (`_base_slopes`); x and f(x) are
+  weighted sums of the scaled integer vertices and vertex images (the
+  piece is affine on the carrier), f(x) becomes an integer homogeneous
+  column by one gcd, the boundary crossings are compared as integer pairs,
+  and epsilon and each target coordinate are one `Fraction` each.
 
 Both the branch set and the oracle read their frames and columns from the
 map's `IntegerPoints` (`PLMap.images`), which builds each at first use and
@@ -67,7 +71,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import compress
 from math import gcd
 from operator import mul
 from typing import Callable, Optional
@@ -270,6 +273,47 @@ def _base_directions(
     return directions, tuple(tuple(d[c] for d in directions) for c in range(n))
 
 
+@lru_cache(maxsize=32)
+def _lanes(n: int, count: int, seed: int, width: int) -> tuple[tuple[int, ...], int]:
+    """The seeded base directions' axis columns packed in `width`-bit lanes
+    (`_pack_lanes`), once per setting and width."""
+    return _pack_lanes(_base_directions(n, count, seed)[1], width)
+
+
+def _pack_lanes(
+    axis_columns: tuple[tuple[int, ...], ...], width: int
+) -> tuple[tuple[int, ...], int]:
+    """Each axis column as one integer P_c = Σ_j column[j]·2^(width·j), and
+    the bias B that holds 2^(width-1) in each of the columns' lanes."""
+    packed = tuple(sum(a << width * j for j, a in enumerate(column)) for column in axis_columns)
+    bias = sum(1 << width * j + width - 1 for j in range(len(axis_columns[0])))
+    return packed, bias
+
+
+# byte -> ASCII "1" if its top bit is set, else "0"
+_TOP_BIT = bytes(b"01"[b >> 7] for b in range(256))
+
+
+def _lane_mask(row: tuple[int, ...], lanes: Callable[[int], tuple[tuple[int, ...], int]]) -> int:
+    """The mask of the base directions d_j with r·d_j >= 0, r the slope row
+    (the first n entries) of a frame row, from the directions' packed lanes.
+
+    Base coordinates lie in [-8, 8], so |r·d_j| <= 8·Σ|r_c|, and the lane
+    width w is the least multiple of 8 with 8·Σ|r_c| < 2^(w-1). Lane j of
+    B + Σ_c r_c·P_c is then 2^(w-1) + r·d_j, in [1, 2^w): no lane borrows
+    from or carries into the next, and its top bit is set iff r·d_j >= 0.
+    The big-endian bytes of the sum, read at each lane's top byte from the
+    last lane to the first, are the mask's binary digits. With no base
+    direction there is no lane, and the mask is 0.
+    """
+    width = 8 * ((8 * sum(map(abs, row[:-1]))).bit_length() // 8 + 1)
+    packed, bias = lanes(width)
+    lane_sum = bias + sum(map(mul, row, packed))  # the constant term has no column
+    # the bias's top bit is the last lane's, so its length is every lane's
+    tops = lane_sum.to_bytes(bias.bit_length() // 8, "big")[:: width // 8]
+    return int(tops.translate(_TOP_BIT), 2) if tops else 0
+
+
 @dataclass(frozen=True)
 class _ImageTable:
     """A star cell's covering tables, built once per oracle call.
@@ -282,7 +326,8 @@ class _ImageTable:
     and its last entry is the constant term, so the slope of coordinate k
     along a direction d is c_k⁻¹ times the dot product of d with the slope
     row. Bit j of `masks[k]` is set iff that dot product is >= 0 for the
-    j-th base direction.
+    j-th base direction; each mask is one sum of n products over the base
+    directions' packed lanes (`_lane_mask`).
     """
 
     vertex_ids: Face
@@ -290,20 +335,17 @@ class _ImageTable:
     masks: tuple[int, ...]
 
 
-def _image_table(
-    f: PLMap, cell_index: int, axis_columns: tuple[tuple[int, ...], ...], bits: tuple[int, ...]
-) -> _ImageTable:
+def _image_table(f: PLMap, cell_index: int, num_directions: int, rng_seed: int) -> _ImageTable:
     ids = f.domain.cells[cell_index].vertex_ids
     rows = f.images.frame(ids).bary
-    masks = tuple(
-        sum(compress(bits, [s >= 0 for s in _base_slopes(row, axis_columns)])) for row in rows
-    )
-    return _ImageTable(ids, rows, masks)
+    lanes = partial(_lanes, f.ambient_dim, num_directions, rng_seed)
+    return _ImageTable(ids, rows, tuple(_lane_mask(row, lanes) for row in rows))
 
 
 def _base_slopes(row: tuple[int, ...], axis_columns: tuple[tuple[int, ...], ...]) -> list[int]:
     """The dot products of a frame row's slope row with every base
-    direction, in one pass over the axis columns."""
+    direction, in one pass over the axis columns; the failure evidence
+    reads them."""
     slopes = [row[0] * a for a in axis_columns[0]]
     for r, column in zip(row[1:], axis_columns[1:]):
         slopes = [s + r * a for s, a in zip(slopes, column)]
@@ -345,8 +387,10 @@ def openness_oracle(
     each star cell is tested against its unshrunk image through an
     `_ImageTable` built once per call: the barycentric rows of its image
     simplex's integer frame and, per row, the mask of the base directions of
-    nonnegative slope (the base directions and their per-axis columns are
-    drawn once per setting and kept). A direction is
+    nonnegative slope. The base directions, their per-axis columns and,
+    per lane width, those columns packed into biased integer lanes are
+    built once per setting and kept; a row's mask is the top bit of each
+    lane of one sum of n products (`_lane_mask`). A direction is
     covered by a cell iff no row with a zero coordinate of f(x) has negative
     slope; those rows are the cell's vertices off the carrier, because x lies
     in the relative interior of the carrier and the piece is an affine
@@ -380,7 +424,6 @@ def openness_oracle(
 
     n = f.ambient_dim
     base_directions, axis_columns = _base_directions(n, num_directions, rng_seed)
-    bits = tuple(1 << j for j in range(len(base_directions)))
     rng = _SplitMix64(rng_seed ^ 0xD1B54A32D192ED03)
 
     # (carrier, positive weights on the carrier's vertices): every sample lies
@@ -401,7 +444,7 @@ def openness_oracle(
         star = []
         for ci in f.domain.faces[carrier].cells:
             if ci not in tables:
-                tables[ci] = _image_table(f, ci, axis_columns, bits)
+                tables[ci] = _image_table(f, ci, num_directions, rng_seed)
             table = tables[ci]
             off_carrier = [k for k, v in enumerate(table.vertex_ids) if v not in carrier]
             star.append((table, off_carrier))

@@ -6,7 +6,7 @@ solves with generic Gaussian elimination, memberships are barycentric
 re-solves. Expected values in the tests are computed (or re-checked) with
 these, never copied from the implementation under test.
 
-The last six sections are different. `certify_in_stage_order` runs the
+The last seven sections are different. `certify_in_stage_order` runs the
 library's own whyburn stages and degree, with the stage-4 sweep
 (`global_collision`, on the library's probe), each unconditionally and in
 their numbered order, as the reference for the certifier's shortcuts;
@@ -20,6 +20,11 @@ the degree of the map restricted to the carrier's star, rescaled toward
 the point until the star holds no other point of its fiber.
 `pair_loop_branch_set` is the branch set as it was before the cone count:
 every nonsingular star probed pair by pair in the library's frames.
+`reference_oracle` is the openness oracle sample by sample, with one
+rational inverse per shrunk star image; `compress_mask` is a covering mask
+as `_image_table` built it before the packed lanes, one slope per base
+direction; `fraction_parse_rational` is `parse_rational` as it was before
+it matched its text once.
 `build_and_compare_ingest`, `matrix_component_graph` and
 `matrix_constrained_hull_dim` decide with the pieces' `Fraction` matrices,
 as the library did before it asked those questions at the vertices.
@@ -32,7 +37,7 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import compress, permutations
 from math import lcm
 from typing import Optional
 
@@ -55,13 +60,30 @@ from plopen.feasible import (
     _meet_system,
     hull_leaves_affine_span,
 )
-from plopen.linalg import Matrix, Vector, null_space, rank, vec_add, vec_dot, vec_sub, vector
+from plopen.linalg import (
+    _RATIONAL_PATTERN,
+    Matrix,
+    Vector,
+    inverse,
+    null_space,
+    rank,
+    vec_add,
+    vec_dot,
+    vec_sub,
+    vector,
+)
 from plopen.openness import (
     REASON_INJECTIVITY,
     REASON_SIGN_MISMATCH,
     REASON_SINGULAR,
     BranchFace,
     BranchReport,
+    OracleFailure,
+    OracleResult,
+    _base_directions,
+    _base_slopes,
+    _SplitMix64,
+    seeded_directions,
 )
 from plopen.plmap import (
     ComponentGraph,
@@ -626,6 +648,98 @@ def pair_loop_branch_set(f):
             out.append(BranchFace(cells[ci].vertex_ids, n, REASON_SINGULAR, (ci,)))
     out.sort(key=lambda bf: (len(bf.face), bf.face))
     return BranchReport(tuple(out), max((bf.dim for bf in out), default=None))
+
+
+# ---------------------------------------------------------------------------
+# The openness oracle sample by sample, its covering masks direction by
+# direction, and the rational parser before it matched its text once.
+# ---------------------------------------------------------------------------
+
+
+def reference_oracle(f, num_points, num_directions, rng_seed):
+    """The oracle computed sample by sample on the shrunk star images.
+
+    One inverse per (sample, star cell) of the shrunk image simplex, a
+    rational covering test per direction, and the epsilon from the crossings
+    of the ray in the shrunk simplices.
+    """
+    singular = [ci for ci, p in enumerate(f.pieces) if p.det_sign == 0]
+    if singular:
+        collapsed = tuple(
+            OracleFailure(
+                f.domain.barycenter(f.domain.cells[ci].vertex_ids),
+                f.domain.cells[ci].vertex_ids,
+                (),
+                Fraction(0),
+                (),
+            )
+            for ci in singular
+        )
+        return OracleResult(False, len(collapsed), 0, lambda: collapsed)
+    n = f.ambient_dim
+    base_directions = seeded_directions(n, num_directions, rng_seed)
+    rng = _SplitMix64(rng_seed ^ 0xD1B54A32D192ED03)
+    samples = [(f.domain.barycenter(ids), ids) for ids in f.domain.interior_faces()]
+    for _ in range(num_points):
+        ci = rng.below(len(f.domain.cells))
+        weights = [Fraction(rng.int_range(1, 64)) for _ in f.domain.cells[ci].vertex_ids]
+        pts = f.domain.cell_points(ci)
+        x = tuple(
+            sum((w * p[c] for w, p in zip(weights, pts)), Fraction(0)) / sum(weights)
+            for c in range(n)
+        )
+        samples.append((x, f.domain.cells[ci].vertex_ids))
+
+    failures = []
+    for x, carrier in samples:
+        star = shrunk_star_images(f, x, carrier)
+        y0 = f.pieces[star[0][0]].apply(x)
+        inverses = []
+        for _, _, images in star:
+            rows = [tuple(Fraction(1) for _ in images)]
+            rows += [tuple(q[c] for q in images) for c in range(n)]
+            inverses.append(inverse(Matrix(tuple(rows))))
+        bases = [inv.mul_vec((Fraction(1), *y0)) for inv in inverses]
+        directions = list(base_directions)
+        if len(carrier) == n:
+            directions += face_normal_directions(f, carrier)
+        for direction in directions:
+            slopes = [inv.mul_vec((Fraction(0), *map(Fraction, direction))) for inv in inverses]
+            if any(
+                all(b != 0 or s >= 0 for b, s in zip(base, slope))
+                for base, slope in zip(bases, slopes)
+            ):
+                continue
+            crossings = [
+                -b / s
+                for base, slope in zip(bases, slopes)
+                for b, s in zip(base, slope)
+                if s != 0 and -b / s > 0
+            ]
+            epsilon = min(crossings) / 2 if crossings else Fraction(1)
+            target = tuple(a + epsilon * d for a, d in zip(y0, direction))
+            failures.append(
+                OracleFailure(x, carrier, tuple(map(Fraction, direction)), epsilon, target)
+            )
+    return OracleResult(not failures, len(failures), len(samples), lambda: tuple(failures))
+
+
+def compress_mask(row, n, num_directions, rng_seed):
+    """The mask of the base directions on which a frame row's slope row is
+    >= 0, one Python slope per direction: `_image_table`'s mask before the
+    packed lanes."""
+    _, axis_columns = _base_directions(n, num_directions, rng_seed)
+    bits = [1 << j for j in range(num_directions)]
+    return sum(compress(bits, [s >= 0 for s in _base_slopes(row, axis_columns)]))
+
+
+def fraction_parse_rational(text):
+    """`parse_rational` as it was: the pattern accepts the text, then
+    `Fraction` parses it again with its own regular expression."""
+    text = text.strip()
+    if not _RATIONAL_PATTERN.fullmatch(text):
+        raise ValueError(f"not an exact rational literal: {text!r}")
+    return Fraction(text)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import plopen
-from plopen import cli
+from plopen import cli, openness
 from plopen.cli import main
 from plopen.generators import GenSpec, generate
 from plopen.instancefile import (
@@ -21,6 +21,8 @@ from plopen.instancefile import (
     plmap_to_document,
     save_document,
 )
+
+from oracles import reference_oracle
 
 
 # The directory that holds the plopen package, for fresh interpreters.
@@ -253,6 +255,19 @@ class TestCheckOpen:
             capsys, "check-open", instance_path("doubling2d", 2, "doubling")
         )
         assert code == 0 and report["dim_branch_set"] == 0
+
+    @pytest.mark.parametrize("kind, dim", [("fold1d", 1), ("doubling2d", 2)])
+    @pytest.mark.parametrize("dirs", ["0", "1"])
+    @pytest.mark.parametrize("command", ["check-open", "oracle-open"])
+    def test_few_directions_report_as_the_reference(
+        self, capsys, monkeypatch, instance_path, kind, dim, dirs, command
+    ):
+        # no base direction gives no lane at all; one gives a single lane
+        argv = (command, instance_path(kind, dim, kind), "--oracle-dirs", dirs)
+        got = run_cli(capsys, *argv)
+        monkeypatch.setattr(openness, "openness_oracle", reference_oracle)
+        monkeypatch.setattr(cli, "openness_oracle", reference_oracle)
+        assert got == run_cli(capsys, *argv)
 
     def test_batch_mode(self, capsys, instance_path, tmp_path):
         instance_path("identity", 1, "a")

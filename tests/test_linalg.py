@@ -20,7 +20,7 @@ from plopen.linalg import (
     vec_dot,
 )
 
-from oracles import det_by_permutation_expansion, solve_gauss
+from oracles import det_by_permutation_expansion, fraction_parse_rational, solve_gauss
 
 
 rationals = st.builds(
@@ -267,6 +267,30 @@ class TestRationalStrings:
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, q):
         assert parse_rational(format_rational(q)) == q
+
+    @given(
+        st.one_of(
+            st.sampled_from(["1/0", "+1", "1.5", "1/-2", "1_0", "-0/7", " 3/4\n", "-", "/2", ""]),
+            st.text(alphabet="0123456789-+/._ e\t\u0663\u0669\uff11\uff10", max_size=12),
+            st.builds(
+                "{}{}/{}{}".format,
+                st.sampled_from(["", " ", "-", "+", "--"]),
+                st.integers(0, 10**30),
+                st.integers(-5, 10**30),
+                st.sampled_from(["", " ", "\n", "x"]),
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_match_parses_as_fraction_did(self, text):
+        def outcome(parse):
+            try:
+                value = parse(text)
+            except ValueError as exc:
+                return "rejected", str(exc)
+            return type(value), value
+
+        assert outcome(parse_rational) == outcome(fraction_parse_rational)
 
     def test_denominator_one_is_omitted(self):
         assert format_rational(Fraction(8, 4)) == "2"

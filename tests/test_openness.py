@@ -1,5 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from plopen.complexes import validate_complex
 from plopen.degree import local_degree
 from plopen.feasible import relative_interiors_intersect
 from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
-from plopen.linalg import Matrix, inverse
 from plopen.openness import (
     REASON_INJECTIVITY,
     REASON_SIGN_MISMATCH,
@@ -19,23 +20,25 @@ from plopen.openness import (
     BranchFace,
     BranchReport,
     OracleConfig,
-    OracleFailure,
-    OracleResult,
+    _base_directions,
     _fold_normals,
     _image_table,
-    _SplitMix64,
+    _lane_mask,
+    _lanes,
+    _pack_lanes,
     branch_set,
     check_conditions,
     coherently_oriented,
     openness_oracle,
-    seeded_directions,
 )
 from plopen.plmap import AffinePiece, FiniteFiber, build_plmap, cone_count, fiber, finite_fibers
 
 from oracles import (
+    compress_mask,
     face_normal_directions,
     pair_loop_branch_set,
     point_in_simplex,
+    reference_oracle,
     shrunk_star_images,
 )
 
@@ -231,72 +234,6 @@ class TestOpennessOracle:
         assert a == b
 
 
-def reference_oracle(f, num_points, num_directions, rng_seed):
-    """The oracle computed sample by sample on the shrunk star images.
-
-    One inverse per (sample, star cell) of the shrunk image simplex, a
-    rational covering test per direction, and the epsilon from the crossings
-    of the ray in the shrunk simplices.
-    """
-    singular = [ci for ci, p in enumerate(f.pieces) if p.det_sign == 0]
-    if singular:
-        collapsed = tuple(
-            OracleFailure(
-                f.domain.barycenter(f.domain.cells[ci].vertex_ids),
-                f.domain.cells[ci].vertex_ids,
-                (),
-                F(0),
-                (),
-            )
-            for ci in singular
-        )
-        return OracleResult(False, len(collapsed), 0, lambda: collapsed)
-    n = f.ambient_dim
-    base_directions = seeded_directions(n, num_directions, rng_seed)
-    rng = _SplitMix64(rng_seed ^ 0xD1B54A32D192ED03)
-    samples = [(f.domain.barycenter(ids), ids) for ids in f.domain.interior_faces()]
-    for _ in range(num_points):
-        ci = rng.below(len(f.domain.cells))
-        weights = [F(rng.int_range(1, 64)) for _ in f.domain.cells[ci].vertex_ids]
-        pts = f.domain.cell_points(ci)
-        x = tuple(
-            sum((w * p[c] for w, p in zip(weights, pts)), F(0)) / sum(weights)
-            for c in range(n)
-        )
-        samples.append((x, f.domain.cells[ci].vertex_ids))
-
-    failures = []
-    for x, carrier in samples:
-        star = shrunk_star_images(f, x, carrier)
-        y0 = f.pieces[star[0][0]].apply(x)
-        inverses = []
-        for _, _, images in star:
-            rows = [tuple(F(1) for _ in images)]
-            rows += [tuple(q[c] for q in images) for c in range(n)]
-            inverses.append(inverse(Matrix(tuple(rows))))
-        bases = [inv.mul_vec((F(1), *y0)) for inv in inverses]
-        directions = list(base_directions)
-        if len(carrier) == n:
-            directions += face_normal_directions(f, carrier)
-        for direction in directions:
-            slopes = [inv.mul_vec((F(0), *map(F, direction))) for inv in inverses]
-            if any(
-                all(b != 0 or s >= 0 for b, s in zip(base, slope))
-                for base, slope in zip(bases, slopes)
-            ):
-                continue
-            crossings = [
-                -b / s
-                for base, slope in zip(bases, slopes)
-                for b, s in zip(base, slope)
-                if s != 0 and -b / s > 0
-            ]
-            epsilon = min(crossings) / 2 if crossings else F(1)
-            target = tuple(a + epsilon * d for a, d in zip(y0, direction))
-            failures.append(OracleFailure(x, carrier, tuple(map(F, direction)), epsilon, target))
-    return OracleResult(not failures, len(failures), len(samples), lambda: tuple(failures))
-
-
 # (num_points, num_directions, rng_seed): the CLI defaults, one other, no
 # base direction (every mask empty) and a single one; the rational reference
 # is slow in 3-D, so there it runs on one seed with few directions.
@@ -459,9 +396,95 @@ class TestFoldNormalsFromFrames:
                 continue
             expected = face_normal_directions(f, face)
             for ci in cells:
-                table = _image_table(f, ci, ((),) * n, ())
+                table = _image_table(f, ci, 0, 0)
                 off_carrier = [k for k, v in enumerate(table.vertex_ids) if v not in face]
                 assert _fold_normals(table, off_carrier) == expected
+
+
+# Every generator kind in dims 1-3, seeds 0-3, and oracle settings: the CLI
+# defaults, the golden ones, none, one and 200 base directions.
+LANE_CASES = [
+    GenSpec(kind, dim, seed=seed)
+    for kind in KINDS
+    for dim in (1, 2, 3)
+    if _FIXED_DIMS.get(kind, dim) == dim
+    for seed in range(4)
+]
+LANE_SETTINGS = [(64, 0), (12, 0), (23, 0), (0, 0), (1, 9), (200, 3)]
+
+
+@st.composite
+def lane_rows(draw):
+    """(n, count, seed, frame row): rows of 20-40 digit entries, rows with a
+    zero slope on a base direction, and rows whose slope bound 8·Σ|r_c| is
+    2^(w-1) - 8 or 2^(w-1) (8·Σ|r_c| is a multiple of 8, so 2^(w-1) - 8 is
+    the largest bound below the step to width w + 8)."""
+    n = draw(st.integers(1, 4))
+    count = draw(st.sampled_from((0, 1, 64, 200)))
+    seed = draw(st.integers(0, 2**16))
+    kind = draw(st.sampled_from(("digits", "zero slope", "width step")))
+    if kind == "digits":
+        slopes = [
+            draw(st.integers(10 ** (k - 1), 10**k - 1)) * draw(st.sampled_from((1, -1)))
+            for k in draw(st.lists(st.integers(20, 40), min_size=n, max_size=n))
+        ]
+    elif kind == "zero slope" and count:
+        d = draw(st.sampled_from(_base_directions(n, count, seed)[0]))
+        a = next(c for c in range(n) if d[c])
+        r = draw(st.lists(st.integers(-(10**30), 10**30), min_size=n, max_size=n))
+        # r' = d_a·r off axis a, and r'_a cancels the rest: r'·d = 0
+        slopes = [d[a] * r[c] for c in range(n)]
+        slopes[a] = -sum(r[c] * d[c] for c in range(n) if c != a)
+    else:
+        width = draw(st.sampled_from(range(8, 168, 8)))
+        total = (1 << width - 4) - draw(st.sampled_from((1, 0)))
+        cuts = sorted(draw(st.lists(st.integers(0, total), min_size=n - 1, max_size=n - 1)))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        slopes = [p * draw(st.sampled_from((1, -1))) for p in parts]
+    constant = draw(st.integers(-(10**40), 10**40))
+    return n, count, seed, (*slopes, constant)
+
+
+class TestLaneMasks:
+    @pytest.mark.parametrize("spec", LANE_CASES, ids=str)
+    def test_every_frame_row_matches_the_compress_mask(self, spec):
+        f = generate(spec).plmap
+        n = f.ambient_dim
+        for ci, piece in enumerate(f.pieces):
+            if piece.det_sign == 0:
+                continue
+            for count, seed in LANE_SETTINGS:
+                table = _image_table(f, ci, count, seed)
+                assert table.masks == tuple(
+                    compress_mask(row, n, count, seed) for row in table.rows
+                )
+
+    @given(lane_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_drawn_rows_match_the_compress_mask(self, case):
+        n, count, seed, row = case
+        lanes = partial(_lanes, n, count, seed)
+        assert _lane_mask(row, lanes) == compress_mask(row, n, count, seed)
+
+    @given(lane_rows(), st.lists(st.integers(-8, 8), min_size=4, max_size=4 * 30))
+    @settings(max_examples=200, deadline=None)
+    def test_slopes_at_the_bound_stay_in_their_lanes(self, case, coordinates):
+        # d = ±8·sign(r) reaches |r·d| = 8·Σ|r_c|, the bound the width is
+        # chosen for; both sit among drawn directions in [-8, 8]^n
+        n, _, _, row = case
+        extreme = tuple(8 * (r > 0) - 8 * (r < 0) for r in row[:n])
+        directions = [extreme, tuple(-c for c in extreme)]
+        directions += [tuple(coordinates[i : i + n]) for i in range(0, len(coordinates) - n + 1, n)]
+        columns = tuple(tuple(d[c] for d in directions) for c in range(n))
+        expected = sum(
+            1 << j for j, d in enumerate(directions) if sum(map(mul, row, d)) >= 0
+        )
+        assert _lane_mask(row, partial(_pack_lanes, columns)) == expected
+
+    def test_no_base_direction_gives_empty_masks(self, doubling2d):
+        f = doubling2d.plmap
+        assert _lanes(2, 0, 0, 8) == ((0, 0), 0)
+        assert all(_image_table(f, ci, 0, 0).masks == (0, 0, 0) for ci in range(len(f.pieces)))
 
 
 def mirrored(f):
