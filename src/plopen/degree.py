@@ -17,11 +17,11 @@ map's cell grid (`PLMap.image_grid`, built at the first query and kept)
 names the cells whose image boxes hold the point's homogeneous column, and
 the point's weights in each such cell's integer image frame are read once:
 a negative weight is a miss, all positive a fiber point, and a zero weight
-names the faces whose images hold the point. Only an affinely dependent
-image, such as a singular cell's, is decided by a Fourier–Motzkin probe. On
-the perturbation path, the segment's obstacles come from the map's grid
+names the faces whose images hold the point. An image with no frame, such
+as a singular cell's, is probed in the point's own frame, on its columns.
+On the perturbation path, the segment's obstacles come from the map's grid
 over the boundary images, asked for the boxes that meet the segment's, and
-each is probed in its image's frame.
+each is probed in its image's frame, or in the segment's when it has none.
 
 Local degree is one signed count over the star of the point's carrier
 face (`plmap.cone_count`). Each star piece is an affine bijection, so near
@@ -114,15 +114,15 @@ def _query_column(f: PLMap, point) -> tuple[int, ...]:
     return feasible.homogeneous_column(point)
 
 
-def _image_holds(f: PLMap, face: Face, point, column: tuple[int, ...]) -> bool:
-    """Whether the point (with its homogeneous column) lies in a face's image.
+def _image_holds(f: PLMap, face: Face, column: tuple[int, ...]) -> bool:
+    """Whether the point of a homogeneous column lies in a face's image.
 
-    The sign test in the image's frame decides; an affinely dependent image
-    has no frame and is probed.
+    The sign test in the image's frame decides. An affinely dependent image
+    has no frame; it is probed in the point's (`feasible.hull_meets_segment`).
     """
     frame = f.images.frame(face)
     if frame is None:
-        return feasible.hull_contains(f.image_of_face(face), point)
+        return feasible.hull_meets_segment(f.images.cols(face), column, column)
     return frame.contains(column)
 
 
@@ -148,9 +148,9 @@ class _Scan:
     fiber: tuple[tuple[tuple, int], ...]  # (point, sign) by point; complete when regular
 
 
-def _scan(f: PLMap, point, column: tuple[int, ...]) -> _Scan:
-    """The boundary test, regularity and the fiber of a point, from the cells
-    whose image boxes hold it (one `BoxGrid.holders` call).
+def _scan(f: PLMap, column: tuple[int, ...]) -> _Scan:
+    """The boundary test, regularity and the fiber of the point of a column,
+    from the cells whose image boxes hold it (one `BoxGrid.holders` call).
 
     A face's image lies in the image of every cell that has the face, so
     every face image that holds the point lies in a cell image that holds
@@ -197,13 +197,11 @@ def _scan(f: PLMap, point, column: tuple[int, ...]) -> _Scan:
                 for j, w in enumerate(weights):
                     if not w:
                         record(ids[:j] + ids[j + 1 :])
-        elif _image_holds(f, ids, point, column):
+        elif _image_holds(f, ids, column):
             if singular is None:
                 singular = ci
             for face in _proper_subfaces(ids):
-                if (names_offender(face) or names_boundary(face)) and _image_holds(
-                    f, face, point, column
-                ):
+                if (names_offender(face) or names_boundary(face)) and _image_holds(f, face, column):
                     record(face)
     if offender is not None:
         diagnosis = f"point lies in the image of face {offender} (dim {len(offender) - 1})"
@@ -217,7 +215,7 @@ def _scan(f: PLMap, point, column: tuple[int, ...]) -> _Scan:
 def point_on_boundary_image(f: PLMap, point) -> Optional[Face]:
     """The first boundary face, in sorted order, whose image holds the point,
     or None: the boundary test of the point's one image scan (`_scan`)."""
-    return _scan(f, point, _query_column(f, point)).boundary
+    return _scan(f, _query_column(f, point)).boundary
 
 
 def is_regular_value(f: PLMap, point) -> tuple[bool, Optional[str]]:
@@ -229,7 +227,7 @@ def is_regular_value(f: PLMap, point) -> tuple[bool, Optional[str]]:
     offender, faces taken by size and then by vertex ids, then singular
     cells in order.
     """
-    diagnosis = _scan(f, point, _query_column(f, point)).diagnosis
+    diagnosis = _scan(f, _query_column(f, point)).diagnosis
     return diagnosis is None, diagnosis
 
 
@@ -261,7 +259,7 @@ def _regular_evidence(f: PLMap) -> PathEvidence:
 def degree_at_regular(f: PLMap, point) -> DegreeCertificate:
     """Sign-sum degree at an exactly regular value outside the boundary image."""
     point = tuple(point)
-    scan = _scan(f, point, _query_column(f, point))
+    scan = _scan(f, _query_column(f, point))
     _refuse_boundary_image(scan)
     if scan.diagnosis is not None:
         raise IrregularValueError(f"{scan.diagnosis}; call degree() to perturb exactly")
@@ -294,7 +292,7 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
     """
     point = tuple(point)
     start = _query_column(f, point)
-    scan = _scan(f, point, start)
+    scan = _scan(f, start)
     _refuse_boundary_image(scan)
     if scan.diagnosis is None:
         return _certificate(point, point, scan, _regular_evidence(f))
@@ -311,10 +309,10 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
             candidate = tuple(p + epsilon * d for p, d in zip(point, direction))
             attempts.append(candidate)
             end = feasible.homogeneous_column(candidate)
-            scan = _scan(f, candidate, end)
+            scan = _scan(f, end)
             if scan.boundary is not None or scan.diagnosis is not None:
                 continue
-            checks = _segment_checks(f, point, candidate, start, end)
+            checks = _segment_checks(f, start, end)
             if any(hit for _, hit in checks):
                 continue
             evidence = PathEvidence(
@@ -328,18 +326,18 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
 
 
 def _segment_checks(
-    f: PLMap, start_point: tuple, end_point: tuple, start: tuple[int, ...], end: tuple[int, ...]
+    f: PLMap, start: tuple[int, ...], end: tuple[int, ...]
 ) -> tuple[tuple[Face, bool], ...]:
-    """Per boundary face, in order, whether the segment between two points
-    (with their homogeneous columns) meets the face's image.
+    """Per boundary face, in order, whether the segment between the points
+    of two homogeneous columns meets the face's image.
 
     The boundary grid names the faces whose image boxes meet the segment's
     integer box (`feasible.segment_box`); only those can be hit. Each is
     tested against the segment's own box (`feasible.segment_meets_box`) and
     then probed in the image's frame, on the two end columns: whether the
     segment meets the image at all (`feasible.hull_leaves_affine_span` with
-    an empty span). An image with no frame is probed in vertex form
-    (`feasible.segment_hits_hull`). Every other face is a miss, unprobed.
+    an empty span). An image with no frame is probed in the segment's frame
+    (`feasible.hull_meets_segment`). Every other face is a miss, unprobed.
     """
     images, boundary = f.images, f.domain.boundary
     box = feasible.segment_box(images.denominator, start, end)
@@ -348,7 +346,7 @@ def _segment_checks(
     def hits(face: Face) -> bool:
         frame = images.frame(face)
         if frame is None:
-            return feasible.segment_hits_hull(start_point, end_point, f.image_of_face(face))
+            return feasible.hull_meets_segment(images.cols(face), start, end)
         return feasible.hull_leaves_affine_span(frame, (start, end), ())
 
     return tuple(

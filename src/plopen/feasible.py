@@ -15,10 +15,12 @@ by substitution.
 
 Polytopes enter in vertex form (a tuple of points whose convex hull is the
 polytope). Every predicate on two polytopes P and Q asks one question, how
-conv(P) and conv(Q) meet, and all but properness are one call to a single
-row builder: convex weights λ on P and μ on Q with Σλp = Σμq, each side
-either closed (λ ≥ 0) or strict (λ > 0, the relative interior). Each
-coordinate row is scaled to integers once, on its own.
+conv(P) and conv(Q) meet. Those probed in vertex form (`hulls_intersect`,
+`relative_interiors_intersect`, `relint_preimage_witness` and
+`constrained_hull_dim`) are one call to a single row builder: convex
+weights λ on P and μ on Q with Σλp = Σμq, each side either closed (λ ≥ 0)
+or strict (λ > 0, the relative interior). Each coordinate row is scaled to
+integers once, on its own.
 
 Properness of two simplices is one strict probe, asked in P's own frame
 instead of in vertex form. For a face F of a simplex P, conv(P) ∩ aff(F) = F,
@@ -32,7 +34,8 @@ pair has 4 unknowns and one equality where vertex form has 8 and 5. This
 needs P affinely independent (else `simplex_frame` raises ValueError) and F
 given by positions of P's vertices. Whether a single point lies in conv(P)
 needs no probe at all: it is the sign test `SimplexFrame.contains` on the
-point's column, and `hull_contains` stays for affinely dependent point sets.
+point's column. A hull of affinely dependent points has no frame, so it is
+probed in the frame of the point or segment it meets (`hull_meets_segment`).
 A facet of a full-dimensional P takes its frame from P's with no adjugate
 (`SimplexFrame.facet`): the row of the vertex it leaves out vanishes
 exactly on the facet's affine hull.
@@ -338,14 +341,17 @@ def _meet_system(
 
 
 def _meet(p_verts: Hull, p_rel: str, q_verts: Hull, q_rel: str) -> Optional[tuple[Fraction, ...]]:
-    """A feasible weight vector of the _meet_system, or None."""
+    """A feasible weight vector of the _meet_system, or None; None when
+    either hull is empty, since an empty hull meets nothing."""
+    if not p_verts or not q_verts:
+        return None
     system = _meet_system(p_verts, p_rel, q_verts, q_rel)
     return None if system is None else _feasible_int(*system)
 
 
 def hull_contains(verts: Hull, point: Vector) -> bool:
-    """Exact membership of a point in conv(verts)."""
-    return _meet(verts, REL_LE, [point], REL_LE) is not None
+    """Exact membership of a point in conv(verts), probed in the point's frame."""
+    return segment_hits_hull(point, point, verts)
 
 
 def relative_interiors_intersect(p_verts: Hull, q_verts: Hull) -> bool:
@@ -634,9 +640,20 @@ def relint_meets_simplex(frame: SimplexFrame, cols: Sequence[tuple[int, ...]]) -
     return _frame_probe(frame, cols, REL_LT)
 
 
+def hull_meets_segment(
+    cols: Sequence[tuple[int, ...]], start: tuple[int, ...], end: tuple[int, ...]
+) -> bool:
+    """Whether the hull of homogeneous columns meets the closed segment from
+    start to end (`homogeneous_column`s; a point when equal): one probe in
+    the segment's frame on the hull's columns, so the hull needs no frame."""
+    frame = simplex_frame((start,) if start == end else (start, end))
+    return hull_leaves_affine_span(frame, cols, ())
+
+
 def segment_hits_hull(start: Vector, end: Vector, verts: Hull) -> bool:
-    """Whether the closed segment [start, end] meets conv(verts)."""
-    return _meet(verts, REL_LE, [start, end], REL_LE) is not None
+    """Whether the closed segment [start, end] meets conv(verts), in its frame."""
+    cols = [homogeneous_column(v) for v in verts]
+    return hull_meets_segment(cols, homogeneous_column(start), homogeneous_column(end))
 
 
 # ---------------------------------------------------------------------------

@@ -50,12 +50,11 @@ unshrunk images, in integers until a sample fails:
   directions alone decide.
 - The uncovered directions are counted (`OracleResult.num_failures`), and a
   failing sample keeps only integers: its carrier, its weights, the mask of
-  its uncovered base directions and its uncovered fold normals with their
-  slopes. The tables are dropped when the call returns. The evidence is
-  built the first time `OracleResult.failures` is read, so a caller that
-  prints only the count builds none. It reads the star cells' frames again
-  from the map; each uncovered base direction gets its slopes on their
-  rows, one Python product per direction (`_base_slopes`); x and f(x) are
+  its uncovered base directions and its uncovered fold normals. The tables
+  are dropped when the call returns. The evidence is built the first time
+  `OracleResult.failures` is read, so a caller that prints only the count
+  builds none. It reads the star cells' frames again from the map; each
+  uncovered direction gets its slopes on their rows there; x and f(x) are
   weighted sums of the scaled integer vertices and vertex images (the
   piece is affine on the carrier), f(x) becomes an integer homogeneous
   column by one gcd, the boundary crossings are compared as integer pairs,
@@ -342,16 +341,6 @@ def _image_table(f: PLMap, cell_index: int, num_directions: int, rng_seed: int) 
     return _ImageTable(ids, rows, tuple(_lane_mask(row, lanes) for row in rows))
 
 
-def _base_slopes(row: tuple[int, ...], axis_columns: tuple[tuple[int, ...], ...]) -> list[int]:
-    """The dot products of a frame row's slope row with every base
-    direction, in one pass over the axis columns; the failure evidence
-    reads them."""
-    slopes = [row[0] * a for a in axis_columns[0]]
-    for r, column in zip(row[1:], axis_columns[1:]):
-        slopes = [s + r * a for s, a in zip(slopes, column)]
-    return slopes
-
-
 def _fold_normals(table: _ImageTable, off_carrier: list[int]) -> list[tuple[int, ...]]:
     """The two primitive integer normals of an interior (n-1)-face's image,
     read off one star cell's frame: the slope row of the cell's vertex off
@@ -423,7 +412,7 @@ def openness_oracle(
         return OracleResult(False, len(singular), 0, collapsed)
 
     n = f.ambient_dim
-    base_directions, axis_columns = _base_directions(n, num_directions, rng_seed)
+    base_directions = _base_directions(n, num_directions, rng_seed)[0]
     rng = _SplitMix64(rng_seed ^ 0xD1B54A32D192ED03)
 
     # (carrier, positive weights on the carrier's vertices): every sample lies
@@ -456,15 +445,16 @@ def openness_oracle(
                 cell_covers &= table.masks[k]
             covered |= cell_covers
         missing = all_directions & ~covered
-        folds = []
+        folds: tuple[tuple[int, ...], ...] = ()
         if len(carrier) == n:  # interior (n-1)-face: add the exact fold normals
-            for d in _fold_normals(*star[0]):
-                slopes = [[sum(map(mul, row, d)) for row in table.rows] for table, _ in star]
+            folds = tuple(
+                d
+                for d in _fold_normals(*star[0])
                 if not any(
-                    all(row_slopes[k] >= 0 for k in off_carrier)
-                    for (_, off_carrier), row_slopes in zip(star, slopes)
-                ):
-                    folds.append((d, slopes))
+                    all(sum(map(mul, table.rows[k], d)) >= 0 for k in off_carrier)
+                    for table, off_carrier in star
+                )
+            )
         if missing or folds:
             failing.append(_FailingSample(carrier, weights, missing, folds))
             num_failures += missing.bit_count() + len(folds)
@@ -472,7 +462,7 @@ def openness_oracle(
         not num_failures,
         num_failures,
         len(samples),
-        partial(_evidence, f, base_directions, axis_columns, failing),
+        partial(_evidence, f, base_directions, failing),
     )
 
 
@@ -480,50 +470,38 @@ def openness_oracle(
 class _FailingSample:
     """A sample with uncovered directions, as the covering test left it:
     its carrier and integer weights, the mask of the uncovered base
-    directions, and the uncovered fold normals with their slopes on every
-    star cell's frame rows."""
+    directions, and the uncovered fold normals."""
 
     carrier: Face
     weights: tuple[int, ...]
     missing: int
-    folds: list[tuple[tuple[int, ...], list[list[int]]]]
+    folds: tuple[tuple[int, ...], ...]
 
 
 def _evidence(
     f: PLMap,
     base_directions: tuple[tuple[int, ...], ...],
-    axis_columns: tuple[tuple[int, ...], ...],
     failing: list[_FailingSample],
 ) -> tuple[OracleFailure, ...]:
     """The failure records of the failing samples, in sample order and, per
     sample, the uncovered base directions in order and then the fold normals.
 
-    The slopes of each star cell's frame rows on every base direction are
-    computed again, once per cell (the map keeps the frames), and read per
-    uncovered direction. x = Σ w_i v_i / Σ w and, as the piece is affine on
-    the carrier, f(x) = Σ w_i f(v_i) / Σ w, both summed over the scaled
-    integer points of the domain and the images. The first crossing of a ray
-    in a shrunk image is -b / (2 s) for each unshrunk coordinate b and slope
-    s, compared as integer pairs until the least one is found, and each
-    failure builds its rational epsilon and target once.
+    Each uncovered direction's slopes on the star cells' frame rows (the map
+    keeps the frames) are computed here, one dot product per row.
+    x = Σ w_i v_i / Σ w and, as the piece is affine on the carrier,
+    f(x) = Σ w_i f(v_i) / Σ w, both summed over the scaled integer points of
+    the domain and the images. The first crossing of a ray in a shrunk image
+    is -b / (2 s) for each unshrunk coordinate b and slope s, compared as
+    integer pairs until the least one is found, and each failure builds its
+    rational epsilon and target once.
     """
     n = f.ambient_dim
     domain, images, cells = f.domain.points, f.images, f.domain.cell_ids
-    slopes: dict[int, list[list[int]]] = {}  # per cell, per frame row, per base direction
     failures: list[OracleFailure] = []
     for sample in failing:
         carrier, weights = sample.carrier, sample.weights
-        star = f.domain.faces[carrier].cells
-        for ci in star:
-            if ci not in slopes:
-                rows = images.frame(cells[ci]).bary
-                slopes[ci] = [_base_slopes(row, axis_columns) for row in rows]
-        # each uncovered direction with its slopes on every star cell's rows
-        uncovered = [
-            (d, [[row_slopes[j] for row_slopes in slopes[ci]] for ci in star])
-            for j, d in enumerate(base_directions)
-            if sample.missing >> j & 1
-        ] + sample.folds
+        frames = [images.frame(cells[ci]).bary for ci in f.domain.faces[carrier].cells]
+        uncovered = [d for j, d in enumerate(base_directions) if sample.missing >> j & 1]
         total = sum(weights)
         x = tuple(
             Fraction(
@@ -538,18 +516,17 @@ def _evidence(
         g = gcd(*sums, scale)
         y0_column = (*(s // g for s in sums), scale // g)
         m = y0_column[-1]
-        bases = [
-            [sum(map(mul, row, y0_column)) for row in images.frame(cells[ci]).bary] for ci in star
-        ]
-        for direction, ray_slopes in uncovered:
+        bases = [[sum(map(mul, row, y0_column)) for row in rows] for rows in frames]
+        for direction in (*uncovered, *sample.folds):
             # Exact epsilon: half the first positive facet crossing of the ray
             # among all shrunk star image simplices. Coordinate k of f(x) is
             # b / (m c_k) and its slope in the shrunk image is 2 s / c_k, so the
             # crossing is -b / (2 m s): the least positive ratio -b / s, kept
             # as an integer pair (num, den > 0) and compared by cross-products.
             least: Optional[tuple[int, int]] = None
-            for base, row_slopes in zip(bases, ray_slopes):
-                for b, slope in zip(base, row_slopes):
+            for base, rows in zip(bases, frames):
+                for b, row in zip(base, rows):
+                    slope = sum(map(mul, row, direction))
                     if slope == 0:
                         continue
                     num, den = (-b, slope) if slope > 0 else (b, -slope)

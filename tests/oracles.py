@@ -13,8 +13,11 @@ their numbered order, as the reference for the certifier's shortcuts;
 `face_frame_boundary_injective` is stage 2 with each boundary face image in
 its own frame, the reference for the frames read off the cell images.
 `grid_degree` and its parts are the degree's point queries as they were
-before its one image scan, on the library's grids and probes: the reference
-for that scan.
+before its one image scan, on the library's grids and frames, with every
+image that has no frame probed in vertex form (`vertex_form_hull_contains`
+and `vertex_form_segment_hits_hull`, the library's `hull_contains` and
+`segment_hits_hull` before they were asked in the point's or segment's
+frame): the reference for that scan.
 `star_local_degree` is the local degree as it was before the cone count:
 the degree of the map restricted to the carrier's star, rescaled toward
 the point until the star holds no other point of its fiber.
@@ -57,6 +60,7 @@ from plopen.feasible import (
     _feasible_int,
     _from_fractions,
     _Infeasible,
+    _meet,
     _meet_system,
     hull_leaves_affine_span,
 )
@@ -81,7 +85,6 @@ from plopen.openness import (
     OracleFailure,
     OracleResult,
     _base_directions,
-    _base_slopes,
     _SplitMix64,
     seeded_directions,
 )
@@ -428,13 +431,34 @@ def proper_faces(complex_):
     return kept[1]
 
 
+def vertex_form_hull_contains(verts, point) -> bool:
+    """`feasible.hull_contains` as it was: one probe over convex weights on
+    the vertices that sum to the point (`feasible._meet`)."""
+    return _meet(verts, REL_LE, [point], REL_LE) is not None
+
+
+def vertex_form_segment_hits_hull(start, end, verts) -> bool:
+    """`feasible.segment_hits_hull` as it was: convex weights on the
+    vertices and on the segment's two ends with equal sums."""
+    return _meet(verts, REL_LE, [start, end], REL_LE) is not None
+
+
+def _grid_image_holds(f, face, point, column) -> bool:
+    """Whether the point lies in a face's image: the sign test in the
+    image's frame, or a vertex-form probe when the image has no frame."""
+    frame = f.images.frame(face)
+    if frame is None:
+        return vertex_form_hull_contains(f.image_of_face(face), point)
+    return frame.contains(column)
+
+
 def grid_boundary_face(f, point):
     """The first boundary face whose image holds the point, or None, from
     the map's grid over the boundary images."""
     column = degree_module._query_column(f, point)
     boundary = f.domain.boundary
     for k in f.image_grid(boundary).holders(column):
-        if degree_module._image_holds(f, boundary[k], point, column):
+        if _grid_image_holds(f, boundary[k], point, column):
             return boundary[k]
     return None
 
@@ -446,11 +470,11 @@ def grid_regular_value(f, point):
     faces = proper_faces(f.domain)
     for k in f.image_grid(faces).holders(column):
         ids = faces[k]
-        if degree_module._image_holds(f, ids, point, column):
+        if _grid_image_holds(f, ids, point, column):
             return False, f"point lies in the image of face {ids} (dim {len(ids) - 1})"
     cells = f.domain.cell_ids
     for ci in f.image_grid(cells).holders(column):
-        if f.pieces[ci].det_sign == 0 and degree_module._image_holds(f, cells[ci], point, column):
+        if f.pieces[ci].det_sign == 0 and _grid_image_holds(f, cells[ci], point, column):
             return False, f"point lies in the image of singular cell {ci}"
     return True, None
 
@@ -466,7 +490,7 @@ def vertex_form_segment_checks(f, start_point, end_point, start, end):
             face,
             k in candidates
             and feasible.segment_meets_box(images.box(face), images.denominator, start, end)
-            and feasible.segment_hits_hull(start_point, end_point, f.image_of_face(face)),
+            and vertex_form_segment_hits_hull(start_point, end_point, f.image_of_face(face)),
         )
         for k, face in enumerate(boundary)
     )
@@ -726,11 +750,14 @@ def reference_oracle(f, num_points, num_directions, rng_seed):
 
 def compress_mask(row, n, num_directions, rng_seed):
     """The mask of the base directions on which a frame row's slope row is
-    >= 0, one Python slope per direction: `_image_table`'s mask before the
-    packed lanes."""
+    >= 0, one Python slope per direction summed over the axis columns:
+    `_image_table`'s mask before the packed lanes."""
     _, axis_columns = _base_directions(n, num_directions, rng_seed)
+    slopes = [row[0] * a for a in axis_columns[0]]
+    for r, column in zip(row[1:], axis_columns[1:]):
+        slopes = [s + r * a for s, a in zip(slopes, column)]
     bits = [1 << j for j in range(num_directions)]
-    return sum(compress(bits, [s >= 0 for s in _base_slopes(row, axis_columns)]))
+    return sum(compress(bits, [s >= 0 for s in slopes]))
 
 
 def fraction_parse_rational(text):

@@ -408,13 +408,14 @@ class TestOneImageScan:
 
     def test_every_branch_is_reached(self, monkeypatch):
         """Across the maps above, the scan meets zero weights in a nonsingular
-        cell, a singular cell whose image holds the point, and an obstacle
-        with no image frame (the vertex-form segment probe)."""
-        zero_weights, singular_hits, frameless = [], [], []
+        cell, a singular cell whose image holds the point, and images with
+        no frame, probed in the point's frame (equal ends) and as obstacles
+        in the perturbation segment's frame (two ends)."""
+        zero_weights, singular_hits, frameless = [], [], set()
         weights_of, holds, hits = (
             degree_module.image_weights,
             degree_module._image_holds,
-            feasible.segment_hits_hull,
+            feasible.hull_meets_segment,
         )
 
         def spy_weights(f, ids, column):
@@ -423,23 +424,43 @@ class TestOneImageScan:
                 zero_weights.append(ids)
             return weights
 
-        def spy_holds(f, face, point, column):
-            held = holds(f, face, point, column)
+        def spy_holds(f, face, column):
+            held = holds(f, face, column)
             if held and len(face) == f.ambient_dim + 1:
                 singular_hits.append(face)
             return held
 
-        def spy_hits(*args):
-            frameless.append(args)
-            return hits(*args)
+        def spy_hits(cols, start, end):
+            frameless.add("point" if start == end else "segment")
+            return hits(cols, start, end)
 
         monkeypatch.setattr(degree_module, "image_weights", spy_weights)
         monkeypatch.setattr(degree_module, "_image_holds", spy_holds)
-        monkeypatch.setattr(feasible, "segment_hits_hull", spy_hits)
+        monkeypatch.setattr(feasible, "hull_meets_segment", spy_hits)
         for f in SCAN_MAPS.values():
             for y in _scan_queries(f):
                 _outcome(degree, f, y)
-        assert zero_weights and singular_hits and frameless
+        assert zero_weights and singular_hits and frameless == {"point", "segment"}
+
+    @pytest.mark.parametrize("name", sorted(SCAN_MAPS))
+    def test_no_query_probes_in_vertex_form(self, name, monkeypatch):
+        """`degree`, `degree_at_regular`, `is_regular_value` and
+        `point_on_boundary_image` read integer columns only: with the
+        vertex-form row builder `feasible._meet_system` made to raise, they
+        answer every query as before, on every generator kind (singular
+        cells and collapsed boundary images included)."""
+        f = SCAN_MAPS[name]
+
+        def answers():
+            return [(*_answers(f, y), _outcome(degree_at_regular, f, y)) for y in _scan_queries(f)]
+
+        expected = answers()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("vertex-form probe on a degree query")
+
+        monkeypatch.setattr(feasible, "_meet_system", forbidden)
+        assert answers() == expected
 
     def test_a_regular_query_makes_one_grid_lookup(self, monkeypatch):
         """Counts only: one `BoxGrid.holders` call decides the boundary test,

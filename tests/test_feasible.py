@@ -35,7 +35,15 @@ from plopen.generators import GenSpec, generate
 from plopen.instancefile import plmap_to_document, save_document
 from plopen.linalg import Matrix, det_sign, null_space
 
-from oracles import LinearSystem, LinRow, hull_dim, intersection_dim, lp_feasible
+from oracles import (
+    LinearSystem,
+    LinRow,
+    hull_dim,
+    intersection_dim,
+    lp_feasible,
+    vertex_form_hull_contains,
+    vertex_form_segment_hits_hull,
+)
 
 
 def F(*args):
@@ -127,6 +135,66 @@ class TestHullPredicates:
         square = [pt(0, 0), pt(1, 0), pt(1, 1), pt(0, 1)]
         assert not any(segment_hits_hull(pt(2, 2), pt(2, 2), obs) for obs in [square])
         assert any(segment_hits_hull(pt(F(1, 2), -1), pt(F(1, 2), 2), obs) for obs in [square])
+
+    def test_empty_hull_meets_nothing(self):
+        assert not hulls_intersect([pt(0)], [])
+        assert not relative_interiors_intersect([pt(0), pt(1)], [])
+        assert not hull_contains([], pt(0, 0))
+        assert not segment_hits_hull(pt(0), pt(0), [])
+        assert relint_preimage_witness([pt(0)], [pt(0)], []) is None
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_frame_probes_match_vertex_form_on_dependent_points(self, data):
+        """`hull_contains` and `segment_hits_hull`, asked in the point's or
+        the segment's frame, answer as the vertex-form probe on affinely
+        dependent point sets in dims 1-3 with 20-40-digit coordinates, for
+        points on and off the hull and segments whose ends may be equal."""
+        n = data.draw(st.integers(1, 3), label="n")
+        digits = st.integers(10**19, 10**40 - 1)
+        denominator = data.draw(st.sampled_from([1, 3, 10**20 + 39]), label="denominator")
+
+        def big():
+            sign = data.draw(st.sampled_from([1, -1]))
+            return F(sign * data.draw(digits), denominator)
+
+        rank = data.draw(st.integers(0, n), label="rank")
+        spanning = [tuple(big() for _ in range(n)) for _ in range(rank + 1)]
+        extra = data.draw(st.integers(1, 3), label="extra")
+        weights = st.lists(st.integers(-2, 3), min_size=rank + 1, max_size=rank + 1)
+        combos = [data.draw(weights.filter(lambda w: sum(w) != 0)) for _ in range(extra)]
+        verts = spanning + [
+            tuple(sum(w * p[c] for w, p in zip(ws, spanning)) / sum(ws) for c in range(n))
+            for ws in combos
+        ]
+        verts = data.draw(st.permutations(verts), label="verts")
+        assert hull_dim(verts) < len(verts) - 1
+
+        def query():
+            ws = data.draw(
+                st.lists(st.integers(0, 3), min_size=len(verts), max_size=len(verts)).filter(any)
+            )
+            on = tuple(sum(w * v[c] for w, v in zip(ws, verts)) / sum(ws) for c in range(n))
+            mode = data.draw(st.sampled_from(["on", "off axis", "off hull", "far"]))
+            if mode == "on":
+                assert hull_contains(verts, on)
+                return on
+            if mode == "off axis":
+                axis, step = data.draw(st.integers(0, n - 1)), F(1, data.draw(digits))
+                return tuple(x + step * (c == axis) for c, x in enumerate(on))
+            if mode == "off hull":  # past a vertex, off the hull when its weight is 0
+                v = data.draw(st.sampled_from(verts))
+                return tuple(x + (x - vc) / 7 for x, vc in zip(on, v))
+            return tuple(big() for _ in range(n))
+
+        start = query()
+        end = start if data.draw(st.booleans(), label="equal ends") else query()
+        assert hull_contains(verts, start) == vertex_form_hull_contains(verts, start)
+        assert hull_contains(verts, end) == vertex_form_hull_contains(verts, end)
+        hit = segment_hits_hull(start, end, verts)
+        assert hit == vertex_form_segment_hits_hull(start, end, verts)
+        if start == end:
+            assert hit == hull_contains(verts, start)
 
     def test_relative_interiors(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]

@@ -40,6 +40,7 @@ from oracles import (
     matrix_component_graph,
     matrix_constrained_hull_dim,
     piece_by_inverse,
+    vertex_form_hull_contains,
 )
 from test_cli import box_document
 from test_degree import SCAN_MAPS
@@ -651,12 +652,13 @@ class TestFaceImageMembership:
                 q = images[data.draw(st.integers(0, len(face) - 1))]
                 point = tuple(x + step * (x - qc) for x, qc in zip(point, q))
         column = feasible.homogeneous_column(point)
-        assert frame.contains(column) == feasible.hull_contains(images, point)
+        assert frame.contains(column) == vertex_form_hull_contains(images, point)
 
     @pytest.mark.parametrize("spec", NONSINGULAR_SPECS, ids=str)
     def test_nonsingular_maps_need_no_membership_probe(self, spec, monkeypatch):
         """Every face image of a nonsingular map is a nondegenerate simplex, so
-        the scans and the degree never fall back to `hull_contains`."""
+        the scans and the degree never fall back to the probe of an image
+        with no frame (`hull_meets_segment`)."""
 
         def answers(f):
             far = 1 + max(c for q in f.vertex_images for c in q)
@@ -673,7 +675,7 @@ class TestFaceImageMembership:
             raise AssertionError("membership probe called")
 
         f = generate(spec).plmap  # a fresh map, so no cache from the run above helps
-        monkeypatch.setattr(feasible, "hull_contains", forbidden)
+        monkeypatch.setattr(feasible, "hull_meets_segment", forbidden)
         assert answers(f) == expected
 
     def test_first_degree_call_builds_frames_only_for_box_hits(self, monkeypatch):
