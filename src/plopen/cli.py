@@ -469,14 +469,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-open", help="evaluate the openness conditions")
     p.add_argument("path")
     p.add_argument("--all", action="store_true", help="treat PATH as a directory of instances")
-    p.add_argument("--oracle-points", default="20")
+    p.add_argument("--oracle-points", default="20", help="interior points counted, never tested")
     p.add_argument("--oracle-dirs", default="64")
     p.add_argument("--seed")
     p.set_defaults(func=_cmd_check_open)
 
     p = sub.add_parser("degree", help="degree certificate at a query point")
     p.add_argument("path")
-    p.add_argument("--at", required=True, help="query point, e.g. '1/2,3'")
+    p.add_argument("--at", required=True, help="query point, e.g. '1/2,3' or '-1/2,3'")
     p.add_argument("--approx", action="store_true", help="add inexact decimal renderings")
     p.set_defaults(func=_cmd_degree)
 
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-open", help="probabilistic openness oracle only")
     p.add_argument("path")
-    p.add_argument("--oracle-points", default="20")
+    p.add_argument("--oracle-points", default="20", help="interior points counted, never tested")
     p.add_argument("--oracle-dirs", default="64")
     p.add_argument("--seed")
     p.set_defaults(func=_cmd_oracle_open)
@@ -530,9 +530,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _join_point_values(argv: list[str]) -> list[str]:
+    """argparse reads a value that starts with "-" as an option unless it is a
+    plain negative number, so "--at -1/2,3" is joined into "--at=-1/2,3"."""
+    joined: list[str] = []
+    for token in argv:
+        if token[:1] == "-" and token[1:2].isdigit() and joined[-1:] in (["--at"], ["--gamma"]):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_join_point_values(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         return _emit({"command": None, "error": f"usage: {exc}"}, EXIT_PARSE)
     try:

@@ -5,10 +5,10 @@ fiber. An arbitrary admissible value (one outside the boundary image) is
 reduced to a regular one by perturbing along a fixed schedule of rational
 directions with halving magnitudes; a candidate is accepted only if it is
 exactly regular and the straight segment from the query point provably avoids
-every boundary-face image (one feasibility probe per obstacle whose image box
-meets the segment's box; a box miss is a miss). The segment test replaces a
-metric closeness bound: both are licensed by local constancy, and segment
-avoidance needs no square roots.
+every boundary-face image (the obstacles whose image box meets the segment's
+box are probed up to the first hit; a box miss is a miss). The segment test
+replaces a metric closeness bound: both are licensed by local constancy, and
+segment avoidance needs no square roots.
 
 Every face's image lies in the image of each cell that has the face, so
 one scan of the cell images that hold a point decides whether the point is
@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import count, islice, product
 from typing import Optional, Sequence
 
 from . import feasible
@@ -87,7 +87,8 @@ class HomotopyHypothesisViolation(ValueError):
 @dataclass(frozen=True)
 class PathEvidence:
     statement: str
-    # per boundary face: whether the segment from query to regular point hits it
+    # per boundary face: whether the segment from query to regular point hits
+    # it; a certificate exists only when none does, so every entry is a miss
     obstacle_checks: tuple[tuple[Face, bool], ...]
 
 
@@ -249,11 +250,16 @@ def _certificate(
     )
 
 
-def _regular_evidence(f: PLMap) -> PathEvidence:
-    return PathEvidence(
-        "query point is regular; membership in every boundary-face image was refuted",
-        tuple((face, False) for face in f.domain.boundary),
-    )
+def _refuted(f: PLMap, statement: str) -> PathEvidence:
+    """The evidence of a certificate: every boundary face a miss."""
+    return PathEvidence(statement, tuple((face, False) for face in f.domain.boundary))
+
+
+_REGULAR = "query point is regular; membership in every boundary-face image was refuted"
+_PERTURBED = (
+    "query point was irregular; the segment to the regular point below "
+    "avoids every boundary-face image (per-obstacle outcomes listed)"
+)
 
 
 def degree_at_regular(f: PLMap, point) -> DegreeCertificate:
@@ -263,7 +269,7 @@ def degree_at_regular(f: PLMap, point) -> DegreeCertificate:
     _refuse_boundary_image(scan)
     if scan.diagnosis is not None:
         raise IrregularValueError(f"{scan.diagnosis}; call degree() to perturb exactly")
-    return _certificate(point, point, scan, _regular_evidence(f))
+    return _certificate(point, point, scan, _refuted(f, _REGULAR))
 
 
 @cache
@@ -282,7 +288,10 @@ def _perturbation_directions(n: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(dirs)
 
 
-def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
+_MAX_ATTEMPTS = 64  # candidates tried before PerturbationExhausted
+
+
+def degree(f: PLMap, point) -> DegreeCertificate:
     """Degree at any point outside the boundary image.
 
     Irregular points are replaced by an exactly regular point reached along a
@@ -295,68 +304,45 @@ def degree(f: PLMap, point, max_attempts: int = 64) -> DegreeCertificate:
     scan = _scan(f, start)
     _refuse_boundary_image(scan)
     if scan.diagnosis is None:
-        return _certificate(point, point, scan, _regular_evidence(f))
+        return _certificate(point, point, scan, _refuted(f, _REGULAR))
 
     images = f.images
     spread = max(max(axis) - min(axis) for axis in zip(*images.scaled))
     epsilon = Fraction(spread, 4 * images.denominator) if spread > 0 else Fraction(1)
     directions = _perturbation_directions(f.ambient_dim)
+    schedule = ((epsilon / 2**k, d) for k in count() for d in directions)
     attempts: list[tuple] = []
-    while len(attempts) < max_attempts:
-        for direction in directions:
-            if len(attempts) >= max_attempts:
-                break
-            candidate = tuple(p + epsilon * d for p, d in zip(point, direction))
-            attempts.append(candidate)
-            end = feasible.homogeneous_column(candidate)
-            scan = _scan(f, end)
-            if scan.boundary is not None or scan.diagnosis is not None:
-                continue
-            checks = _segment_checks(f, start, end)
-            if any(hit for _, hit in checks):
-                continue
-            evidence = PathEvidence(
-                "query point was irregular; the segment to the regular point below "
-                "avoids every boundary-face image (per-obstacle outcomes listed)",
-                checks,
-            )
-            return _certificate(point, candidate, scan, evidence)
-        epsilon = epsilon / 2
+    for step, direction in islice(schedule, _MAX_ATTEMPTS):
+        candidate = tuple(p + step * d for p, d in zip(point, direction))
+        attempts.append(candidate)
+        end = feasible.homogeneous_column(candidate)
+        scan = _scan(f, end)
+        if scan.boundary is None and scan.diagnosis is None:
+            if not _segment_hits_boundary(f, start, end):
+                return _certificate(point, candidate, scan, _refuted(f, _PERTURBED))
     raise PerturbationExhausted(point, attempts)
 
 
-def _segment_checks(
-    f: PLMap, start: tuple[int, ...], end: tuple[int, ...]
-) -> tuple[tuple[Face, bool], ...]:
-    """Per boundary face, in order, whether the segment between the points
-    of two homogeneous columns meets the face's image.
+def _obstacle_hit(f: PLMap, face: Face, start: tuple[int, ...], end: tuple[int, ...]) -> bool:
+    """Whether the segment between two columns meets a face's image: one probe
+    in the image's frame, or in the segment's when the image has none."""
+    frame = f.images.frame(face)
+    if frame is None:
+        return feasible.hull_meets_segment(f.images.cols(face), start, end)
+    return feasible.hull_leaves_affine_span(frame, (start, end), ())
 
-    The boundary grid names the faces whose image boxes meet the segment's
-    integer box (`feasible.segment_box`); only those can be hit. Each is
-    tested against the segment's own box (`feasible.segment_meets_box`) and
-    then probed in the image's frame, on the two end columns: whether the
-    segment meets the image at all (`feasible.hull_leaves_affine_span` with
-    an empty span). An image with no frame is probed in the segment's frame
-    (`feasible.hull_meets_segment`). Every other face is a miss, unprobed.
-    """
+
+def _segment_hits_boundary(f: PLMap, start: tuple[int, ...], end: tuple[int, ...]) -> bool:
+    """Whether the segment between two columns meets a boundary-face image.
+    Only the faces whose image boxes the boundary grid finds meeting the
+    segment's integer box can; each is tested against the segment's own box,
+    then probed (`_obstacle_hit`), in order, up to the first hit."""
     images, boundary = f.images, f.domain.boundary
     box = feasible.segment_box(images.denominator, start, end)
-    candidates = set(f.image_grid(boundary).meeting(box))
-
-    def hits(face: Face) -> bool:
-        frame = images.frame(face)
-        if frame is None:
-            return feasible.hull_meets_segment(images.cols(face), start, end)
-        return feasible.hull_leaves_affine_span(frame, (start, end), ())
-
-    return tuple(
-        (
-            face,
-            k in candidates
-            and feasible.segment_meets_box(images.box(face), images.denominator, start, end)
-            and hits(face),
-        )
-        for k, face in enumerate(boundary)
+    return any(
+        feasible.segment_meets_box(images.box(boundary[k]), images.denominator, start, end)
+        and _obstacle_hit(f, boundary[k], start, end)
+        for k in f.image_grid(boundary).meeting(box)
     )
 
 

@@ -25,13 +25,14 @@ them (`feasible.relint_meets_simplex`). Singular cells additionally
 contribute their own interiors.
 
 The openness oracle is an independent probabilistic check of openness itself:
-at face barycenters and seeded random interior points, it tests whether the
-image cones of the star cover every sampled direction. A failed direction is
-a certified witness of non-openness (one-sided: failures are proofs, passes
-are evidence). The star images are shrunk by 1/2 about the sample's image;
-that leaves the sample's barycentric coordinates in each image simplex
-unchanged and doubles every slope along a ray, so the oracle works on the
-unshrunk images, in integers until a sample fails:
+at interior face barycenters, it tests whether the image cones of the star
+cover every sampled direction. A failed direction is a certified witness of
+non-openness (one-sided: failures are proofs, passes are evidence). Samples
+inside a cell, where the piece is a local homeomorphism, are counted, not
+tested. The star images are shrunk by 1/2 about the sample's image; that
+leaves the sample's barycentric coordinates in each image simplex unchanged
+and doubles every slope along a ray, so the oracle works on the unshrunk
+images, in integers until a sample fails:
 - The base directions are drawn once per (n, count, seed), with one column
   of values per axis, and kept in a small bounded cache. Beside them, per
   lane width w, each axis column is packed into one integer, coordinate j
@@ -49,16 +50,16 @@ unshrunk images, in integers until a sample fails:
   and its negation. A 1-D face is a point and adds none: there the base
   directions alone decide.
 - The uncovered directions are counted (`OracleResult.num_failures`), and a
-  failing sample keeps only integers: its carrier, its weights, the mask of
-  its uncovered base directions and its uncovered fold normals. The tables
-  are dropped when the call returns. The evidence is built the first time
+  failing sample keeps only integers: its carrier, the mask of its uncovered
+  base directions and its uncovered fold normals. The tables are dropped when
+  the call returns. The evidence is built the first time
   `OracleResult.failures` is read, so a caller that prints only the count
   builds none. It reads the star cells' frames again from the map; each
-  uncovered direction gets its slopes on their rows there; x and f(x) are
-  weighted sums of the scaled integer vertices and vertex images (the
-  piece is affine on the carrier), f(x) becomes an integer homogeneous
-  column by one gcd, the boundary crossings are compared as integer pairs,
-  and epsilon and each target coordinate are one `Fraction` each.
+  uncovered direction gets its slopes on their rows there; x and f(x) are the
+  barycenters of the scaled integer vertices and vertex images (the piece is
+  affine on the carrier), f(x) becomes an integer homogeneous column by one
+  gcd, the boundary crossings are compared as integer pairs, and epsilon and
+  each target coordinate are one `Fraction` each.
 
 Both the branch set and the oracle read their frames and columns from the
 map's `IntegerPoints` (`PLMap.images`), which builds each at first use and
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from math import gcd
 from operator import mul
 from typing import Callable, Optional
@@ -362,7 +363,7 @@ def _fold_normals(table: _ImageTable, off_carrier: list[int]) -> list[tuple[int,
 def openness_oracle(
     f: PLMap, num_points: int = 20, num_directions: int = 64, rng_seed: int = 0
 ) -> OracleResult:
-    """Directional covering test of openness at sampled interior points.
+    """Directional covering test of openness at the interior faces' barycenters.
 
     At a sample x, openness of the map at x is equivalent to the union of the
     shrunk star images covering a neighborhood of f(x); that union is
@@ -386,6 +387,9 @@ def openness_oracle(
     bijection. At an interior (n-1)-face the two normals of its image
     hyperplane are tested as well, read off a star cell's frame
     (`_fold_normals`; none in 1-D).
+
+    Samples inside a cell (its barycenter, `num_points` interior points) are
+    counted in `samples`, not drawn or tested: the cell covers every direction.
 
     All of this is integer work, and so is the count of the uncovered
     directions. A sample with an uncovered direction keeps its integer
@@ -413,30 +417,17 @@ def openness_oracle(
 
     n = f.ambient_dim
     base_directions = _base_directions(n, num_directions, rng_seed)[0]
-    rng = _SplitMix64(rng_seed ^ 0xD1B54A32D192ED03)
-
-    # (carrier, positive weights on the carrier's vertices): every sample lies
-    # in the relative interior of its carrier.
-    samples: list[tuple[Face, tuple[int, ...]]] = [
-        (ids, (1,) * len(ids)) for ids in f.domain.interior_faces()
-    ]
-    num_cells = len(f.domain.cells)
-    for _ in range(num_points):
-        ids = f.domain.cells[rng.below(num_cells)].vertex_ids
-        samples.append((ids, tuple(rng.int_range(1, 64) for _ in ids)))
-
-    tables: dict[int, _ImageTable] = {}
+    interior = f.domain.interior_faces()
+    table_of = cache(lambda ci: _image_table(f, ci, num_directions, rng_seed))
     all_directions = (1 << len(base_directions)) - 1
     failing: list[_FailingSample] = []
     num_failures = 0
-    for carrier, weights in samples:
+    for carrier in interior:
+        if len(carrier) > n:
+            break  # cells come last, and a cell sample covers every direction
         star = []
-        for ci in f.domain.faces[carrier].cells:
-            if ci not in tables:
-                tables[ci] = _image_table(f, ci, num_directions, rng_seed)
-            table = tables[ci]
-            off_carrier = [k for k, v in enumerate(table.vertex_ids) if v not in carrier]
-            star.append((table, off_carrier))
+        for table in map(table_of, f.domain.faces[carrier].cells):
+            star.append((table, [k for k, v in enumerate(table.vertex_ids) if v not in carrier]))
 
         covered = 0
         for table, off_carrier in star:
@@ -456,24 +447,22 @@ def openness_oracle(
                 )
             )
         if missing or folds:
-            failing.append(_FailingSample(carrier, weights, missing, folds))
+            failing.append(_FailingSample(carrier, missing, folds))
             num_failures += missing.bit_count() + len(folds)
     return OracleResult(
         not num_failures,
         num_failures,
-        len(samples),
+        len(interior) + num_points,
         partial(_evidence, f, base_directions, failing),
     )
 
 
 @dataclass(frozen=True)
 class _FailingSample:
-    """A sample with uncovered directions, as the covering test left it:
-    its carrier and integer weights, the mask of the uncovered base
-    directions, and the uncovered fold normals."""
+    """A sample with uncovered directions, as the covering test left it: its
+    carrier, the mask of its uncovered base directions and its fold normals."""
 
     carrier: Face
-    weights: tuple[int, ...]
     missing: int
     folds: tuple[tuple[int, ...], ...]
 
@@ -487,32 +476,28 @@ def _evidence(
     sample, the uncovered base directions in order and then the fold normals.
 
     Each uncovered direction's slopes on the star cells' frame rows (the map
-    keeps the frames) are computed here, one dot product per row.
-    x = Σ w_i v_i / Σ w and, as the piece is affine on the carrier,
-    f(x) = Σ w_i f(v_i) / Σ w, both summed over the scaled integer points of
-    the domain and the images. The first crossing of a ray in a shrunk image
-    is -b / (2 s) for each unshrunk coordinate b and slope s, compared as
-    integer pairs until the least one is found, and each failure builds its
-    rational epsilon and target once.
+    keeps the frames) are computed here, one dot product per row. x is the
+    barycenter Σ v_i / k of the carrier's k vertices and, as the piece is
+    affine on the carrier, f(x) = Σ f(v_i) / k, both summed over the scaled
+    integer points of the domain and the images. The first crossing of a ray
+    in a shrunk image is -b / (2 s) for each unshrunk coordinate b and slope
+    s, compared as integer pairs until the least one is found, and each
+    failure builds its rational epsilon and target once.
     """
-    n = f.ambient_dim
     domain, images, cells = f.domain.points, f.images, f.domain.cell_ids
     failures: list[OracleFailure] = []
     for sample in failing:
-        carrier, weights = sample.carrier, sample.weights
+        carrier = sample.carrier
         frames = [images.frame(cells[ci]).bary for ci in f.domain.faces[carrier].cells]
         uncovered = [d for j, d in enumerate(base_directions) if sample.missing >> j & 1]
-        total = sum(weights)
+        k = len(carrier)
         x = tuple(
-            Fraction(
-                sum(w * domain.scaled[v][c] for w, v in zip(weights, carrier)),
-                total * domain.denominator,
-            )
-            for c in range(n)
+            Fraction(sum(axis), k * domain.denominator)
+            for axis in zip(*(domain.scaled[v] for v in carrier))
         )
         # f(x) as its integer homogeneous column (m·f(x), m), m the least
-        sums = [sum(w * images.scaled[v][c] for w, v in zip(weights, carrier)) for c in range(n)]
-        scale = total * images.denominator
+        sums = [sum(axis) for axis in zip(*(images.scaled[v] for v in carrier))]
+        scale = k * images.denominator
         g = gcd(*sums, scale)
         y0_column = (*(s // g for s in sums), scale // g)
         m = y0_column[-1]

@@ -174,10 +174,6 @@ class SignProfile:
     num_zero: int
     classification: str
 
-    @property
-    def sign_not_mixed(self) -> bool:
-        return self.classification != MIXED
-
 
 @dataclass(frozen=True)
 class FiberPoint:

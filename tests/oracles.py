@@ -520,7 +520,11 @@ def grid_degree(f, point, max_attempts=64):
     if offending is not None:
         raise degree_module.BoundaryImageError(offending)
     if grid_regular_value(f, point)[0]:
-        return _grid_certificate(f, point, point, degree_module._regular_evidence(f))
+        evidence = degree_module.PathEvidence(
+            "query point is regular; membership in every boundary-face image was refuted",
+            tuple((face, False) for face in f.domain.boundary),
+        )
+        return _grid_certificate(f, point, point, evidence)
     start = feasible.homogeneous_column(point)
     images = f.images
     spread = max(max(axis) - min(axis) for axis in zip(*images.scaled))

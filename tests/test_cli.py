@@ -628,6 +628,50 @@ def box_document(dim, resolution, mirror=False):
     }
 
 
+class TestSignedPointValues:
+    """argparse reads a value that starts with "-" as an option unless it is
+    a plain negative number; a point given to `--at` or `--gamma` answers
+    the same in the space form as in the "=" form."""
+
+    @pytest.fixture()
+    def mirror_path(self, tmp_path):
+        path = tmp_path / "mirror.json"
+        save_document(path, box_document(2, 2, mirror=True))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["degree", "fibers"])
+    @pytest.mark.parametrize("at", ["-1/3,1/2", "-1/2,1/2", "-1,-1/2", "-3,1"])
+    def test_at(self, capsys, mirror_path, command, at):
+        spaced = run_cli(capsys, command, mirror_path, "--at", at)
+        assert spaced == run_cli(capsys, command, mirror_path, f"--at={at}")
+        assert spaced[0] == 0
+
+    def test_degree_values(self, capsys, mirror_path, instance_path):
+        # a regular point, a point on an interior edge's image, and the
+        # point left of the identity's image
+        _, regular = run_cli(capsys, "degree", mirror_path, "--at", "-1/3,1/2")
+        _, perturbed = run_cli(capsys, "degree", mirror_path, "--at", "-1/2,1/2")
+        _, outside = run_cli(capsys, "degree", instance_path("identity", 2, "x"), "--at", "-1/2,1/2")
+        assert regular["degree"] == perturbed["degree"] == -1 and outside["degree"] == 0
+        assert perturbed["regular_point_used"] != perturbed["query_point"]
+
+    def test_gamma(self, capsys, mirror_path):
+        argv = ["homotopy", mirror_path, mirror_path, "--samples", "3"]
+        gamma = "-1/3,1/2;-1/2,1/3"
+        spaced = run_cli(capsys, *argv, "--gamma", gamma)
+        assert spaced == run_cli(capsys, *argv, f"--gamma={gamma}")
+        assert spaced[0] == 0 and spaced[1]["degrees"] == [-1, -1, -1]
+
+    def test_console_argv(self, mirror_path):
+        spaced = fresh_process(["degree", mirror_path, "--at", "-1/2,1/2"])
+        joined = fresh_process(["degree", mirror_path, "--at=-1/2,1/2"])
+        assert spaced.returncode == joined.returncode == 0 and spaced.stdout == joined.stdout
+
+    def test_a_missing_value_is_still_a_usage_error(self, capsys, mirror_path):
+        code, report = run_cli(capsys, "degree", mirror_path, "--at", "--approx")
+        assert code == 3 and "--at: expected one argument" in report["error"]
+
+
 class TestFourDimensional:
     """One 4-D cube split into 24 cells: every frame is a side-5 matrix, which
     only the elimination computes."""

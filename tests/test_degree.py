@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 
@@ -31,6 +32,7 @@ from oracles import (
     scan_boundary_face,
     scan_regular_value,
     star_local_degree,
+    vertex_form_segment_checks,
 )
 
 
@@ -507,6 +509,105 @@ def _local_degree_points(f, seed=1):
         weights = [rng.randint(1, 9) for _ in ids]
         points.append(_weighted_point(domain.face_points(ids), weights))
     return points
+
+
+# -- the obstacle test: one yes/no that stops at the first hit ----------------------
+
+
+def _reference_hits(f, start_point, end_point):
+    """How many boundary-face images the segment meets, in vertex form."""
+    start, end = (feasible.homogeneous_column(p) for p in (start_point, end_point))
+    checks = vertex_form_segment_checks(f, start_point, end_point, start, end)
+    return sum(hit for _, hit in checks)
+
+
+def _obstacle_test(f, start_point, end_point):
+    start, end = (feasible.homogeneous_column(p) for p in (start_point, end_point))
+    return degree_module._segment_hits_boundary(f, start, end)
+
+
+class TestObstacleTest:
+    """`degree`'s obstacle test says whether a segment meets a boundary-face
+    image, as the per-face vertex-form list it replaced says, and a rejected
+    candidate probes no obstacle after its first hit."""
+
+    @given(st.data())
+    @settings(settings.get_profile("ci"), max_examples=80, deadline=None)
+    def test_agrees_with_the_vertex_form_list(self, data):
+        f = SCAN_MAPS[data.draw(st.sampled_from(sorted(SCAN_MAPS)), label="map")]
+        faces = sorted(f.domain.faces)
+        ends = []
+        for label in ("start", "end"):
+            face = data.draw(st.sampled_from(faces), label=label)
+            weights = data.draw(
+                st.lists(st.integers(0, 4), min_size=len(face), max_size=len(face)).filter(any),
+                label=f"{label} weights",
+            )
+            ends.append(_image_barycentre(f, face, weights))
+        # stretched past both ends, a segment often leaves the image twice
+        stretch = data.draw(st.sampled_from([0, Fraction(1, 3), 2]), label="stretch")
+        a, b = ends
+        start = tuple(x - stretch * (y - x) for x, y in zip(a, b))
+        end = tuple(y + stretch * (y - x) for x, y in zip(a, b))
+        assert _obstacle_test(f, start, end) == (_reference_hits(f, start, end) > 0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_segment_through_the_image_hits_two_obstacles(self, dim):
+        """From far outside the image to far outside on the other side,
+        through a cell image's barycentre: in and out, two hits at least."""
+        for kind in ("identity", "random_orientation_preserving", "random_mixed_signs"):
+            f = SCAN_MAPS[f"{kind}-{dim}d"]
+            centre = _image_barycentre(f, f.domain.cell_ids[0], list(range(1, dim + 2)))
+            far = 2 + 2 * max(abs(c) for y in f.vertex_images for c in y)
+            tilt = tuple(Fraction(1, 2 * c + 1) for c in range(dim))
+            start = tuple(c - far * t for c, t in zip(centre, tilt))
+            end = tuple(c + far * t for c, t in zip(centre, tilt))
+            assert _reference_hits(f, start, end) >= 2, kind
+            assert _obstacle_test(f, start, end), kind
+
+    def test_a_rejected_candidate_probes_nothing_after_its_first_hit(self, monkeypatch):
+        """Each obstacle test's probes, in order: a hit ends them, and some
+        rejected candidates leave grid candidates unprobed."""
+        runs = []
+        probe, test = degree_module._obstacle_hit, degree_module._segment_hits_boundary
+
+        def spy_test(f, start, end):
+            box = feasible.segment_box(f.images.denominator, start, end)
+            runs.append((len(f.image_grid(f.domain.boundary).meeting(box)), []))
+            hit = test(f, start, end)
+            assert hit == any(runs[-1][1])
+            return hit
+
+        def spy_probe(f, face, start, end):
+            hit = probe(f, face, start, end)
+            runs[-1][1].append(hit)
+            return hit
+
+        monkeypatch.setattr(degree_module, "_segment_hits_boundary", spy_test)
+        monkeypatch.setattr(degree_module, "_obstacle_hit", spy_probe)
+        for f in SCAN_MAPS.values():
+            for y in _scan_queries(f):
+                _outcome(degree, f, y)
+        rejected = [(candidates, hits) for candidates, hits in runs if any(hits)]
+        assert rejected and all(hits.index(True) == len(hits) - 1 for _, hits in rejected)
+        assert any(len(hits) < candidates for candidates, hits in rejected)
+
+    def test_the_schedule_ends_after_64_candidates(self, monkeypatch):
+        """With every segment blocked, `degree` tries 64 candidates: the
+        schedule's directions in order, at epsilon, epsilon / 2, ..."""
+        f = SCAN_MAPS["doubling2d-2d"]
+        point = f.vertex_images[f.domain.interior_faces()[0][0]]
+        monkeypatch.setattr(degree_module, "_segment_hits_boundary", lambda *args: True)
+        with pytest.raises(degree_module.PerturbationExhausted) as raised:
+            degree(f, point)
+        directions = degree_module._perturbation_directions(2)
+        epsilon = raised.value.attempts[0][0] - point[0]
+        assert epsilon > 0 and len(raised.value.attempts) == 64
+        assert raised.value.attempts == [
+            tuple(p + epsilon / 2 ** (i // len(directions)) * d for p, d in zip(point, direction))
+            for i, direction in enumerate(directions * 7)
+        ][:64]
+        assert list(inspect.signature(degree).parameters) == ["f", "point"]
 
 
 class TestLocalDegreeCount:

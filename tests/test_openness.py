@@ -265,6 +265,56 @@ class TestOracleMatchesPerSampleReference:
         assert result.failures and any(len(fl.carrier) == 2 for fl in result.failures)
 
 
+# Every generator kind in its own dimensions, seed 1, with 0, 20 and 57 points.
+POINT_COUNT_CASES = [
+    (GenSpec(kind, dim, seed=1), (num_points, 16 if dim < 3 else 8, 2))
+    for kind in KINDS
+    for dim in (1, 2, 3)
+    if _FIXED_DIMS.get(kind, dim) == dim
+    for num_points in (0, 20, 57)
+]
+
+
+class TestOracleTestsOnlyFacesWhereOpennessCanFail:
+    """A sample inside a cell has that cell alone as its star and no vertex
+    off its carrier, so it covers every direction. The oracle counts those
+    samples, the cell barycenters and the `num_points` interior points, and
+    tests only the interior faces with at most n vertices."""
+
+    @pytest.mark.parametrize("spec, settings", POINT_COUNT_CASES, ids=str)
+    def test_whole_result_equals_the_reference(self, spec, settings):
+        f = generate(spec).plmap
+        assert openness_oracle(f, *settings) == reference_oracle(f, *settings)
+
+    def test_one_cell_builds_no_table(self, monkeypatch):
+        """`shear` is one cell: its only interior face is the cell, so no
+        table is built and every sample is counted."""
+        f = generate(GenSpec("shear", 2)).plmap
+        assert f.domain.interior_faces() == list(f.domain.cell_ids)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("covering table built for a cell sample")
+
+        monkeypatch.setattr(openness, "_image_table", forbidden)
+        monkeypatch.setattr(openness, "_ImageTable", forbidden)
+        for num_points in (0, 20, 57):
+            result = openness_oracle(f, num_points, 64, 0)
+            assert result.open_at_all_samples and result.samples == 1 + num_points
+
+    @pytest.mark.parametrize("kind, dim", [("doubling2d", 2), ("random_mixed_signs", 3)])
+    def test_draws_no_point(self, monkeypatch, kind, dim):
+        """With the base directions drawn (and kept), the oracle makes no
+        generator: no interior point is drawn."""
+        f = generate(GenSpec(kind, dim, seed=1)).plmap
+        expected = openness_oracle(f, 20, 64, 0)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("random stream made by the oracle")
+
+        monkeypatch.setattr(openness, "_SplitMix64", forbidden)
+        assert openness_oracle(f, 20, 64, 0) == expected
+
+
 def reference_branch_set(f):
     """The branch set from its definition, in vertex form.
 
