@@ -14,16 +14,19 @@ Validation decides each cell's degeneracy by whether its frame exists.
 Properness is first decided by the degree argument (`_proper_by_degree`,
 Lipman's injectivity theorem for meshes with the identity as the map): when
 the two cells of every interior facet lie on opposite sides of it, the
-cells are connected, the boundary is one embedded cycle and one cell holds
-cell 0's barycentre, no two cells meet improperly. That costs one sign per
-interior facet and one probe per pair of boundary facets whose boxes meet.
-Only when a premise fails does the all-pairs sweep run
-(`improper_intersections`), over the pairs of the grid over the cell boxes
-(`IntegerPoints.grid`), and it alone reports improper intersections. Both
-walk their pairs with one loop, `improper_pairs`, as `whyburn`'s
-boundary-injectivity stage does. Point location asks that cell grid, built
-at its first query (or by the sweep) and kept, which cell boxes hold the
-point's integer homogeneous column, then reads the signs of barycentric
+cells are connected and the boundary is one embedded cycle, no two cells
+meet improperly. That costs one sign per interior facet and one probe per
+pair of boundary facets whose boxes meet; the embedded boundary already
+fixes the number of cells over a generic inner point at 1, so no cell is
+tested against a point. Only when a premise fails does the all-pairs sweep
+run (`improper_intersections`), over the pairs of the grid over the cell
+boxes (`IntegerPoints.grid`), and it alone reports improper intersections.
+Both walk their pairs with one loop, `improper_pairs`, as `whyburn`'s
+boundary-injectivity stage does. Each pair is one probe over the columns of
+the vertices its two simplices do not share
+(`feasible.hull_leaves_affine_span`). Point location asks that cell grid,
+built at its first query (or by the sweep) and kept, which cell boxes hold
+the point's integer homogeneous column, then reads the signs of barycentric
 weights in those cells' frames, in cell order: each query is classified as
 interior to a unique cell, on the relative interior of a unique smallest
 face, or outside the support.
@@ -179,17 +182,18 @@ def improper_pairs(
     vertices. For simplices, conv(P) ∩ aff(shared) equals the shared face,
     so the intersection is proper iff it stays inside that affine hull (iff
     it is empty when no vertices are shared): one strict probe per pair
-    whose integer boxes overlap, in the frame of faces[i] (frames[i]). The
-    pairs come from the grid over the boxes of faces (`IntegerPoints.grid`,
-    stepped by the cells' boxes), in `BoxGrid.pairs` order, and the grid
-    finds each simplex's partners only when it is reached, so a caller that
-    takes the first pair probes no further.
+    whose integer boxes overlap, in the frame of faces[i] (frames[i]), over
+    the columns of faces[k]'s vertices that faces[i] lacks
+    (`feasible.hull_leaves_affine_span`: the shared ones cost no
+    arithmetic). The pairs come from the grid over the boxes of faces
+    (`IntegerPoints.grid`, stepped by the cells' boxes), in `BoxGrid.pairs`
+    order, and the grid finds each simplex's partners only when it is
+    reached, so a caller that takes the first pair probes no further.
     """
     for i, k in points.grid(faces, cells).pairs():
-        face_i, face_k = faces[i], faces[k]
-        span = [j for j, v in enumerate(face_i) if v in face_k]
-        if feasible.hull_leaves_affine_span(frames[i], points.cols(face_k), span):
-            yield i, k, tuple(face_i[j] for j in span)
+        span, other = points.sharing(faces[i], faces[k])
+        if feasible.hull_leaves_affine_span(frames[i], span, other):
+            yield i, k, tuple(faces[i][j] for j in span)
 
 
 def improper_intersections(
@@ -224,20 +228,25 @@ def _proper_by_degree(
       point is constant off the boundary;
     - the cells are connected through interior facets;
     - the boundary is one strongly connected cycle (`boundary_cycle_defects`);
-    - exactly one closed cell holds the barycentre of cell 0;
     - the boundary facets meet properly: one probe per pair whose boxes
       meet, in a facet frame read off its cell's frame
       (`IntegerPoints.facet_frame`).
     The boundary is then an embedded connected closed pseudomanifold, whose
-    complement has one bounded component (Alexander duality mod 2; in 1-D
-    the outer two intervals count 0 cells). The count there is the count
-    over cell 0's barycentre, 1, so no generic point lies in two cells. Two
-    cells meeting improperly would give two points of the complex one
-    position, and then the cells around the two would both cover generic
-    points near it. This is Lipman's injectivity theorem for meshes, with
-    the identity as the map; `whyburn` certifies a ball map by the same
-    argument with the map in its place (its module docstring). False means
-    "not proved": the sweep decides.
+    complement has two components (Alexander duality mod 2; in 1-D the two
+    boundary points leave an inner interval and two outer rays). The count
+    is 0 on the unbounded one, where far points lie in no cell. At a generic
+    point of a boundary facet, which lies on no other boundary facet, the
+    facet's one cell lies on one side only and the two cells of any interior
+    facet through the point lie on opposite sides, so the count jumps by
+    exactly 1 there and the two sides lie in different components. A count
+    is never negative, so it is 1 on the bounded component (and on the inner
+    interval in 1-D): no generic point lies in two cells, and no point needs
+    its count taken. Two cells meeting improperly would give two points of
+    the complex one position, and then the cells around the two would both
+    cover generic points near it. This is Lipman's injectivity theorem for
+    meshes, with the identity as the map; `whyburn` certifies a ball map by
+    the same argument with the map in its place (its module docstring).
+    False means "not proved": the sweep decides.
     """
     n = len(cell_ids[0]) - 1
     frames = [points.frame(ids) for ids in cell_ids]
@@ -252,14 +261,6 @@ def _proper_by_degree(
                 return False
             edges.append((a, b))
     if not graph_connected(len(cell_ids), edges) or boundary_cycle_defects(n, boundary):
-        return False
-    scaled, denominator = points.scaled, points.denominator
-    centre = (*map(sum, zip(*(scaled[v] for v in cell_ids[0]))), (n + 1) * denominator)
-    holders = 0
-    for ids, frame in zip(cell_ids, frames):
-        if feasible.box_holds(points.box(ids), denominator, centre) and frame.contains(centre):
-            holders += 1
-    if holders != 1:
         return False
     facet_frames = []
     for face in boundary:

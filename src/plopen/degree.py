@@ -329,7 +329,7 @@ def _obstacle_hit(f: PLMap, face: Face, start: tuple[int, ...], end: tuple[int, 
     frame = f.images.frame(face)
     if frame is None:
         return feasible.hull_meets_segment(f.images.cols(face), start, end)
-    return feasible.hull_leaves_affine_span(frame, (start, end), ())
+    return feasible.hull_leaves_affine_span(frame, (), (start, end))
 
 
 def _segment_hits_boundary(f: PLMap, start: tuple[int, ...], end: tuple[int, ...]) -> bool:

@@ -41,15 +41,22 @@ A facet of a full-dimensional P takes its frame from P's with no adjugate
 exactly on the facet's affine hull.
 
 The same frame decides whether the relative interior of a point set S meets
-conv(P) (`relint_meets_simplex`): one probe over S's strictly positive
-weights, without the escape row. S enters as integer homogeneous columns.
-This is the decision of `relint_preimage_witness`, which stays in vertex
-form because it returns the witness point: a caller decides every pair in
-the frame and rebuilds the witness only for the pair that hits. Both frame
-probes build their rows in one place, `_frame_rows`, and `_frame_probe`
-first tries each row alone: a row whose signs on the columns already rule
-out every weight vector answers no without an elimination, which decides
-nearly every "no" these callers ask.
+conv(P): one probe over S's strictly positive weights, without the escape
+row. This is the decision of `relint_preimage_witness`, which stays in
+vertex form because it returns the witness point: a caller decides every
+pair in the frame and rebuilds the witness only for the pair that hits.
+
+The pairs the callers probe come from one point set, and most share
+vertices. The frame's matrix times its adjugate is det·I, so a shared
+vertex's column enters only its own bary row, with a positive factor, and
+no other row: its weight absorbs that row. So both pair probes,
+`hull_leaves_affine_span` (properness) and `relint_meets_sharing` (relative
+interiors), drop the shared rows (`SimplexFrame.off`) and read only the
+other simplex's unshared columns (`IntegerPoints.sharing` names both).
+Every frame probe builds its rows in one place, `_frame_rows`, and
+`_frame_probe` first tries each row alone: a row whose signs on the columns
+already rule out every weight vector answers no without an elimination,
+which decides nearly every "no" these callers ask.
 
 The dimension of an intersection is computed by growing its affine hull:
 starting from one witness point, functionals vanishing on the directions
@@ -76,7 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import mul, neg
 from typing import Iterator, Optional, Sequence
 
 from .linalg import Matrix, Vector, integer_adjugate, null_space, vec_dot, vec_sub
@@ -489,6 +496,13 @@ class SimplexFrame:
             raise ValueError("only a full-dimensional frame has facet frames")
         return SimplexFrame(self.bary[:j] + self.bary[j + 1 :], (self.bary[j],))
 
+    def off(self, span: Sequence[int]) -> SimplexFrame:
+        """The frame's rows without the bary rows at the positions in span:
+        the system a probe asks of the columns that are not P's span
+        vertices (`hull_leaves_affine_span`, `relint_meets_sharing`). Not a
+        simplex's frame, so its orientation is 0."""
+        return SimplexFrame(tuple([r for j, r in enumerate(self.bary) if j not in span]), self.aff)
+
 
 def homogeneous_column(point: Vector) -> tuple[int, ...]:
     """The integer column (m·point, m) for the least m > 0 that clears denominators."""
@@ -504,24 +518,31 @@ def simplex_frame(columns: Sequence[tuple[int, ...]]) -> SimplexFrame:
     the columns (e_i, 0) of n − k coordinate axes that complete P's
     direction space. Its adjugate's rows 0..k, times sign(det), give the
     barycentric weights up to a positive factor per row; rows k+1..n vanish
-    exactly on aff(P). When k = n, sign(det) is the frame's orientation.
-    Affinely dependent vertices raise ValueError.
+    exactly on aff(P). When k = n, sign(det) is the frame's orientation and
+    no axis is searched for. Affinely dependent vertices raise ValueError.
     """
     n = len(columns[0]) - 1
     k = len(columns) - 1
-    if k > n:
-        raise ValueError("simplex vertices are affinely dependent")
-    for axes in combinations(range(n), n - k):
-        units = [(*(int(i == c) for c in range(n)), 0) for i in axes]
-        adjugate, det = integer_adjugate(list(zip(*columns, *units, strict=True)))
+    if k == n:
+        adjugate, det = integer_adjugate(list(zip(*columns, strict=True)))
         if det:
-            sign = 1 if det > 0 else -1
-            return SimplexFrame(
-                tuple(tuple(sign * x for x in row) for row in adjugate[: k + 1]),
-                tuple(tuple(row) for row in adjugate[k + 1 :]),
-                sign if k == n else 0,
-            )
+            return SimplexFrame(_signed_rows(adjugate, det), (), 1 if det > 0 else -1)
+    elif k < n:
+        for axes in combinations(range(n), n - k):
+            units = [(*(int(i == c) for c in range(n)), 0) for i in axes]
+            adjugate, det = integer_adjugate(list(zip(*columns, *units, strict=True)))
+            if det:
+                return SimplexFrame(
+                    _signed_rows(adjugate[: k + 1], det), tuple(map(tuple, adjugate[k + 1 :]))
+                )
     raise ValueError("simplex vertices are affinely dependent")
+
+
+def _signed_rows(rows: list[list[int]], det: int) -> tuple[tuple[int, ...], ...]:
+    """The adjugate rows times sign(det), packed as tuples."""
+    if det > 0:
+        return tuple(map(tuple, rows))
+    return tuple(tuple(map(neg, row)) for row in rows)
 
 
 def _on_columns(row: Sequence[int], cols: Sequence[tuple[int, ...]]) -> list[int]:
@@ -599,45 +620,62 @@ def _frame_probe(
 
 
 def hull_leaves_affine_span(
-    frame: SimplexFrame, q_cols: Sequence[tuple[int, ...]], span: Sequence[int]
+    frame: SimplexFrame, span: Sequence[int], other_cols: Sequence[tuple[int, ...]]
 ) -> bool:
-    """Whether conv(P) ∩ conv(Q) has a point outside the affine hull of P's span vertices.
+    """Whether conv(P) ∩ conv(Q) has a point outside the affine hull of P's
+    span vertices, for a Q that has those vertices among its own.
 
-    P is the frame's simplex and Q is given by its points' integer
-    homogeneous columns Q̂ (`IntegerPoints.cols`). span lists positions of
-    P's vertices, in the order P's columns entered the frame; a position
-    past P's last vertex, or a column of another dimension, raises
-    ValueError. The span vertices span a face F of P. Since
-    conv(P) ∩ aff(F) = F, a point of conv(P) leaves aff(F) exactly when its
-    barycentric weights on the vertices of P outside F sum to more than
-    zero. In P's frame that is one strict probe over Q's column weights μ
-    alone: μ ≥ 0, Σμ = 1, bary·Q̂μ ≥ 0, aff·Q̂μ = 0, and (the sum of the bary
-    rows of the vertices outside F)·Q̂μ > 0. A "no" is usually read off one
-    of these rows' signs on Q̂ alone (`_frame_probe`); the rest go to
-    Fourier–Motzkin. An empty span asks whether the hulls meet at all; an
-    empty Q meets nothing. With F the common face of two cells, this is the
-    properness test: the intersection is proper exactly when it stays inside
-    aff(F).
+    P is the frame's simplex. span lists positions of P's vertices, in the
+    order P's columns entered the frame, that are also Q's; other_cols are
+    the integer homogeneous columns of Q's other points (`IntegerPoints`
+    gives both, `sharing`). A position past P's last vertex, or a column of
+    another dimension, raises ValueError. The span vertices span a face F of
+    P. Since conv(P) ∩ aff(F) = F, a point of conv(P) leaves aff(F) exactly
+    when its barycentric weights on the vertices of P outside F sum to more
+    than zero. In P's frame that is one strict probe over Q's column
+    weights μ: μ ≥ 0, Σμ = 1, bary·Q̂μ ≥ 0, aff·Q̂μ = 0, and the escape row
+    (the sum of the bary rows outside span)·Q̂μ > 0.
+
+    The frame's matrix times its adjugate is det·I, so a bary row reads P's
+    own l-th column as |det| on row l and 0 on every other row, and every
+    aff row reads it as 0. A shared column therefore enters only its own
+    bary row, with a positive factor, and never the escape row: its weight
+    can absorb that one row and constrains nothing else. So the probe drops
+    the span rows (`SimplexFrame.off`) and is asked over the unshared
+    weights alone. A "no" is usually read off one row's signs on the
+    columns (`_frame_probe`); the rest go to Fourier–Motzkin. With no
+    unshared column the escape row reads 0 and the answer is no. An empty
+    span asks whether the hulls meet at all. With F the common face of two
+    cells, this is the properness test: the intersection is proper exactly
+    when it stays inside aff(F).
     """
     if any(not 0 <= j < len(frame.bary) for j in span):
         raise ValueError("span must list positions of the frame's vertices")
-    if any(len(q) != len(frame.bary[0]) for q in q_cols):
-        raise ValueError("q_cols must be homogeneous columns in the frame's space")
-    outside = [row for j, row in enumerate(frame.bary) if j not in span]
-    escape = [sum(column) for column in zip(*outside)]  # none outside: the row is 0 < 0
-    return _frame_probe(frame, q_cols, REL_LE, escape)
+    if any(len(q) != len(frame.bary[0]) for q in other_cols):
+        raise ValueError("other_cols must be homogeneous columns in the frame's space")
+    off = frame.off(span)
+    escape = [sum(column) for column in zip(*off.bary)]  # none outside: the row is 0 < 0
+    return _frame_probe(off, other_cols, REL_LE, escape)
 
 
-def relint_meets_simplex(frame: SimplexFrame, cols: Sequence[tuple[int, ...]]) -> bool:
-    """Whether the relative interior of conv(S) meets conv(P), P the frame's simplex.
+def relint_meets_sharing(
+    frame: SimplexFrame, span: Sequence[int], other_cols: Sequence[tuple[int, ...]]
+) -> bool:
+    """Whether the relative interior of conv(S) meets conv(P), P the frame's
+    simplex, for an S that has P's span vertices among its points.
 
-    S is given by its points' homogeneous columns (`IntegerPoints.cols`).
-    One strict probe over S's weights λ: λ > 0, Σλ = 1, bary·Ŝλ ≥ 0 and
-    aff·Ŝλ = 0, usually answered "no" by one row's signs on Ŝ alone
-    (`_frame_probe`). It decides whether `relint_preimage_witness(X, S, P)`
-    is not None, in P's frame and without the witness.
+    span and other_cols are as in `hull_leaves_affine_span`: S's points are P's
+    vertices at the positions in span and the points of other_cols. One
+    strict probe over the weights λ > 0 of S's columns asks bary·Ŝλ ≥ 0 and
+    aff·Ŝλ = 0; a shared column enters only its own bary row, with a
+    positive factor, so its weight satisfies that row and the probe is
+    over the unshared weights alone, without the span rows
+    (`SimplexFrame.off`), usually answered "no" by one row's signs
+    (`_frame_probe`). With no unshared column S is a face of P and the
+    answer is yes. It decides whether `relint_preimage_witness(X, S, P)` is
+    not None, in P's frame and without the witness.
     """
-    return _frame_probe(frame, cols, REL_LT)
+    return not other_cols or _frame_probe(frame.off(span), other_cols, REL_LT)
 
 
 def hull_meets_segment(
@@ -647,7 +685,7 @@ def hull_meets_segment(
     start to end (`homogeneous_column`s; a point when equal): one probe in
     the segment's frame on the hull's columns, so the hull needs no frame."""
     frame = simplex_frame((start,) if start == end else (start, end))
-    return hull_leaves_affine_span(frame, cols, ())
+    return hull_leaves_affine_span(frame, (), cols)
 
 
 def segment_hits_hull(start: Vector, end: Vector, verts: Hull) -> bool:
@@ -759,6 +797,16 @@ class IntegerPoints:
             except ValueError:
                 self._frames[ids] = None
         return self._frames[ids]
+
+    def sharing(
+        self, p: tuple[int, ...], q: tuple[int, ...]
+    ) -> tuple[list[int], list[tuple[int, ...]]]:
+        """The span and other columns of the shared-vertex probes
+        (`hull_leaves_affine_span`, `relint_meets_sharing`) for the simplex of
+        point ids q probed in the frame of p: the positions in p of the ids
+        q shares with it, and the columns of q's other points."""
+        columns = self.columns
+        return [j for j, v in enumerate(p) if v in q], [columns[v] for v in q if v not in p]
 
     def facet_frame(self, cell: tuple[int, ...], face: tuple[int, ...]) -> Optional[SimplexFrame]:
         """The frame of a facet of a full-dimensional cell, listed in the

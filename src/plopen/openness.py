@@ -21,7 +21,8 @@ Mixed signs or a count of 2 or more go to the pair loop, which names the
 witness pair. Every star piece sends c to the same point f(c), so all star
 images shrink by one homothety about f(c) and the shrink cancels: each pair
 is one strict probe on the unshrunk images, in the integer frame of one of
-them (`feasible.relint_meets_simplex`). Singular cells additionally
+them, over the images of the other's vertices that the two cells do not
+share (`feasible.relint_meets_sharing`). Singular cells additionally
 contribute their own interiors.
 
 The openness oracle is an independent probabilistic check of openness itself:
@@ -127,7 +128,9 @@ def branch_set(f: PLMap) -> BranchReport:
     relint(h f(a)) meets relint(h f(b)) iff relint f(a) meets relint f(b).
     As f(a) is a full n-simplex, that holds iff int f(b) meets f(a): one
     strict probe in the integer frame of f(a) over the weights of f(b)'s
-    vertices (`feasible.relint_meets_simplex`). h maps boxes to boxes, so
+    vertices; the vertices a and b share cost no arithmetic, so the probe
+    reads only the images of b's other vertices
+    (`feasible.relint_meets_sharing`). h maps boxes to boxes, so
     the image boxes prune the same pairs as the shrunk ones. Boxes, frames
     and homogeneous columns are the map's own (`PLMap.images`).
     """
@@ -174,7 +177,9 @@ def branch_set(f: PLMap) -> BranchReport:
                 ids_a, ids_b = f.domain.cells[a].vertex_ids, f.domain.cells[b].vertex_ids
                 if not feasible.boxes_overlap(f.images.box(ids_a), f.images.box(ids_b)):
                     continue
-                if feasible.relint_meets_simplex(f.images.frame(ids_a), f.images.cols(ids_b)):
+                if feasible.relint_meets_sharing(
+                    f.images.frame(ids_a), *f.images.sharing(ids_a, ids_b)
+                ):
                     witness = (a, b)
                     break
         if witness:

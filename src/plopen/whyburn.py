@@ -132,8 +132,10 @@ def boundary_preimage_ok(inst: BallMapInstance) -> tuple[bool, Optional[tuple]]:
     map's grid over the boundary images (`PLMap.image_grid`, kept with the
     map), in the order of the nested loop (interior faces by size and ids,
     then boundary faces). Each is decided by one probe in the boundary-face
-    image's frame (vertex form when that image is degenerate); only the first
-    pair that hits rebuilds its witness point.
+    image's frame over the images of the interior face's vertices that the
+    boundary face lacks (`feasible.relint_meets_sharing`), or in vertex form
+    when that image is degenerate; only the first pair that hits rebuilds
+    its witness point.
     """
     f = inst.map
     grid = f.image_grid(inst.boundary)
@@ -142,7 +144,9 @@ def boundary_preimage_ok(inst: BallMapInstance) -> tuple[bool, Optional[tuple]]:
             face = inst.boundary[j]
             frame = f.images.frame(face)
             # a degenerate image (no frame) is decided in vertex form
-            if frame is not None and not feasible.relint_meets_simplex(frame, f.images.cols(ids)):
+            if frame is not None and not feasible.relint_meets_sharing(
+                frame, *f.images.sharing(face, ids)
+            ):
                 continue
             # the first hit rebuilds its witness in vertex form
             witness = feasible.relint_preimage_witness(

@@ -6,12 +6,18 @@ solves with generic Gaussian elimination, memberships are barycentric
 re-solves. Expected values in the tests are computed (or re-checked) with
 these, never copied from the implementation under test.
 
-The last seven sections are different. `certify_in_stage_order` runs the
+The last eight sections are different. `certify_in_stage_order` runs the
 library's own whyburn stages and degree, with the stage-4 sweep
 (`global_collision`, on the library's probe), each unconditionally and in
 their numbered order, as the reference for the certifier's shortcuts;
 `face_frame_boundary_injective` is stage 2 with each boundary face image in
 its own frame, the reference for the frames read off the cell images.
+`full_column_hull_leaves_affine_span` and `relint_meets_simplex` are the
+properness and relative-interior pair probes over every column of the
+probed simplex, as the library asked them before the shared vertices were
+left out;
+`cell0_holder_count` is the premise `_proper_by_degree` counted before its
+other premises were seen to fix it at 1.
 `grid_degree` and its parts are the degree's point queries as they were
 before its one image scan, on the library's grids and frames, with every
 image that has no frame probed in vertex form (`vertex_form_hull_contains`
@@ -62,7 +68,6 @@ from plopen.feasible import (
     _Infeasible,
     _meet,
     _meet_system,
-    hull_leaves_affine_span,
 )
 from plopen.linalg import (
     _RATIONAL_PATTERN,
@@ -351,7 +356,9 @@ def global_collision(f):
         span = [k for k, v in enumerate(ids) if v in cells[b]]
         if len(span) == n and f.pieces[a].det_sign == f.pieces[b].det_sign:
             continue
-        if hull_leaves_affine_span(f.images.frame(ids), f.images.cols(cells[b]), span):
+        if full_column_hull_leaves_affine_span(
+            f.images.frame(ids), f.images.cols(cells[b]), span
+        ):
             return a, b
     return None
 
@@ -404,6 +411,46 @@ def face_frame_boundary_injective(inst):
     if pair is not None:
         return False, (boundary[pair[0]], boundary[pair[1]])
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# The pair probes over every column of the probed simplex, and the count of
+# the cells that hold cell 0's barycentre.
+# ---------------------------------------------------------------------------
+
+
+def full_column_hull_leaves_affine_span(frame, q_cols, span):
+    """Whether conv(P) ∩ conv(Q) has a point outside the affine hull of P's
+    span vertices, P the frame's simplex and Q given by all of its
+    homogeneous columns, whether or not the span vertices are among them:
+    one strict probe over every weight of Q with every bary row, and the
+    sum of the bary rows outside span as the escape row. The reference for
+    `feasible.hull_leaves_affine_span`, which is asked for a Q that has the
+    span vertices and reads only Q's other columns."""
+    if any(not 0 <= j < len(frame.bary) for j in span):
+        raise ValueError("span must list positions of the frame's vertices")
+    outside = [row for j, row in enumerate(frame.bary) if j not in span]
+    escape = [sum(column) for column in zip(*outside)]  # none outside: the row is 0 < 0
+    return feasible._frame_probe(frame, q_cols, REL_LE, escape)
+
+
+def relint_meets_simplex(frame, cols):
+    """Whether the relative interior of conv(S) meets conv(P), P the frame's
+    simplex and S given by all of its homogeneous columns: one strict probe
+    over every weight of S (`feasible._frame_probe` with no escape row). The
+    reference for `feasible.relint_meets_sharing`, which leaves out the
+    columns S shares with P, and the probe of `pair_loop_branch_set`."""
+    return feasible._frame_probe(frame, cols, REL_LT)
+
+
+def cell0_holder_count(vertices, cell_ids):
+    """The number of closed cells that hold cell 0's barycentre, each by a
+    barycentric re-solve. Whenever `complexes._proper_by_degree` accepts,
+    its premises make this 1 (its docstring); it no longer counts."""
+    points = [vector(v) for v in vertices]
+    first = [points[v] for v in cell_ids[0]]
+    centre = tuple(sum(axis) / len(first) for axis in zip(*first))
+    return sum(point_in_simplex(centre, [points[v] for v in ids]) for ids in cell_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +713,7 @@ def pair_loop_branch_set(f):
                     continue
                 if feasible.boxes_overlap(
                     f.images.box(ids_a), f.images.box(ids_b)
-                ) and feasible.relint_meets_simplex(f.images.frame(ids_a), f.images.cols(ids_b)):
+                ) and relint_meets_simplex(f.images.frame(ids_a), f.images.cols(ids_b)):
                     witness = (a, b)
                     break
         if witness:

@@ -16,7 +16,7 @@ from plopen.complexes import (
 )
 from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, box_complex, generate
 
-from oracles import barycentric_of, point_in_simplex
+from oracles import barycentric_of, cell0_holder_count, point_in_simplex
 
 
 def F(*args):
@@ -272,10 +272,14 @@ def violations_both_ways(vertices, cells, ambient_dim=None):
 
 
 def assert_sweep_agrees(vertices, cells, ambient_dim=None):
+    """The degree argument and the sweep list the same violations; what the
+    degree argument accepts, the sweep finds proper, and exactly one cell
+    holds cell 0's barycentre there, though no premise counts the holders."""
     violations, accepted, forced = violations_both_ways(vertices, cells, ambient_dim)
     assert violations == forced
     if accepted:
-        assert forced == []  # what the degree argument accepts, the sweep finds proper
+        assert forced == []
+        assert cell0_holder_count(vertices, cells) == 1
     return accepted
 
 
@@ -348,7 +352,7 @@ class TestProperByDegree:
             feasible.boxes_overlap(a, b) for i, a in enumerate(boxes) for b in boxes[i + 1 :]
         )
         assert pairs == boundary_pairs
-        assert len(probes) <= pairs
+        assert 0 < len(probes) <= pairs
 
 
 class TestLocate:

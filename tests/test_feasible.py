@@ -24,7 +24,7 @@ from plopen.feasible import (
     integer_box,
     median_steps,
     relative_interiors_intersect,
-    relint_meets_simplex,
+    relint_meets_sharing,
     relint_preimage_witness,
     segment_box,
     segment_hits_hull,
@@ -38,9 +38,11 @@ from plopen.linalg import Matrix, det_sign, null_space
 from oracles import (
     LinearSystem,
     LinRow,
+    full_column_hull_leaves_affine_span,
     hull_dim,
     intersection_dim,
     lp_feasible,
+    relint_meets_simplex,
     vertex_form_hull_contains,
     vertex_form_segment_hits_hull,
 )
@@ -265,31 +267,31 @@ class TestAffineSpanEscape:
     def test_proper_shared_edge(self):
         a = [pt(0, 0), pt(1, 0), pt(0, 1)]
         b = [pt(1, 0), pt(0, 1), pt(1, 1)]
-        shared = [1, 2]  # a's vertices (1, 0) and (0, 1)
-        assert not hull_leaves_affine_span(simplex_frame(cols(a)), cols(b), shared)
+        shared = [1, 2]  # a's vertices (1, 0) and (0, 1), b's first two
+        assert not hull_leaves_affine_span(simplex_frame(cols(a)), shared, cols(b[2:]))
 
     def test_overlapping_pair_escapes(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
         b = [pt(0, 0), pt(3, 1), pt(1, 3)]
-        shared = [0]  # a's vertex (0, 0)
-        assert hull_leaves_affine_span(simplex_frame(cols(a)), cols(b), shared)
+        shared = [0]  # a's vertex (0, 0), b's first
+        assert hull_leaves_affine_span(simplex_frame(cols(a)), shared, cols(b[1:]))
 
     def test_span_point_off_the_vertices_rejected(self):
         a = [pt(0, 0), pt(2, 0), pt(0, 2)]
         b = [pt(1, 0), pt(3, 0), pt(1, 2)]
         with pytest.raises(ValueError):
-            hull_leaves_affine_span(simplex_frame(cols(a)), cols(b), [3])
+            hull_leaves_affine_span(simplex_frame(cols(a)), [3], cols(b))
 
     def test_q_in_another_dimension_rejected(self):
         frame = simplex_frame(cols([pt(0, 0), pt(2, 0), pt(0, 2)]))
         with pytest.raises(ValueError):
-            hull_leaves_affine_span(frame, cols([pt(1), pt(1, 1)]), [])
+            hull_leaves_affine_span(frame, [], cols([pt(1), pt(1, 1)]))
 
     def test_empty_span_asks_whether_hulls_meet(self):
         a = simplex_frame(cols([pt(0, 0), pt(1, 0), pt(0, 1)]))
-        assert hull_leaves_affine_span(a, cols([pt(1, 1), pt(0, 0)]), [])
-        assert not hull_leaves_affine_span(a, cols([pt(1, 1), pt(2, 2)]), [])
-        assert not hull_leaves_affine_span(a, cols([]), [])
+        assert hull_leaves_affine_span(a, [], cols([pt(1, 1), pt(0, 0)]))
+        assert not hull_leaves_affine_span(a, [], cols([pt(1, 1), pt(2, 2)]))
+        assert not hull_leaves_affine_span(a, [], cols([]))
 
     @pytest.mark.parametrize(
         "verts",
@@ -313,41 +315,41 @@ class TestAffineSpanEscape:
         square = Matrix(tuple(zip(*[(*v, F(1)) for v in p_verts])))
         assert det_sign(square) == (1 if swap else -1)
         frame = simplex_frame(cols(p_verts))
-        face = p_verts[1:]
-        assert not hull_leaves_affine_span(frame, cols([*face, pt(1, 1, 1)]), [1, 2, 3])
-        assert hull_leaves_affine_span(
-            frame, cols([*face, pt(F(1, 8), F(1, 8), F(1, 8))]), [1, 2, 3]
-        )
+        face = [1, 2, 3]  # Q has P's face opposite (0, 0, 0) and one more point
+        assert not hull_leaves_affine_span(frame, face, cols([pt(1, 1, 1)]))
+        assert hull_leaves_affine_span(frame, face, cols([pt(F(1, 8), F(1, 8), F(1, 8))]))
         inner = [pt(F(1, 4), F(1, 4), F(1, 4))]
-        assert hull_leaves_affine_span(frame, cols(inner), [])
-        assert not hull_leaves_affine_span(frame, cols(inner), [0, 1, 2, 3])
-        assert hull_leaves_affine_span(frame, cols([pt(0, 0, 0)]), []) and not hull_leaves_affine_span(
-            frame, cols([pt(0, 0, 0)]), [0]
-        )
+        assert hull_leaves_affine_span(frame, [], cols(inner))
+        assert not hull_leaves_affine_span(frame, [0, 1, 2, 3], cols(inner))
+        # P's vertex (0, 0, 0) as an unshared column, and as the shared vertex
+        origin = cols([pt(0, 0, 0)])
+        assert hull_leaves_affine_span(frame, [], origin)
+        assert not hull_leaves_affine_span(frame, [0], origin)
+        assert not hull_leaves_affine_span(frame, [0], [])
 
     def test_one_dimensional_boundary_points(self):
         # the boundary faces of a 1-D ball are points: k = 0 frames with one axis
         left, right = simplex_frame(cols([pt(-1)])), simplex_frame(cols([pt(1)]))
-        assert not hull_leaves_affine_span(left, cols([pt(1)]), [])
-        assert hull_leaves_affine_span(right, cols([pt(1)]), [])
-        assert not hull_leaves_affine_span(right, cols([pt(1)]), [0])
-        assert hull_leaves_affine_span(left, cols([pt(-2), pt(0)]), [])
-        assert not hull_leaves_affine_span(left, cols([pt(F(-1, 2)), pt(0)]), [])
+        assert not hull_leaves_affine_span(left, [], cols([pt(1)]))
+        assert hull_leaves_affine_span(right, [], cols([pt(1)]))
+        assert not hull_leaves_affine_span(right, [0], [])
+        assert hull_leaves_affine_span(left, [], cols([pt(-2), pt(0)]))
+        assert not hull_leaves_affine_span(left, [], cols([pt(F(-1, 2)), pt(0)]))
 
     def test_point_frame_in_the_plane(self):
         frame = simplex_frame(cols([pt(F(1, 3), 0)]))
-        assert hull_leaves_affine_span(frame, cols([pt(0, -1), pt(F(2, 3), 1)]), [])
-        assert not hull_leaves_affine_span(frame, cols([pt(0, -1), pt(1, 1)]), [])
+        assert hull_leaves_affine_span(frame, [], cols([pt(0, -1), pt(F(2, 3), 1)]))
+        assert not hull_leaves_affine_span(frame, [], cols([pt(0, -1), pt(1, 1)]))
 
-    def test_single_point_q(self):
+    def test_single_unshared_point(self):
         p_verts = [pt(0, 0), pt(2, 0), pt(0, 2)]
         frame = simplex_frame(cols(p_verts))
         on_edge = [pt(1, 0)]
-        assert not hull_leaves_affine_span(frame, cols(on_edge), [0, 1])
-        assert hull_leaves_affine_span(frame, cols(on_edge), [0])
-        assert hull_leaves_affine_span(frame, cols([pt(F(1, 2), F(1, 2))]), [1, 2])
-        assert not hull_leaves_affine_span(frame, cols([pt(2, 2)]), [])
-        assert not hull_leaves_affine_span(frame, cols([pt(0, 2)]), [2])
+        assert not hull_leaves_affine_span(frame, [0, 1], cols(on_edge))
+        assert hull_leaves_affine_span(frame, [0], cols(on_edge))
+        assert hull_leaves_affine_span(frame, [1, 2], cols([pt(F(1, 2), F(1, 2))]))
+        assert not hull_leaves_affine_span(frame, [], cols([pt(2, 2)]))
+        assert not hull_leaves_affine_span(frame, [2], cols([pt(0, 2)]))
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -364,11 +366,10 @@ class TestAffineSpanEscape:
             lambda w: tuple(sum(x * v[c] for x, v in zip(w, p_verts)) / sum(w) for c in range(n))
         )
         extra = data.draw(st.lists(point | inside, min_size=0 if face else 1, max_size=3))
-        q_verts = data.draw(st.permutations(face + extra))
         frame = simplex_frame(cols(p_verts))
         span = [p_verts.index(v) for v in face]
-        assert hull_leaves_affine_span(frame, cols(q_verts), span) == _leaves_span_by_normals(
-            p_verts, q_verts, face
+        assert hull_leaves_affine_span(frame, span, cols(extra)) == _leaves_span_by_normals(
+            p_verts, face + extra, face
         )
 
     @given(st.data())
@@ -392,8 +393,8 @@ class TestAffineSpanEscape:
         span = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
         derived = simplex_frame(cols(p_verts)).facet(j)
         own = simplex_frame(cols(facet))
-        assert hull_leaves_affine_span(derived, cols(q_verts), span) == hull_leaves_affine_span(
-            own, cols(q_verts), span
+        assert hull_leaves_affine_span(derived, span, cols(q_verts)) == hull_leaves_affine_span(
+            own, span, cols(q_verts)
         )
 
     def test_facet_frame_needs_a_full_dimensional_frame(self):
@@ -444,7 +445,8 @@ class TestRelintPreimage:
 
 
 class TestRelintMeetsSimplex:
-    """The frame probe of whyburn stage 1 against the vertex-form witness."""
+    """The full-column reference of `relint_meets_sharing` against the
+    vertex-form witness."""
 
     def test_segment_images(self):
         frame = simplex_frame(cols([pt(1)]))
@@ -475,6 +477,66 @@ class TestRelintMeetsSimplex:
         columns = [homogeneous_column(y) for y in source]
         expected = relint_preimage_witness(source, source, target) is not None
         assert relint_meets_simplex(simplex_frame(cols(target)), columns) == expected
+
+
+class TestSharedVertexProbes:
+    """The pair probes over the unshared columns against the probes over
+    every column: `hull_leaves_affine_span` and `relint_meets_sharing`
+    against the references `full_column_hull_leaves_affine_span` and
+    `relint_meets_simplex`."""
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_match_the_full_column_probes(self, data):
+        n = data.draw(st.integers(1, 4))
+        coord = st.fractions(-2, 2, max_denominator=2)
+        point = st.tuples(*[coord] * n)
+        # a cell frame (side n + 1 > 4 goes through the Bareiss path), a
+        # facet frame read off it, or the frame of a lower-dimensional simplex
+        kind = data.draw(st.sampled_from(["cell", "facet", "lower"]))
+        size = n + 1 if kind != "lower" else data.draw(st.integers(1, n))
+        verts = data.draw(st.lists(point, min_size=size, max_size=size, unique=True))
+        assume(hull_dim(verts) == size - 1)
+        frame = simplex_frame(cols(verts))
+        if kind == "facet":
+            j = data.draw(st.integers(0, n))
+            verts, frame = verts[:j] + verts[j + 1 :], frame.facet(j)
+        # the shared vertices, and other points: P's vertices again (a
+        # coincident column that is not shared), points of P's faces, points
+        # just off them and far points, repeats allowed
+        span = sorted(data.draw(st.sets(st.integers(0, len(verts) - 1))))
+        weights = st.lists(st.integers(0, 2), min_size=len(verts), max_size=len(verts))
+        on_face = weights.filter(any).map(
+            lambda w: tuple(sum(x * v[c] for x, v in zip(w, verts)) / sum(w) for c in range(n))
+        )
+        nudge = st.tuples(*[st.sampled_from([F(0), F(1, 97), F(-1, 97)])] * n)
+        off_face = st.tuples(on_face, nudge).map(lambda t: tuple(a + b for a, b in zip(*t)))
+        others = data.draw(
+            st.lists(st.sampled_from(verts) | on_face | off_face | point, max_size=3)
+        )
+        other_cols = cols(others)
+        q_cols = data.draw(st.permutations([*cols([verts[j] for j in span]), *other_cols]))
+        assert hull_leaves_affine_span(
+            frame, span, other_cols
+        ) == full_column_hull_leaves_affine_span(frame, q_cols, span)
+        if q_cols:  # the relative interior of no points meets nothing
+            assert relint_meets_sharing(frame, span, other_cols) == relint_meets_simplex(
+                frame, q_cols
+            )
+
+    def test_no_unshared_column(self):
+        frame = simplex_frame(cols([pt(0, 0), pt(2, 0), pt(0, 2)]))
+        for span in ([0], [1, 2], [0, 1, 2]):
+            assert not hull_leaves_affine_span(frame, span, [])
+            assert relint_meets_sharing(frame, span, [])
+
+    def test_shared_edge_of_two_triangles(self):
+        frame = simplex_frame(cols([pt(0, 0), pt(2, 0), pt(0, 2)]))
+        # Q = (2, 0), (0, 2) and a third point: beyond the edge, or back inside P
+        assert not hull_leaves_affine_span(frame, [1, 2], cols([pt(2, 2)]))
+        assert hull_leaves_affine_span(frame, [1, 2], cols([pt(F(1, 2), F(1, 2))]))
+        assert not relint_meets_sharing(frame, [1, 2], cols([pt(2, 2)]))
+        assert relint_meets_sharing(frame, [1, 2], cols([pt(F(1, 2), F(1, 2))]))
 
 
 class TestFrameProbeOneRow:

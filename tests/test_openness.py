@@ -625,7 +625,7 @@ class TestBranchSetByConeCount:
 
         f = generate(GenSpec("random_orientation_preserving", 3, resolution=4, seed=1)).plmap
         assert star_paths(f) == {"count 1"}
-        monkeypatch.setattr(feasible, "relint_meets_simplex", forbidden)
+        monkeypatch.setattr(feasible, "relint_meets_sharing", forbidden)
         assert branch_set(f) == BranchReport((), None)
 
 

@@ -8,7 +8,6 @@ from plopen.complexes import validate_complex
 from plopen.degree import PerturbationExhausted
 from plopen.feasible import (
     hull_contains,
-    hull_leaves_affine_span,
     hulls_intersect,
     relint_preimage_witness,
     simplex_frame,
@@ -27,7 +26,12 @@ from plopen.whyburn import (
     make_ball_instance,
 )
 
-from oracles import certify_in_stage_order, face_frame_boundary_injective, global_collision
+from oracles import (
+    certify_in_stage_order,
+    face_frame_boundary_injective,
+    full_column_hull_leaves_affine_span,
+    global_collision,
+)
 
 
 def F(*args):
@@ -165,7 +169,7 @@ class TestBoundaryInjectivity:
         shared = [k for k, v in enumerate(face_a) if v in face_b]
         img_a, img_b = f.image_of_face(face_a), f.image_of_face(face_b)
         if shared:
-            assert hull_leaves_affine_span(
+            assert full_column_hull_leaves_affine_span(
                 simplex_frame(f.images.cols(face_a)), f.images.cols(face_b), shared
             )
         else:
@@ -282,7 +286,7 @@ class TestDegreeCertificate:
                 continue
             a, b = info.cells
             ids_a, ids_b = f.domain.cells[a].vertex_ids, f.domain.cells[b].vertex_ids
-            assert not hull_leaves_affine_span(
+            assert not full_column_hull_leaves_affine_span(
                 simplex_frame(f.images.cols(ids_a)),
                 f.images.cols(ids_b),
                 [k for k, v in enumerate(ids_a) if v in ids],
