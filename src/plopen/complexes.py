@@ -1,11 +1,14 @@
 """Simplicial complexes over rational coordinates.
 
 A complex is a set of full-dimensional simplices ("cells") in R^n given by
-vertex indices, together with the derived lattice of all faces. Validation
-enforces the textbook conditions exactly: cells are nondegenerate, any two
-cells meet in a common face or not at all, and no (n-1)-face is shared by
-three or more cells. The support's topological boundary is then precisely the
-set of (n-1)-faces incident to a single cell.
+vertex indices, together with its (n-1)-faces ("facets") and their incident
+cells. Validation enforces the textbook conditions exactly: cells are
+nondegenerate, any two cells meet in a common face or not at all, and no
+(n-1)-face is shared by three or more cells. The support's topological
+boundary is then precisely the set of (n-1)-faces incident to a single cell.
+Validation reads the facets alone, from one pass over the cells; the lattice
+of all faces (`SimplicialComplex.faces`, `face_lattice`) is built when it is
+first read and kept.
 
 The complex keeps the integer form of its vertices in one
 `feasible.IntegerPoints` (`points`), which builds each cell's integer box
@@ -34,8 +37,11 @@ face, or outside the support.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import combinations
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -96,23 +102,62 @@ class Located:
     face: Optional[Face] = None
 
 
-def _subsets(ids: Face) -> Iterable[Face]:
-    n = len(ids)
-    for mask in range(1, 1 << n):
-        yield tuple(ids[i] for i in range(n) if mask >> i & 1)
+def _subfaces(faces: Iterable[Face], size: int) -> set[Face]:
+    """The distinct faces with `size` vertices of the given faces."""
+    return {sub for ids in faces for sub in combinations(ids, size)}
+
+
+def face_lattice(
+    cell_ids: Sequence[Face], facets: dict[Face, tuple[int, ...]], boundary: Sequence[Face]
+) -> dict[Face, FaceInfo]:
+    """Every face of the cells, by size and then by ids.
+
+    The cells come last, each its own star and never on the boundary; the
+    facets before them, with their cells read off `facets`, are on the
+    boundary when they have one cell. Each lower size is one pass of
+    `combinations` over the cells in order, so every incidence list comes
+    out sorted, and its faces on the boundary are the subfaces of the
+    boundary facets.
+    """
+    n = len(cell_ids[0]) - 1
+    faces: dict[Face, FaceInfo] = {}
+    for size in range(1, n):
+        incident: defaultdict[Face, list[int]] = defaultdict(list)
+        for ci, ids in enumerate(cell_ids):
+            for sub in combinations(ids, size):
+                incident[sub].append(ci)
+        outer = _subfaces(boundary, size)
+        for ids in sorted(incident):
+            faces[ids] = FaceInfo(ids, size - 1, tuple(incident[ids]), ids in outer)
+    for ids in sorted(facets):
+        cells = facets[ids]
+        faces[ids] = FaceInfo(ids, n - 1, cells, len(cells) == 1)
+    for ids, ci in sorted(zip(cell_ids, range(len(cell_ids)))):
+        faces[ids] = FaceInfo(ids, n, (ci,), False)
+    return faces
 
 
 @dataclass
 class SimplicialComplex:
-    """A validated pure n-dimensional simplicial complex in R^n."""
+    """A validated pure n-dimensional simplicial complex in R^n.
+
+    Validation reads only the (n-1)-faces, which `facets` keeps. The lattice
+    of all faces (`faces`) is built when it is first read, and kept.
+    """
 
     points: feasible.IntegerPoints  # the vertices and their integer form
     cells: tuple[Simplex, ...]
     ambient_dim: int
-    faces: dict[Face, FaceInfo] = field(repr=False)
+    # each (n-1)-face and its incident cells, sorted
+    facets: dict[Face, tuple[int, ...]] = field(repr=False)
     boundary: tuple[Face, ...]  # (n-1)-faces incident to exactly one cell
     # each cell's vertex ids; the key of the kept cell grid (`IntegerPoints.grid`)
     cell_ids: tuple[Face, ...] = field(repr=False)
+
+    @cached_property
+    def faces(self) -> dict[Face, FaceInfo]:
+        """Every face and its star, by size and then by ids (`face_lattice`)."""
+        return face_lattice(self.cell_ids, self.facets, self.boundary)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -141,11 +186,8 @@ class SimplicialComplex:
 
     def interior_faces(self) -> list[Face]:
         """Faces whose relative interior lies in the open support, by size
-        and then by ids."""
-        return sorted(
-            (ids for ids, info in self.faces.items() if not info.on_boundary),
-            key=lambda ids: (len(ids), ids),
-        )
+        and then by ids (the order of `faces`)."""
+        return [ids for ids, info in self.faces.items() if not info.on_boundary]
 
     def locate(self, point: Vector) -> Located:
         """Exact classification of a point against the support.
@@ -215,7 +257,7 @@ def improper_intersections(
 def _proper_by_degree(
     points: feasible.IntegerPoints,
     cell_ids: Sequence[Face],
-    face_cells: dict[Face, set[int]],
+    facets: dict[Face, tuple[int, ...]],
     boundary: Sequence[Face],
 ) -> bool:
     """Whether the degree argument proves that every two cells meet properly.
@@ -252,8 +294,8 @@ def _proper_by_degree(
     frames = [points.frame(ids) for ids in cell_ids]
     columns = points.columns
     edges = []
-    for ids, incident in face_cells.items():
-        if len(ids) == n and len(incident) == 2:
+    for ids, incident in facets.items():
+        if len(incident) == 2:
             a, b = incident
             j = next(k for k, v in enumerate(cell_ids[a]) if v not in ids)
             (far,) = (v for v in cell_ids[b] if v not in ids)
@@ -264,7 +306,7 @@ def _proper_by_degree(
         return False
     facet_frames = []
     for face in boundary:
-        (owner,) = face_cells[face]
+        (owner,) = facets[face]
         facet_frames.append(points.facet_frame(cell_ids[owner], face))
     return next(improper_pairs(points, boundary, cell_ids, facet_frames), None) is None
 
@@ -331,44 +373,37 @@ def collect_violations(
             )
         dup_cells.setdefault(s.vertex_ids, idx)
 
-    # Face lattice and manifold condition on (n-1)-faces. Properness comes
-    # first: by the degree argument (`_proper_by_degree`) when its premises
-    # hold, else by the all-pairs sweep, whose violations come before the
-    # nonmanifold ones.
+    # The (n-1)-faces, each with its cells in order, and the manifold
+    # condition on them. Properness comes first: by the degree argument
+    # (`_proper_by_degree`) when its premises hold, else by the all-pairs
+    # sweep, whose violations come before the nonmanifold ones.
     cell_ids = tuple(s.vertex_ids for s in simplices)
-    face_cells: dict[Face, set[int]] = {}
+    incident: defaultdict[Face, list[int]] = defaultdict(list)
     for idx, ids in enumerate(cell_ids):
-        for sub in _subsets(ids):
-            face_cells.setdefault(sub, set()).add(idx)
+        for facet in combinations(ids, n):
+            incident[facet].append(idx)
+    facets = {ids: tuple(cells) for ids, cells in incident.items()}
     nonmanifold = [
         Violation(
             "nonmanifold_face",
-            f"(n-1)-face {ids} is incident to {len(incident)} cells",
-            tuple(sorted(incident)),
+            f"(n-1)-face {ids} is incident to {len(cells)} cells",
+            cells,
         )
-        for ids, incident in sorted(
-            (ids, inc) for ids, inc in face_cells.items() if len(ids) == n and len(inc) > 2
-        )
+        for ids, cells in sorted(facets.items())
+        if len(cells) > 2
     ]
-    boundary = tuple(
-        sorted(ids for ids, inc in face_cells.items() if len(ids) == n and len(inc) == 1)
-    )
-    if violations or nonmanifold or not _proper_by_degree(points, cell_ids, face_cells, boundary):
+    boundary = tuple(sorted(ids for ids, cells in facets.items() if len(cells) == 1))
+    if violations or nonmanifold or not _proper_by_degree(points, cell_ids, facets, boundary):
         violations += improper_intersections(points, cell_ids)
     violations += nonmanifold
     if violations:
         return violations, None
 
-    on_boundary = {sub for ids in boundary for sub in _subsets(ids)}
-    faces = {
-        ids: FaceInfo(ids, len(ids) - 1, tuple(sorted(inc)), ids in on_boundary)
-        for ids, inc in face_cells.items()
-    }
     complex_ = SimplicialComplex(
         points=points,
         cells=tuple(simplices),
         ambient_dim=n,
-        faces=faces,
+        facets=facets,
         boundary=boundary,
         cell_ids=cell_ids,
     )
@@ -439,10 +474,17 @@ def boundary_cycle_defects(n: int, boundary: Sequence[Face]) -> list[str]:
     return reasons
 
 
+def boundary_euler_characteristic(boundary: Sequence[Face]) -> int:
+    """The Euler characteristic of the boundary: the alternating count of the
+    distinct nonempty subfaces of the boundary facets (the faces on the
+    boundary), by size. The boundary must not be empty."""
+    return sum(
+        (-1) ** (size - 1) * len(_subfaces(boundary, size))
+        for size in range(1, len(boundary[0]) + 1)
+    )
+
+
 def cells_connected(complex_: SimplicialComplex) -> bool:
     """Whether the cells are chained through shared interior (n-1)-faces."""
-    n = complex_.ambient_dim
-    edges = [
-        info.cells for ids, info in complex_.faces.items() if len(ids) == n and len(info.cells) == 2
-    ]
+    edges = [cells for cells in complex_.facets.values() if len(cells) == 2]
     return graph_connected(len(complex_.cells), edges)

@@ -165,7 +165,7 @@ def _scan(f: PLMap, column: tuple[int, ...]) -> _Scan:
     the least face found by size and then by ids, else the first singular
     cell: the first offenders of a scan over every face in those orders.
     """
-    faces, cells = f.domain.faces, f.domain.cell_ids
+    facets, cells = f.domain.facets, f.domain.cell_ids
     n = f.ambient_dim
     boundary: Optional[Face] = None
     offender: Optional[Face] = None
@@ -173,7 +173,7 @@ def _scan(f: PLMap, column: tuple[int, ...]) -> _Scan:
     entries = []
 
     def names_boundary(face: Face) -> bool:
-        on_boundary = len(face) == n and len(faces[face].cells) == 1
+        on_boundary = len(face) == n and len(facets[face]) == 1
         return on_boundary and (boundary is None or face < boundary)
 
     def names_offender(face: Face) -> bool:

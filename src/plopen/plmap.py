@@ -489,7 +489,7 @@ def component_graph(f: PLMap) -> ComponentGraph:
     that is the sum of its entries, so the two are compared by
     cross-multiplying with the sums.
     """
-    n, points, cell_ids = f.ambient_dim, f.domain.points, f.domain.cell_ids
+    points, cell_ids = f.domain.points, f.domain.cell_ids
     nonsingular = [ci for ci, p in enumerate(f.pieces) if p.det_sign != 0]
     parent = {ci: ci for ci in nonsingular}
 
@@ -500,10 +500,10 @@ def component_graph(f: PLMap) -> ComponentGraph:
         return x
 
     shared_faces: list[tuple[int, int]] = []
-    for ids, info in f.domain.faces.items():
-        if len(ids) != n or len(info.cells) != 2:
+    for ids, incident in f.domain.facets.items():
+        if len(incident) != 2:
             continue
-        a, b = info.cells
+        a, b = incident
         if f.pieces[a].det_sign == 0 or f.pieces[b].det_sign == 0:
             continue
         (far,) = (v for v in cell_ids[b] if v not in ids)

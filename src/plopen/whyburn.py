@@ -58,7 +58,13 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import feasible
-from .complexes import Face, boundary_cycle_defects, cells_connected, improper_pairs
+from .complexes import (
+    Face,
+    boundary_cycle_defects,
+    boundary_euler_characteristic,
+    cells_connected,
+    improper_pairs,
+)
 from .degree import DegreeCertificate, degree
 from .openness import coherently_oriented
 from .plmap import PLMap, sign_profile
@@ -98,10 +104,10 @@ def make_ball_instance(f: PLMap) -> BallMapInstance:
     boundary (n-2)-face must bound exactly two boundary faces and the
     boundary faces must be connected through them (`boundary_cycle_defects`,
     the cycle validation reads too), and the boundary's Euler
-    characteristic, read off the faces the complex marks `on_boundary`,
-    must match a sphere's (this rejects e.g. toroidal boundaries that the
-    cycle conditions alone admit). An n = 1 ball is a connected interval:
-    exactly two boundary vertices.
+    characteristic, counted over the subfaces of the boundary facets
+    (`boundary_euler_characteristic`), must match a sphere's (this rejects
+    e.g. toroidal boundaries that the cycle conditions alone admit). An
+    n = 1 ball is a connected interval: exactly two boundary vertices.
     """
     n = f.ambient_dim
     boundary = f.domain.boundary
@@ -110,7 +116,7 @@ def make_ball_instance(f: PLMap) -> BallMapInstance:
         reasons.append("support is not connected through interior facets")
     reasons += boundary_cycle_defects(n, boundary)
     if n >= 2 and boundary:
-        euler = sum((-1) ** info.dim for info in f.domain.faces.values() if info.on_boundary)
+        euler = boundary_euler_characteristic(boundary)
         expected = 1 + (-1) ** (n - 1)
         if euler != expected:
             reasons.append(
@@ -178,8 +184,8 @@ def boundary_restriction_injective(
     obstacles; its point queries read the cell grid.
     """
     f = inst.map
-    boundary, faces, cells = inst.boundary, f.domain.faces, f.domain.cell_ids
-    frames = [f.images.facet_frame(cells[faces[face].cells[0]], face) for face in boundary]
+    boundary, facets, cells = inst.boundary, f.domain.facets, f.domain.cell_ids
+    frames = [f.images.facet_frame(cells[facets[face][0]], face) for face in boundary]
     for face, frame in zip(boundary, frames):
         if frame is None:
             return False, (face, face)

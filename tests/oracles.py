@@ -18,6 +18,9 @@ probed simplex, as the library asked them before the shared vertices were
 left out;
 `cell0_holder_count` is the premise `_proper_by_degree` counted before its
 other premises were seen to fix it at 1.
+`eager_face_lattice` is the face lattice as validation built it before it
+read the facets alone: every subset of every cell by bit mask, with its
+incident cells and its boundary flag.
 `grid_degree` and its parts are the degree's point queries as they were
 before its one image scan, on the library's grids and frames, with every
 image that has no frame probed in vertex form (`vertex_form_hull_contains`
@@ -52,6 +55,7 @@ from typing import Optional
 
 from plopen import feasible, whyburn
 from plopen.complexes import (
+    FaceInfo,
     InvalidComplexError,
     Violation,
     graph_connected,
@@ -451,6 +455,26 @@ def cell0_holder_count(vertices, cell_ids):
     first = [points[v] for v in cell_ids[0]]
     centre = tuple(sum(axis) / len(first) for axis in zip(*first))
     return sum(point_in_simplex(centre, [points[v] for v in ids]) for ids in cell_ids)
+
+
+def _mask_subsets(ids):
+    n = len(ids)
+    for mask in range(1, 1 << n):
+        yield tuple(ids[i] for i in range(n) if mask >> i & 1)
+
+
+def eager_face_lattice(cell_ids, boundary):
+    """Every face of the cells with its sorted incident cells and whether a
+    boundary facet contains it, in the order the masks first reach it."""
+    face_cells = {}
+    for idx, ids in enumerate(cell_ids):
+        for sub in _mask_subsets(ids):
+            face_cells.setdefault(sub, set()).add(idx)
+    on_boundary = {sub for ids in boundary for sub in _mask_subsets(ids)}
+    return {
+        ids: FaceInfo(ids, len(ids) - 1, tuple(sorted(inc)), ids in on_boundary)
+        for ids, inc in face_cells.items()
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,15 @@ from plopen.complexes import (
     InvalidComplexError,
     Located,
     NonManifoldError,
+    boundary_euler_characteristic,
     cells_connected,
     collect_violations,
     validate_complex,
 )
 from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, box_complex, generate
 
-from oracles import barycentric_of, cell0_holder_count, point_in_simplex
+from oracles import barycentric_of, cell0_holder_count, eager_face_lattice, point_in_simplex
+from test_cli import box_document
 
 
 def F(*args):
@@ -461,3 +463,94 @@ class TestConnectivityAndStars:
         vertices = [[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]]
         complex_ = validate_complex(vertices, [[0, 1, 2], [3, 4, 5]])
         assert not cells_connected(complex_)
+
+
+def assert_lattice_matches_the_eager_build(complex_):
+    """The lattice built on first read equals the eager reference build (keys,
+    dims, incident cells and boundary flags), in (size, ids) order; so do the
+    interior faces and the facets; and the boundary facets' Euler
+    characteristic is the lattice's alternating sum over its boundary faces."""
+    reference = eager_face_lattice(complex_.cell_ids, complex_.boundary)
+    by_size = sorted(reference, key=lambda ids: (len(ids), ids))
+    assert complex_.faces == reference
+    assert list(complex_.faces) == by_size
+    assert complex_.interior_faces() == [ids for ids in by_size if not reference[ids].on_boundary]
+    n = complex_.ambient_dim
+    assert complex_.facets == {
+        ids: info.cells for ids, info in reference.items() if info.dim == n - 1
+    }
+    euler = sum((-1) ** info.dim for info in reference.values() if info.on_boundary)
+    assert boundary_euler_characteristic(complex_.boundary) == euler
+
+
+def mirror_points(points):
+    return [(-v[0], *v[1:]) for v in points]
+
+
+class TestFaceLattice:
+    """Validation keeps the facets; the lattice of all faces is built when it
+    is first read (`complexes.face_lattice`) and must equal the eager build
+    validation made before (`oracles.eager_face_lattice`)."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            GenSpec(kind, dim, seed=seed)
+            for kind in KINDS
+            for dim in (1, 2, 3)
+            if _FIXED_DIMS.get(kind, dim) == dim
+            for seed in range(3)
+        ],
+        ids=str,
+    )
+    def test_generator_kinds_and_their_mirrors(self, spec):
+        f = generate(spec).plmap
+        checked = 0
+        for points in (f.domain.vertices, f.vertex_images):
+            for vertices in (points, mirror_points(points)):
+                _, complex_ = collect_violations(vertices, f.domain.cell_ids, spec.dim)
+                if complex_ is not None:
+                    assert_lattice_matches_the_eager_build(complex_)
+                    checked += 1
+        assert checked >= 2  # the domain and its mirror are valid
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_perturbed_box_complexes(self, data):
+        dim = data.draw(st.integers(1, 3))
+        grid = box_complex(dim, data.draw(st.integers(1, {1: 4, 2: 3, 3: 2}[dim])))
+        # moves of at most 3/8 of the grid step mostly keep the complex valid
+        bound = data.draw(st.integers(0, 3))
+        offsets = st.tuples(*[st.integers(-bound, bound)] * dim)
+        count = len(grid.vertices)
+        moves = data.draw(st.lists(offsets, min_size=count, max_size=count))
+        vertices = [
+            [c + F(d, 8) for c, d in zip(v, move)] for v, move in zip(grid.vertices, moves)
+        ]
+        _, complex_ = collect_violations(vertices, [cell.vertex_ids for cell in grid.cells], dim)
+        if complex_ is not None:
+            assert_lattice_matches_the_eager_build(complex_)
+
+    @pytest.mark.parametrize("mirror", [False, True], ids=["identity", "mirror"])
+    def test_four_dimensional_cube(self, mirror):
+        doc = box_document(4, 1, mirror)
+        for points in (doc["vertices"], doc["vertex_images"]):
+            complex_ = validate_complex(points, doc["cells"], 4)
+            assert len(complex_.cells) == 24
+            assert_lattice_matches_the_eager_build(complex_)
+            assert boundary_euler_characteristic(complex_.boundary) == 0  # a 3-sphere
+
+    def test_the_lattice_is_built_once_and_kept(self, monkeypatch):
+        calls = []
+        face_lattice = complexes.face_lattice
+
+        def counting(*args):
+            calls.append(args)
+            return face_lattice(*args)
+
+        monkeypatch.setattr(complexes, "face_lattice", counting)
+        complex_ = validate_complex(*TWO_TRIANGLES)
+        assert calls == []
+        assert complex_.faces is complex_.faces
+        assert complex_.interior_faces() == [(0, 2), (0, 1, 2), (0, 2, 3)]
+        assert len(calls) == 1

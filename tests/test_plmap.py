@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plopen import cli, feasible, linalg, plmap
+from plopen import cli, complexes, feasible, linalg, plmap
 from plopen.complexes import validate_complex
 from plopen.degree import degree, is_regular_value, point_on_boundary_image
 from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, box_complex, generate
@@ -300,6 +300,62 @@ class TestPiecesBuiltOnlyWhenRead:
         assert cli.main(["fibers", str(path), f"--at={at}"]) == 0
         assert json.loads(capsys.readouterr().out)["finite"] is False
         assert built == []
+
+
+class TestLatticeBuiltOnlyWhenRead:
+    """Validation, certification, the component graph and point queries read
+    only the facets: no command but those that read lower faces builds the
+    lattice of all faces (`complexes.face_lattice`), and `check-open`
+    builds it once per map."""
+
+    SPEC = GenSpec("random_orientation_preserving", 3, resolution=4)
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        calls = []
+        face_lattice = complexes.face_lattice
+
+        def counting(cell_ids, facets, boundary):
+            calls.append(len(cell_ids))
+            return face_lattice(cell_ids, facets, boundary)
+
+        monkeypatch.setattr(complexes, "face_lattice", counting)
+        return calls
+
+    @pytest.fixture()
+    def path(self, tmp_path):
+        path = tmp_path / "map.json"
+        save_document(path, plmap_to_document(generate(self.SPEC).plmap))
+        return str(path)
+
+    def test_validate_whyburn_and_graph_build_no_lattice(self, built, path, capsys):
+        assert cli.main(["validate", path]) == 0
+        assert json.loads(capsys.readouterr().out)["valid"] is True
+        assert cli.main(["whyburn", path]) == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+        assert cli.main(["graph", path]) == 0
+        capsys.readouterr()
+        assert built == []
+
+    def test_degree_and_fibers_build_no_lattice(self, built, path, capsys):
+        f = generate(self.SPEC).plmap
+        outer = {v for face in f.domain.boundary for v in face}
+        inner = next(v for v in range(len(f.vertex_images)) if v not in outer)
+        regular, vertex_image = mean_image(f, f.domain.cell_ids[0]), f.vertex_images[inner]
+        for point, perturbed in ((regular, False), (vertex_image, True)):
+            at = ",".join(map(format_rational, point))
+            assert cli.main(["degree", path, f"--at={at}"]) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert report["degree"] == 1
+            assert (report["regular_point_used"] != report["query_point"]) is perturbed
+            assert cli.main(["fibers", path, f"--at={at}"]) == 0
+            assert json.loads(capsys.readouterr().out)["finite"] is True
+        assert built == []
+
+    def test_check_open_builds_the_lattice_once(self, built, path, capsys):
+        assert cli.main(["check-open", path]) == 0
+        capsys.readouterr()
+        assert built == [384]
 
 
 class TestFramesWithoutElimination:
