@@ -30,7 +30,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -172,7 +171,8 @@ def _cmd_validate(args) -> int:
 def _openness_payload(plmap, config: OracleConfig) -> tuple[dict, int]:
     verdict = check_conditions(plmap, config)
     payload = {
-        name: asdict(c) | {"holds": c.holds}
+        # a condition's instance dict is its fields (`asdict` deep-copies)
+        name: vars(c) | {"holds": c.holds}
         for name, c in (
             ("cond_ii", verdict.cond_ii),
             ("cond_iii", verdict.cond_iii),

@@ -16,7 +16,10 @@ face's barycenter c is alone in its fiber near c, so every regular value
 near f(c) has |local degree| preimages near c: two shrunk star images
 overlap in full dimension iff that count is at least 2. One count of the
 star-cell image cones that hold a generic direction (`plmap.cone_count`)
-gives it, in integers, and a count of 1 clears the face with no probe.
+gives it, in integers, and a count of 1 clears the face with no probe. The
+branch set counts with one `plmap.cone_counter` per call, which computes
+each cell's slopes along the count's direction once and reads them for
+every star that holds the cell.
 Mixed signs or a count of 2 or more go to the pair loop, which names the
 witness pair. Every star piece sends c to the same point f(c), so all star
 images shrink by one homothety about f(c) and the shrink cancels: each pair
@@ -39,17 +42,26 @@ images, in integers until a sample fails:
   lane width w, each axis column is packed into one integer, coordinate j
   in the w-bit lane j, with a bias of 2^(w-1) per lane.
 - Per cell and per call it reads the image simplex's integer frame
-  (`IntegerPoints.frame`, one fraction-free adjugate). Each frame row gets
-  the bit mask of the base directions on which its slope is nonnegative
-  from one sum of n big-integer products over the packed columns, plus the
-  bias: the top bit of each lane is the sign test of one direction, and a
-  byte slice reads all of them at once. A sample then costs bitwise ANDs
-  and ORs.
-- At an interior (n-1)-face the two normals of the face's image hyperplane
-  are tested too. They are the slope row of a star cell's vertex off the
-  face, divided by its gcd and signed so its last nonzero entry is positive,
-  and its negation. A 1-D face is a point and adds none: there the base
-  directions alone decide.
+  (`IntegerPoints.frame`, one fraction-free adjugate). A frame row gets the
+  bit mask of the base directions on which its slope is nonnegative the
+  first time a sample reads it, from one sum of n big-integer products over
+  the packed columns, plus the bias: the top bit of each lane is the sign
+  test of one direction, and a byte slice reads all of them at once. A
+  sample then costs bitwise ANDs and ORs.
+- An interior (n-1)-face has two star cells, each with one vertex off the
+  face, and the slope rows of those two vertices are both normal to the
+  face's image hyperplane, so parallel. When one nonzero entry has opposite
+  signs in the two rows, the two image cones are the hyperplane's two
+  closed half-spaces, which cover every direction, and the sample is
+  cleared with no mask read. This reads only the oracle's own frame rows,
+  never the pieces' determinant signs, so the oracle stays a check apart
+  from the sign conditions. (The rows point opposite ways exactly when the
+  two signs agree.)
+- Otherwise, at an interior (n-1)-face the two normals of the face's image
+  hyperplane are tested too. They are the slope row of a star cell's vertex
+  off the face, divided by its gcd and signed so its last nonzero entry is
+  positive, and its negation. A 1-D face is a point and adds none: there
+  the base directions alone decide.
 - The uncovered directions are counted (`OracleResult.num_failures`), and a
   failing sample keeps only integers: its carrier, the mask of its uncovered
   base directions and its uncovered fold normals. The tables are dropped when
@@ -79,7 +91,7 @@ from typing import Callable, Optional
 from . import feasible
 from .complexes import Face
 from .linalg import Vector
-from .plmap import MIXED, PLMap, SignProfile, cone_count, finite_fibers, sign_profile
+from .plmap import MIXED, PLMap, SignProfile, cone_counter, finite_fibers, sign_profile
 
 REASON_SIGN_MISMATCH = "SignMismatchAcrossFace"
 REASON_SINGULAR = "SingularIncidentCell"
@@ -120,9 +132,12 @@ def branch_set(f: PLMap) -> BranchReport:
     A face F of dimension <= n-2 whose star cells all have one nonzero sign
     and whose star has a cone count (`plmap.cone_count`) of ±1 has local
     degree ±1, so no two shrunk star images overlap in full dimension and F
-    is not in the branch set; no probe runs. Any other face F of dimension
-    <= n-2 with nonsingular star, of mixed signs or of a count of 2 or
-    more, is decided pair by pair on the star's unshrunk cell images. Every
+    is not in the branch set; no probe runs. The counts come from one
+    `plmap.cone_counter` for the call, so each cell's slopes are computed
+    once, not once per star that holds it, and none is kept on the map.
+    Any other face F of dimension <= n-2 with nonsingular star, of mixed
+    signs or of a count of 2 or more, is decided pair by pair on the star's
+    unshrunk cell images. Every
     star piece sends F's barycenter c to f(c), so shrinking each star cell
     toward c shrinks its image by one homothety h about f(c), and
     relint(h f(a)) meets relint(h f(b)) iff relint f(a) meets relint f(b).
@@ -136,6 +151,7 @@ def branch_set(f: PLMap) -> BranchReport:
     """
     n = f.ambient_dim
     out: list[BranchFace] = []
+    cone_count = cone_counter(f)
 
     for ids in f.domain.interior_faces():
         info = f.domain.faces[ids]
@@ -155,7 +171,7 @@ def branch_set(f: PLMap) -> BranchReport:
         if singular:
             out.append(BranchFace(ids, info.dim, REASON_SINGULAR, singular))
             continue
-        if len({f.pieces[c].det_sign for c in star}) == 1 and abs(cone_count(f, ids)) == 1:
+        if len({f.pieces[c].det_sign for c in star}) == 1 and abs(cone_count(ids)) == 1:
             # Local degree ±1 with equal signs: no two shrunk star images
             # overlap in full dimension, so no pair has a witness.
             continue
@@ -319,9 +335,8 @@ def _lane_mask(row: tuple[int, ...], lanes: Callable[[int], tuple[tuple[int, ...
     return int(tops.translate(_TOP_BIT), 2) if tops else 0
 
 
-@dataclass(frozen=True)
 class _ImageTable:
-    """A star cell's covering tables, built once per oracle call.
+    """A star cell's covering table, built once per oracle call.
 
     `rows` are the barycentric rows of the cell's image-simplex frame
     (`IntegerPoints.frame`, one integer adjugate), one per cell vertex in
@@ -330,21 +345,37 @@ class _ImageTable:
     c_k > 0 fixed per row. A row's first n entries are its integer slope row
     and its last entry is the constant term, so the slope of coordinate k
     along a direction d is c_k⁻¹ times the dot product of d with the slope
-    row. Bit j of `masks[k]` is set iff that dot product is >= 0 for the
-    j-th base direction; each mask is one sum of n products over the base
-    directions' packed lanes (`_lane_mask`).
+    row. Bit j of `mask(k)` is set iff that dot product is >= 0 for the
+    j-th base direction. Each mask is one sum of n products over the base
+    directions' packed lanes (`_lane_mask`), made the first time its row is
+    read and kept for the call, so a row that only samples cleared by the
+    facet sign test would read is never packed.
     """
 
-    vertex_ids: Face
-    rows: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...]
+    __slots__ = ("vertex_ids", "rows", "_lanes", "_masks")
+
+    def __init__(
+        self,
+        vertex_ids: Face,
+        rows: tuple[tuple[int, ...], ...],
+        lanes: Callable[[int], tuple[tuple[int, ...], int]],
+    ):
+        self.vertex_ids = vertex_ids
+        self.rows = rows
+        self._lanes = lanes
+        self._masks: list[Optional[int]] = [None] * len(rows)
+
+    def mask(self, k: int) -> int:
+        mask = self._masks[k]
+        if mask is None:
+            mask = self._masks[k] = _lane_mask(self.rows[k], self._lanes)
+        return mask
 
 
 def _image_table(f: PLMap, cell_index: int, num_directions: int, rng_seed: int) -> _ImageTable:
     ids = f.domain.cells[cell_index].vertex_ids
     rows = f.images.frame(ids).bary
-    lanes = partial(_lanes, f.ambient_dim, num_directions, rng_seed)
-    return _ImageTable(ids, rows, tuple(_lane_mask(row, lanes) for row in rows))
+    return _ImageTable(ids, rows, partial(_lanes, f.ambient_dim, num_directions, rng_seed))
 
 
 def _fold_normals(table: _ImageTable, off_carrier: list[int]) -> list[tuple[int, ...]]:
@@ -381,16 +412,25 @@ def openness_oracle(
     coordinates of f(x) unchanged and doubles every slope along a ray, so
     each star cell is tested against its unshrunk image through an
     `_ImageTable` built once per call: the barycentric rows of its image
-    simplex's integer frame and, per row, the mask of the base directions of
-    nonnegative slope. The base directions, their per-axis columns and,
-    per lane width, those columns packed into biased integer lanes are
-    built once per setting and kept; a row's mask is the top bit of each
-    lane of one sum of n products (`_lane_mask`). A direction is
+    simplex's integer frame and, per row read, the mask of the base
+    directions of nonnegative slope. The base directions, their per-axis
+    columns and, per lane width, those columns packed into biased integer
+    lanes are built once per setting and kept; a row's mask is the top bit
+    of each lane of one sum of n products (`_lane_mask`), made the first
+    time the row is read. A direction is
     covered by a cell iff no row with a zero coordinate of f(x) has negative
     slope; those rows are the cell's vertices off the carrier, because x lies
     in the relative interior of the carrier and the piece is an affine
-    bijection. At an interior (n-1)-face the two normals of its image
-    hyperplane are tested as well, read off a star cell's frame
+    bijection.
+
+    At an interior (n-1)-face each of the two star cells has one such row,
+    and both rows' slope parts are normal to the face's image hyperplane,
+    so parallel. If the first nonzero entry of one has the opposite sign in
+    the other, the two cells' cones are the hyperplane's two closed
+    half-spaces: every base direction and both fold normals are covered,
+    and the sample is cleared with no mask read. The test reads the frame
+    rows only, never a piece's `det_sign`. Otherwise the two normals of the
+    face's image hyperplane are tested as well, read off a star cell's frame
     (`_fold_normals`; none in 1-D).
 
     Samples inside a cell (its barycenter, `num_points` interior points) are
@@ -430,15 +470,26 @@ def openness_oracle(
     for carrier in interior:
         if len(carrier) > n:
             break  # cells come last, and a cell sample covers every direction
-        star = []
-        for table in map(table_of, f.domain.faces[carrier].cells):
-            star.append((table, [k for k, v in enumerate(table.vertex_ids) if v not in carrier]))
+        star = [
+            (table, [k for k, v in enumerate(table.vertex_ids) if v not in carrier])
+            for table in map(table_of, f.domain.faces[carrier].cells)
+        ]
+        if len(carrier) == n:
+            # The two off-face slope rows are normal to the face's image
+            # hyperplane, so parallel. Opposite signs at one nonzero entry:
+            # the two cones are its two closed half-spaces, covering every
+            # direction and both fold normals.
+            (table_a, (k_a,)), (table_b, (k_b,)) = star
+            row_a, row_b = table_a.rows[k_a], table_b.rows[k_b]
+            c = next(c for c in range(n) if row_a[c])
+            if row_a[c] * row_b[c] < 0:
+                continue
 
         covered = 0
         for table, off_carrier in star:
             cell_covers = all_directions
             for k in off_carrier:
-                cell_covers &= table.masks[k]
+                cell_covers &= table.mask(k)
             covered |= cell_covers
         missing = all_directions & ~covered
         folds: tuple[tuple[int, ...], ...] = ()

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import feasible
 from .complexes import (
@@ -416,21 +416,42 @@ def cone_count(f: PLMap, face: Face) -> int:
     slope is zero (each slope row is nonzero, so it vanishes for at most n−1
     values of t); then d lies on the boundary of no cone, and the sum of the
     determinant signs of the cells whose slopes are all positive is the
-    local degree at x.
+    local degree at x. One face's count; `cone_counter` counts many.
     """
-    n, cells = f.ambient_dim, f.domain.cell_ids
-    stars = []
-    for ci in f.domain.faces[face].cells:
-        bary = f.images.frame(cells[ci]).bary
-        off_face = [row[:n] for v, row in zip(cells[ci], bary) if v not in face]
-        stars.append((f.pieces[ci].det_sign, off_face))
-    t = 1
-    while True:
-        direction = [t**k for k in range(n)]
-        slopes = [[sum(map(mul, row, direction)) for row in rows] for _, rows in stars]
-        if all(all(s) for s in slopes):
-            return sum(sign for (sign, _), s in zip(stars, slopes) if all(v > 0 for v in s))
-        t += 1
+    return cone_counter(f)(face)
+
+
+def cone_counter(f: PLMap) -> Callable[[Face], int]:
+    """`cone_count` of f for many faces. Each cell's slopes along d_t, one
+    per bary row, are computed the first time a star asks for them at that
+    t and kept for the counter's lifetime, so a cell in many stars costs one
+    dot product per row and t; the map keeps none of them."""
+    n, cells, pieces = f.ambient_dim, f.domain.cell_ids, f.pieces
+    slopes_at: dict[int, dict[int, tuple[int, ...]]] = {}
+
+    def count(face: Face) -> int:
+        star = f.domain.faces[face].cells
+        t = 1
+        while True:
+            slopes = slopes_at.setdefault(t, {})
+            direction = [t**k for k in range(n)]
+            total = 0
+            for ci in star:
+                cell_slopes = slopes.get(ci)
+                if cell_slopes is None:
+                    cell_slopes = slopes[ci] = tuple(
+                        sum(map(mul, row, direction)) for row in f.images.frame(cells[ci]).bary
+                    )
+                off_face = [s for v, s in zip(cells[ci], cell_slopes) if v not in face]
+                if not all(off_face):
+                    break
+                if all(s > 0 for s in off_face):
+                    total += pieces[ci].det_sign
+            else:
+                return total
+            t += 1
+
+    return count
 
 
 def fiber(f: PLMap, query: Vector) -> FiniteFiber | InfiniteFiber:

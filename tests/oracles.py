@@ -32,8 +32,13 @@ the degree of the map restricted to the carrier's star, rescaled toward
 the point until the star holds no other point of its fiber.
 `pair_loop_branch_set` is the branch set as it was before the cone count:
 every nonsingular star probed pair by pair in the library's frames.
+`star_by_star_cone_count` is `cone_count` as it was before the branch set
+kept each cell's slopes: every star's slopes computed afresh.
 `reference_oracle` is the openness oracle sample by sample, with one
-rational inverse per shrunk star image; `compress_mask` is a covering mask
+rational inverse per shrunk star image; `covering_loop_oracle` is the
+oracle as it was before the facet sign test: every star cell's masks
+packed with its table, and every interior (n-1)-face tested by masks and
+fold normals. `compress_mask` is a covering mask
 as `_image_table` built it before the packed lanes, one slope per base
 direction; `fraction_parse_rational` is `parse_rational` as it was before
 it matched its text once.
@@ -49,9 +54,11 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import compress, permutations
 from math import lcm
-from typing import Optional
+from operator import mul
+from typing import NamedTuple, Optional
 
 from plopen import feasible, whyburn
 from plopen.complexes import (
@@ -94,6 +101,11 @@ from plopen.openness import (
     OracleFailure,
     OracleResult,
     _base_directions,
+    _evidence,
+    _FailingSample,
+    _fold_normals,
+    _lane_mask,
+    _lanes,
     _SplitMix64,
     seeded_directions,
 )
@@ -749,9 +761,29 @@ def pair_loop_branch_set(f):
     return BranchReport(tuple(out), max((bf.dim for bf in out), default=None))
 
 
+def star_by_star_cone_count(f, face):
+    """`cone_count` with the star's slopes along d_t computed afresh for
+    every face: per star cell, the slope rows of its image frame's rows off
+    the face, dotted with d_t for t = 1, 2, … until none is zero."""
+    n, cells = f.ambient_dim, f.domain.cell_ids
+    stars = []
+    for ci in f.domain.faces[face].cells:
+        bary = f.images.frame(cells[ci]).bary
+        off_face = [row[:n] for v, row in zip(cells[ci], bary) if v not in face]
+        stars.append((f.pieces[ci].det_sign, off_face))
+    t = 1
+    while True:
+        direction = [t**k for k in range(n)]
+        slopes = [[sum(map(mul, row, direction)) for row in rows] for _, rows in stars]
+        if all(all(s) for s in slopes):
+            return sum(sign for (sign, _), s in zip(stars, slopes) if all(v > 0 for v in s))
+        t += 1
+
+
 # ---------------------------------------------------------------------------
-# The openness oracle sample by sample, its covering masks direction by
-# direction, and the rational parser before it matched its text once.
+# The openness oracle sample by sample, its covering loop before the facet
+# sign test, its covering masks direction by direction, and the rational
+# parser before it matched its text once.
 # ---------------------------------------------------------------------------
 
 
@@ -821,6 +853,68 @@ def reference_oracle(f, num_points, num_directions, rng_seed):
                 OracleFailure(x, carrier, tuple(map(Fraction, direction)), epsilon, target)
             )
     return OracleResult(not failures, len(failures), len(samples), lambda: tuple(failures))
+
+
+class _PackedTable(NamedTuple):
+    """A star cell's image-frame rows with every row's mask packed."""
+
+    vertex_ids: tuple[int, ...]
+    rows: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+
+
+def covering_loop_oracle(f, num_points, num_directions, rng_seed):
+    """`openness_oracle` before the facet sign test: every cell's table
+    packs all its rows' masks (`_lane_mask`) up front, and every
+    interior face with at most n vertices is tested by its star's masks, an
+    interior (n-1)-face also by its two fold normals. The evidence is the
+    library's `_evidence` of the failing samples."""
+    if any(p.det_sign == 0 for p in f.pieces):
+        return reference_oracle(f, num_points, num_directions, rng_seed)
+    n = f.ambient_dim
+    base_directions = _base_directions(n, num_directions, rng_seed)[0]
+    lanes = partial(_lanes, n, num_directions, rng_seed)
+    tables = {}
+    for ci, ids in enumerate(f.domain.cell_ids):
+        rows = f.images.frame(ids).bary
+        tables[ci] = _PackedTable(ids, rows, tuple(_lane_mask(row, lanes) for row in rows))
+    interior = f.domain.interior_faces()
+    all_directions = (1 << len(base_directions)) - 1
+    failing = []
+    num_failures = 0
+    for carrier in interior:
+        if len(carrier) > n:
+            continue
+        star = [
+            (table, [k for k, v in enumerate(table.vertex_ids) if v not in carrier])
+            for table in (tables[ci] for ci in f.domain.faces[carrier].cells)
+        ]
+        covered = 0
+        for table, off_carrier in star:
+            cell_covers = all_directions
+            for k in off_carrier:
+                cell_covers &= table.masks[k]
+            covered |= cell_covers
+        missing = all_directions & ~covered
+        folds = ()
+        if len(carrier) == n:
+            folds = tuple(
+                d
+                for d in _fold_normals(*star[0])
+                if not any(
+                    all(sum(map(mul, table.rows[k], d)) >= 0 for k in off_carrier)
+                    for table, off_carrier in star
+                )
+            )
+        if missing or folds:
+            failing.append(_FailingSample(carrier, missing, folds))
+            num_failures += missing.bit_count() + len(folds)
+    return OracleResult(
+        not num_failures,
+        num_failures,
+        len(interior) + num_points,
+        partial(_evidence, f, base_directions, failing),
+    )
 
 
 def compress_mask(row, n, num_directions, rng_seed):

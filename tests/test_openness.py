@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plopen import feasible, openness
-from plopen.cli import _openness_payload
+from plopen.cli import _openness_payload, main
 from plopen.complexes import validate_complex
 from plopen.degree import local_degree
 from plopen.feasible import relative_interiors_intersect
-from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, generate
+from plopen.generators import _FIXED_DIMS, KINDS, GenSpec, box_complex, generate
+from plopen.instancefile import plmap_to_document, save_document
 from plopen.openness import (
     REASON_INJECTIVITY,
     REASON_SIGN_MISMATCH,
@@ -31,15 +32,25 @@ from plopen.openness import (
     coherently_oriented,
     openness_oracle,
 )
-from plopen.plmap import AffinePiece, FiniteFiber, build_plmap, cone_count, fiber, finite_fibers
+from plopen.plmap import (
+    AffinePiece,
+    FiniteFiber,
+    build_plmap,
+    cone_count,
+    cone_counter,
+    fiber,
+    finite_fibers,
+)
 
 from oracles import (
     compress_mask,
+    covering_loop_oracle,
     face_normal_directions,
     pair_loop_branch_set,
     point_in_simplex,
     reference_oracle,
     shrunk_star_images,
+    star_by_star_cone_count,
 )
 
 
@@ -505,9 +516,9 @@ class TestLaneMasks:
                 continue
             for count, seed in LANE_SETTINGS:
                 table = _image_table(f, ci, count, seed)
-                assert table.masks == tuple(
+                assert [table.mask(k) for k in range(len(table.rows))] == [
                     compress_mask(row, n, count, seed) for row in table.rows
-                )
+                ]
 
     @given(lane_rows())
     @settings(max_examples=300, deadline=None)
@@ -534,7 +545,9 @@ class TestLaneMasks:
     def test_no_base_direction_gives_empty_masks(self, doubling2d):
         f = doubling2d.plmap
         assert _lanes(2, 0, 0, 8) == ((0, 0), 0)
-        assert all(_image_table(f, ci, 0, 0).masks == (0, 0, 0) for ci in range(len(f.pieces)))
+        for ci in range(len(f.pieces)):
+            table = _image_table(f, ci, 0, 0)
+            assert [table.mask(k) for k in range(3)] == [0, 0, 0]
 
 
 def mirrored(f):
@@ -627,6 +640,174 @@ class TestBranchSetByConeCount:
         assert star_paths(f) == {"count 1"}
         monkeypatch.setattr(feasible, "relint_meets_sharing", forbidden)
         assert branch_set(f) == BranchReport((), None)
+
+
+# The facet sign test, masks packed on first read and the branch set's kept
+# slopes, against the covering loop and the star-by-star count they replace:
+# every generator kind (`interior_fold1d` among them) and its mirror in
+# dims 1-3, seeds 0-3, the 3-D resolution-4 map, and the 4-D one-cube map
+# (every frame by the elimination) and its mirror.
+SIGN_TEST_CASES = [
+    *COUNT_CASES,
+    (GenSpec("random_orientation_preserving", 3, resolution=4, seed=1), False),
+    ("cube4", False),
+    ("cube4", True),
+]
+# (num_points, num_directions, rng_seed): the CLI defaults, one other, no
+# base direction, one, and 200 (lanes past one machine word's worth)
+SIGN_TEST_SETTINGS = [(20, 64, 0), (7, 19, 5), (4, 0, 0), (6, 1, 9), (3, 200, 3)]
+_PERTURBED_DOMAINS = {dim: box_complex(dim, res) for dim, res in ((1, 4), (2, 3), (3, 2), (4, 1))}
+
+
+def sign_test_map(case, mirror):
+    if case == "cube4":
+        domain = box_complex(4, 1)
+        f = build_plmap(domain, domain.vertices)
+        return mirrored(f) if mirror else f
+    return count_case_map(case, mirror)
+
+
+def draw_perturbed_box_map(data):
+    """A box complex in dims 1-4 with each vertex image moved by a drawn
+    multiple of a drawn scale, often mirrored; large moves fold cells, and
+    some moves collapse one."""
+    dim = data.draw(st.integers(1, 4), label="dim")
+    domain = _PERTURBED_DOMAINS[dim]
+    scale = data.draw(st.sampled_from([F(1, 8), F(1, 3), F(1)]), label="scale")
+    offset = st.integers(-2, 2).map(lambda k: k * scale)
+    images = [[c + data.draw(offset) for c in v] for v in domain.vertices]
+    f = build_plmap(domain, images)
+    return mirrored(f) if data.draw(st.booleans(), label="mirror") else f
+
+
+def assert_matches_the_references(f):
+    """The whole oracle result, failure records included, equals the
+    covering loop's under every setting, and the branch set's cone counter
+    gives the star-by-star count (and `cone_count`'s) at every face of
+    dimension <= n-2 with a nonsingular star, asked in lattice order on one
+    counter."""
+    for setting in SIGN_TEST_SETTINGS:
+        assert openness_oracle(f, *setting) == covering_loop_oracle(f, *setting)
+    n = f.ambient_dim
+    count = cone_counter(f)
+    for face, info in f.domain.faces.items():
+        if info.dim <= n - 2 and all(f.pieces[ci].det_sign for ci in info.cells):
+            assert count(face) == star_by_star_cone_count(f, face) == cone_count(f, face)
+
+
+def off_face_slope_row(f, face, ci):
+    """The slope row of star cell ci's vertex off an (n-1)-face, in its
+    image frame."""
+    ids = f.domain.cell_ids[ci]
+    n = f.ambient_dim
+    return next(row[:n] for v, row in zip(ids, f.images.frame(ids).bary) if v not in face)
+
+
+class TestOpennessPassMatchesTheReferences:
+    @pytest.mark.parametrize("case, mirror", SIGN_TEST_CASES, ids=str)
+    def test_generated_maps(self, case, mirror):
+        assert_matches_the_references(sign_test_map(case, mirror))
+
+    @given(st.data())
+    @settings(settings.get_profile("ci"), max_examples=60, deadline=None)
+    def test_perturbed_box_complexes(self, data):
+        assert_matches_the_references(draw_perturbed_box_map(data))
+
+    def test_cases_reach_failing_facets_and_later_slopes(self):
+        """The comparison sees facets that the sign test leaves to the
+        masks and fail there, and stars whose count needs t >= 2."""
+        fold = generate(GenSpec("interior_fold1d", 1)).plmap
+        assert {fl.carrier for fl in covering_loop_oracle(fold, 20, 64, 0).failures} == {
+            (1,),
+            (2,),
+        }
+        f = generate(GenSpec("identity", 2)).plmap
+        n, cells = f.ambient_dim, f.domain.cell_ids
+        assert any(
+            not all(
+                sum(row[:n])
+                for ci in f.domain.faces[face].cells
+                for v, row in zip(cells[ci], f.images.frame(cells[ci]).bary)
+                if v not in face
+            )
+            for face in f.domain.interior_faces()
+            if len(face) < n
+        )
+
+
+class TestFacetSignTestPremise:
+    """At an interior (n-1)-face whose two star cells are nonsingular, the
+    slope rows of their off-face vertices are parallel (every 2x2 minor is
+    0), and point opposite ways exactly when the two pieces' determinant
+    signs agree. The oracle's sign test rests on this; the test reads the
+    signs, the oracle reads only the rows."""
+
+    @pytest.mark.parametrize("case, mirror", SIGN_TEST_CASES, ids=str)
+    def test_off_face_rows(self, case, mirror):
+        f = sign_test_map(case, mirror)
+        n = f.ambient_dim
+        for face in f.domain.interior_faces():
+            if len(face) != n:
+                continue
+            a, b = f.domain.facets[face]
+            if not (f.pieces[a].det_sign and f.pieces[b].det_sign):
+                continue
+            row_a, row_b = off_face_slope_row(f, face, a), off_face_slope_row(f, face, b)
+            assert all(
+                row_a[i] * row_b[j] == row_a[j] * row_b[i]
+                for i in range(n)
+                for j in range(i + 1, n)
+            )
+            opposite = sum(map(mul, row_a, row_b)) < 0
+            assert opposite == (f.pieces[a].det_sign == f.pieces[b].det_sign)
+
+    def test_cases_reach_both_ways(self):
+        ways = set()
+        for case, mirror in SIGN_TEST_CASES:
+            f = sign_test_map(case, mirror)
+            for face in f.domain.interior_faces():
+                if len(face) == f.ambient_dim:
+                    a, b = f.domain.facets[face]
+                    ways.add((f.pieces[a].det_sign, f.pieces[b].det_sign))
+        assert {(1, 1), (-1, -1), (1, -1), (-1, 1)} <= ways
+
+
+class TestMasksPackedOnFirstRead:
+    """A row's mask is packed the first time the oracle reads it. Every
+    interior face of a coherent 1-D map is a point cleared by the facet sign
+    test, so `check-open` packs none there; at the two folds of
+    `interior_fold1d` the rows point the same way and the masks decide."""
+
+    @pytest.fixture()
+    def packed_rows(self, monkeypatch):
+        rows = []
+        lane_mask = openness._lane_mask
+
+        def counting(row, lanes):
+            rows.append(row)
+            return lane_mask(row, lanes)
+
+        monkeypatch.setattr(openness, "_lane_mask", counting)
+        return rows
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "kind, status, packs",
+        [("random_orientation_preserving", 0, False), ("identity", 0, False), ("interior_fold1d", 1, True)],
+    )
+    def test_check_open_on_1d_maps(self, tmp_path, capsys, packed_rows, kind, status, packs, seed):
+        path = tmp_path / "map.json"
+        save_document(path, plmap_to_document(generate(GenSpec(kind, 1, seed=seed)).plmap))
+        assert main(["check-open", str(path)]) == status
+        capsys.readouterr()
+        assert bool(packed_rows) == packs
+
+    def test_each_row_packed_once(self, packed_rows):
+        f = generate(GenSpec("random_mixed_signs", 3, seed=1)).plmap
+        table = _image_table(f, 0, 64, 0)
+        first = [table.mask(k) for k in range(len(table.rows))]
+        assert [table.mask(k) for k in reversed(range(len(table.rows)))] == first[::-1]
+        assert packed_rows == list(table.rows)
 
 
 class TestOracleEvidenceOnDemand:
